@@ -1,18 +1,21 @@
 """Detection of structured 4x4 families and extraction of the tensor-basis
 parameters their closed-form exponentials consume.
 
-Every family occupies a fixed subset of the 16 tensor-basis coefficients,
-sometimes with ties among entries (the Toeplitz cases) or a rank-1 block (the
-anti-diagonal product and special normal cases).  The basis matrices are
-pairwise orthogonal with Frobenius norm 2, so projecting the coefficient
-table c onto a family's model and measuring 2*||c - c_model||_F gives the
-exact matrix-space distance to that family.  Acceptance is therefore a single
-comparison against tol*max(1, ||A||_F) per family, with no reconstruction.
+A family is one `Family` entry of a table: each parameter of its dataclass
+is a slot -> weight pattern in the 4x4 coefficient table c of the tensor
+basis (ties among slots are weights, as in the Toeplitz cases), and its
+support splits into commuting groups whose squares are scalar.  The patterns
+of one family are disjoint, so with B the matrix whose columns they are,
+B^+ c reads the parameters off.  The basis matrices are pairwise orthogonal
+with Frobenius norm 2, so 2*||(I - B B^+) c|| is the exact matrix-space
+distance to the family, and acceptance is one comparison against
+tol*max(1, ||A||_F) per family.  Only the rank-one supports of SpecialNormal
+and BisymmetricRS need hand-written extractors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -41,30 +44,23 @@ def _vec(x) -> Vec3:
     return (float(x[0]), float(x[1]), float(x[2]))
 
 
-def _cvec(x) -> CVec3:
-    return (complex(x[0]), complex(x[1]), complex(x[2]))
+class _TableMember:
+    """reconstruct() for the families the table describes."""
 
-
-def _complement(w: int) -> tuple[int, int]:
-    return tuple(m for m in (_I, _J, _K) if m != w)
+    def reconstruct(self) -> np.ndarray:
+        return HxHElement(FAMILIES[self.tag].coefficients(self)).to_matrix()
 
 
 @dataclass(frozen=True)
-class SkewSymmetric:
+class SkewSymmetric(_TableMember):
     """Coefficient support p(x)1 + 1(x)q with p, q pure."""
     tag: ClassVar[str] = "SkewSymmetric"
     p: Vec3
     q: Vec3
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[1:, 0] = self.p
-        u.c[0, 1:] = self.q
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class Perskewsymmetric:
+class Perskewsymmetric(_TableMember):
     """p(x)i + alpha(j(x)1) + j(x)q + beta(1(x)i), p _|_ j, q _|_ i."""
     tag: ClassVar[str] = "Perskewsymmetric"
     p: Vec3
@@ -72,17 +68,9 @@ class Perskewsymmetric:
     q: Vec3
     beta: float
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[1:, _I] = self.p
-        u.c[_J, 0] = self.alpha
-        u.c[_J, 1:] += np.asarray(self.q)
-        u.c[0, _I] += self.beta
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class SkewHamiltonian:
+class SkewHamiltonian(_TableMember):
     """b(1(x)1) + p(x)j + 1(x)(c i + d k)."""
     tag: ClassVar[str] = "SkewHamiltonian"
     b: float
@@ -90,17 +78,9 @@ class SkewHamiltonian:
     c: float
     d: float
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[0, 0] = self.b
-        u.c[1:, _J] = self.p
-        u.c[0, _I] = self.c
-        u.c[0, _K] = self.d
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class Jordan:
+class Jordan(_TableMember):
     """One of five classes self-adjoint for a skew form.
 
     For a left form e_x(x)1 the element is a(1(x)1) + (b e_u + c e_v)(x)1
@@ -118,24 +98,9 @@ class Jordan:
     def tag(self) -> str:
         return f"Jordan{self.k}"
 
-    def reconstruct(self) -> np.ndarray:
-        side, w = JORDAN_FORMS[self.k]
-        m1, m2 = _complement(w)
-        u = HxHElement.zero()
-        u.c[0, 0] = self.a
-        if side == "left":
-            u.c[m1, 0] = self.b
-            u.c[m2, 0] = self.c
-            u.c[w, 1:] = self.vec
-        else:
-            u.c[0, m1] = self.b
-            u.c[0, m2] = self.c
-            u.c[1:, w] = self.vec
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class Lie:
+class Lie(_TableMember):
     """One of eight classes skew for a symmetric form e_x(x)e_y.
 
     Element: a(1(x)e_y) + p(x)e_y + b(e_x(x)1) + e_x(x)q with p _|_ e_x and
@@ -152,18 +117,9 @@ class Lie:
     def tag(self) -> str:
         return f"Lie{self.k}"
 
-    def reconstruct(self) -> np.ndarray:
-        x, y = LIE_FORMS[self.k]
-        u = HxHElement.zero()
-        u.c[0, y] = self.a
-        u.c[x, 0] = self.b
-        u.c[1:, y] += np.asarray(self.p)
-        u.c[x, 1:] += np.asarray(self.q)
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class HamSymPersym:
+class HamSymPersym(_TableMember):
     """beta(j(x)i) + gamma(i(x)k) + delta(k(x)k): simultaneously Hamiltonian,
     symmetric and persymmetric."""
     tag: ClassVar[str] = "HamSymPersym"
@@ -171,46 +127,23 @@ class HamSymPersym:
     gamma: float
     delta: float
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[_J, _I] = self.beta
-        u.c[_I, _K] = self.gamma
-        u.c[_K, _K] = self.delta
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class SymToeplitzTridiag:
+class SymToeplitzTridiag(_TableMember):
     """Symmetric tridiagonal Toeplitz: a on the diagonal, b beside it."""
     tag: ClassVar[str] = "SymToeplitzTridiag"
     a: float
     b: float
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[0, 0] = self.a
-        u.c[_J, _I] = self.b / 2.0
-        u.c[_I, _J] = self.b / 2.0
-        u.c[_K, _J] = self.b
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class SymToeplitzS13Zero:
+class SymToeplitzS13Zero(_TableMember):
     """a(1(x)1) + b(j(x)i) + c(i(x)j) + b(k(x)j): the variant whose second
     super- and subdiagonal vanish."""
     tag: ClassVar[str] = "SymToeplitzS13Zero"
     a: float
     b: float
     c: float
-
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[0, 0] = self.a
-        u.c[_J, _I] = self.b
-        u.c[_I, _J] = self.c
-        u.c[_K, _J] = self.b
-        return u.to_matrix()
 
 
 @dataclass(frozen=True)
@@ -264,7 +197,7 @@ class BisymmetricRS:
 
 
 @dataclass(frozen=True)
-class SymmetricGeneral:
+class SymmetricGeneral(_TableMember):
     """Any symmetric matrix: a(1(x)1) + p(x)i + q(x)j + r(x)k."""
     tag: ClassVar[str] = "SymmetricGeneral"
     a: float
@@ -272,31 +205,17 @@ class SymmetricGeneral:
     q: Vec3
     r: Vec3
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[0, 0] = self.a
-        u.c[1:, _I] = self.p
-        u.c[1:, _J] = self.q
-        u.c[1:, _K] = self.r
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class ComplexSO4:
+class ComplexSO4(_TableMember):
     """Complex skew-symmetric: left(x)1 + 1(x)right with complex triples."""
     tag: ClassVar[str] = "ComplexSO4"
     left: CVec3
     right: CVec3
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero(complex_scalars=True)
-        u.c[1:, 0] = self.left
-        u.c[0, 1:] = self.right
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class ComplexPerskew:
+class ComplexPerskew(_TableMember):
     """Complex-coefficient analogue of Perskewsymmetric."""
     tag: ClassVar[str] = "ComplexPerskew"
     p: CVec3
@@ -304,138 +223,168 @@ class ComplexPerskew:
     q: CVec3
     beta: complex
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero(complex_scalars=True)
-        u.c[1:, _I] = self.p
-        u.c[_J, 0] = self.alpha
-        u.c[_J, 1:] += np.asarray(self.q)
-        u.c[0, _I] += self.beta
-        return u.to_matrix()
-
 
 StructureClass = (SkewSymmetric | Perskewsymmetric | SkewHamiltonian | Jordan
                   | Lie | HamSymPersym | SymToeplitzTridiag | SymToeplitzS13Zero
                   | SpecialNormal | BisymmetricRS | SymmetricGeneral
                   | ComplexSO4 | ComplexPerskew)
 
+# a slot -> weight map over the coefficient table: the pattern one scalar
+# parameter fills
+Pattern = dict[tuple[int, int], float]
+
+
+class Family:
+    """One structured family as data.
+
+    `params` maps each field of `cls` (other than the class index k) to its
+    patterns, one per scalar: one for a scalar field, three for a 3-vector.
+    `groups` are slot sets that commute with each other while the slots
+    inside one pairwise anticommute, so each group squares to a scalar; they
+    cover the support except the scalar slot (0, 0).  The closed form is then
+    exp(c00) * prod_g (phi_c(-mu_g) 1 + phi_s(-mu_g) g).  SymmetricGeneral
+    has no fixed groups (its closed form rotates them out with an SVD), so
+    its `groups` is empty.
+    """
+
+    def __init__(self, cls, params: dict[str, tuple[Pattern, ...]],
+                 groups=(), k: Optional[int] = None, complex_scalars: bool = False):
+        self.cls, self.k, self.complex_scalars = cls, k, complex_scalars
+        self.tag = cls.tag if k is None else f"{cls.tag_base}{k}"
+        self.params = {f.name: params[f.name] for f in fields(cls) if f.name != "k"}
+        flat = [pat for pats in self.params.values() for pat in pats]
+        self.basis = np.zeros((16, len(flat)))
+        for col, pat in enumerate(flat):
+            for (a, b), w in pat.items():
+                self.basis[4 * a + b, col] = w
+        # disjoint columns: B^+ is B^T scaled by each column's squared norm
+        sq = (self.basis ** 2).sum(axis=0)
+        self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
+        self.projector = np.eye(16) - self.basis @ self.pinv
+        self.groups = tuple(frozenset(g) for g in groups)
+        self.masks = [np.isin(np.arange(16), [4 * a + b for a, b in g]).reshape(4, 4)
+                      for g in self.groups]
+
+    def instance(self, theta):
+        """The dataclass holding the flat parameter vector theta."""
+        vals = np.asarray(theta, complex if self.complex_scalars else float).tolist()
+        args = [] if self.k is None else [self.k]
+        i = 0
+        for pats in self.params.values():
+            n = len(pats)
+            args.append(vals[i] if n == 1 else tuple(vals[i:i + n]))
+            i += n
+        return self.cls(*args)
+
+    def coefficients(self, inst) -> np.ndarray:
+        """The 4x4 coefficient table of an instance."""
+        theta = []
+        for name, pats in self.params.items():
+            if len(pats) > 1:
+                theta.extend(getattr(inst, name))
+            else:
+                theta.append(getattr(inst, name))
+        return (self.basis @ np.array(theta)).reshape(4, 4)
+
+    def extract(self, a, u, tol, tol_abs):
+        """(instance or None, residual), with the signature of every entry
+        of REAL_REGISTRY and COMPLEX_REGISTRY."""
+        c = u.c.reshape(16)
+        if np.iscomplexobj(c) and not self.complex_scalars:
+            # a real family has no imaginary part: all of it is off the family
+            off = np.concatenate((self.projector @ c.real, c.imag))
+            c = c.real
+        else:
+            off = self.projector @ c
+        res = 2.0 * float(np.linalg.norm(off))
+        if not res <= tol_abs:
+            return None, res
+        return self.instance(self.pinv @ c), res
+
+
+def _one(a: int, b: int) -> tuple[Pattern]:
+    """A scalar parameter on the slot e_a (x) e_b."""
+    return ({(a, b): 1.0},)
+
+
+def _col(y: int, skip: int = 0) -> tuple[Pattern, ...]:
+    """A 3-vector parameter p on the slots p (x) e_y, component `skip` held
+    at zero."""
+    return tuple({} if m == skip else {(m, y): 1.0} for m in (_I, _J, _K))
+
+
+def _row(x: int, skip: int = 0) -> tuple[Pattern, ...]:
+    """A 3-vector parameter q on the slots e_x (x) q, component `skip` held
+    at zero."""
+    return tuple({} if m == skip else {(x, m): 1.0} for m in (_I, _J, _K))
+
+
+def _slots(*params) -> set:
+    return {slot for pats in params for pat in pats for slot in pat}
+
+
+def _skew(cls, left: str, right: str, complex_scalars: bool = False) -> Family:
+    """left (x) 1 + 1 (x) right, one commuting group per side."""
+    p, q = _col(0), _row(0)
+    return Family(cls, {left: p, right: q}, (_slots(p), _slots(q)),
+                  complex_scalars=complex_scalars)
+
+
+def _lie(cls, x: int, y: int, k: Optional[int] = None, a: str = "a", b: str = "b",
+         complex_scalars: bool = False) -> Family:
+    """a(1(x)e_y) + p(x)e_y + b(e_x(x)1) + e_x(x)q with p _|_ e_x, q _|_ e_y:
+    the element skew for the symmetric form e_x (x) e_y, in the commuting
+    groups p(x)e_y + b(e_x(x)1) and e_x(x)q + a(1(x)e_y)."""
+    pa, pb, p, q = _one(0, y), _one(x, 0), _col(y, skip=x), _row(x, skip=y)
+    return Family(cls, {a: pa, b: pb, "p": p, "q": q},
+                  (_slots(p, pb), _slots(q, pa)), k, complex_scalars)
+
+
+def _jordan(k: int) -> Family:
+    """a(1(x)1) plus one group that squares to a scalar (see Jordan)."""
+    side, w = JORDAN_FORMS[k]
+    m1, m2 = (m for m in (_I, _J, _K) if m != w)
+    if side == "left":
+        b, c, vec = _one(m1, 0), _one(m2, 0), _row(w)
+    else:
+        b, c, vec = _one(0, m1), _one(0, m2), _col(w)
+    return Family(Jordan, {"a": _one(0, 0), "b": b, "c": c, "vec": vec},
+                  (_slots(b, c, vec),), k)
+
+
+# j(x)i alone, and the i(x)j / k(x)j pair of the two symmetric Toeplitz cases
+_TOEPLITZ_GROUPS = ({(_J, _I)}, {(_I, _J), (_K, _J)})
+
+# every family but SpecialNormal and BisymmetricRS, real ones in dispatch order
+_TABLE = [
+    _skew(SkewSymmetric, "p", "q"),
+    Family(SkewHamiltonian,
+           {"b": _one(0, 0), "p": _col(_J), "c": _one(0, _I), "d": _one(0, _K)},
+           (_slots(_col(_J), _one(0, _I), _one(0, _K)),)),
+    _lie(Perskewsymmetric, _J, _I, a="beta", b="alpha"),
+    *(_lie(Lie, *LIE_FORMS[k], k=k) for k in LIE_FORMS),
+    *(_jordan(k) for k in JORDAN_FORMS),
+    Family(HamSymPersym,
+           {"beta": _one(_J, _I), "gamma": _one(_I, _K), "delta": _one(_K, _K)},
+           ({(_J, _I)}, {(_I, _K), (_K, _K)})),
+    # b/2 on the two slots i(x)j, j(x)i and b on k(x)j
+    Family(SymToeplitzTridiag,
+           {"a": _one(0, 0), "b": ({(_J, _I): 0.5, (_I, _J): 0.5, (_K, _J): 1.0},)},
+           _TOEPLITZ_GROUPS),
+    Family(SymToeplitzS13Zero,
+           {"a": _one(0, 0), "b": ({(_J, _I): 1.0, (_K, _J): 1.0},), "c": _one(_I, _J)},
+           _TOEPLITZ_GROUPS),
+    Family(SymmetricGeneral,
+           {"a": _one(0, 0), "p": _col(_I), "q": _col(_J), "r": _col(_K)}),
+    _skew(ComplexSO4, "left", "right", complex_scalars=True),
+    _lie(ComplexPerskew, _J, _I, a="beta", b="alpha", complex_scalars=True),
+]
+
+FAMILIES: dict[str, Family] = {fam.tag: fam for fam in _TABLE}
+
 
 def _residual(c: np.ndarray, model: np.ndarray) -> float:
     return 2.0 * float(np.linalg.norm(c - model))
-
-
-def _accept(inst, c, model, tol_abs):
-    res = _residual(c, model)
-    return (inst if res <= tol_abs else None), res
-
-
-def _x_skew_symmetric(a, u, tol, tol_abs):
-    c = u.c
-    model = np.zeros((4, 4))
-    model[1:, 0] = c[1:, 0]
-    model[0, 1:] = c[0, 1:]
-    return _accept(SkewSymmetric(_vec(c[1:, 0]), _vec(c[0, 1:])), c, model, tol_abs)
-
-
-def _x_skew_hamiltonian(a, u, tol, tol_abs):
-    c = u.c
-    model = np.zeros((4, 4))
-    for idx in ((0, 0), (_I, _J), (_J, _J), (_K, _J), (0, _I), (0, _K)):
-        model[idx] = c[idx]
-    inst = SkewHamiltonian(float(c[0, 0]), _vec(c[1:, _J]),
-                           float(c[0, _I]), float(c[0, _K]))
-    return _accept(inst, c, model, tol_abs)
-
-
-def _lie_model(c: np.ndarray, x: int, y: int):
-    model = np.zeros((4, 4))
-    model[0, y] = c[0, y]
-    model[x, 0] = c[x, 0]
-    for m in (_I, _J, _K):
-        if m != x:
-            model[m, y] = c[m, y]
-        if m != y:
-            model[x, m] = c[x, m]
-    p = c[1:, y].copy()
-    p[x - 1] = 0.0
-    q = c[x, 1:].copy()
-    q[y - 1] = 0.0
-    return model, float(c[0, y]), float(c[x, 0]), p, q
-
-
-def _x_perskewsymmetric(a, u, tol, tol_abs):
-    model, beta, alpha, p, q = _lie_model(u.c, _J, _I)
-    inst = Perskewsymmetric(_vec(p), alpha, _vec(q), beta)
-    return _accept(inst, u.c, model, tol_abs)
-
-
-def _make_lie_extractor(k: int):
-    x, y = LIE_FORMS[k]
-
-    def extract(a, u, tol, tol_abs):
-        model, a_coef, b_coef, p, q = _lie_model(u.c, x, y)
-        inst = Lie(k, a_coef, b_coef, _vec(p), _vec(q))
-        return _accept(inst, u.c, model, tol_abs)
-
-    return extract
-
-
-def _make_jordan_extractor(k: int):
-    side, w = JORDAN_FORMS[k]
-    m1, m2 = _complement(w)
-
-    def extract(a, u, tol, tol_abs):
-        c = u.c
-        model = np.zeros((4, 4))
-        model[0, 0] = c[0, 0]
-        if side == "left":
-            model[m1, 0] = c[m1, 0]
-            model[m2, 0] = c[m2, 0]
-            model[w, 1:] = c[w, 1:]
-            inst = Jordan(k, float(c[0, 0]), float(c[m1, 0]), float(c[m2, 0]),
-                          _vec(c[w, 1:]))
-        else:
-            model[0, m1] = c[0, m1]
-            model[0, m2] = c[0, m2]
-            model[1:, w] = c[1:, w]
-            inst = Jordan(k, float(c[0, 0]), float(c[0, m1]), float(c[0, m2]),
-                          _vec(c[1:, w]))
-        return _accept(inst, c, model, tol_abs)
-
-    return extract
-
-
-def _x_ham_sym_persym(a, u, tol, tol_abs):
-    c = u.c
-    model = np.zeros((4, 4))
-    for idx in ((_J, _I), (_I, _K), (_K, _K)):
-        model[idx] = c[idx]
-    inst = HamSymPersym(float(c[_J, _I]), float(c[_I, _K]), float(c[_K, _K]))
-    return _accept(inst, c, model, tol_abs)
-
-
-def _x_toeplitz_tridiag(a, u, tol, tol_abs):
-    c = u.c
-    # least-squares fit of the single off-diagonal parameter to its three
-    # tied slots (two carry b/2, one carries b)
-    b = (c[_J, _I] + c[_I, _J] + 2.0 * c[_K, _J]) / 3.0
-    model = np.zeros((4, 4))
-    model[0, 0] = c[0, 0]
-    model[_J, _I] = b / 2.0
-    model[_I, _J] = b / 2.0
-    model[_K, _J] = b
-    return _accept(SymToeplitzTridiag(float(c[0, 0]), float(b)), c, model, tol_abs)
-
-
-def _x_toeplitz_s13(a, u, tol, tol_abs):
-    c = u.c
-    b = (c[_J, _I] + c[_K, _J]) / 2.0
-    model = np.zeros((4, 4))
-    model[0, 0] = c[0, 0]
-    model[_J, _I] = b
-    model[_K, _J] = b
-    model[_I, _J] = c[_I, _J]
-    inst = SymToeplitzS13Zero(float(c[0, 0]), float(b), float(c[_I, _J]))
-    return _accept(inst, c, model, tol_abs)
 
 
 def _x_special_normal(a, u, tol, tol_abs):
@@ -467,13 +416,13 @@ def _x_special_normal(a, u, tol, tol_abs):
     model[0, 1:] = t
     model[1:, 1:] = np.outer(s_hat, t_hat)
     res = _residual(c, model)
-    if res > tol_abs:
+    if not res <= tol_abs:
         return None, res
 
     sym = (a + a.T) / 2.0
     skw = (a - a.T) / 2.0
     comm = np.linalg.norm(sym @ skw - skw @ sym)
-    if comm > tol * (1.0 + np.linalg.norm(a)) ** 2:
+    if not comm <= tol * (1.0 + np.linalg.norm(a)) ** 2:
         return None, max(res, float(comm))
     inst = SpecialNormal(float(c[0, 0]), _vec(s), _vec(t_hat), _vec(t), _vec(s_hat))
     return inst, res
@@ -500,70 +449,29 @@ def _x_bisymmetric_rs(a, u, tol, tol_abs):
     model[_I, _K] = ab[0] * gd[1]
     model[_K, _J] = ab[1] * gd[0]
     model[_K, _K] = ab[1] * gd[1]
+    res = _residual(cs, model)
+    if not res <= tol_abs:
+        return None, res
     inst = BisymmetricRS(float(cs[0, 0]), float(cs[_J, _I]),
                          float(ab[0]), float(ab[1]), float(gd[0]), float(gd[1]))
-    return _accept(inst, cs, model, tol_abs)
-
-
-def _x_symmetric_general(a, u, tol, tol_abs):
-    c = u.c
-    model = np.zeros((4, 4))
-    model[0, 0] = c[0, 0]
-    model[1:, 1:] = c[1:, 1:]
-    inst = SymmetricGeneral(float(c[0, 0]), _vec(c[1:, _I]), _vec(c[1:, _J]),
-                            _vec(c[1:, _K]))
-    return _accept(inst, c, model, tol_abs)
-
-
-def _x_complex_so4(a, u, tol, tol_abs):
-    c = u.c
-    model = np.zeros((4, 4), dtype=complex)
-    model[1:, 0] = c[1:, 0]
-    model[0, 1:] = c[0, 1:]
-    return _accept(ComplexSO4(_cvec(c[1:, 0]), _cvec(c[0, 1:])), c, model, tol_abs)
-
-
-def _x_complex_perskew(a, u, tol, tol_abs):
-    c = u.c
-    model = np.zeros((4, 4), dtype=complex)
-    model[0, _I] = c[0, _I]
-    model[_J, 0] = c[_J, 0]
-    for m in (_I, _J, _K):
-        if m != _J:
-            model[m, _I] = c[m, _I]
-        if m != _I:
-            model[_J, m] = c[_J, m]
-    p = c[1:, _I].copy()
-    p[_J - 1] = 0.0
-    q = c[_J, 1:].copy()
-    q[_I - 1] = 0.0
-    inst = ComplexPerskew(_cvec(p), complex(c[_J, 0]), _cvec(q), complex(c[0, _I]))
-    return _accept(inst, c, model, tol_abs)
+    return inst, res
 
 
 Extractor = Callable[[np.ndarray, HxHElement, float, float],
                      tuple[Optional[StructureClass], float]]
 
-# dispatch priority: cheapest and most specific first, the svd3-backed
-# symmetric catch-all last
+_real = [(fam.tag, fam.extract) for fam in _TABLE if not fam.complex_scalars]
+
+# dispatch priority: cheapest and most specific first, the rank-one fits
+# next, the svd3-backed symmetric catch-all last
 REAL_REGISTRY: list[tuple[str, Extractor]] = (
-    [("SkewSymmetric", _x_skew_symmetric),
-     ("SkewHamiltonian", _x_skew_hamiltonian),
-     ("Perskewsymmetric", _x_perskewsymmetric)]
-    + [(f"Lie{k}", _make_lie_extractor(k)) for k in range(1, 9)]
-    + [(f"Jordan{k}", _make_jordan_extractor(k)) for k in range(1, 6)]
-    + [("HamSymPersym", _x_ham_sym_persym),
-       ("SymToeplitzTridiag", _x_toeplitz_tridiag),
-       ("SymToeplitzS13Zero", _x_toeplitz_s13),
-       ("SpecialNormal", _x_special_normal),
-       ("BisymmetricRS", _x_bisymmetric_rs),
-       ("SymmetricGeneral", _x_symmetric_general)]
+    _real[:-1]
+    + [("SpecialNormal", _x_special_normal), ("BisymmetricRS", _x_bisymmetric_rs)]
+    + _real[-1:]
 )
 
 COMPLEX_REGISTRY: list[tuple[str, Extractor]] = [
-    ("ComplexSO4", _x_complex_so4),
-    ("ComplexPerskew", _x_complex_perskew),
-]
+    (fam.tag, fam.extract) for fam in _TABLE if fam.complex_scalars]
 
 EXTRACTORS: dict[str, Extractor] = dict(REAL_REGISTRY + COMPLEX_REGISTRY)
 

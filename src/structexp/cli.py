@@ -8,7 +8,8 @@ argument is read as a file when a file of that name exists, otherwise parsed
 as inline text.
 
 Exit codes: 0 success, 1 verify residual above threshold, 2 parse or shape
-error, 3 forced route rejected (class mismatch / not in algebra).
+error (non-finite entries included), 3 forced route rejected (class mismatch /
+not in algebra), 4 overflow (the exponential is beyond the float64 range).
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ def _checked_document(n, kind, entries, label) -> MatrixDocument:
     if len(entries) != per * n * n:
         raise ParseError(f"a {kind} {n}x{n} matrix needs {per * n * n} "
                          f"scalars, got {len(entries)}")
+    if not np.all(np.isfinite(entries)):
+        raise ParseError("matrix entries must be finite")
     return MatrixDocument(n, kind, tuple(entries), label)
 
 
@@ -114,7 +117,7 @@ def _parse_plain(text: str) -> MatrixDocument:
     if len(entries) not in sizes:
         raise ParseError(f"got {len(entries)} scalars, expected a full 2x2, "
                          f"3x3 or 4x4 {kind} matrix")
-    return MatrixDocument(sizes[len(entries)], kind, tuple(entries), None)
+    return _checked_document(sizes[len(entries)], kind, entries, None)
 
 
 def _is_number(token: str) -> bool:
@@ -348,6 +351,9 @@ def run(argv=None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: overflow: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

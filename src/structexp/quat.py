@@ -21,15 +21,6 @@ def sinc(t: float) -> float:
     return math.sin(t) / t
 
 
-def cosc(t: float) -> float:
-    """(1 - cos(t))/t**2 with the same 6-term series treatment near zero."""
-    if abs(t) < _SERIES_CUTOFF:
-        t2 = t * t
-        return (0.5 - t2 / 24.0 + t2**2 / 720.0 - t2**3 / 40320.0
-                + t2**4 / 3628800.0 - t2**5 / 479001600.0)
-    return (1.0 - math.cos(t)) / (t * t)
-
-
 class Quaternion:
     """A real quaternion w + x i + y j + z k.
 
