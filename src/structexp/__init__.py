@@ -10,7 +10,7 @@ from .quat import Quaternion, quat_exp, quat_mul
 from .hxh import (BASIS_NAMES, I22, J4, R4, HxHElement, basis_matrix,
                   from_matrix, hxh_mul, scalar_square, to_matrix)
 from .smalllin import SymEig3, Svd3, expm2, phi_c, phi_s, svd3, sym_eig3
-from .oracle import OracleConfig, expm_series, rel_error
+from .oracle import expm_series, rel_error
 from .classify import (DEFAULT_TOL, StructureClass, classify,
                        extract_special_normal, extract_symmetric_rep)
 from .expm_structured import (ClosedFormDefect, ExpResult, ForcedClassMismatch,
@@ -26,7 +26,7 @@ __all__ = [
     "BASIS_NAMES", "I22", "J4", "R4", "HxHElement", "basis_matrix",
     "from_matrix", "hxh_mul", "scalar_square", "to_matrix",
     "SymEig3", "Svd3", "expm2", "phi_c", "phi_s", "svd3", "sym_eig3",
-    "OracleConfig", "expm_series", "rel_error",
+    "expm_series", "rel_error",
     "DEFAULT_TOL", "StructureClass", "classify",
     "extract_special_normal", "extract_symmetric_rep",
     "ClosedFormDefect", "ExpResult", "ForcedClassMismatch",

@@ -241,7 +241,8 @@ class Family:
     patterns, one per scalar: one for a scalar field, three for a 3-vector.
     `groups` are slot sets that commute with each other while the slots
     inside one pairwise anticommute, so each group squares to a scalar; they
-    cover the support except the scalar slot (0, 0).  The closed form is then
+    cover the support except the scalar slot (0, 0), and `slots` holds each
+    group's flat slot indexes 4a + b.  The closed form is then
     exp(c00) * prod_g (phi_c(-mu_g) 1 + phi_s(-mu_g) g).  SymmetricGeneral
     has no fixed groups (its closed form rotates them out with an SVD), so
     its `groups` is empty.
@@ -262,8 +263,7 @@ class Family:
         self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
         self.projector = np.eye(16) - self.basis @ self.pinv
         self.groups = tuple(frozenset(g) for g in groups)
-        self.masks = [np.isin(np.arange(16), [4 * a + b for a, b in g]).reshape(4, 4)
-                      for g in self.groups]
+        self.slots = [np.array(sorted(4 * a + b for a, b in g)) for g in self.groups]
 
     def instance(self, theta):
         """The dataclass holding the flat parameter vector theta."""
@@ -290,13 +290,7 @@ class Family:
         """(instance or None, residual), with the signature of every entry
         of REAL_REGISTRY and COMPLEX_REGISTRY."""
         c = u.c.reshape(16)
-        if np.iscomplexobj(c) and not self.complex_scalars:
-            # a real family has no imaginary part: all of it is off the family
-            off = np.concatenate((self.projector @ c.real, c.imag))
-            c = c.real
-        else:
-            off = self.projector @ c
-        res = 2.0 * float(np.linalg.norm(off))
+        res = 2.0 * float(np.linalg.norm(self.projector @ c))
         if not res <= tol_abs:
             return None, res
         return self.instance(self.pinv @ c), res

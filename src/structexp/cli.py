@@ -190,18 +190,30 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+# the covering algebras tried on real 3x3 and 4x4 matrices, in route order
+_COVERINGS = {3: ("so3", "p3r", "so21r"), 4: ("so4", "p4r", "so22r")}
+
+
+def _covering_routes(a: np.ndarray, tol: float):
+    """(route, value) for each covering algebra of a's size that holds the
+    real matrix a, computed lazily in route order."""
+    if np.iscomplexobj(a):
+        return
+    for name in _COVERINGS[a.shape[0]]:
+        try:
+            value = exp_via_covering(COVERING_ALGEBRAS[name], a, tol)
+        except NotInAlgebra:
+            continue
+        yield f"covering:{name}", value
+
+
 def _exp_small(a: np.ndarray, tol: float) -> tuple[np.ndarray, str]:
     # 2x2 always has a closed form; 3x3 goes through a covering algebra when
     # the matrix sits in one, else falls back to the series
     if a.shape[0] == 2:
         return expm2(a), "expm2"
-    if not np.iscomplexobj(a):
-        for name in ("so3", "p3r", "so21r"):
-            try:
-                return exp_via_covering(COVERING_ALGEBRAS[name], a, tol), f"covering:{name}"
-            except NotInAlgebra:
-                continue
-    return expm_series(a), "oracle"
+    route, value = next(_covering_routes(a, tol), ("oracle", None))
+    return (expm_series(a) if value is None else value), route
 
 
 def _cmd_expm(args) -> int:
@@ -238,27 +250,11 @@ def _applicable_routes(a: np.ndarray, all_routes: bool,
     n = a.shape[0]
     if n == 2:
         return [("expm2", expm2(a))]
-    routes: list[tuple[str, np.ndarray]] = []
     if n == 3:
-        if not np.iscomplexobj(a):
-            for name in ("so3", "p3r", "so21r"):
-                try:
-                    routes.append((f"covering:{name}",
-                                   exp_via_covering(COVERING_ALGEBRAS[name], a, tol)))
-                except NotInAlgebra:
-                    pass
-        return routes
-    for inst in classify(a, tol):
-        routes.append((inst.tag, exp_structured_class(inst)))
+        return list(_covering_routes(a, tol))
+    routes = [(inst.tag, exp_structured_class(inst)) for inst in classify(a, tol)]
     if all_routes:
-        ar = as_real_if_possible(a)
-        if not np.iscomplexobj(ar):
-            for name in ("so4", "p4r", "so22r"):
-                try:
-                    routes.append((f"covering:{name}",
-                                   exp_via_covering(COVERING_ALGEBRAS[name], ar, tol)))
-                except NotInAlgebra:
-                    pass
+        routes += _covering_routes(as_real_if_possible(a), tol)
     return routes
 
 

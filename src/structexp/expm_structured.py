@@ -1,36 +1,37 @@
 """Closed-form exponentials for the structured 4x4 families.
 
-Every formula here follows one pattern: split the element into groups that
-commute with each other while the members inside a group pairwise
-anticommute, so each group squares to a scalar multiple of 1(x)1 and
+There is one closed form.  Every family splits into a scalar part and groups
+that commute with each other, each group squaring to a scalar multiple of
+the identity, G @ G = mu I, so
 
-    exp(u) = phi_c(-mu) (1(x)1) + phi_s(-mu) u,    mu = scalar_square(u).
+    exp(A) = exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
 
-The phi functions pick cos/cosh branches from the sign of mu, so no formula
-hard-codes a trigonometric choice; when an extraction hands us a group whose
+Since H (x) H is isomorphic to the algebra of 4x4 real matrices, the
+product is taken on the group matrices directly (`_exp_groups`).  The phi
+functions pick cos/cosh branches from the sign of mu, so no formula
+hard-codes a trigonometric choice; when a family hands over a group whose
 square is not scalar, that is a defect, not an input error.  The groups of
-each family are data in its `classify.FAMILIES` entry (`_exp_groups`); four
-families keep bespoke closed forms (`_BESPOKE`).
+the table families are the slot sets of their `classify.FAMILIES` entry;
+SymmetricGeneral (rotated out by `svd3`), SpecialNormal and BisymmetricRS
+(rank-one supports) build theirs from the instance (`_INSTANCE_GROUPS`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES, BisymmetricRS,
-                       ComplexPerskew, ComplexSO4, Family, HamSymPersym,
+from .classify import (COMPLEX_REGISTRY, DEFAULT_TOL, EXTRACTORS, FAMILIES,
+                       BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
                        SymToeplitzS13Zero, SymToeplitzTridiag,
                        as_real_if_possible, classify)
-from .hxh import R4, HxHElement, from_matrix, hxh_mul, scalar_square
+from .hxh import R4, basis_matrix, from_matrix, matrix_scalar_square
 from .oracle import expm_series, rel_error
-from .quat import Quaternion, quat_exp
 from .smalllin import phi_c, phi_s, svd3
 
 
@@ -53,31 +54,77 @@ class ExpResult:
     verified: Optional[float] = None
 
 
-def _exp_scalar_square(u: HxHElement) -> HxHElement:
-    mu = scalar_square(u)
-    if mu is None:
-        raise ClosedFormDefect("group square is not a multiple of the identity")
-    one = HxHElement.one(u.scalar_kind == "complex")
-    return phi_c(-mu) * one + phi_s(-mu) * u
+# the 16 basis matrices as rows, indexed by the flat slot 4a + b
+_BASIS_ROWS = np.array([basis_matrix(a, b).ravel() for a in range(4) for b in range(4)])
+# slots of p (x) 1, of 1 (x) q and of the pure-pure block, each p, q pure
+_LEFT, _RIGHT, _PURE = [4, 8, 12], [1, 2, 3], [5, 6, 7, 9, 10, 11, 13, 14, 15]
+
+
+def _matrix(coeffs, slots) -> np.ndarray:
+    """The matrix of the element with these coefficients on these slots."""
+    return (np.ravel(coeffs) @ _BASIS_ROWS[slots]).reshape(4, 4)
+
+
+def _group_rows(fam) -> np.ndarray:
+    """c @ rows[g] is the flat matrix of group g of a table family, c its
+    flat coefficient table: one product gives every group."""
+    rows = np.zeros((len(fam.slots), 16, 16))
+    for g, slots in enumerate(fam.slots):
+        rows[g, slots] = _BASIS_ROWS[slots]
+    return rows
+
+
+_TABLE_GROUP_ROWS = {tag: _group_rows(fam) for tag, fam in FAMILIES.items()}
+
+
+def _exp_groups(scalar, groups) -> np.ndarray:
+    """exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) over commuting
+    group matrices G_g with G_g @ G_g = mu_g I."""
+    value = None
+    for g in groups:
+        mu = matrix_scalar_square(g)
+        if mu is None:
+            raise ClosedFormDefect("group square is not a multiple of the identity")
+        e = phi_s(-mu) * g
+        e.flat[::5] += phi_c(-mu)
+        value = e if value is None else value @ e
+    # only real families have the scalar slot
+    return math.exp(scalar) * value if scalar else value
+
+
+def _symmetric_general_groups(inst):
+    """Rotate [p|q|r] to diagonal via its SVD: the matrix becomes a sum of
+    three commuting rank-one terms sigma_i u_i(x)v_i, each scalar-square."""
+    f = svd3(np.column_stack([inst.p, inst.q, inst.r]))
+    return inst.a, [_matrix(f.sigma[i] * np.outer(f.u[:, i], f.v[:, i]), _PURE)
+                    for i in range(3)]
+
+
+def _special_normal_groups(sn):
+    """The symmetric rank-one part s_hat(x)t_hat and the two halves s(x)1,
+    1(x)t of the skew part."""
+    return sn.a, [_matrix(np.outer(sn.s_hat, sn.t_hat), _PURE),
+                  _matrix(sn.s, _LEFT), _matrix(sn.t, _RIGHT)]
+
+
+def _bisymmetric_rs_groups(b):
+    """A = R4 S = eps I + a R4 + R4 Y with Y = (alpha i + beta k)(x)
+    (gamma j + delta k): R4^2 = I and R4 commutes with Y, so a R4 and R4 Y
+    are commuting groups."""
+    y = _matrix(np.outer((b.alpha, 0.0, b.beta), (0.0, b.gamma, b.delta)), _PURE)
+    return b.eps, [b.a * R4, R4 @ y]
+
+
+# the families whose groups depend on the instance, not only on table slots
+_INSTANCE_GROUPS = {
+    SymmetricGeneral: _symmetric_general_groups,
+    SpecialNormal: _special_normal_groups,
+    BisymmetricRS: _bisymmetric_rs_groups,
+}
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:
-    """exp of the skew-symmetric matrix with support p(x)1 + 1(x)q: the two
-    slots commute, and each exponentiates to a unit quaternion.  This
-    quaternion-pair form is about 15 times faster than the group product."""
-    x = quat_exp(Quaternion.pure(p))
-    y = quat_exp(Quaternion.pure(q))
-    return HxHElement.from_pair(x.components, y.components).to_matrix()
-
-
-def _exp_groups(fam: Family, inst) -> np.ndarray:
-    """exp(c00) * prod_g (phi_c(-mu_g) 1 + phi_s(-mu_g) g) over the commuting
-    groups g of the family's table entry."""
-    c = fam.coefficients(inst)
-    value = reduce(hxh_mul, [_exp_scalar_square(HxHElement(c * mask))
-                             for mask in fam.masks]).to_matrix()
-    # only real families have the scalar slot
-    return math.exp(c[0, 0]) * value if c[0, 0] else value
+    return exp_structured_class(SkewSymmetric(p, q))
 
 
 def exp_perskewsymmetric(p, alpha, q, beta) -> np.ndarray:
@@ -110,53 +157,15 @@ def exp_sym_toeplitz_s13(a, b, c) -> np.ndarray:
 
 
 def exp_special_normal(sn: SpecialNormal) -> np.ndarray:
-    """Three commuting factors: the symmetric rank-one part, then the two
-    halves of the skew part as left/right unit-quaternion actions."""
-    sym = HxHElement.zero()
-    sym.c[1:, 1:] = np.outer(sn.s_hat, sn.t_hat)
-    f1 = math.exp(sn.a) * _exp_scalar_square(sym)
-    left = quat_exp(Quaternion.pure(sn.s))
-    right = quat_exp(Quaternion.pure(sn.t))
-    f2 = HxHElement.from_pair(left.components, (1.0, 0.0, 0.0, 0.0))
-    f3 = HxHElement.from_pair((1.0, 0.0, 0.0, 0.0), right.components)
-    return (f1 * f2 * f3).to_matrix()
+    return exp_structured_class(sn)
 
 
 def exp_bisymmetric_rs(params: BisymmetricRS) -> np.ndarray:
-    """A = R4 S: since R4 commutes with S and squares to I,
-    exp(A) = exp(a R4) (cosh(S0) + R4 sinh(S0)) with S0 the trace-free part
-    of S, split into commuting scalar-square pieces X and Y."""
-    x = HxHElement.zero()
-    x.c[2, 1] = params.eps
-    y = HxHElement.zero()
-    y.c[1:, 1:] = np.outer((params.alpha, 0.0, params.beta),
-                           (0.0, params.gamma, params.delta))
-    mu_x = scalar_square(x)
-    mu_y = scalar_square(y)
-    if mu_x is None or mu_y is None:
-        raise ClosedFormDefect("bisymmetric factor square is not scalar")
-
-    one = HxHElement.one()
-    cosh_part = (phi_c(-mu_x) * phi_c(-mu_y)) * one \
-        + (phi_s(-mu_x) * phi_s(-mu_y)) * (x * y)
-    sinh_part = (phi_s(-mu_x) * phi_c(-mu_y)) * x \
-        + (phi_s(-mu_y) * phi_c(-mu_x)) * y
-    # exp(a R4) = cosh(a) I + sinh(a) R4, since (a R4)^2 = a^2 I
-    f1 = math.cosh(params.a) * np.eye(4) + math.sinh(params.a) * R4
-    f2 = cosh_part.to_matrix() + R4 @ sinh_part.to_matrix()
-    return f1 @ f2
+    return exp_structured_class(params)
 
 
 def exp_symmetric_general(a, p, q, r) -> np.ndarray:
-    """Rotate [p|q|r] to diagonal via its SVD: the matrix becomes a sum of
-    three commuting rank-one terms sigma_i u_i(x)v_i, each scalar-square."""
-    f = svd3(np.column_stack([p, q, r]))
-    acc = HxHElement.one()
-    for i in range(3):
-        term = HxHElement.zero()
-        term.c[1:, 1:] = f.sigma[i] * np.outer(f.u[:, i], f.v[:, i])
-        acc = acc * _exp_scalar_square(term)
-    return math.exp(a) * acc.to_matrix()
+    return exp_structured_class(SymmetricGeneral(a, p, q, r))
 
 
 def exp_so4_complex(a1, b1, g1, a2, b2, g2) -> np.ndarray:
@@ -192,24 +201,19 @@ def minimal_poly_skewT(s, t) -> MinimalPolySkew:
     return MinimalPolySkew(coeffs, degree)
 
 
-# the families whose closed form is not the table's group product
-_BESPOKE = {
-    SkewSymmetric: lambda inst: exp_skew_symmetric(inst.p, inst.q),
-    SpecialNormal: exp_special_normal,
-    BisymmetricRS: exp_bisymmetric_rs,
-    SymmetricGeneral: lambda inst: exp_symmetric_general(inst.a, inst.p, inst.q, inst.r),
-}
-
-
 def exp_structured_class(inst) -> np.ndarray:
-    """Dispatch a classified instance to its closed form."""
-    bespoke = _BESPOKE.get(type(inst))
-    if bespoke is not None:
-        return bespoke(inst)
+    """Dispatch a classified instance to the closed form of its groups."""
+    groups_of = _INSTANCE_GROUPS.get(type(inst))
+    if groups_of is not None:
+        return _exp_groups(*groups_of(inst))
     fam = FAMILIES.get(getattr(inst, "tag", None))
     if fam is None or type(inst) is not fam.cls:
         raise TypeError(f"unknown structure class {type(inst).__name__}")
-    return _exp_groups(fam, inst)
+    c = fam.coefficients(inst).reshape(16)
+    return _exp_groups(c[0], (c @ _TABLE_GROUP_ROWS[fam.tag]).reshape(-1, 4, 4))
+
+
+_COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
 
 
 def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
@@ -236,6 +240,9 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
         if method not in EXTRACTORS:
             raise ValueError(f"unknown method {method!r}")
         ar = as_real_if_possible(a)
+        if np.iscomplexobj(ar) and method not in _COMPLEX_TAGS:
+            # a real family has no imaginary part: all of it is off the family
+            raise ForcedClassMismatch(method, float(np.linalg.norm(ar.imag)))
         inst, residual = EXTRACTORS[method](ar, from_matrix(ar), tol,
                                             tol * max(1.0, float(np.linalg.norm(ar))))
         if inst is None:

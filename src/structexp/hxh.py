@@ -75,8 +75,7 @@ class HxHElement:
     """An algebra element held as its 4x4 coefficient table c[a][b].
 
     Real elements use float64 tables, complexified elements complex128; the
-    multiplication rule is scalar-agnostic.  Instances behave as values: all
-    operators return fresh elements.
+    multiplication rule (hxh_mul) is scalar-agnostic.
     """
 
     __slots__ = ("c",)
@@ -89,10 +88,6 @@ class HxHElement:
             self.c = c.astype(np.complex128)
         else:
             self.c = c.astype(np.float64)
-
-    @property
-    def scalar_kind(self) -> str:
-        return "complex" if np.iscomplexobj(self.c) else "real"
 
     @classmethod
     def zero(cls, complex_scalars: bool = False) -> "HxHElement":
@@ -118,9 +113,6 @@ class HxHElement:
         q = np.asarray(q).reshape(4)
         return cls(np.outer(p, q))
 
-    def copy(self) -> "HxHElement":
-        return HxHElement(self.c.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.c))
 
@@ -134,31 +126,6 @@ class HxHElement:
             raise ValueError("expected a 4x4 matrix")
         # <e_a (x) e_b, e_c (x) e_d>_F = 4 delta_ac delta_bd
         return cls(np.einsum('abmc,mc->ab', _BASIS_MAT, m) / 4.0)
-
-    def __add__(self, other):
-        if not isinstance(other, HxHElement):
-            return NotImplemented
-        return HxHElement(self.c + other.c)
-
-    def __sub__(self, other):
-        if not isinstance(other, HxHElement):
-            return NotImplemented
-        return HxHElement(self.c - other.c)
-
-    def __neg__(self):
-        return HxHElement(-self.c)
-
-    def __mul__(self, other):
-        if isinstance(other, HxHElement):
-            return hxh_mul(self, other)
-        if isinstance(other, (int, float, complex, np.floating, np.complexfloating)):
-            return HxHElement(self.c * other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, np.floating, np.complexfloating)):
-            return HxHElement(self.c * other)
-        return NotImplemented
 
     def __repr__(self):
         terms = []
@@ -186,18 +153,26 @@ def to_matrix(u: HxHElement) -> np.ndarray:
 
 
 def scalar_square(u: HxHElement, tol: float = 1e-10):
-    """If u*u = mu * (1 (x) 1), return mu; otherwise None.
+    """If u*u = mu * (1 (x) 1), return mu; otherwise None (see
+    matrix_scalar_square, which checks the matrix of u)."""
+    return matrix_scalar_square(u.to_matrix(), tol)
 
-    The off-scalar residual is accepted up to tol * (1 + |u|^2).  Callers use
-    the returned mu to pick the circular or hyperbolic branch of the
-    exponential, so no trigonometric choice is ever hard-coded.
+
+def matrix_scalar_square(g: np.ndarray, tol: float = 1e-10):
+    """If g @ g = mu * I, return mu; otherwise None.
+
+    The off-scalar residual is accepted up to tol * (1 + |u|^2) in the
+    coefficient norm of the element u that g represents, which is half the
+    Frobenius norm of its matrix.  Callers use the returned mu to pick the
+    circular or hyperbolic branch of the exponential, so no trigonometric
+    choice is ever hard-coded.
     """
-    w = hxh_mul(u, u)
-    mu = w.c[0, 0]
-    w.c[0, 0] = 0.0
-    residual = np.linalg.norm(w.c)
-    if residual > tol * (1.0 + u.norm() ** 2):
+    w = g @ g
+    mu = w.trace() / 4.0
+    w.flat[::5] -= mu
+    # |w - mu I|_F / 2 > tol * (1 + |g|_F^2 / 4), doubled and squared
+    if np.vdot(w, w).real > (tol * (2.0 + 0.5 * np.vdot(g, g).real)) ** 2:
         return None
-    if np.iscomplexobj(u.c):
+    if g.dtype.kind == "c":
         return complex(mu)
     return float(mu)

@@ -9,21 +9,16 @@ well under 1e-13 for sizes up to 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 _ALLOWED_SIZES = (2, 3, 4)
 _TAYLOR_DEGREE = 18
 _SCALING_THRESHOLD = 0.5
+_MAX_SQUARINGS = 40
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    max_squarings: int = 40
-
-
-def expm_series(a, config: OracleConfig = OracleConfig()) -> np.ndarray:
+def expm_series(a) -> np.ndarray:
     """exp(A) by squaring exp(A / 2^s), the latter summed as a Horner Taylor
     polynomial. Raises OverflowError if the input or result is not finite.
     """
@@ -39,7 +34,7 @@ def expm_series(a, config: OracleConfig = OracleConfig()) -> np.ndarray:
     s = 0
     if norm > _SCALING_THRESHOLD:
         s = int(math.ceil(math.log2(norm / _SCALING_THRESHOLD)))
-        s = min(s, config.max_squarings)
+        s = min(s, _MAX_SQUARINGS)
     b = a / (2.0 ** s)
 
     eye = np.eye(a.shape[0], dtype=dtype)

@@ -312,6 +312,24 @@ def test_every_family_route_matches_oracle():
             assert rel_error(exp_structured_class(inst), expm_series(a)) < 1e-10, tag
 
 
+SCALES = (1, 5, 10, 20, 30)
+
+
+@pytest.mark.parametrize("tag", [
+    pytest.param(tag, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: svd3 three-factor cancellation"))
+    if tag == "SymmetricGeneral" else tag
+    for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS])
+def test_forced_route_matches_oracle_at_scale(tag):
+    # the conftest samplers keep parameter norms below 3; scaled up to x30
+    rng = np.random.default_rng(76)
+    for scale in SCALES:
+        for _ in range(20):
+            a = scale * sample_family(tag, rng)
+            got = expm_auto(a, method=tag).value
+            assert rel_error(got, expm_series(a)) < 1e-10, (tag, scale)
+
+
 def test_exp_structured_class_rejects_unknown():
     with pytest.raises(TypeError):
         exp_structured_class(object())

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from structexp.classify import EXTRACTORS, FAMILIES, SkewSymmetric
-from structexp.expm_structured import _exp_groups, exp_skew_symmetric
-from structexp.hxh import HxHElement, from_matrix, hxh_mul
+from structexp.expm_structured import (ClosedFormDefect, _exp_groups,
+                                       exp_structured_class)
+from structexp.hxh import HxHElement, basis_matrix, from_matrix, hxh_mul
+from structexp.quat import Quaternion, quat_exp
 
 # the one entry whose closed form (svd3) rotates its groups out per matrix
 GROUPLESS = {"SymmetricGeneral"}
@@ -87,9 +89,18 @@ def test_random_parameters_round_trip(tag):
 
 
 def test_skew_symmetric_groups_agree_with_quaternion_pair_form():
-    fam = FAMILIES["SkewSymmetric"]
+    # p(x)1 and 1(x)q commute, so exp is exp(p)(x)exp(q), two unit quaternions
     rng = np.random.default_rng(7)
     for _ in range(25):
         p, q = rng.uniform(-1.7, 1.7, 3), rng.uniform(-1.7, 1.7, 3)
+        pair = HxHElement.from_pair(quat_exp(Quaternion.pure(p)).components,
+                                    quat_exp(Quaternion.pure(q)).components)
         inst = SkewSymmetric(tuple(p), tuple(q))
-        assert np.linalg.norm(_exp_groups(fam, inst) - exp_skew_symmetric(p, q)) < 1e-13
+        assert np.linalg.norm(exp_structured_class(inst) - pair.to_matrix()) < 1e-13
+
+
+def test_group_with_non_scalar_square_is_a_defect():
+    # (i(x)1 + 1(x)i)^2 = -2 + 2 i(x)i is not a multiple of the identity
+    group = basis_matrix("i", "1") + basis_matrix("1", "i")
+    with pytest.raises(ClosedFormDefect):
+        _exp_groups(0.0, [group])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from structexp import OracleConfig, expm2, expm_series, rel_error
+from structexp import expm2, expm_series, rel_error
 
 
 def test_zero_is_identity():
@@ -85,10 +85,6 @@ def test_agrees_with_expm2():
         assert rel_error(expm_series(a), expm2(a)) < 1e-13
         z = a + 1j * rng.uniform(-2.0, 2.0, (2, 2))
         assert rel_error(expm_series(z), expm2(z)) < 1e-13
-
-
-def test_config_validation():
-    assert OracleConfig().max_squarings == 40
 
 
 def test_overflow_raises():
