@@ -11,6 +11,14 @@ with Frobenius norm 2, so 2*||(I - B B^+) c|| is the exact matrix-space
 distance to the family, and acceptance is one comparison against
 tol*max(1, ||A||_F) per family.  Only the rank-one supports of SpecialNormal
 and BisymmetricRS need hand-written extractors.
+
+Classification stacks the projectors I - B B^+ of a registry's table
+families into one (F*16) x 16 matrix at import, so one product with the flat
+c and a norm per 16-row block give every table residual at once.  Matches
+are then yielded lazily in dispatch order: a dataclass is built only for an
+accepted family, and a hand-written extractor runs only when the caller asks
+past the families before it, so expm_auto, which takes the first match,
+never fits the rank-one supports of a member of an earlier family.
 """
 
 from __future__ import annotations
@@ -481,27 +489,58 @@ def as_real_if_possible(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
-    """All structured families containing A, in dispatch-priority order.
+def _stack(registry) -> tuple[dict[str, int], np.ndarray]:
+    """The block index of each table family of the registry, and their
+    projectors stacked in registry order."""
+    fams = [FAMILIES[tag] for tag, _ in registry if tag in FAMILIES]
+    return ({fam.tag: i for i, fam in enumerate(fams)},
+            np.vstack([fam.projector for fam in fams]))
 
-    An empty list means no closed-form route applies (the caller falls back
-    to a series exponential).
+
+_REAL_STACK = _stack(REAL_REGISTRY)
+_COMPLEX_STACK = _stack(COMPLEX_REGISTRY)
+
+
+def _matches(a_matrix, tol: float):
+    """The structured families containing A, lazily in dispatch order.
+
+    A non-finite matrix is in no family.  The hand-written extractors are
+    read from the registry at each call, not bound at import.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     a = np.asarray(a_matrix)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
+    if not np.isfinite(a).all():
+        return
     a = as_real_if_possible(a)
     u = from_matrix(a)
+    c = u.c.reshape(16)
     tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
-    registry = COMPLEX_REGISTRY if np.iscomplexobj(a) else REAL_REGISTRY
-    found = []
-    for _tag, extract in registry:
-        inst, _res = extract(a, u, tol, tol_abs)
-        if inst is not None:
-            found.append(inst)
-    return found
+    if np.iscomplexobj(a):
+        registry, (blocks, stack) = COMPLEX_REGISTRY, _COMPLEX_STACK
+    else:
+        registry, (blocks, stack) = REAL_REGISTRY, _REAL_STACK
+    residuals = 2.0 * np.linalg.norm((stack @ c).reshape(-1, 16), axis=1)
+    for tag, extract in registry:
+        block = blocks.get(tag)
+        if block is None:
+            inst, _res = extract(a, u, tol, tol_abs)
+            if inst is not None:
+                yield inst
+        elif residuals[block] <= tol_abs:
+            fam = FAMILIES[tag]
+            yield fam.instance(fam.pinv @ c)
+
+
+def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
+    """All structured families containing A, in dispatch-priority order.
+
+    An empty list means no closed-form route applies (the caller falls back
+    to a series exponential).
+    """
+    return list(_matches(a_matrix, tol))
 
 
 def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -293,7 +294,9 @@ def _cmd_rep(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first run and reused after."""
     parser = argparse.ArgumentParser(
         prog="structexp",
         description="closed-form structured matrix exponentials, "

@@ -28,9 +28,9 @@ from .classify import (COMPLEX_REGISTRY, DEFAULT_TOL, EXTRACTORS, FAMILIES,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
-                       SymToeplitzS13Zero, SymToeplitzTridiag,
-                       as_real_if_possible, classify)
-from .hxh import R4, basis_matrix, from_matrix, matrix_scalar_square
+                       SymToeplitzS13Zero, SymToeplitzTridiag, _matches,
+                       as_real_if_possible)
+from .hxh import _BASIS_ROWS, R4, from_matrix, matrix_scalar_square
 from .oracle import expm_series, rel_error
 from .smalllin import phi_c, phi_s, svd3
 
@@ -54,8 +54,6 @@ class ExpResult:
     verified: Optional[float] = None
 
 
-# the 16 basis matrices as rows, indexed by the flat slot 4a + b
-_BASIS_ROWS = np.array([basis_matrix(a, b).ravel() for a in range(4) for b in range(4)])
 # slots of p (x) 1, of 1 (x) q and of the pure-pure block, each p, q pure
 _LEFT, _RIGHT, _PURE = [4, 8, 12], [1, 2, 3], [5, 6, 7, 9, 10, 11, 13, 14, 15]
 
@@ -231,14 +229,17 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
     if method == "oracle":
         value, route = expm_series(a), "oracle"
     elif method == "auto":
-        matches = classify(a, tol)
-        if matches:
-            value, route = exp_structured_class(matches[0]), matches[0].tag
-        else:
+        inst = next(_matches(a, tol), None)
+        if inst is None:
             value, route = expm_series(a), "oracle"
+        else:
+            value, route = exp_structured_class(inst), inst.tag
     else:
         if method not in EXTRACTORS:
             raise ValueError(f"unknown method {method!r}")
+        if not np.isfinite(a).all():
+            # a non-finite matrix is in no family: its distance to one is not finite
+            raise ForcedClassMismatch(method, math.inf)
         ar = as_real_if_possible(a)
         if np.iscomplexobj(ar) and method not in _COMPLEX_TAGS:
             # a real family has no imaginary part: all of it is off the family

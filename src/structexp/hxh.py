@@ -44,6 +44,9 @@ _RIGHT = np.einsum('b,cbm->bmc', _CONJ_SIGN, _STRUCT)
 _BASIS_MAT = np.einsum('amn,bnc->abmc', _LEFT, _RIGHT)
 _BASIS_MAT.setflags(write=False)
 
+# the 16 basis matrices as rows, indexed by the flat slot 4a + b
+_BASIS_ROWS = _BASIS_MAT.reshape(16, 16)
+
 R4 = _BASIS_MAT[2, 1].copy()
 R4.setflags(write=False)
 
@@ -125,7 +128,7 @@ class HxHElement:
         if m.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
         # <e_a (x) e_b, e_c (x) e_d>_F = 4 delta_ac delta_bd
-        return cls(np.einsum('abmc,mc->ab', _BASIS_MAT, m) / 4.0)
+        return cls((_BASIS_ROWS @ m.reshape(16)).reshape(4, 4) / 4.0)
 
     def __repr__(self):
         terms = []

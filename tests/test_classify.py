@@ -5,7 +5,9 @@ import pytest
 
 from structexp import classify, extract_special_normal, extract_symmetric_rep
 from structexp.classify import (
+    COMPLEX_REGISTRY,
     DEFAULT_TOL,
+    EXTRACTORS,
     REAL_REGISTRY,
     SkewHamiltonian,
     SkewSymmetric,
@@ -13,7 +15,7 @@ from structexp.classify import (
     SymmetricGeneral,
     as_real_if_possible,
 )
-from structexp.hxh import J4, R4, basis_matrix
+from structexp.hxh import J4, R4, basis_matrix, from_matrix
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family
 
@@ -90,6 +92,55 @@ def test_noise_removes_structure():
         e *= 20.0 * DEFAULT_TOL * np.linalg.norm(a) / np.linalg.norm(e)
         tags = [inst.tag for inst in classify(a + e)]
         assert tag not in tags, tag
+
+
+def _classify_by_loop(a, tol=DEFAULT_TOL):
+    """classify as one extractor call per registry entry: the reference the
+    stacked table residuals must agree with."""
+    a = as_real_if_possible(np.asarray(a))
+    u = from_matrix(a)
+    tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
+    registry = COMPLEX_REGISTRY if np.iscomplexobj(a) else REAL_REGISTRY
+    found = [EXTRACTORS[tag](a, u, tol, tol_abs)[0] for tag, _ in registry]
+    return [inst for inst in found if inst is not None]
+
+
+def _residual_per_unit(a, e, tag):
+    """The residual of family `tag` at a + s e, divided by s, for a step s
+    of one tolerance: the residual is linear in s for a table family and
+    nearly so for the rank-one fits."""
+    step = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+    m = as_real_if_possible(a + step * e)
+    tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(m)))
+    return EXTRACTORS[tag](m, from_matrix(m), DEFAULT_TOL, tol_abs)[1] / step
+
+
+@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
+def test_stacked_residuals_agree_with_extractor_loop(tag):
+    rng = np.random.default_rng(56)
+    for _ in range(10):
+        a = sample_family(tag, rng)
+        assert classify(a) == _classify_by_loop(a)
+        e = rng.standard_normal((4, 4))
+        if np.iscomplexobj(a):
+            e = e + 1j * rng.standard_normal((4, 4))
+        unit = _residual_per_unit(a, e, tag)
+        tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+        # just inside and just outside the family's tolerance
+        for factor in (0.9, 1.1):
+            m = a + (factor * tol_abs / unit) * e
+            found = classify(m)
+            assert found == _classify_by_loop(m)
+            assert (tag in [inst.tag for inst in found]) == (factor < 1.0), factor
+
+
+def test_stacked_residuals_agree_with_extractor_loop_on_dense():
+    rng = np.random.default_rng(57)
+    for _ in range(20):
+        a = rng.standard_normal((4, 4))
+        assert classify(a) == _classify_by_loop(a) == []
+        a = a + 1j * rng.standard_normal((4, 4))
+        assert classify(a) == _classify_by_loop(a) == []
 
 
 def test_ham_sym_persym_is_also_lie8_and_symmetric():

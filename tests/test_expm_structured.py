@@ -1,6 +1,7 @@
 """Tests for the closed-form exponential routes, each checked against the
 series oracle and, where one exists, an independent second formula."""
 
+import importlib
 import math
 
 import numpy as np
@@ -390,3 +391,29 @@ def test_expm_auto_oracle_method_and_validation():
         expm_auto(a, method="NoSuchClass")
     with pytest.raises(ValueError):
         expm_auto(np.eye(3))
+
+
+class _HandWrittenExtractorRan(Exception):
+    pass
+
+
+def test_auto_runs_no_hand_written_extractor_before_a_table_match(monkeypatch):
+    cls_mod = importlib.import_module("structexp.classify")
+
+    def refuse(*args):
+        raise _HandWrittenExtractorRan
+
+    monkeypatch.setattr(cls_mod, "REAL_REGISTRY", [
+        (tag, refuse if tag in ("SpecialNormal", "BisymmetricRS") else extract)
+        for tag, extract in cls_mod.REAL_REGISTRY])
+    rng = np.random.default_rng(78)
+    # every family dispatched before the hand-written fits
+    table_first = [tag for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
+                   if tag not in ("SpecialNormal", "BisymmetricRS", "SymmetricGeneral")]
+    for tag in table_first:
+        for _ in range(5):
+            a = sample_family(tag, rng)
+            assert expm_auto(a).route in cls_mod.FAMILIES, tag
+    # the stubs are live: a matrix in no table family reaches them
+    with pytest.raises(_HandWrittenExtractorRan):
+        expm_auto(rng.standard_normal((4, 4)))

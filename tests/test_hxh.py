@@ -49,6 +49,9 @@ def test_from_matrix_against_linear_solve():
         a = rng.standard_normal((4, 4))
         coeffs = np.linalg.solve(basis_cols, a.ravel()).reshape(4, 4)
         assert np.allclose(from_matrix(a).c, coeffs, atol=1e-13)
+        a = a + 1j * rng.standard_normal((4, 4))
+        coeffs = np.linalg.solve(basis_cols, a.ravel()).reshape(4, 4)
+        assert np.allclose(from_matrix(a).c, coeffs, atol=1e-13)
 
 
 def test_to_matrix_left_multiplication_by_i():
