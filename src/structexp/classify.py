@@ -545,10 +545,12 @@ def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
 
 def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Split a symmetric matrix into (a, p, q, r): trace part plus the three
-    pure-pure columns. Rejects asymmetric input."""
+    pure-pure columns. Rejects asymmetric and non-finite input."""
     a = np.asarray(a_matrix, dtype=float)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     if np.linalg.norm(a - a.T) > 1e-12 * max(1.0, np.linalg.norm(a)):
         raise ValueError("matrix is not symmetric")
     c = from_matrix((a + a.T) / 2.0).c
@@ -556,9 +558,12 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
 
 
 def extract_special_normal(a_matrix, tol: float = DEFAULT_TOL) -> Optional[SpecialNormal]:
+    """The SpecialNormal fit of A, or None (always for a non-finite A)."""
     a = np.asarray(a_matrix, dtype=float)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
+    if not np.isfinite(a).all():
+        return None
     u = from_matrix(a)
     tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
     inst, _res = _x_special_normal(a, u, tol, tol_abs)

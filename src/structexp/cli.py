@@ -8,8 +8,10 @@ argument is read as a file when a file of that name exists, otherwise parsed
 as inline text.
 
 Exit codes: 0 success, 1 verify residual above threshold, 2 parse or shape
-error (non-finite entries included), 3 forced route rejected (class mismatch /
-not in algebra), 4 overflow (the exponential is beyond the float64 range).
+error (non-finite entries included) or a matrix outside the series oracle's
+domain (a 1-norm over its scaling cap, about 5.5e11), 3 forced route rejected
+(class mismatch / not in algebra), 4 overflow (the exponential is beyond the
+float64 range).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Closed-form exponentials for the structured 4x4 families.
 
-There is one closed form.  Every family splits into a scalar part and groups
-that commute with each other, each group squaring to a scalar multiple of
-the identity, G @ G = mu I, so
+Every family but one splits into a scalar part and groups that commute with
+each other, each group squaring to a scalar multiple of the identity,
+G @ G = mu I, so
 
     exp(A) = exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
 
@@ -12,8 +12,14 @@ functions pick cos/cosh branches from the sign of mu, so no formula
 hard-codes a trigonometric choice; when a family hands over a group whose
 square is not scalar, that is a defect, not an input error.  The groups of
 the table families are the slot sets of their `classify.FAMILIES` entry;
-SymmetricGeneral (rotated out by `svd3`), SpecialNormal and BisymmetricRS
-(rank-one supports) build theirs from the instance (`_INSTANCE_GROUPS`).
+SpecialNormal and BisymmetricRS (rank-one supports) build theirs from the
+instance (`_INSTANCE_GROUPS`).
+
+The exception, the one route that needs spectral information, is
+SymmetricGeneral: `svd3` rotates its pure block to three commuting
+involutions, and the exponential sums their four joint sign patterns
+(`_exp_symmetric_general`).  Their product would amplify roundoff by up to
+exp(2 sigma_3).
 """
 
 from __future__ import annotations
@@ -90,12 +96,34 @@ def _exp_groups(scalar, groups) -> np.ndarray:
     return math.exp(scalar) * value if scalar else value
 
 
-def _symmetric_general_groups(inst):
-    """Rotate [p|q|r] to diagonal via its SVD: the matrix becomes a sum of
-    three commuting rank-one terms sigma_i u_i(x)v_i, each scalar-square."""
+# the joint sign patterns (s1, s2, s3) of three commuting involutions with
+# M1 M2 M3 = I; for M1 M2 M3 = -I they are the negatives
+_SIGN_PATTERNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
+_PURE_ROWS = _BASIS_ROWS[_PURE]
+
+
+def _det3(m) -> float:
+    """det of a 3x3 matrix in plain floats (a LAPACK call costs more)."""
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _exp_symmetric_general(inst) -> np.ndarray:
+    """exp of a(1(x)1) + sum_i sigma_i M_i, with [p|q|r] = U diag(sigma) V^T
+    and M_i the matrix of u_i(x)v_i.  The M_i are commuting involutions with
+    M1 M2 M3 = d I, d = det U det V, so their joint eigenvalues are the four
+    sign patterns s with s1 s2 s3 = d, with projectors (I + sum_i s_i M_i)/4:
+
+        exp(A) = sum_s exp(a + s.sigma) (I + sum_i s_i M_i) / 4.
+
+    Every weight is positive, so nothing cancels at any scale, and the sum
+    holds for sigma_3 = 0 and repeated sigma alike."""
     f = svd3(np.column_stack([inst.p, inst.q, inst.r]))
-    return inst.a, [_matrix(f.sigma[i] * np.outer(f.u[:, i], f.v[:, i]), _PURE)
-                    for i in range(3)]
+    signs = _SIGN_PATTERNS if _det3(f.u) * _det3(f.v) > 0.0 else -_SIGN_PATTERNS
+    w = np.array([math.exp(inst.a + x) for x in (signs @ f.sigma).tolist()]) / 4.0
+    value = ((f.u * (w @ signs)) @ f.v.T).reshape(9) @ _PURE_ROWS
+    value[::5] += w.sum()
+    return value.reshape(4, 4)
 
 
 def _special_normal_groups(sn):
@@ -115,7 +143,6 @@ def _bisymmetric_rs_groups(b):
 
 # the families whose groups depend on the instance, not only on table slots
 _INSTANCE_GROUPS = {
-    SymmetricGeneral: _symmetric_general_groups,
     SpecialNormal: _special_normal_groups,
     BisymmetricRS: _bisymmetric_rs_groups,
 }
@@ -201,6 +228,8 @@ def minimal_poly_skewT(s, t) -> MinimalPolySkew:
 
 def exp_structured_class(inst) -> np.ndarray:
     """Dispatch a classified instance to the closed form of its groups."""
+    if type(inst) is SymmetricGeneral:
+        return _exp_symmetric_general(inst)
     groups_of = _INSTANCE_GROUPS.get(type(inst))
     if groups_of is not None:
         return _exp_groups(*groups_of(inst))

@@ -20,7 +20,8 @@ _MAX_SQUARINGS = 40
 
 def expm_series(a) -> np.ndarray:
     """exp(A) by squaring exp(A / 2^s), the latter summed as a Horner Taylor
-    polynomial. Raises OverflowError if the input or result is not finite.
+    polynomial. Raises OverflowError if the input or result is not finite,
+    and ValueError if the 1-norm is over 0.5 * 2^_MAX_SQUARINGS (5.5e11).
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in _ALLOWED_SIZES:
@@ -34,7 +35,9 @@ def expm_series(a) -> np.ndarray:
     s = 0
     if norm > _SCALING_THRESHOLD:
         s = int(math.ceil(math.log2(norm / _SCALING_THRESHOLD)))
-        s = min(s, _MAX_SQUARINGS)
+        if s > _MAX_SQUARINGS:
+            raise ValueError(f"1-norm {norm:.3e} needs {s} squarings, over the "
+                             f"cap of {_MAX_SQUARINGS}")
     b = a / (2.0 ** s)
 
     eye = np.eye(a.shape[0], dtype=dtype)

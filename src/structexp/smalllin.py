@@ -1,5 +1,5 @@
-"""Small dense kernels: phi functions, 2x2 exponentials, 3x3 symmetric
-eigendecomposition and SVD, all in closed form.
+"""Small dense kernels: phi functions, 2x2 exponentials and the 3x3
+symmetric eigendecomposition in closed form, and a LAPACK-backed 3x3 SVD.
 
 phi_c(x) = cos(sqrt(x)) and phi_s(x) = sin(sqrt(x))/sqrt(x) are even entire
 functions of sqrt(x), so they are well defined for every real or complex x;
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _TAYLOR_CUTOFF = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 def _phi_c_series(x):
@@ -169,55 +170,15 @@ def sym_eig3(s) -> SymEig3:
 
 
 def svd3(m) -> Svd3:
-    """SVD of a real 3x3 matrix built on sym_eig3(M^T M).
+    """SVD of a real 3x3 matrix, m = u @ diag(sigma) @ v.T, from LAPACK.
 
-    sigma_1 >= sigma_2 >= sigma_3 >= 0; sign freedom is absorbed into U.
-    Left vectors for singular values below 1e-12 * sigma_1 are completed to
-    an orthonormal frame instead of dividing by a vanishing sigma.  Going
-    through the Gram matrix means singular values below ~sqrt(eps)*sigma_1
-    cannot be resolved; they are reported as exact zeros.
+    sigma_1 >= sigma_2 >= sigma_3 >= 0 and u, v are orthogonal.  Singular
+    values at or below 3 * eps * sigma_1 (numpy's matrix_rank cutoff) are
+    rounding noise of a rank-deficient input and are reported as exact zeros.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
-    g = m.T @ m
-    e = sym_eig3((g + g.T) / 2.0)
-    lam = np.clip(e.eigenvalues, 0.0, None)
-    # Gram eigenvalues below ~eps*lam_1 are pure rounding noise; without this
-    # cutoff a rank-deficient input comes back with sqrt(eps)-sized sigmas.
-    if lam[0] > 0.0:
-        lam[lam <= 1e-13 * lam[0]] = 0.0
-    sigma = np.sqrt(lam)
-    v = e.q
-
-    u = np.zeros((3, 3))
-    kept = []
-    cutoff = 1e-12 * sigma[0] if sigma[0] > 0 else 0.0
-    for i in range(3):
-        if sigma[i] > cutoff and sigma[i] > 0.0:
-            w = m @ v[:, i] / sigma[i]
-            # near-singular columns pick up O(sigma_1/sigma_i) direction noise;
-            # re-orthogonalize against the better-conditioned columns before them
-            for j in kept:
-                w = w - (u[:, j] @ w) * u[:, j]
-            nw = np.linalg.norm(w)
-            if nw < 0.5:
-                continue  # direction swamped by noise; complete it below instead
-            u[:, i] = w / nw
-            kept.append(i)
-    for i in range(3):
-        if i in kept:
-            continue
-        best_w, best_n = None, -1.0
-        for k in range(3):
-            cand = np.zeros(3)
-            cand[k] = 1.0
-            for j in range(3):
-                if j != i and np.any(u[:, j]):
-                    cand = cand - (u[:, j] @ cand) * u[:, j]
-            n = np.linalg.norm(cand)
-            if n > best_n:
-                best_w, best_n = cand, n
-        u[:, i] = best_w / best_n
-        kept.append(i)
-    return Svd3(u, sigma, v)
+    u, sigma, vh = np.linalg.svd(m)
+    sigma[sigma <= 3.0 * _EPS * sigma[0]] = 0.0
+    return Svd3(u, sigma, vh.T)

@@ -1,5 +1,7 @@
 """Tests for structured family recognition and coefficient extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,25 @@ def test_extract_symmetric_rep_round_trip():
         a, p, q, r = extract_symmetric_rep(s)
         back = SymmetricGeneral(a, tuple(p), tuple(q), tuple(r)).reconstruct()
         assert np.linalg.norm(back - s) < 1e-13 * (1.0 + np.linalg.norm(s))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_symmetric_rep_rejects_non_finite(bad):
+    # NaN compares false with every bound, so a symmetry check alone passes it
+    a = np.eye(4)
+    a[1, 2] = a[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        extract_symmetric_rep(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_special_normal_of_non_finite_is_none_without_warnings(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for slot in range(16):
+            a = np.eye(4)
+            a.flat[slot] = bad
+            assert extract_special_normal(a) is None
 
 
 def test_extract_special_normal_pure_left():

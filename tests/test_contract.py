@@ -139,3 +139,12 @@ def test_overflow_exits_4(n):
         code, _, err = _cli(command + [text])
         assert code == 4, command
         assert "overflow" in err
+
+
+def test_oracle_scaling_cap_exits_2():
+    # a rotation generator of norm 1e13: over the oracle's scaling cap
+    text = " ".join(repr(float(v)) for v in (1e13 * J4).ravel())
+    for command in (["verify"], ["expm", "--method", "oracle"]):
+        code, _, err = _cli(command + [text])
+        assert code == 2, command
+        assert "cap" in err

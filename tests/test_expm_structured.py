@@ -17,7 +17,7 @@ from structexp import (
     minimal_poly_skewT,
     rel_error,
 )
-from structexp.classify import SpecialNormal, SymToeplitzTridiag
+from structexp.classify import SpecialNormal, SymmetricGeneral, SymToeplitzTridiag
 from structexp.expm_structured import (
     exp_bisymmetric_rs,
     exp_ham_sym_persym,
@@ -241,6 +241,42 @@ def test_symmetric_general_scalar_and_spd():
         assert np.min(np.linalg.eigvalsh((e + e.T) / 2.0)) > 0.0
 
 
+def _orthogonal(rng, det):
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return q * (det * np.sign(np.linalg.det(q)))
+
+
+# pure blocks [p|q|r] where the spectral sum has no slack: zero and
+# rank-deficient blocks, repeated singular values, and both signs of
+# det U det V (the sign of det [p|q|r] when it is invertible)
+SYMMETRIC_GENERAL_BLOCKS = {
+    "zero": lambda rng: np.zeros((3, 3)),
+    "rank_one": lambda rng: np.outer(rng.uniform(-1.5, 1.5, 3), rng.uniform(-1.5, 1.5, 3)),
+    "rank_two": lambda rng: _orthogonal(rng, 1.0) @ np.diag([1.5, 0.7, 0.0])
+    @ _orthogonal(rng, 1.0).T,
+    "repeated_sigma_det_plus": lambda rng: 1.3 * _orthogonal(rng, 1.0),
+    "repeated_sigma_det_minus": lambda rng: 1.3 * _orthogonal(rng, -1.0),
+    "det_plus": lambda rng: _orthogonal(rng, 1.0) @ np.diag([2.0, 1.0, 0.4])
+    @ _orthogonal(rng, 1.0).T,
+    "det_minus": lambda rng: _orthogonal(rng, -1.0) @ np.diag([2.0, 1.0, 0.4])
+    @ _orthogonal(rng, 1.0).T,
+}
+
+
+@pytest.mark.parametrize("scale", [1, 30])
+@pytest.mark.parametrize("block", list(SYMMETRIC_GENERAL_BLOCKS))
+def test_symmetric_general_degenerate_blocks_match_oracle(block, scale):
+    rng = np.random.default_rng(80)
+    for _ in range(10):
+        b = SYMMETRIC_GENERAL_BLOCKS[block](rng)
+        if block.startswith("det_") or block.startswith("repeated_"):
+            assert np.sign(np.linalg.det(b)) == (1.0 if block.endswith("plus") else -1.0)
+        a = scale * SymmetricGeneral(rng.uniform(-1.0, 1.0), *map(tuple, b.T)).reconstruct()
+        r = expm_auto(a, method="SymmetricGeneral")
+        assert r.route == "SymmetricGeneral"
+        assert rel_error(r.value, expm_series(a)) < 1e-10, (block, scale)
+
+
 def test_complex_routes_specialize_to_real():
     assert np.allclose(exp_so4_complex(0, 0, 0, 0, 0, 0), np.eye(4))
     rng = np.random.default_rng(71)
@@ -316,11 +352,7 @@ def test_every_family_route_matches_oracle():
 SCALES = (1, 5, 10, 20, 30)
 
 
-@pytest.mark.parametrize("tag", [
-    pytest.param(tag, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1: svd3 three-factor cancellation"))
-    if tag == "SymmetricGeneral" else tag
-    for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS])
+@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
 def test_forced_route_matches_oracle_at_scale(tag):
     # the conftest samplers keep parameter norms below 3; scaled up to x30
     rng = np.random.default_rng(76)

@@ -14,7 +14,8 @@ from structexp.expm_structured import (ClosedFormDefect, _exp_groups,
 from structexp.hxh import HxHElement, basis_matrix, from_matrix, hxh_mul
 from structexp.quat import Quaternion, quat_exp
 
-# the one entry whose closed form (svd3) rotates its groups out per matrix
+# the one entry without fixed groups: its closed form sums the joint sign
+# patterns of the involutions svd3 rotates out of each matrix
 GROUPLESS = {"SymmetricGeneral"}
 GROUPED = [tag for tag in FAMILIES if tag not in GROUPLESS]
 

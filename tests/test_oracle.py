@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from structexp import expm2, expm_series, rel_error
+from structexp import basis_matrix, expm2, expm_series, rel_error
 
 
 def test_zero_is_identity():
@@ -94,6 +94,14 @@ def test_overflow_raises():
     bad[0, 0] = np.inf
     with pytest.raises(OverflowError):
         expm_series(bad)
+
+
+def test_scaling_cap_raises_instead_of_clamping():
+    # exp(t * (i (x) 1)) is a rotation, but 1e13 needs 45 squarings
+    with pytest.raises(ValueError, match="cap of 40"):
+        expm_series(1e13 * basis_matrix(1, 0))
+    # 5e11 needs exactly 40, the cap itself
+    assert np.isfinite(expm_series(5e11 * basis_matrix(1, 0))).all()
 
 
 def test_rejects_bad_shapes():
