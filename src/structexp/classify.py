@@ -1,34 +1,34 @@
-"""Detection of structured 4x4 families and extraction of the tensor-basis
-parameters their closed-form exponentials consume.
+"""Detection of structured 4x4 families.
 
-A family is one `Family` entry of a table: each parameter of its dataclass
-is a slot -> weight pattern in the 4x4 coefficient table c of the tensor
-basis (ties among slots are weights, as in the Toeplitz cases), and its
-support splits into commuting groups whose squares are scalar.  The patterns
-of one family are disjoint, so with B the matrix whose columns they are,
-B^+ c reads the parameters off.  The basis matrices are pairwise orthogonal
-with Frobenius norm 2, so 2*||(I - B B^+) c|| is the exact matrix-space
-distance to the family, and acceptance is one comparison against
-tol*max(1, ||A||_F) per family.  Only the rank-one supports of SpecialNormal
-and BisymmetricRS need hand-written extractors.
+A family member is its flat coefficient vector c in the tensor basis, and
+that vector is what classification hands to the closed forms.  A table
+family is one `Family` entry: each parameter of its dataclass is a slot ->
+weight pattern in the coefficient table (ties among slots are weights, as in
+the Toeplitz cases).  With B the matrix whose columns are the patterns, the
+member is c minus its off-family part (I - B B^+) c.  The basis matrices
+are pairwise orthogonal with Frobenius norm 2, so 2*||(I - B B^+) c|| is the
+exact matrix-space distance to the family, and acceptance is one comparison
+against tol*max(1, ||A||_F).  Only the rank-one supports of SpecialNormal
+and BisymmetricRS need hand-written fits.
 
-Classification stacks the projectors I - B B^+ of a registry's table
-families into one (F*16) x 16 matrix at import, so one product with the flat
-c and a norm per 16-row block give every table residual at once.  Matches
-are then yielded lazily in dispatch order: a dataclass is built only for an
-accepted family, and a hand-written extractor runs only when the caller asks
-past the families before it, so expm_auto, which takes the first match,
-never fits the rank-one supports of a member of an earlier family.
+The projectors of a registry's table families are stacked into one
+(F*16) x 16 matrix at import, so one product with c gives every table member
+and residual (`_table_members`, which the forced route calls with one
+family's projector).  Matches are yielded lazily in dispatch order as
+(tag, member), so expm_auto, which takes the first, never fits the rank-one
+supports of a member of an earlier family.  The dataclasses are the public
+view of a member: `instance` and `coefficients` convert between the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import product
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .hxh import R4, HxHElement, from_matrix
+from .hxh import _BASIS_ROWS, HxHElement, from_matrix
 
 Vec3 = tuple[float, float, float]
 CVec3 = tuple[complex, complex, complex]
@@ -48,19 +48,15 @@ JORDAN_FORMS = {1: ("right", _K), 2: ("right", _I), 3: ("left", _I),
                 4: ("left", _J), 5: ("left", _K)}
 
 
-def _vec(x) -> Vec3:
-    return (float(x[0]), float(x[1]), float(x[2]))
-
-
-class _TableMember:
-    """reconstruct() for the families the table describes."""
+class _Instance:
+    """reconstruct() for every structure class."""
 
     def reconstruct(self) -> np.ndarray:
-        return HxHElement(FAMILIES[self.tag].coefficients(self)).to_matrix()
+        return (coefficients(self) @ _BASIS_ROWS).reshape(4, 4)
 
 
 @dataclass(frozen=True)
-class SkewSymmetric(_TableMember):
+class SkewSymmetric(_Instance):
     """Coefficient support p(x)1 + 1(x)q with p, q pure."""
     tag: ClassVar[str] = "SkewSymmetric"
     p: Vec3
@@ -68,7 +64,7 @@ class SkewSymmetric(_TableMember):
 
 
 @dataclass(frozen=True)
-class Perskewsymmetric(_TableMember):
+class Perskewsymmetric(_Instance):
     """p(x)i + alpha(j(x)1) + j(x)q + beta(1(x)i), p _|_ j, q _|_ i."""
     tag: ClassVar[str] = "Perskewsymmetric"
     p: Vec3
@@ -78,7 +74,7 @@ class Perskewsymmetric(_TableMember):
 
 
 @dataclass(frozen=True)
-class SkewHamiltonian(_TableMember):
+class SkewHamiltonian(_Instance):
     """b(1(x)1) + p(x)j + 1(x)(c i + d k)."""
     tag: ClassVar[str] = "SkewHamiltonian"
     b: float
@@ -88,7 +84,7 @@ class SkewHamiltonian(_TableMember):
 
 
 @dataclass(frozen=True)
-class Jordan(_TableMember):
+class Jordan(_Instance):
     """One of five classes self-adjoint for a skew form.
 
     For a left form e_x(x)1 the element is a(1(x)1) + (b e_u + c e_v)(x)1
@@ -108,7 +104,7 @@ class Jordan(_TableMember):
 
 
 @dataclass(frozen=True)
-class Lie(_TableMember):
+class Lie(_Instance):
     """One of eight classes skew for a symmetric form e_x(x)e_y.
 
     Element: a(1(x)e_y) + p(x)e_y + b(e_x(x)1) + e_x(x)q with p _|_ e_x and
@@ -127,7 +123,7 @@ class Lie(_TableMember):
 
 
 @dataclass(frozen=True)
-class HamSymPersym(_TableMember):
+class HamSymPersym(_Instance):
     """beta(j(x)i) + gamma(i(x)k) + delta(k(x)k): simultaneously Hamiltonian,
     symmetric and persymmetric."""
     tag: ClassVar[str] = "HamSymPersym"
@@ -137,7 +133,7 @@ class HamSymPersym(_TableMember):
 
 
 @dataclass(frozen=True)
-class SymToeplitzTridiag(_TableMember):
+class SymToeplitzTridiag(_Instance):
     """Symmetric tridiagonal Toeplitz: a on the diagonal, b beside it."""
     tag: ClassVar[str] = "SymToeplitzTridiag"
     a: float
@@ -145,7 +141,7 @@ class SymToeplitzTridiag(_TableMember):
 
 
 @dataclass(frozen=True)
-class SymToeplitzS13Zero(_TableMember):
+class SymToeplitzS13Zero(_Instance):
     """a(1(x)1) + b(j(x)i) + c(i(x)j) + b(k(x)j): the variant whose second
     super- and subdiagonal vanish."""
     tag: ClassVar[str] = "SymToeplitzS13Zero"
@@ -155,7 +151,7 @@ class SymToeplitzS13Zero(_TableMember):
 
 
 @dataclass(frozen=True)
-class SpecialNormal:
+class SpecialNormal(_Instance):
     """Normal matrix whose skew part splits as s(x)1 + 1(x)t with unequal
     norms; the symmetric part is then forced to a(1(x)1) + s_hat(x)t_hat.
 
@@ -169,19 +165,12 @@ class SpecialNormal:
     t: Vec3
     s_hat: Vec3
 
-    def reconstruct(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[0, 0] = self.a
-        u.c[1:, 1:] = np.outer(self.s_hat, self.t_hat)
-        u.c[1:, 0] += np.asarray(self.s)
-        u.c[0, 1:] += np.asarray(self.t)
-        return u.to_matrix()
-
 
 @dataclass(frozen=True)
-class BisymmetricRS:
+class BisymmetricRS(_Instance):
     """A = R4 S with S = a(1(x)1) + eps(j(x)i) + (alpha i + beta k)(x)
-    (gamma j + delta k); symmetric, persymmetric, not Toeplitz."""
+    (gamma j + delta k); symmetric, persymmetric, not Toeplitz.  Since R4 is
+    j(x)i, A = eps(1(x)1) + a(j(x)i) + (beta i - alpha k)(x)(gamma k - delta j)."""
     tag: ClassVar[str] = "BisymmetricRS"
     a: float
     eps: float
@@ -190,22 +179,9 @@ class BisymmetricRS:
     gamma: float
     delta: float
 
-    def symmetric_factor(self) -> np.ndarray:
-        u = HxHElement.zero()
-        u.c[0, 0] = self.a
-        u.c[_J, _I] = self.eps
-        u.c[_I, _J] = self.alpha * self.gamma
-        u.c[_I, _K] = self.alpha * self.delta
-        u.c[_K, _J] = self.beta * self.gamma
-        u.c[_K, _K] = self.beta * self.delta
-        return u.to_matrix()
-
-    def reconstruct(self) -> np.ndarray:
-        return R4 @ self.symmetric_factor()
-
 
 @dataclass(frozen=True)
-class SymmetricGeneral(_TableMember):
+class SymmetricGeneral(_Instance):
     """Any symmetric matrix: a(1(x)1) + p(x)i + q(x)j + r(x)k."""
     tag: ClassVar[str] = "SymmetricGeneral"
     a: float
@@ -215,7 +191,7 @@ class SymmetricGeneral(_TableMember):
 
 
 @dataclass(frozen=True)
-class ComplexSO4(_TableMember):
+class ComplexSO4(_Instance):
     """Complex skew-symmetric: left(x)1 + 1(x)right with complex triples."""
     tag: ClassVar[str] = "ComplexSO4"
     left: CVec3
@@ -223,7 +199,7 @@ class ComplexSO4(_TableMember):
 
 
 @dataclass(frozen=True)
-class ComplexPerskew(_TableMember):
+class ComplexPerskew(_Instance):
     """Complex-coefficient analogue of Perskewsymmetric."""
     tag: ClassVar[str] = "ComplexPerskew"
     p: CVec3
@@ -249,11 +225,10 @@ class Family:
     patterns, one per scalar: one for a scalar field, three for a 3-vector.
     `groups` are slot sets that commute with each other while the slots
     inside one pairwise anticommute, so each group squares to a scalar; they
-    cover the support except the scalar slot (0, 0), and `slots` holds each
-    group's flat slot indexes 4a + b.  The closed form is then
-    exp(c00) * prod_g (phi_c(-mu_g) 1 + phi_s(-mu_g) g).  SymmetricGeneral
-    has no fixed groups (its closed form rotates them out with an SVD), so
-    its `groups` is empty.
+    cover the support except the scalar slot (0, 0).  The closed form is
+    then exp(c00) * prod_g (phi_c(-mu_g) 1 + phi_s(-mu_g) g).
+    SymmetricGeneral has no fixed groups (its closed form rotates them out
+    with an SVD), so its `groups` is empty.
     """
 
     def __init__(self, cls, params: dict[str, tuple[Pattern, ...]],
@@ -271,11 +246,11 @@ class Family:
         self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
         self.projector = np.eye(16) - self.basis @ self.pinv
         self.groups = tuple(frozenset(g) for g in groups)
-        self.slots = [np.array(sorted(4 * a + b for a, b in g)) for g in self.groups]
 
-    def instance(self, theta):
-        """The dataclass holding the flat parameter vector theta."""
-        vals = np.asarray(theta, complex if self.complex_scalars else float).tolist()
+    def instance(self, member):
+        """The dataclass of a member, its parameters B^+ c."""
+        vals = np.asarray(self.pinv @ member,
+                          complex if self.complex_scalars else float).tolist()
         args = [] if self.k is None else [self.k]
         i = 0
         for pats in self.params.values():
@@ -285,23 +260,16 @@ class Family:
         return self.cls(*args)
 
     def coefficients(self, inst) -> np.ndarray:
-        """The 4x4 coefficient table of an instance."""
-        theta = []
-        for name, pats in self.params.items():
-            if len(pats) > 1:
-                theta.extend(getattr(inst, name))
-            else:
-                theta.append(getattr(inst, name))
-        return (self.basis @ np.array(theta)).reshape(4, 4)
+        """The member of an instance, B theta."""
+        return self.basis @ np.concatenate([np.ravel(getattr(inst, name))
+                                            for name in self.params])
 
     def extract(self, a, u, tol, tol_abs):
-        """(instance or None, residual), with the signature of every entry
+        """(member or None, residual), with the signature of every entry
         of REAL_REGISTRY and COMPLEX_REGISTRY."""
-        c = u.c.reshape(16)
-        res = 2.0 * float(np.linalg.norm(self.projector @ c))
-        if not res <= tol_abs:
-            return None, res
-        return self.instance(self.pinv @ c), res
+        members, residuals = _table_members(self.projector, u.c.reshape(16))
+        res = float(residuals[0])
+        return (members[0] if res <= tol_abs else None), res
 
 
 def _one(a: int, b: int) -> tuple[Pattern]:
@@ -385,82 +353,124 @@ _TABLE = [
 FAMILIES: dict[str, Family] = {fam.tag: fam for fam in _TABLE}
 
 
-def _residual(c: np.ndarray, model: np.ndarray) -> float:
-    return 2.0 * float(np.linalg.norm(c - model))
+# the commuting slot groups of every family with a group closed form: a table
+# family's come from its entry; SpecialNormal's are s_hat(x)t_hat, s(x)1 and
+# 1(x)t, and BisymmetricRS's are j(x)i and the rank-one {i,k}(x){j,k}
+_PURE3 = (_I, _J, _K)
+GROUPS = {fam.tag: fam.groups for fam in _TABLE if fam.groups} | {
+    "SpecialNormal": (set(product(_PURE3, _PURE3)), set(product(_PURE3, [0])),
+                      set(product([0], _PURE3))),
+    "BisymmetricRS": ({(_J, _I)}, set(product((_I, _K), (_J, _K)))),
+}
+# the rows i, k and columns j, k of a 4x4 table, as a view
+_RS_BLOCK = (slice(_I, None, 2), slice(_J, None))
+
+
+def _check_tol(tol) -> None:
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+
+def _table_members(projectors, c):
+    """(members, residuals) of the families whose projectors I - B B^+ are
+    the 16-row blocks of `projectors`: row f of members is c minus its part
+    off family f, and residuals[f] is twice that part's norm."""
+    off = (projectors @ c).reshape(-1, 16)
+    return c - off, 2.0 * np.linalg.norm(off, axis=1)
+
+
+def _rank_one(blk, scale):
+    """(x, y) with x the direction of blk's largest column and y = blk^T x,
+    so x y^T fits blk; zeros when blk is negligible against scale."""
+    col = int(np.argmax(np.linalg.norm(blk, axis=0)))
+    cn = np.linalg.norm(blk[:, col])
+    if not cn > 1e-14 * scale:
+        return np.zeros(blk.shape[0]), np.zeros(blk.shape[1])
+    x = blk[:, col] / cn
+    return x, blk.T @ x
+
+
+def _special_normal_factors(c, ns):
+    """(s_hat, t_hat) of the rank-one block s_hat(x)t_hat of a 4x4 table,
+    ns the norm of its s = c[1:, 0]."""
+    s, blk = c[1:, 0], c[1:, 1:]
+    scale = max(1.0, float(np.linalg.norm(c)))
+    if ns > 1e-12 * scale:
+        return s, blk.T @ s / (ns * ns)
+    return _rank_one(blk, scale)
+
+
+def _bisymmetric_rs_member(eps, a, x, y) -> np.ndarray:
+    """eps(1(x)1) + a(j(x)i) + x(x)y with x in span(i, k), y in span(j, k)."""
+    m = np.zeros((4, 4))
+    m[0, 0], m[_J, _I], m[_RS_BLOCK] = eps, a, np.outer(x, y)
+    return m.reshape(16)
 
 
 def _x_special_normal(a, u, tol, tol_abs):
     c = u.c
-    s = c[1:, 0].copy()
-    t = c[0, 1:].copy()
+    s, t = c[1:, 0], c[0, 1:]
     ns, nt = np.linalg.norm(s), np.linalg.norm(t)
     if abs(ns - nt) <= tol * (ns + nt):
         return None, np.inf
-
-    blk = c[1:, 1:]
-    scale = max(1.0, float(np.linalg.norm(c)))
-    if ns > 1e-12 * scale:
-        s_hat = s
-        t_hat = blk.T @ s / (ns * ns)
-    else:
-        col = int(np.argmax(np.linalg.norm(blk, axis=0)))
-        cn = np.linalg.norm(blk[:, col])
-        if cn > 1e-14 * scale:
-            s_hat = blk[:, col] / cn
-            t_hat = blk.T @ s_hat
-        else:
-            s_hat = np.zeros(3)
-            t_hat = np.zeros(3)
-
-    model = np.zeros((4, 4))
-    model[0, 0] = c[0, 0]
-    model[1:, 0] = s
-    model[0, 1:] = t
-    model[1:, 1:] = np.outer(s_hat, t_hat)
-    res = _residual(c, model)
+    fit = np.outer(*_special_normal_factors(c, ns))
+    # the member is c with its pure block replaced by the rank-one fit
+    res = 2.0 * float(np.linalg.norm(c[1:, 1:] - fit))
     if not res <= tol_abs:
         return None, res
-
-    sym = (a + a.T) / 2.0
-    skw = (a - a.T) / 2.0
-    comm = np.linalg.norm(sym @ skw - skw @ sym)
+    # A must be normal: its symmetric and skew parts commute,
+    # [sym A, skew A] = (A^T A - A A^T) / 2
+    comm = np.linalg.norm(a.T @ a - a @ a.T) / 2.0
     if not comm <= tol * (1.0 + np.linalg.norm(a)) ** 2:
         return None, max(res, float(comm))
-    inst = SpecialNormal(float(c[0, 0]), _vec(s), _vec(t_hat), _vec(t), _vec(s_hat))
-    return inst, res
+    member = c.copy()
+    member[1:, 1:] = fit
+    return member.reshape(16), res
 
 
 def _x_bisymmetric_rs(a, u, tol, tol_abs):
-    s_mat = R4 @ a
-    cs = from_matrix(s_mat).c
-    blk = np.array([[cs[_I, _J], cs[_I, _K]], [cs[_K, _J], cs[_K, _K]]])
+    c = u.c
+    x, y = _rank_one(c[_RS_BLOCK], max(1.0, float(np.linalg.norm(c))))
+    member = _bisymmetric_rs_member(c[0, 0], c[_J, _I], x, y)
+    res = 2.0 * float(np.linalg.norm(c.reshape(16) - member))
+    return (member if res <= tol_abs else None), res
 
-    col = int(np.argmax(np.linalg.norm(blk, axis=0)))
-    cn = np.linalg.norm(blk[:, col])
-    if cn > 1e-14 * max(1.0, float(np.linalg.norm(cs))):
-        ab = blk[:, col] / cn
-        gd = blk.T @ ab
-    else:
-        ab = np.zeros(2)
-        gd = np.zeros(2)
 
-    model = np.zeros((4, 4))
-    model[0, 0] = cs[0, 0]
-    model[_J, _I] = cs[_J, _I]
-    model[_I, _J] = ab[0] * gd[0]
-    model[_I, _K] = ab[0] * gd[1]
-    model[_K, _J] = ab[1] * gd[0]
-    model[_K, _K] = ab[1] * gd[1]
-    res = _residual(cs, model)
-    if not res <= tol_abs:
-        return None, res
-    inst = BisymmetricRS(float(cs[0, 0]), float(cs[_J, _I]),
-                         float(ab[0]), float(ab[1]), float(gd[0]), float(gd[1]))
-    return inst, res
+def instance(tag: str, member) -> StructureClass:
+    """The dataclass of the member of family `tag`."""
+    if tag == "SpecialNormal":
+        c = member.reshape(4, 4)
+        s_hat, t_hat = _special_normal_factors(c, np.linalg.norm(c[1:, 0]))
+        return SpecialNormal(float(c[0, 0]), *(tuple(v.tolist()) for v in
+                                               (c[1:, 0], t_hat, c[0, 1:], s_hat)))
+    if tag == "BisymmetricRS":
+        c = member.reshape(4, 4)
+        # the block of S = R4 A is (alpha, beta)(x)(gamma, delta)
+        (p, q), (r, s) = c[_RS_BLOCK]
+        ab, gd = _rank_one(np.array([[-s, r], [q, -p]]),
+                           max(1.0, float(np.linalg.norm(c))))
+        return BisymmetricRS(float(c[_J, _I]), float(c[0, 0]), *ab.tolist(), *gd.tolist())
+    return FAMILIES[tag].instance(member)
+
+
+def coefficients(inst) -> np.ndarray:
+    """The member (flat coefficient vector) of a structure-class instance."""
+    if type(inst) is SpecialNormal:
+        m = np.zeros((4, 4))
+        m[0, 0], m[1:, 0], m[0, 1:] = inst.a, inst.s, inst.t
+        m[1:, 1:] = np.outer(inst.s_hat, inst.t_hat)
+        return m.reshape(16)
+    if type(inst) is BisymmetricRS:
+        return _bisymmetric_rs_member(inst.eps, inst.a, (inst.beta, -inst.alpha),
+                                      (-inst.delta, inst.gamma))
+    fam = FAMILIES.get(getattr(inst, "tag", None))
+    if fam is None or type(inst) is not fam.cls:
+        raise TypeError(f"unknown structure class {type(inst).__name__}")
+    return fam.coefficients(inst)
 
 
 Extractor = Callable[[np.ndarray, HxHElement, float, float],
-                     tuple[Optional[StructureClass], float]]
+                     tuple[Optional[np.ndarray], float]]
 
 _real = [(fam.tag, fam.extract) for fam in _TABLE if not fam.complex_scalars]
 
@@ -502,13 +512,13 @@ _COMPLEX_STACK = _stack(COMPLEX_REGISTRY)
 
 
 def _matches(a_matrix, tol: float):
-    """The structured families containing A, lazily in dispatch order.
+    """(tag, member) of each structured family containing A, lazily in
+    dispatch order.
 
     A non-finite matrix is in no family.  The hand-written extractors are
     read from the registry at each call, not bound at import.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     a = np.asarray(a_matrix)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
@@ -516,22 +526,20 @@ def _matches(a_matrix, tol: float):
         return
     a = as_real_if_possible(a)
     u = from_matrix(a)
-    c = u.c.reshape(16)
     tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
     if np.iscomplexobj(a):
         registry, (blocks, stack) = COMPLEX_REGISTRY, _COMPLEX_STACK
     else:
         registry, (blocks, stack) = REAL_REGISTRY, _REAL_STACK
-    residuals = 2.0 * np.linalg.norm((stack @ c).reshape(-1, 16), axis=1)
+    members, residuals = _table_members(stack, u.c.reshape(16))
     for tag, extract in registry:
         block = blocks.get(tag)
         if block is None:
-            inst, _res = extract(a, u, tol, tol_abs)
-            if inst is not None:
-                yield inst
+            member, _res = extract(a, u, tol, tol_abs)
+            if member is not None:
+                yield tag, member
         elif residuals[block] <= tol_abs:
-            fam = FAMILIES[tag]
-            yield fam.instance(fam.pinv @ c)
+            yield tag, members[block]
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -540,17 +548,19 @@ def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
     An empty list means no closed-form route applies (the caller falls back
     to a series exponential).
     """
-    return list(_matches(a_matrix, tol))
+    return [instance(tag, member) for tag, member in _matches(a_matrix, tol)]
 
 
 def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Split a symmetric matrix into (a, p, q, r): trace part plus the three
-    pure-pure columns. Rejects asymmetric and non-finite input."""
-    a = np.asarray(a_matrix, dtype=float)
+    pure-pure columns. Rejects asymmetric, non-finite and complex input."""
+    a = as_real_if_possible(np.asarray(a_matrix))
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
+    if np.iscomplexobj(a):
+        raise ValueError("matrix is not real")
     if np.linalg.norm(a - a.T) > 1e-12 * max(1.0, np.linalg.norm(a)):
         raise ValueError("matrix is not symmetric")
     c = from_matrix((a + a.T) / 2.0).c
@@ -558,13 +568,14 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
 
 
 def extract_special_normal(a_matrix, tol: float = DEFAULT_TOL) -> Optional[SpecialNormal]:
-    """The SpecialNormal fit of A, or None (always for a non-finite A)."""
-    a = np.asarray(a_matrix, dtype=float)
+    """The SpecialNormal fit of A, or None (always for a non-finite or a
+    complex A)."""
+    _check_tol(tol)
+    a = as_real_if_possible(np.asarray(a_matrix))
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-    if not np.isfinite(a).all():
+    if np.iscomplexobj(a) or not np.isfinite(a).all():
         return None
-    u = from_matrix(a)
     tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
-    inst, _res = _x_special_normal(a, u, tol, tol_abs)
-    return inst
+    member, _res = _x_special_normal(a, from_matrix(a), tol, tol_abs)
+    return None if member is None else instance("SpecialNormal", member)

@@ -8,8 +8,9 @@ argument is read as a file when a file of that name exists, otherwise parsed
 as inline text.
 
 Exit codes: 0 success, 1 verify residual above threshold, 2 parse or shape
-error (non-finite entries included) or a matrix outside the series oracle's
-domain (a 1-norm over its scaling cap, about 5.5e11), 3 forced route rejected
+error (non-finite entries included), a --tol that is not positive (NaN
+included) or a matrix outside the series oracle's domain (a 1-norm over its
+scaling cap, about 5.5e11), 3 forced route rejected
 (class mismatch / not in algebra), 4 overflow (the exponential is beyond the
 float64 range).
 """
@@ -27,9 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, as_real_if_possible, classify
+from .classify import DEFAULT_TOL, _matches, as_real_if_possible, classify
 from .covering import COVERING_ALGEBRAS, NotInAlgebra, exp_via_covering
-from .expm_structured import ForcedClassMismatch, exp_structured_class, expm_auto
+from .expm_structured import ForcedClassMismatch, _exp_member, expm_auto
 from .hxh import BASIS_NAMES, from_matrix
 from .oracle import expm_series, rel_error
 from .smalllin import expm2
@@ -255,7 +256,7 @@ def _applicable_routes(a: np.ndarray, all_routes: bool,
         return [("expm2", expm2(a))]
     if n == 3:
         return list(_covering_routes(a, tol))
-    routes = [(inst.tag, exp_structured_class(inst)) for inst in classify(a, tol)]
+    routes = [(tag, _exp_member(tag, member)) for tag, member in _matches(a, tol)]
     if all_routes:
         routes += _covering_routes(as_real_if_possible(a), tol)
     return routes

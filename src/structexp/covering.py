@@ -107,6 +107,8 @@ def psi(alg: CoveringAlgebra, g: np.ndarray, h: np.ndarray | None = None) -> np.
 def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
     """Traceless upstairs factor(s) mapping to A; (g, None) for the adjoint
     algebras. Raises NotInAlgebra when A fails A^T M + M A = 0."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     a = np.asarray(a_matrix)
     if a.shape != (alg.dim, alg.dim):
         raise ValueError(f"expected a {alg.dim}x{alg.dim} matrix")

@@ -1,25 +1,30 @@
 """Closed-form exponentials for the structured 4x4 families.
 
+A family member arrives as its flat coefficient vector c in the tensor basis
+(see `classify`), and `_exp_member` is the one closed form for all of them.
 Every family but one splits into a scalar part and groups that commute with
 each other, each group squaring to a scalar multiple of the identity,
 G @ G = mu I, so
 
-    exp(A) = exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
+    exp(A) = exp(c00) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
 
 Since H (x) H is isomorphic to the algebra of 4x4 real matrices, the
-product is taken on the group matrices directly (`_exp_groups`).  The phi
-functions pick cos/cosh branches from the sign of mu, so no formula
-hard-codes a trigonometric choice; when a family hands over a group whose
-square is not scalar, that is a defect, not an input error.  The groups of
-the table families are the slot sets of their `classify.FAMILIES` entry;
-SpecialNormal and BisymmetricRS (rank-one supports) build theirs from the
-instance (`_INSTANCE_GROUPS`).
+product is taken on the group matrices directly (`_exp_groups`), and one
+product of c with the family's group rows (`classify.GROUPS` as slot sets)
+gives every group matrix.  The phi functions pick cos/cosh branches from the
+sign of mu, so no formula hard-codes a trigonometric choice; when a family
+hands over a group whose square is not scalar, that is a defect, not an
+input error.
 
 The exception, the one route that needs spectral information, is
 SymmetricGeneral: `svd3` rotates its pure block to three commuting
 involutions, and the exponential sums their four joint sign patterns
 (`_exp_symmetric_general`).  Their product would amplify roundoff by up to
 exp(2 sigma_3).
+
+The dataclasses are the public edge only: `exp_structured_class` and the
+`exp_*` adapters turn an instance into its member with
+`classify.coefficients`.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (COMPLEX_REGISTRY, DEFAULT_TOL, EXTRACTORS, FAMILIES,
+from .classify import (COMPLEX_REGISTRY, DEFAULT_TOL, EXTRACTORS, GROUPS,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
-                       SymToeplitzS13Zero, SymToeplitzTridiag, _matches,
-                       as_real_if_possible)
-from .hxh import _BASIS_ROWS, R4, from_matrix, matrix_scalar_square
+                       SymToeplitzS13Zero, SymToeplitzTridiag, _check_tol,
+                       _matches, as_real_if_possible, coefficients)
+from .hxh import _BASIS_ROWS, from_matrix, matrix_scalar_square
 from .oracle import expm_series, rel_error
 from .smalllin import phi_c, phi_s, svd3
 
@@ -60,25 +65,17 @@ class ExpResult:
     verified: Optional[float] = None
 
 
-# slots of p (x) 1, of 1 (x) q and of the pure-pure block, each p, q pure
-_LEFT, _RIGHT, _PURE = [4, 8, 12], [1, 2, 3], [5, 6, 7, 9, 10, 11, 13, 14, 15]
-
-
-def _matrix(coeffs, slots) -> np.ndarray:
-    """The matrix of the element with these coefficients on these slots."""
-    return (np.ravel(coeffs) @ _BASIS_ROWS[slots]).reshape(4, 4)
-
-
-def _group_rows(fam) -> np.ndarray:
-    """c @ rows[g] is the flat matrix of group g of a table family, c its
-    flat coefficient table: one product gives every group."""
-    rows = np.zeros((len(fam.slots), 16, 16))
-    for g, slots in enumerate(fam.slots):
+def _group_rows(groups) -> np.ndarray:
+    """c @ rows[g] is the flat matrix of group g, c a flat coefficient
+    vector: one product gives every group."""
+    rows = np.zeros((len(groups), 16, 16))
+    for g, group in enumerate(groups):
+        slots = [4 * a + b for a, b in group]
         rows[g, slots] = _BASIS_ROWS[slots]
     return rows
 
 
-_TABLE_GROUP_ROWS = {tag: _group_rows(fam) for tag, fam in FAMILIES.items()}
+_GROUP_ROWS = {tag: _group_rows(groups) for tag, groups in GROUPS.items()}
 
 
 def _exp_groups(scalar, groups) -> np.ndarray:
@@ -99,7 +96,8 @@ def _exp_groups(scalar, groups) -> np.ndarray:
 # the joint sign patterns (s1, s2, s3) of three commuting involutions with
 # M1 M2 M3 = I; for M1 M2 M3 = -I they are the negatives
 _SIGN_PATTERNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
-_PURE_ROWS = _BASIS_ROWS[_PURE]
+# the slots of the pure-pure block
+_PURE_ROWS = _BASIS_ROWS[[4 * a + b for a in (1, 2, 3) for b in (1, 2, 3)]]
 
 
 def _det3(m) -> float:
@@ -108,7 +106,7 @@ def _det3(m) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _exp_symmetric_general(inst) -> np.ndarray:
+def _exp_symmetric_general(member) -> np.ndarray:
     """exp of a(1(x)1) + sum_i sigma_i M_i, with [p|q|r] = U diag(sigma) V^T
     and M_i the matrix of u_i(x)v_i.  The M_i are commuting involutions with
     M1 M2 M3 = d I, d = det U det V, so their joint eigenvalues are the four
@@ -118,34 +116,20 @@ def _exp_symmetric_general(inst) -> np.ndarray:
 
     Every weight is positive, so nothing cancels at any scale, and the sum
     holds for sigma_3 = 0 and repeated sigma alike."""
-    f = svd3(np.column_stack([inst.p, inst.q, inst.r]))
+    f = svd3(member.reshape(4, 4)[1:, 1:])
     signs = _SIGN_PATTERNS if _det3(f.u) * _det3(f.v) > 0.0 else -_SIGN_PATTERNS
-    w = np.array([math.exp(inst.a + x) for x in (signs @ f.sigma).tolist()]) / 4.0
+    w = np.array([math.exp(member[0] + x) for x in (signs @ f.sigma).tolist()]) / 4.0
     value = ((f.u * (w @ signs)) @ f.v.T).reshape(9) @ _PURE_ROWS
     value[::5] += w.sum()
     return value.reshape(4, 4)
 
 
-def _special_normal_groups(sn):
-    """The symmetric rank-one part s_hat(x)t_hat and the two halves s(x)1,
-    1(x)t of the skew part."""
-    return sn.a, [_matrix(np.outer(sn.s_hat, sn.t_hat), _PURE),
-                  _matrix(sn.s, _LEFT), _matrix(sn.t, _RIGHT)]
-
-
-def _bisymmetric_rs_groups(b):
-    """A = R4 S = eps I + a R4 + R4 Y with Y = (alpha i + beta k)(x)
-    (gamma j + delta k): R4^2 = I and R4 commutes with Y, so a R4 and R4 Y
-    are commuting groups."""
-    y = _matrix(np.outer((b.alpha, 0.0, b.beta), (0.0, b.gamma, b.delta)), _PURE)
-    return b.eps, [b.a * R4, R4 @ y]
-
-
-# the families whose groups depend on the instance, not only on table slots
-_INSTANCE_GROUPS = {
-    SpecialNormal: _special_normal_groups,
-    BisymmetricRS: _bisymmetric_rs_groups,
-}
+def _exp_member(tag: str, member) -> np.ndarray:
+    """exp of the member of family `tag`, given as its flat coefficient
+    vector."""
+    if tag == "SymmetricGeneral":
+        return _exp_symmetric_general(member)
+    return _exp_groups(member[0], (member @ _GROUP_ROWS[tag]).reshape(-1, 4, 4))
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:
@@ -227,17 +211,8 @@ def minimal_poly_skewT(s, t) -> MinimalPolySkew:
 
 
 def exp_structured_class(inst) -> np.ndarray:
-    """Dispatch a classified instance to the closed form of its groups."""
-    if type(inst) is SymmetricGeneral:
-        return _exp_symmetric_general(inst)
-    groups_of = _INSTANCE_GROUPS.get(type(inst))
-    if groups_of is not None:
-        return _exp_groups(*groups_of(inst))
-    fam = FAMILIES.get(getattr(inst, "tag", None))
-    if fam is None or type(inst) is not fam.cls:
-        raise TypeError(f"unknown structure class {type(inst).__name__}")
-    c = fam.coefficients(inst).reshape(16)
-    return _exp_groups(c[0], (c @ _TABLE_GROUP_ROWS[fam.tag]).reshape(-1, 4, 4))
+    """The closed form of a classified instance."""
+    return _exp_member(getattr(inst, "tag", None), coefficients(inst))
 
 
 _COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
@@ -258,14 +233,12 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
     if method == "oracle":
         value, route = expm_series(a), "oracle"
     elif method == "auto":
-        inst = next(_matches(a, tol), None)
-        if inst is None:
-            value, route = expm_series(a), "oracle"
-        else:
-            value, route = exp_structured_class(inst), inst.tag
+        route, member = next(_matches(a, tol), ("oracle", None))
+        value = expm_series(a) if member is None else _exp_member(route, member)
     else:
         if method not in EXTRACTORS:
             raise ValueError(f"unknown method {method!r}")
+        _check_tol(tol)
         if not np.isfinite(a).all():
             # a non-finite matrix is in no family: its distance to one is not finite
             raise ForcedClassMismatch(method, math.inf)
@@ -273,11 +246,11 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
         if np.iscomplexobj(ar) and method not in _COMPLEX_TAGS:
             # a real family has no imaginary part: all of it is off the family
             raise ForcedClassMismatch(method, float(np.linalg.norm(ar.imag)))
-        inst, residual = EXTRACTORS[method](ar, from_matrix(ar), tol,
-                                            tol * max(1.0, float(np.linalg.norm(ar))))
-        if inst is None:
+        member, residual = EXTRACTORS[method](ar, from_matrix(ar), tol,
+                                              tol * max(1.0, float(np.linalg.norm(ar))))
+        if member is None:
             raise ForcedClassMismatch(method, residual)
-        value, route = exp_structured_class(inst), inst.tag
+        value, route = _exp_member(method, member), method
 
     verified = rel_error(value, expm_series(a)) if verify else None
     return ExpResult(value, route, verified)

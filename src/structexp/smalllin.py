@@ -110,11 +110,13 @@ def sym_eig3(s) -> SymEig3:
     isolated eigenvalue is the largest-magnitude cross product of rows of
     (S - lambda I); the remaining pair is resolved by an exact 2x2 rotation
     inside the orthogonal complement, which stays stable through repeated
-    eigenvalues.
+    eigenvalues.  A non-finite entry raises ValueError.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
+    if not np.isfinite(s).all():
+        raise ValueError("matrix has non-finite entries")
     nrm = np.linalg.norm(s)
     if np.linalg.norm(s - s.T) > 1e-12 * max(1.0, nrm):
         raise ValueError("matrix is not symmetric")
@@ -175,10 +177,13 @@ def svd3(m) -> Svd3:
     sigma_1 >= sigma_2 >= sigma_3 >= 0 and u, v are orthogonal.  Singular
     values at or below 3 * eps * sigma_1 (numpy's matrix_rank cutoff) are
     rounding noise of a rank-deficient input and are reported as exact zeros.
+    A non-finite entry raises ValueError.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     u, sigma, vh = np.linalg.svd(m)
     sigma[sigma <= 3.0 * _EPS * sigma[0]] = 0.0
     return Svd3(u, sigma, vh.T)

@@ -16,6 +16,7 @@ from structexp.classify import (
     SpecialNormal,
     SymmetricGeneral,
     as_real_if_possible,
+    instance,
 )
 from structexp.hxh import J4, R4, basis_matrix, from_matrix
 
@@ -103,8 +104,8 @@ def _classify_by_loop(a, tol=DEFAULT_TOL):
     u = from_matrix(a)
     tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
     registry = COMPLEX_REGISTRY if np.iscomplexobj(a) else REAL_REGISTRY
-    found = [EXTRACTORS[tag](a, u, tol, tol_abs)[0] for tag, _ in registry]
-    return [inst for inst in found if inst is not None]
+    found = [(tag, EXTRACTORS[tag](a, u, tol, tol_abs)[0]) for tag, _ in registry]
+    return [instance(tag, member) for tag, member in found if member is not None]
 
 
 def _residual_per_unit(a, e, tag):
@@ -252,3 +253,20 @@ def test_classify_validation():
         classify(np.eye(4), tol=0.0)
     with pytest.raises(ValueError):
         classify(np.eye(4), tol=-1e-9)
+
+
+def test_complex_input_to_the_real_extractors_warns_nothing():
+    real = sample_family("SpecialNormal", np.random.default_rng(58))
+    sym = real + real.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a vanishing imaginary part is dropped, so the real fit runs
+        inst = extract_special_normal(real.astype(complex))
+        assert inst == extract_special_normal(real)
+        assert inst is not None
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(extract_symmetric_rep(sym.astype(complex)), extract_symmetric_rep(sym)))
+        # a kept one puts A in no real family
+        assert extract_special_normal(real + 0.5j * J4) is None
+        with pytest.raises(ValueError, match="not real"):
+            extract_symmetric_rep(sym + 0.5j * np.eye(4))

@@ -1,15 +1,17 @@
 """The public contract pinned with literal lists: dispatch order, instance
 field names, and how non-finite and overflowing input is refused."""
 
+import importlib
 import io
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from structexp import classify, expm_auto
+from structexp import classify, expm_auto, extract_special_normal
 from structexp.classify import COMPLEX_REGISTRY, EXTRACTORS, REAL_REGISTRY
 from structexp.cli import ParseError, describe_instance, parse_document, run
 from structexp.expm_structured import ForcedClassMismatch
@@ -148,3 +150,48 @@ def test_oracle_scaling_cap_exits_2():
         code, _, err = _cli(command + [text])
         assert code == 2, command
         assert "cap" in err
+
+
+# ------------------------------------------------------------------ tolerance
+
+BAD_TOLS = [np.nan, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_bad_tol_is_refused_on_every_route(tol):
+    a = sample_family("SkewSymmetric", np.random.default_rng(13))
+    calls = [lambda: classify(a, tol), lambda: expm_auto(a, tol=tol),
+             lambda: extract_special_normal(a, tol)]
+    calls += [lambda tag=tag: expm_auto(a, method=tag, tol=tol)
+              for tag in REAL_DISPATCH_ORDER]
+    for call in calls:
+        # not a ForcedClassMismatch, which is a ValueError too
+        with pytest.raises(ValueError, match="tol must be positive"):
+            call()
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_bad_tol_exits_2(tol):
+    j4 = " ".join(repr(float(v)) for v in J4.ravel())
+    so3 = "0 -1 0  1 0 0  0 0 0"
+    for command in (["classify", j4], ["expm", j4], ["expm", j4, "--method", "Lie3"],
+                    ["expm", so3], ["expm", so3, "--method", "covering:so3"]):
+        code, out, err = _cli(command + ["--tol", tol])
+        assert code == 2, command
+        assert "tol must be positive" in err
+        assert out == ""
+
+
+# ------------------------------------------------------------------- tooling
+
+
+def test_bench_tracer_finds_every_entry_point(monkeypatch):
+    # bench/run.py --trace wraps these entry points by name; a refactor that
+    # drops one fails here, not only in the benchmark smoke run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    importlib.import_module("structexp.cli")
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        assert tracer.install() == []
+    finally:
+        tracer.uninstall()

@@ -1,7 +1,9 @@
 """Tests for the closed-form exponential routes, each checked against the
 series oracle and, where one exists, an independent second formula."""
 
+import contextlib
 import importlib
+import io
 import math
 
 import numpy as np
@@ -17,7 +19,9 @@ from structexp import (
     minimal_poly_skewT,
     rel_error,
 )
-from structexp.classify import SpecialNormal, SymmetricGeneral, SymToeplitzTridiag
+from structexp import cli
+from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
+                                SymToeplitzTridiag)
 from structexp.expm_structured import (
     exp_bisymmetric_rs,
     exp_ham_sym_persym,
@@ -449,3 +453,49 @@ def test_auto_runs_no_hand_written_extractor_before_a_table_match(monkeypatch):
     # the stubs are live: a matrix in no table family reaches them
     with pytest.raises(_HandWrittenExtractorRan):
         expm_auto(rng.standard_normal((4, 4)))
+
+
+# ------------------------------------------------------------------ one path
+
+
+@pytest.mark.parametrize("scale", [1, 30])
+@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
+def test_auto_forced_and_verify_routes_take_one_path(tag, scale):
+    rng = np.random.default_rng(81)
+    for _ in range(10):
+        a = scale * sample_family(tag, rng)
+        forced = expm_auto(a, method=tag).value
+        auto = expm_auto(a)
+        # every family but HamSymPersym (always Lie8 first) is its own first match
+        if auto.route == tag:
+            assert np.array_equal(auto.value, forced), tag
+        routes = dict(cli._applicable_routes(a, False, DEFAULT_TOL))
+        assert np.array_equal(routes[tag], forced), tag
+        # the public edge: instance -> coefficients -> the same closed form
+        inst = next(i for i in classify(a) if i.tag == tag)
+        assert rel_error(exp_structured_class(inst), forced) <= 1e-13, tag
+
+
+class _DataclassBuilt(Exception):
+    pass
+
+
+def test_routes_build_no_dataclass(monkeypatch):
+    def refuse(*args):
+        raise _DataclassBuilt
+
+    cls_mod = importlib.import_module("structexp.classify")
+    monkeypatch.setattr(cls_mod.Family, "instance", refuse)
+    monkeypatch.setattr(cls_mod, "instance", refuse, raising=False)
+    rng = np.random.default_rng(82)
+    for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS:
+        a = sample_family(tag, rng)
+        assert expm_auto(a).route in cls_mod.EXTRACTORS, tag
+        assert expm_auto(a, method=tag).route == tag
+        text = cli.format_document_json(cli.MatrixDocument.of_matrix(a))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.run(["verify", text]) == 0, tag
+        assert f"\n{tag} " in out.getvalue()
+    # the stubs are live
+    with pytest.raises(_DataclassBuilt):
+        classify(J4)

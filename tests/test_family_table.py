@@ -8,7 +8,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from structexp.classify import EXTRACTORS, FAMILIES, SkewSymmetric
+from structexp.classify import EXTRACTORS, FAMILIES, SkewSymmetric, instance
 from structexp.expm_structured import (ClosedFormDefect, _exp_groups,
                                        exp_structured_class)
 from structexp.hxh import HxHElement, basis_matrix, from_matrix, hxh_mul
@@ -79,11 +79,12 @@ def test_random_parameters_round_trip(tag):
         if fam.complex_scalars:
             theta = theta + 1j * rng.uniform(-1.2, 1.2, n)
         theta[held] = 0.0
-        inst = fam.instance(theta)
+        inst = fam.instance(fam.basis @ theta)
         a = inst.reconstruct()
         tol_abs = 1e-9 * max(1.0, float(np.linalg.norm(a)))
-        back, res = EXTRACTORS[tag](a, from_matrix(a), 1e-9, tol_abs)
-        assert back is not None and res <= tol_abs, tag
+        member, res = EXTRACTORS[tag](a, from_matrix(a), 1e-9, tol_abs)
+        assert member is not None and res <= tol_abs, tag
+        back = instance(tag, member)
         assert type(back) is type(inst) and back.tag == tag
         assert np.allclose(np.hstack(astuple(back)), np.hstack(astuple(inst)),
                            rtol=0.0, atol=1e-14), tag

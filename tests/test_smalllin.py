@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,3 +256,17 @@ def test_svd3_orthogonal_input():
 def test_svd3_rejects_wrong_shape():
     with pytest.raises(ValueError):
         svd3(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svd3_and_sym_eig3_reject_non_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for slot in range(9):
+            m = np.eye(3)
+            m.flat[slot] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                svd3(m)
+            m.T.flat[slot] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                sym_eig3(m)
