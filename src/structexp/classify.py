@@ -29,6 +29,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .hxh import _BASIS_ROWS, HxHElement, from_matrix
+from .smalllin import frobenius
 
 Vec3 = tuple[float, float, float]
 CVec3 = tuple[complex, complex, complex]
@@ -362,6 +363,10 @@ GROUPS = {fam.tag: fam.groups for fam in _TABLE if fam.groups} | {
                       set(product([0], _PURE3))),
     "BisymmetricRS": ({(_J, _I)}, set(product((_I, _K), (_J, _K)))),
 }
+# the groups (by index) that are rank-one blocks x(x)y with x, y pure, whose
+# members are built with np.outer: their slots do not pairwise anticommute,
+# but x(x)y still squares to x^2 (x) y^2 = |x|^2 |y|^2
+RANK_ONE_GROUPS = {"SpecialNormal": {0}, "BisymmetricRS": {1}}
 # the rows i, k and columns j, k of a 4x4 table, as a view
 _RS_BLOCK = (slice(_I, None, 2), slice(_J, None))
 
@@ -376,14 +381,16 @@ def _table_members(projectors, c):
     the 16-row blocks of `projectors`: row f of members is c minus its part
     off family f, and residuals[f] is twice that part's norm."""
     off = (projectors @ c).reshape(-1, 16)
-    return c - off, 2.0 * np.linalg.norm(off, axis=1)
+    # a complex row's squared norm is that of its real pairs
+    pairs = off.view(np.float64)
+    return c - off, 2.0 * np.sqrt((pairs * pairs).sum(axis=1))
 
 
 def _rank_one(blk, scale):
     """(x, y) with x the direction of blk's largest column and y = blk^T x,
     so x y^T fits blk; zeros when blk is negligible against scale."""
-    col = int(np.argmax(np.linalg.norm(blk, axis=0)))
-    cn = np.linalg.norm(blk[:, col])
+    col = int(np.argmax((blk * blk).sum(axis=0)))
+    cn = frobenius(blk[:, col])
     if not cn > 1e-14 * scale:
         return np.zeros(blk.shape[0]), np.zeros(blk.shape[1])
     x = blk[:, col] / cn
@@ -394,7 +401,7 @@ def _special_normal_factors(c, ns):
     """(s_hat, t_hat) of the rank-one block s_hat(x)t_hat of a 4x4 table,
     ns the norm of its s = c[1:, 0]."""
     s, blk = c[1:, 0], c[1:, 1:]
-    scale = max(1.0, float(np.linalg.norm(c)))
+    scale = max(1.0, frobenius(c))
     if ns > 1e-12 * scale:
         return s, blk.T @ s / (ns * ns)
     return _rank_one(blk, scale)
@@ -410,19 +417,19 @@ def _bisymmetric_rs_member(eps, a, x, y) -> np.ndarray:
 def _x_special_normal(a, u, tol, tol_abs):
     c = u.c
     s, t = c[1:, 0], c[0, 1:]
-    ns, nt = np.linalg.norm(s), np.linalg.norm(t)
+    ns, nt = frobenius(s), frobenius(t)
     if abs(ns - nt) <= tol * (ns + nt):
         return None, np.inf
     fit = np.outer(*_special_normal_factors(c, ns))
     # the member is c with its pure block replaced by the rank-one fit
-    res = 2.0 * float(np.linalg.norm(c[1:, 1:] - fit))
+    res = 2.0 * frobenius(c[1:, 1:] - fit)
     if not res <= tol_abs:
         return None, res
     # A must be normal: its symmetric and skew parts commute,
     # [sym A, skew A] = (A^T A - A A^T) / 2
-    comm = np.linalg.norm(a.T @ a - a @ a.T) / 2.0
-    if not comm <= tol * (1.0 + np.linalg.norm(a)) ** 2:
-        return None, max(res, float(comm))
+    comm = frobenius(a.T @ a - a @ a.T) / 2.0
+    if not comm <= tol * (1.0 + frobenius(a)) ** 2:
+        return None, max(res, comm)
     member = c.copy()
     member[1:, 1:] = fit
     return member.reshape(16), res
@@ -430,9 +437,9 @@ def _x_special_normal(a, u, tol, tol_abs):
 
 def _x_bisymmetric_rs(a, u, tol, tol_abs):
     c = u.c
-    x, y = _rank_one(c[_RS_BLOCK], max(1.0, float(np.linalg.norm(c))))
+    x, y = _rank_one(c[_RS_BLOCK], max(1.0, frobenius(c)))
     member = _bisymmetric_rs_member(c[0, 0], c[_J, _I], x, y)
-    res = 2.0 * float(np.linalg.norm(c.reshape(16) - member))
+    res = 2.0 * frobenius(c.reshape(16) - member)
     return (member if res <= tol_abs else None), res
 
 
@@ -440,15 +447,14 @@ def instance(tag: str, member) -> StructureClass:
     """The dataclass of the member of family `tag`."""
     if tag == "SpecialNormal":
         c = member.reshape(4, 4)
-        s_hat, t_hat = _special_normal_factors(c, np.linalg.norm(c[1:, 0]))
+        s_hat, t_hat = _special_normal_factors(c, frobenius(c[1:, 0]))
         return SpecialNormal(float(c[0, 0]), *(tuple(v.tolist()) for v in
                                                (c[1:, 0], t_hat, c[0, 1:], s_hat)))
     if tag == "BisymmetricRS":
         c = member.reshape(4, 4)
         # the block of S = R4 A is (alpha, beta)(x)(gamma, delta)
         (p, q), (r, s) = c[_RS_BLOCK]
-        ab, gd = _rank_one(np.array([[-s, r], [q, -p]]),
-                           max(1.0, float(np.linalg.norm(c))))
+        ab, gd = _rank_one(np.array([[-s, r], [q, -p]]), max(1.0, frobenius(c)))
         return BisymmetricRS(float(c[_J, _I]), float(c[0, 0]), *ab.tolist(), *gd.tolist())
     return FAMILIES[tag].instance(member)
 
@@ -493,7 +499,7 @@ def as_real_if_possible(a: np.ndarray) -> np.ndarray:
     real classification path."""
     if not np.iscomplexobj(a):
         return a
-    scale = max(1.0, float(np.linalg.norm(a)))
+    scale = max(1.0, frobenius(a))
     if np.max(np.abs(a.imag)) <= 1e-14 * scale:
         return a.real.copy()
     return a
@@ -526,7 +532,7 @@ def _matches(a_matrix, tol: float):
         return
     a = as_real_if_possible(a)
     u = from_matrix(a)
-    tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
+    tol_abs = tol * max(1.0, frobenius(a))
     if np.iscomplexobj(a):
         registry, (blocks, stack) = COMPLEX_REGISTRY, _COMPLEX_STACK
     else:
@@ -561,7 +567,7 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
         raise ValueError("matrix has non-finite entries")
     if np.iscomplexobj(a):
         raise ValueError("matrix is not real")
-    if np.linalg.norm(a - a.T) > 1e-12 * max(1.0, np.linalg.norm(a)):
+    if frobenius(a - a.T) > 1e-12 * max(1.0, frobenius(a)):
         raise ValueError("matrix is not symmetric")
     c = from_matrix((a + a.T) / 2.0).c
     return float(c[0, 0]), c[1:, _I].copy(), c[1:, _J].copy(), c[1:, _K].copy()
@@ -576,6 +582,6 @@ def extract_special_normal(a_matrix, tol: float = DEFAULT_TOL) -> Optional[Speci
         raise ValueError("expected a 4x4 matrix")
     if np.iscomplexobj(a) or not np.isfinite(a).all():
         return None
-    tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
+    tol_abs = tol * max(1.0, frobenius(a))
     member, _res = _x_special_normal(a, from_matrix(a), tol, tol_abs)
     return None if member is None else instance("SpecialNormal", member)

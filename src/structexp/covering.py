@@ -6,9 +6,9 @@ identified with R^3 or R^4, and a group action (two-sided X -> G X H^{-1}, or
 conjugation) preserving a bilinear form whose Gram matrix in the chosen basis
 is the algebra's defining form.  Differentiating the action gives a linear
 isomorphism psi from the upstairs factors (su(2) or sl(2,R)) onto the target
-algebra; psi is inverted by least squares against its precomputed matrix, the
-factors are exponentiated with expm2, and the action matrix of the resulting
-group pair is exp of the input.
+algebra; psi is inverted with the pseudo-inverse of its precomputed matrix
+(computed once for each built-in algebra), the factors are exponentiated with
+expm2, and the action matrix of the resulting group pair is exp of the input.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .smalllin import expm2
+from .smalllin import expm2, frobenius
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -92,6 +92,19 @@ COVERING_ALGEBRAS: dict[str, CoveringAlgebra] = {
     a.name: a for a in (SO3, SO4, P4R, SO22R, P3R, SO21R)
 }
 
+# the pseudo-inverse of each built-in algebra's psi_matrix, which is made
+# read-only so that the pair stays valid
+_PSI_PINV = {}
+for _alg in COVERING_ALGEBRAS.values():
+    _alg.psi_matrix.setflags(write=False)
+    _PSI_PINV[_alg.name] = (_alg.psi_matrix, np.linalg.pinv(_alg.psi_matrix))
+
+
+def _psi_pinv(alg: CoveringAlgebra) -> np.ndarray:
+    """The pseudo-inverse of alg.psi_matrix: the least-squares solve of psi."""
+    matrix, pinv = _PSI_PINV.get(alg.name, (None, None))
+    return pinv if matrix is alg.psi_matrix else np.linalg.pinv(alg.psi_matrix)
+
 
 def _coords(alg: CoveringAlgebra, x: np.ndarray) -> np.ndarray:
     return alg.coord_pinv @ _stack8(x)
@@ -114,22 +127,22 @@ def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
         raise ValueError(f"expected a {alg.dim}x{alg.dim} matrix")
     if np.iscomplexobj(a):
         # these are algebras of real matrices
-        imag = float(np.linalg.norm(a.imag))
-        if imag > 1e-14 * (1.0 + float(np.linalg.norm(a))):
+        imag = frobenius(a.imag)
+        if imag > 1e-14 * (1.0 + frobenius(a)):
             raise NotInAlgebra(alg.name, imag)
         a = a.real
     a = np.asarray(a, dtype=float)
-    norm = float(np.linalg.norm(a))
-    res = float(np.linalg.norm(a.T @ alg.form + alg.form @ a))
+    norm = frobenius(a)
+    res = frobenius(a.T @ alg.form + alg.form @ a)
     if res > tol * (1.0 + norm):
         raise NotInAlgebra(alg.name, res)
 
-    x, *_ = np.linalg.lstsq(alg.psi_matrix, a.ravel(), rcond=None)
+    x = _psi_pinv(alg) @ a.ravel()
     g = sum(x[m] * alg.params[m] for m in range(3))
     h = sum(x[3 + m] * alg.params[m] for m in range(3)) if alg.two_factor else None
 
-    back = psi(alg, g, h)
-    res_back = float(np.linalg.norm(back - a))
+    # psi is linear in (g, h): psi(alg, g, h) is psi_matrix @ x
+    res_back = frobenius(alg.psi_matrix @ x - a.ravel())
     if res_back > max(1e-12 * (1.0 + norm), tol * (1.0 + norm)):
         raise NotInAlgebra(alg.name, res_back)
     return g, h

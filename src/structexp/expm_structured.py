@@ -11,16 +11,21 @@ G @ G = mu I, so
 Since H (x) H is isomorphic to the algebra of 4x4 real matrices, the
 product is taken on the group matrices directly (`_exp_groups`), and one
 product of c with the family's group rows (`classify.GROUPS` as slot sets)
-gives every group matrix.  The phi functions pick cos/cosh branches from the
-sign of mu, so no formula hard-codes a trigonometric choice; when a family
-hands over a group whose square is not scalar, that is a defect, not an
-input error.
+gives every group matrix.  No group is squared: mu needs no spectral
+information and is read off the coefficients, one product (c * c) @ squares
+for all groups, since (e_a (x) e_b)^2 = e_a^2 (x) e_b^2 = +-1 and a group's
+slots either pairwise anticommute, which leaves no cross terms, or form a
+rank-one block x (x) y that squares to x^2 (x) y^2.  Those facts are
+structural: they are checked once, at import, over `classify.GROUPS`, and a
+table that breaks them raises ClosedFormDefect.  The phi functions pick
+cos/cosh branches from the sign of mu, so no formula hard-codes a
+trigonometric choice.
 
 The exception, the one route that needs spectral information, is
-SymmetricGeneral: `svd3` rotates its pure block to three commuting
-involutions, and the exponential sums their four joint sign patterns
-(`_exp_symmetric_general`).  Their product would amplify roundoff by up to
-exp(2 sigma_3).
+SymmetricGeneral: a LAPACK SVD (the core of `smalllin.svd3`) rotates its
+pure block to three commuting involutions, and the exponential sums their
+four joint sign patterns (`_exp_symmetric_general`).  Their product would
+amplify roundoff by up to exp(2 sigma_3).
 
 The dataclasses are the public edge only: `exp_structured_class` and the
 `exp_*` adapters turn an instance into its member with
@@ -31,24 +36,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional
 
 import numpy as np
 
 from .classify import (COMPLEX_REGISTRY, DEFAULT_TOL, EXTRACTORS, GROUPS,
+                       RANK_ONE_GROUPS,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
                        SymToeplitzS13Zero, SymToeplitzTridiag, _check_tol,
                        _matches, as_real_if_possible, coefficients)
-from .hxh import _BASIS_ROWS, from_matrix, matrix_scalar_square
+from .hxh import _BASIS_ROWS, from_matrix
 from .oracle import expm_series, rel_error
-from .smalllin import phi_c, phi_s, svd3
+from .smalllin import _svd3, frobenius, phi_c, phi_s
 
 
 class ClosedFormDefect(RuntimeError):
-    """A group element whose square should be scalar is not: the caller's
-    decomposition violated its own constraints."""
+    """A family's slot groups do not square to scalars or do not commute:
+    the table violates the constraints its closed form relies on."""
 
 
 class ForcedClassMismatch(ValueError):
@@ -65,27 +72,63 @@ class ExpResult:
     verified: Optional[float] = None
 
 
-def _group_rows(groups) -> np.ndarray:
-    """c @ rows[g] is the flat matrix of group g, c a flat coefficient
-    vector: one product gives every group."""
+def _anticommute(s, t) -> bool:
+    """Whether the slots s = (a, b) and t = (c, d) anticommute: exactly one
+    of the unit pairs (e_a, e_c), (e_b, e_d) does, being pure and distinct."""
+    (a, b), (c, d) = s, t
+    return (a != c and 0 not in (a, c)) != (b != d and 0 not in (b, d))
+
+
+def _check_groups(groups, rank_one=()) -> None:
+    """Raise ClosedFormDefect unless each group squares to a scalar and the
+    groups commute.  The slots inside a group must pairwise anticommute, so
+    its square has no cross terms, except in the groups indexed by
+    `rank_one`, which must be full blocks X(x)Y of pure slots.  Slots in
+    different groups must commute, except that a block x(x)y commutes with a
+    group X(x)1 or 1(x)Y only when that group's element is parallel to x or
+    y, which the family's fit provides."""
+    fitted = []
+    for g, group in enumerate(groups):
+        if g in rank_one:
+            rows, cols = {a for a, _ in group}, {b for _, b in group}
+            ok = 0 not in rows | cols and set(group) == set(product(rows, cols))
+            fitted += [(group, set(product(rows, [0]))),
+                       (group, set(product([0], cols)))]
+        else:
+            ok = all(_anticommute(s, t) for s, t in combinations(group, 2))
+        if not ok:
+            raise ClosedFormDefect(f"group {sorted(group)} does not square to a scalar")
+    for g, h in combinations(groups, 2):
+        if ((g, h) not in fitted and (h, g) not in fitted
+                and any(_anticommute(s, t) for s in g for t in h)):
+            raise ClosedFormDefect(f"groups {sorted(g)} and {sorted(h)} do not commute")
+
+
+def _group_rows(groups):
+    """(rows, squares) for a flat coefficient vector c: c @ rows[g] is the
+    flat matrix G_g of group g, and (c * c) @ squares[:, g] is its mu_g.  With
+    no cross terms (see _check_groups), mu_g sums the squares of the slots,
+    (e_a(x)e_b)^2 = e_a^2 (x) e_b^2: +1 when a and b are both 0 or both
+    pure, -1 otherwise."""
     rows = np.zeros((len(groups), 16, 16))
+    squares = np.zeros((16, len(groups)))
     for g, group in enumerate(groups):
         slots = [4 * a + b for a, b in group]
         rows[g, slots] = _BASIS_ROWS[slots]
-    return rows
+        squares[slots, g] = [1.0 if (a == 0) == (b == 0) else -1.0 for a, b in group]
+    return rows, squares
 
 
+for _tag, _groups in GROUPS.items():
+    _check_groups(_groups, RANK_ONE_GROUPS.get(_tag, ()))
 _GROUP_ROWS = {tag: _group_rows(groups) for tag, groups in GROUPS.items()}
 
 
-def _exp_groups(scalar, groups) -> np.ndarray:
+def _exp_groups(scalar, groups, mus) -> np.ndarray:
     """exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) over commuting
     group matrices G_g with G_g @ G_g = mu_g I."""
     value = None
-    for g in groups:
-        mu = matrix_scalar_square(g)
-        if mu is None:
-            raise ClosedFormDefect("group square is not a multiple of the identity")
+    for g, mu in zip(groups, mus):
         e = phi_s(-mu) * g
         e.flat[::5] += phi_c(-mu)
         value = e if value is None else value @ e
@@ -93,9 +136,6 @@ def _exp_groups(scalar, groups) -> np.ndarray:
     return math.exp(scalar) * value if scalar else value
 
 
-# the joint sign patterns (s1, s2, s3) of three commuting involutions with
-# M1 M2 M3 = I; for M1 M2 M3 = -I they are the negatives
-_SIGN_PATTERNS = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
 # the slots of the pure-pure block
 _PURE_ROWS = _BASIS_ROWS[[4 * a + b for a in (1, 2, 3) for b in (1, 2, 3)]]
 
@@ -115,12 +155,19 @@ def _exp_symmetric_general(member) -> np.ndarray:
         exp(A) = sum_s exp(a + s.sigma) (I + sum_i s_i M_i) / 4.
 
     Every weight is positive, so nothing cancels at any scale, and the sum
-    holds for sigma_3 = 0 and repeated sigma alike."""
-    f = svd3(member.reshape(4, 4)[1:, 1:])
-    signs = _SIGN_PATTERNS if _det3(f.u) * _det3(f.v) > 0.0 else -_SIGN_PATTERNS
-    w = np.array([math.exp(member[0] + x) for x in (signs @ f.sigma).tolist()]) / 4.0
-    value = ((f.u * (w @ signs)) @ f.v.T).reshape(9) @ _PURE_ROWS
-    value[::5] += w.sum()
+    holds for sigma_3 = 0 and repeated sigma alike.  The patterns for d are
+    d times those for d = 1, (1,1,1), (1,-1,-1), (-1,1,-1), (-1,-1,1), which
+    are taken on d sigma here."""
+    # a member is finite, so the checks of the public svd3 are not needed
+    u, sigma, vh = _svd3(member.reshape(4, 4)[1:, 1:])
+    d = 1.0 if _det3(u) * _det3(vh) > 0.0 else -1.0
+    a = float(member[0])
+    s1, s2, s3 = (d * x for x in sigma)
+    w0, w1, w2, w3 = (math.exp(a + x) / 4.0 for x in
+                      (s1 + s2 + s3, s1 - s2 - s3, -s1 + s2 - s3, -s1 - s2 + s3))
+    t = [d * (w0 + w1 - w2 - w3), d * (w0 - w1 + w2 - w3), d * (w0 - w1 - w2 + w3)]
+    value = ((u * t) @ vh).reshape(9) @ _PURE_ROWS
+    value[::5] += w0 + w1 + w2 + w3
     return value.reshape(4, 4)
 
 
@@ -129,7 +176,9 @@ def _exp_member(tag: str, member) -> np.ndarray:
     vector."""
     if tag == "SymmetricGeneral":
         return _exp_symmetric_general(member)
-    return _exp_groups(member[0], (member @ _GROUP_ROWS[tag]).reshape(-1, 4, 4))
+    rows, squares = _GROUP_ROWS[tag]
+    return _exp_groups(member[0], (member @ rows).reshape(-1, 4, 4),
+                       ((member * member) @ squares).tolist())
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:
@@ -245,9 +294,9 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
         ar = as_real_if_possible(a)
         if np.iscomplexobj(ar) and method not in _COMPLEX_TAGS:
             # a real family has no imaginary part: all of it is off the family
-            raise ForcedClassMismatch(method, float(np.linalg.norm(ar.imag)))
+            raise ForcedClassMismatch(method, frobenius(ar.imag))
         member, residual = EXTRACTORS[method](ar, from_matrix(ar), tol,
-                                              tol * max(1.0, float(np.linalg.norm(ar))))
+                                              tol * max(1.0, frobenius(ar)))
         if member is None:
             raise ForcedClassMismatch(method, residual)
         value, route = _exp_member(method, member), method

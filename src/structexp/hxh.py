@@ -46,6 +46,10 @@ _BASIS_MAT.setflags(write=False)
 
 # the 16 basis matrices as rows, indexed by the flat slot 4a + b
 _BASIS_ROWS = _BASIS_MAT.reshape(16, 16)
+# <e_a (x) e_b, e_c (x) e_d>_F = 4 delta_ac delta_bd, so these rows project a
+# flat matrix onto its coefficients; dividing by 4 is exact
+_PROJECTION_ROWS = _BASIS_ROWS / 4.0
+_PROJECTION_ROWS.setflags(write=False)
 
 R4 = _BASIS_MAT[2, 1].copy()
 R4.setflags(write=False)
@@ -127,8 +131,13 @@ class HxHElement:
         m = np.asarray(m)
         if m.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
-        # <e_a (x) e_b, e_c (x) e_d>_F = 4 delta_ac delta_bd
-        return cls((_BASIS_ROWS @ m.reshape(16)).reshape(4, 4) / 4.0)
+        c = (_PROJECTION_ROWS @ m.reshape(16)).reshape(4, 4)
+        if c.dtype != np.float64 and c.dtype != np.complex128:
+            return cls(c)
+        # already a table of the element's dtype: skip the constructor's copy
+        u = cls.__new__(cls)
+        u.c = c
+        return u
 
     def __repr__(self):
         terms = []
@@ -166,9 +175,9 @@ def matrix_scalar_square(g: np.ndarray, tol: float = 1e-10):
 
     The off-scalar residual is accepted up to tol * (1 + |u|^2) in the
     coefficient norm of the element u that g represents, which is half the
-    Frobenius norm of its matrix.  Callers use the returned mu to pick the
-    circular or hyperbolic branch of the exponential, so no trigonometric
-    choice is ever hard-coded.
+    Frobenius norm of its matrix.  The closed forms do not call this: they
+    read mu from the coefficients of their groups (see `expm_structured`),
+    whose squares are scalar by construction.
     """
     w = g @ g
     mu = w.trace() / 4.0

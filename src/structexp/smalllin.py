@@ -18,6 +18,13 @@ _TAYLOR_CUTOFF = 1e-8
 _EPS = float(np.finfo(float).eps)
 
 
+def frobenius(x) -> float:
+    """The Frobenius norm of an array, as np.linalg.norm(x) but without its
+    per-call overhead; bitwise equal to it on real input in C order (numpy
+    sums other layouts in memory order)."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _phi_c_series(x):
     return 1.0 - x / 2.0 + x * x / 24.0 - x ** 3 / 720.0
 
@@ -171,6 +178,15 @@ def sym_eig3(s) -> SymEig3:
     return SymEig3(values, q)
 
 
+def _svd3(m):
+    """(u, sigma, vh) of a finite 3x3 matrix from LAPACK, sigma as three
+    descending floats with those at or below 3 * eps * sigma_1 set to zero."""
+    u, sigma, vh = np.linalg.svd(m)
+    s1, s2, s3 = sigma.tolist()
+    cut = 3.0 * _EPS * s1
+    return u, [s1, s2 if s2 > cut else 0.0, s3 if s3 > cut else 0.0], vh
+
+
 def svd3(m) -> Svd3:
     """SVD of a real 3x3 matrix, m = u @ diag(sigma) @ v.T, from LAPACK.
 
@@ -184,6 +200,5 @@ def svd3(m) -> Svd3:
         raise ValueError("expected a 3x3 matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    u, sigma, vh = np.linalg.svd(m)
-    sigma[sigma <= 3.0 * _EPS * sigma[0]] = 0.0
-    return Svd3(u, sigma, vh.T)
+    u, sigma, vh = _svd3(m)
+    return Svd3(u, np.array(sigma), vh.T)

@@ -3,6 +3,7 @@ field names, and how non-finite and overflowing input is refused."""
 
 import importlib
 import io
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -13,11 +14,12 @@ import pytest
 
 from structexp import classify, expm_auto, extract_special_normal
 from structexp.classify import COMPLEX_REGISTRY, EXTRACTORS, REAL_REGISTRY
+from structexp.covering import COVERING_ALGEBRAS, psi_inverse
 from structexp.cli import ParseError, describe_instance, parse_document, run
 from structexp.expm_structured import ForcedClassMismatch
 from structexp.hxh import J4
 
-from conftest import sample_family
+from conftest import covering_member, sample_family
 
 REAL_DISPATCH_ORDER = [
     "SkewSymmetric", "SkewHamiltonian", "Perskewsymmetric",
@@ -195,3 +197,40 @@ def test_bench_tracer_finds_every_entry_point(monkeypatch):
         assert tracer.install() == []
     finally:
         tracer.uninstall()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called on a closed-form route")
+
+
+def _refuse_everywhere(monkeypatch, fn):
+    """Make every structexp binding of fn raise."""
+    for name, mod in list(sys.modules.items()):
+        if name == "structexp" or name.startswith("structexp."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, _refuse)
+
+
+def test_routes_square_no_group_and_take_no_numpy_norm(monkeypatch):
+    # mu comes from the member's coefficients and the Frobenius norms from
+    # one vdot, so neither a group square nor np.linalg.norm is on a route
+    hxh = importlib.import_module("structexp.hxh")
+    rng = np.random.default_rng(21)
+    tags = REAL_DISPATCH_ORDER + COMPLEX_DISPATCH_ORDER
+    samples = {tag: sample_family(tag, rng) for tag in tags}
+    for fn in (hxh.matrix_scalar_square, hxh.scalar_square):
+        _refuse_everywhere(monkeypatch, fn)
+    monkeypatch.setattr(np.linalg, "norm", _refuse)
+    for tag, a in samples.items():
+        assert expm_auto(a).route != "oracle", tag
+        assert expm_auto(a, method=tag).route == tag
+
+
+def test_psi_inverse_takes_no_lstsq(monkeypatch):
+    rng = np.random.default_rng(22)
+    samples = {name: covering_member(alg, rng) for name, alg in COVERING_ALGEBRAS.items()}
+    monkeypatch.setattr(np.linalg, "lstsq", _refuse)
+    for name, a in samples.items():
+        g, h = psi_inverse(COVERING_ALGEBRAS[name], a)
+        assert g.shape == (2, 2), name

@@ -1,5 +1,7 @@
 """Tests for the covering-homomorphism exponentials."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,20 @@ def test_psi_inverse_round_trip():
                 assert abs(np.trace(h)) < 1e-12
             back = psi(alg, g, h)
             assert np.linalg.norm(back - a) < 1e-12 * (1.0 + np.linalg.norm(a))
+
+
+def test_user_built_algebra_inverts_like_the_built_in():
+    # a CoveringAlgebra built outside the registry has no precomputed
+    # pseudo-inverse; its own psi_matrix is inverted instead
+    rng = np.random.default_rng(82)
+    for alg in COVERING_ALGEBRAS.values():
+        own = dataclasses.replace(alg, psi_matrix=np.array(alg.psi_matrix))
+        a = covering_member(alg, rng)
+        for got, want in zip(psi_inverse(own, a), psi_inverse(alg, a)):
+            if want is None:
+                assert got is None
+            else:
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_exp_matches_oracle():

@@ -7,12 +7,17 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from structexp.classify import EXTRACTORS, FAMILIES, SkewSymmetric, instance
-from structexp.expm_structured import (ClosedFormDefect, _exp_groups,
-                                       exp_structured_class)
-from structexp.hxh import HxHElement, basis_matrix, from_matrix, hxh_mul
+from structexp.classify import EXTRACTORS, FAMILIES, GROUPS, SkewSymmetric, instance
+from structexp.expm_structured import (_GROUP_ROWS, ClosedFormDefect, _check_groups,
+                                       _exp_member, exp_structured_class)
+from structexp.hxh import _BASIS_ROWS, HxHElement, basis_matrix, from_matrix, hxh_mul
+from structexp.oracle import expm_series
 from structexp.quat import Quaternion, quat_exp
+
+from conftest import sample_family
 
 # the one entry without fixed groups: its closed form sums the joint sign
 # patterns of the involutions svd3 rotates out of each matrix
@@ -90,6 +95,22 @@ def test_random_parameters_round_trip(tag):
                            rtol=0.0, atol=1e-14), tag
 
 
+@pytest.mark.parametrize("tag", sorted(GROUPS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 30.0))
+def test_mu_from_coefficients_is_the_group_square(tag, seed, scale):
+    a = scale * sample_family(tag, np.random.default_rng(seed))
+    member, _ = EXTRACTORS[tag](a, from_matrix(a), 1e-9,
+                                1e-9 * max(1.0, np.linalg.norm(a)))
+    assert member is not None
+    rows, squares = _GROUP_ROWS[tag]
+    for g, mu in zip((member @ rows).reshape(-1, 4, 4), (member * member) @ squares):
+        off = np.linalg.norm(g @ g - mu * np.eye(4)) / 2.0
+        assert off <= 1e-10 * (1.0 + np.linalg.norm(g) ** 2 / 4.0), (tag, mu)
+    ref = expm_series((member @ _BASIS_ROWS).reshape(4, 4))
+    assert np.linalg.norm(_exp_member(tag, member) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
 def test_skew_symmetric_groups_agree_with_quaternion_pair_form():
     # p(x)1 and 1(x)q commute, so exp is exp(p)(x)exp(q), two unit quaternions
     rng = np.random.default_rng(7)
@@ -104,5 +125,12 @@ def test_skew_symmetric_groups_agree_with_quaternion_pair_form():
 def test_group_with_non_scalar_square_is_a_defect():
     # (i(x)1 + 1(x)i)^2 = -2 + 2 i(x)i is not a multiple of the identity
     group = basis_matrix("i", "1") + basis_matrix("1", "i")
+    assert np.count_nonzero(group @ group - np.trace(group @ group) / 4 * np.eye(4))
     with pytest.raises(ClosedFormDefect):
-        _exp_groups(0.0, [group])
+        _check_groups([{(1, 0), (0, 1)}])
+    # i(x)1 and j(x)1 anticommute, so as two groups they do not commute
+    with pytest.raises(ClosedFormDefect):
+        _check_groups([{(1, 0)}, {(2, 0)}])
+    # a rank-one block must be a full block of pure slots
+    with pytest.raises(ClosedFormDefect):
+        _check_groups([{(1, 1), (1, 2), (2, 1)}], rank_one={0})
