@@ -18,10 +18,14 @@ family's projector).  Matches are yielded lazily in dispatch order as
 (tag, member), so expm_auto, which takes the first, never fits the rank-one
 supports of a member of an earlier family.  The dataclasses are the public
 view of a member: `instance` and `coefficients` convert between the two.
+
+Every 4x4 entry point admits its input through one gate, `_admit`, which
+also puts a non-finite A, or one whose norm overflows, in no family.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, ClassVar, Optional
@@ -371,11 +375,6 @@ RANK_ONE_GROUPS = {"SpecialNormal": {0}, "BisymmetricRS": {1}}
 _RS_BLOCK = (slice(_I, None, 2), slice(_J, None))
 
 
-def _check_tol(tol) -> None:
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
-
 def _table_members(projectors, c):
     """(members, residuals) of the families whose projectors I - B B^+ are
     the 16-row blocks of `projectors`: row f of members is c minus its part
@@ -397,11 +396,10 @@ def _rank_one(blk, scale):
     return x, blk.T @ x
 
 
-def _special_normal_factors(c, ns):
-    """(s_hat, t_hat) of the rank-one block s_hat(x)t_hat of a 4x4 table,
-    ns the norm of its s = c[1:, 0]."""
+def _special_normal_factors(c):
+    """(s_hat, t_hat) of the rank-one block s_hat(x)t_hat of a 4x4 table."""
     s, blk = c[1:, 0], c[1:, 1:]
-    scale = max(1.0, frobenius(c))
+    ns, scale = frobenius(s), max(1.0, frobenius(c))
     if ns > 1e-12 * scale:
         return s, blk.T @ s / (ns * ns)
     return _rank_one(blk, scale)
@@ -416,20 +414,23 @@ def _bisymmetric_rs_member(eps, a, x, y) -> np.ndarray:
 
 def _x_special_normal(a, u, tol, tol_abs):
     c = u.c
-    s, t = c[1:, 0], c[0, 1:]
-    ns, nt = frobenius(s), frobenius(t)
+    # hypot scales, so norms below 1e-154 do not both underflow to 0
+    ns, nt = math.hypot(*c[1:, 0].tolist()), math.hypot(*c[0, 1:].tolist())
     if abs(ns - nt) <= tol * (ns + nt):
         return None, np.inf
-    fit = np.outer(*_special_normal_factors(c, ns))
+    fit = np.outer(*_special_normal_factors(c))
     # the member is c with its pure block replaced by the rank-one fit
     res = 2.0 * frobenius(c[1:, 1:] - fit)
     if not res <= tol_abs:
         return None, res
     # A must be normal: its symmetric and skew parts commute,
-    # [sym A, skew A] = (A^T A - A A^T) / 2
-    comm = frobenius(a.T @ a - a @ a.T) / 2.0
-    if not comm <= tol * (1.0 + frobenius(a)) ** 2:
-        return None, max(res, comm)
+    # [sym A, skew A] = (A^T A - A A^T) / 2, here in units of k = max(1, |A|)
+    # so that no product overflows
+    k = max(1.0, frobenius(a))
+    b = a / k
+    comm = frobenius(b.T @ b - b @ b.T) / 2.0
+    if not comm <= tol * (1.0 / k + frobenius(b)) ** 2:
+        return None, max(res, comm * k * k)
     member = c.copy()
     member[1:, 1:] = fit
     return member.reshape(16), res
@@ -447,7 +448,7 @@ def instance(tag: str, member) -> StructureClass:
     """The dataclass of the member of family `tag`."""
     if tag == "SpecialNormal":
         c = member.reshape(4, 4)
-        s_hat, t_hat = _special_normal_factors(c, frobenius(c[1:, 0]))
+        s_hat, t_hat = _special_normal_factors(c)
         return SpecialNormal(float(c[0, 0]), *(tuple(v.tolist()) for v in
                                                (c[1:, 0], t_hat, c[0, 1:], s_hat)))
     if tag == "BisymmetricRS":
@@ -517,22 +518,34 @@ _REAL_STACK = _stack(REAL_REGISTRY)
 _COMPLEX_STACK = _stack(COMPLEX_REGISTRY)
 
 
+def _admit(a_matrix, tol: float):
+    """(A, its coefficients, tol_abs) for a 4x4 input, or None when A is in
+    no family: an entry is not finite or |A|_F overflows (above about
+    1.3e154).  |A|_F is taken on A as given, so a huge imaginary part is
+    never dropped as negligible against an infinite scale."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    a = np.asarray(a_matrix)
+    if a.shape != (4, 4):
+        raise ValueError("expected a 4x4 matrix")
+    norm = frobenius(a)
+    if not norm < math.inf:
+        return None
+    a = as_real_if_possible(a)
+    return a, from_matrix(a), tol * max(1.0, norm)
+
+
 def _matches(a_matrix, tol: float):
     """(tag, member) of each structured family containing A, lazily in
     dispatch order.
 
-    A non-finite matrix is in no family.  The hand-written extractors are
-    read from the registry at each call, not bound at import.
+    The hand-written extractors are read from the registry at each call, not
+    bound at import.
     """
-    _check_tol(tol)
-    a = np.asarray(a_matrix)
-    if a.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    if not np.isfinite(a).all():
+    admitted = _admit(a_matrix, tol)
+    if admitted is None:
         return
-    a = as_real_if_possible(a)
-    u = from_matrix(a)
-    tol_abs = tol * max(1.0, frobenius(a))
+    a, u, tol_abs = admitted
     if np.iscomplexobj(a):
         registry, (blocks, stack) = COMPLEX_REGISTRY, _COMPLEX_STACK
     else:
@@ -548,6 +561,20 @@ def _matches(a_matrix, tol: float):
             yield tag, members[block]
 
 
+def _extract(tag: str, a_matrix, tol: float):
+    """(member or None, residual) of A in the one family `tag`: the forced
+    route.  The residual is inf for an A in no family (see _admit) and the
+    norm of the imaginary part for a complex A and a real family."""
+    admitted = _admit(a_matrix, tol)
+    if admitted is None:
+        return None, math.inf
+    a, u, tol_abs = admitted
+    if np.iscomplexobj(a) and tag not in _COMPLEX_STACK[0]:
+        # a real family has no imaginary part: all of it is off the family
+        return None, frobenius(a.imag)
+    return EXTRACTORS[tag](a, u, tol, tol_abs)
+
+
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
     """All structured families containing A, in dispatch-priority order.
 
@@ -559,29 +586,23 @@ def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
 
 def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Split a symmetric matrix into (a, p, q, r): trace part plus the three
-    pure-pure columns. Rejects asymmetric, non-finite and complex input."""
-    a = as_real_if_possible(np.asarray(a_matrix))
-    if a.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+    pure-pure columns. Rejects asymmetric, non-finite, overflowing and
+    complex input."""
+    admitted = _admit(a_matrix, 1e-12)
+    if admitted is None:
+        raise ValueError("matrix has non-finite entries or an overflowing norm")
+    a, u, tol_abs = admitted
     if np.iscomplexobj(a):
         raise ValueError("matrix is not real")
-    if frobenius(a - a.T) > 1e-12 * max(1.0, frobenius(a)):
+    if frobenius(a - a.T) > tol_abs:
         raise ValueError("matrix is not symmetric")
-    c = from_matrix((a + a.T) / 2.0).c
+    # the skew part of A is on the slots (0, x) and (x, 0), which these skip
+    c = u.c
     return float(c[0, 0]), c[1:, _I].copy(), c[1:, _J].copy(), c[1:, _K].copy()
 
 
 def extract_special_normal(a_matrix, tol: float = DEFAULT_TOL) -> Optional[SpecialNormal]:
-    """The SpecialNormal fit of A, or None (always for a non-finite or a
-    complex A)."""
-    _check_tol(tol)
-    a = as_real_if_possible(np.asarray(a_matrix))
-    if a.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    if np.iscomplexobj(a) or not np.isfinite(a).all():
-        return None
-    tol_abs = tol * max(1.0, frobenius(a))
-    member, _res = _x_special_normal(a, from_matrix(a), tol, tol_abs)
+    """The SpecialNormal fit of A, or None (always for a complex A and one in
+    no family)."""
+    member, _res = _extract("SpecialNormal", a_matrix, tol)
     return None if member is None else instance("SpecialNormal", member)

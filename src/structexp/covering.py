@@ -13,6 +13,7 @@ expm2, and the action matrix of the resulting group pair is exp of the input.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -58,23 +59,27 @@ def _stack8(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real.ravel(), x.imag.ravel()])
 
 
+def _coords(alg: CoveringAlgebra, x: np.ndarray) -> np.ndarray:
+    return alg.coord_pinv @ _stack8(x)
+
+
+def psi(alg: CoveringAlgebra, g: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of X -> gX - Xh (or the commutator with g in the adjoint
+    cases) in the algebra's V basis."""
+    right = g if h is None else h
+    return np.column_stack([_coords(alg, g @ v - v @ right) for v in alg.basis])
+
+
 def _make(name, dim, basis, params, two_factor, form) -> CoveringAlgebra:
-    b8 = np.column_stack([_stack8(v) for v in basis])
-    coord_pinv = np.linalg.pinv(b8)
-
-    def coords(x):
-        return coord_pinv @ _stack8(x)
-
-    def psi_of(g, h):
-        return np.column_stack([coords(g @ v - v @ h) for v in basis])
-
+    coord_pinv = np.linalg.pinv(np.column_stack([_stack8(v) for v in basis]))
+    alg = CoveringAlgebra(name, dim, tuple(basis), tuple(params), two_factor,
+                          form, coord_pinv, None)
     zero = np.zeros((2, 2))
-    cols = [psi_of(g, zero if two_factor else g).ravel() for g in params]
+    pairs = [(g, zero if two_factor else None) for g in params]
     if two_factor:
-        cols += [psi_of(zero, h).ravel() for h in params]
-    psi_matrix = np.column_stack(cols)
-    return CoveringAlgebra(name, dim, tuple(basis), tuple(params),
-                           two_factor, form, coord_pinv, psi_matrix)
+        pairs += [(zero, h) for h in params]
+    return dataclasses.replace(alg, psi_matrix=np.column_stack(
+        [psi(alg, g, h).ravel() for g, h in pairs]))
 
 
 SO3 = _make("so3", 3, (SIGMA_X, SIGMA_Y, SIGMA_Z), _SU2, False, np.eye(3))
@@ -106,17 +111,6 @@ def _psi_pinv(alg: CoveringAlgebra) -> np.ndarray:
     return pinv if matrix is alg.psi_matrix else np.linalg.pinv(alg.psi_matrix)
 
 
-def _coords(alg: CoveringAlgebra, x: np.ndarray) -> np.ndarray:
-    return alg.coord_pinv @ _stack8(x)
-
-
-def psi(alg: CoveringAlgebra, g: np.ndarray, h: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of X -> gX - Xh (or the commutator with g in the adjoint
-    cases) in the algebra's V basis."""
-    right = g if h is None else h
-    return np.column_stack([_coords(alg, g @ v - v @ right) for v in alg.basis])
-
-
 def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
     """Traceless upstairs factor(s) mapping to A; (g, None) for the adjoint
     algebras. Raises NotInAlgebra when A fails A^T M + M A = 0."""
@@ -125,14 +119,18 @@ def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
     a = np.asarray(a_matrix)
     if a.shape != (alg.dim, alg.dim):
         raise ValueError(f"expected a {alg.dim}x{alg.dim} matrix")
+    # a non-finite A, or one whose norm overflows, has no finite residual;
+    # the norm is that of A as given, imaginary part included
+    norm = frobenius(a)
+    if not norm < math.inf:
+        raise NotInAlgebra(alg.name, math.inf)
     if np.iscomplexobj(a):
         # these are algebras of real matrices
         imag = frobenius(a.imag)
-        if imag > 1e-14 * (1.0 + frobenius(a)):
+        if imag > 1e-14 * (1.0 + norm):
             raise NotInAlgebra(alg.name, imag)
         a = a.real
     a = np.asarray(a, dtype=float)
-    norm = frobenius(a)
     res = frobenius(a.T @ alg.form + alg.form @ a)
     if res > tol * (1.0 + norm):
         raise NotInAlgebra(alg.name, res)

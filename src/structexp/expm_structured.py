@@ -30,6 +30,9 @@ amplify roundoff by up to exp(2 sigma_3).
 The dataclasses are the public edge only: `exp_structured_class` and the
 `exp_*` adapters turn an instance into its member with
 `classify.coefficients`.
+
+A member of coefficient norm 150 or more (`_SAFE_NORM`) is exponentiated
+under np.errstate, raising OverflowError unless the result is finite.
 """
 
 from __future__ import annotations
@@ -41,14 +44,13 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (COMPLEX_REGISTRY, DEFAULT_TOL, EXTRACTORS, GROUPS,
-                       RANK_ONE_GROUPS,
+from .classify import (DEFAULT_TOL, EXTRACTORS, GROUPS, RANK_ONE_GROUPS,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
-                       SymToeplitzS13Zero, SymToeplitzTridiag, _check_tol,
-                       _matches, as_real_if_possible, coefficients)
-from .hxh import _BASIS_ROWS, from_matrix
+                       SymToeplitzS13Zero, SymToeplitzTridiag, _extract,
+                       _matches, coefficients)
+from .hxh import _BASIS_ROWS
 from .oracle import expm_series, rel_error
 from .smalllin import _svd3, frobenius, phi_c, phi_s
 
@@ -171,14 +173,32 @@ def _exp_symmetric_general(member) -> np.ndarray:
     return value.reshape(4, 4)
 
 
-def _exp_member(tag: str, member) -> np.ndarray:
-    """exp of the member of family `tag`, given as its flat coefficient
-    vector."""
+def _closed_form(tag: str, member) -> np.ndarray:
     if tag == "SymmetricGeneral":
         return _exp_symmetric_general(member)
     rows, squares = _GROUP_ROWS[tag]
     return _exp_groups(member[0], (member @ rows).reshape(-1, 4, 4),
                        ((member * member) @ squares).tolist())
+
+
+# below this |c| no value in a closed form overflows: every factor, partial
+# product or weight is exp of a part X of the member, |exp(X)| <= e^|X|_2
+# with |X|_2 <= 2|c_X|, so over c00 and at most three groups they stay below
+# e^((1 + 2 sqrt 3) |c|) < 1e291, which leaves 1e17 for the sums on the way
+_SAFE_NORM = 150.0
+
+
+def _exp_member(tag: str, member) -> np.ndarray:
+    """exp of the member of family `tag`, given as its flat coefficient
+    vector.  Raises OverflowError when a value on the way is beyond the
+    float64 range."""
+    if frobenius(member) < _SAFE_NORM:
+        return _closed_form(tag, member)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _closed_form(tag, member)
+    if not np.isfinite(value).all():
+        raise OverflowError("the closed form overflows")
+    return value
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:
@@ -264,9 +284,6 @@ def exp_structured_class(inst) -> np.ndarray:
     return _exp_member(getattr(inst, "tag", None), coefficients(inst))
 
 
-_COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
-
-
 def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
               verify: bool = False) -> ExpResult:
     """Exponential with route selection.
@@ -287,16 +304,7 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
     else:
         if method not in EXTRACTORS:
             raise ValueError(f"unknown method {method!r}")
-        _check_tol(tol)
-        if not np.isfinite(a).all():
-            # a non-finite matrix is in no family: its distance to one is not finite
-            raise ForcedClassMismatch(method, math.inf)
-        ar = as_real_if_possible(a)
-        if np.iscomplexobj(ar) and method not in _COMPLEX_TAGS:
-            # a real family has no imaginary part: all of it is off the family
-            raise ForcedClassMismatch(method, frobenius(ar.imag))
-        member, residual = EXTRACTORS[method](ar, from_matrix(ar), tol,
-                                              tol * max(1.0, frobenius(ar)))
+        member, residual = _extract(method, a, tol)
         if member is None:
             raise ForcedClassMismatch(method, residual)
         value, route = _exp_member(method, member), method

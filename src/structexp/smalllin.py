@@ -1,5 +1,5 @@
-"""Small dense kernels: phi functions, 2x2 exponentials and the 3x3
-symmetric eigendecomposition in closed form, and a LAPACK-backed 3x3 SVD.
+"""Small dense kernels: phi functions and 2x2 exponentials in closed form,
+and the 3x3 symmetric eigendecomposition and SVD from LAPACK.
 
 phi_c(x) = cos(sqrt(x)) and phi_s(x) = sin(sqrt(x))/sqrt(x) are even entire
 functions of sqrt(x), so they are well defined for every real or complex x;
@@ -100,82 +100,25 @@ class Svd3:
     v: np.ndarray
 
 
-def _drop_axis(v: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to unit v, via the least-aligned axis."""
-    k = int(np.argmin(np.abs(v)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    w = e - v * v[k]
-    return w / np.linalg.norm(w)
-
-
 def sym_eig3(s) -> SymEig3:
-    """Closed-form eigendecomposition of a symmetric 3x3 matrix.
+    """Eigendecomposition of a symmetric 3x3 matrix, s = q diag(eigenvalues)
+    q.T, from LAPACK (np.linalg.eigh), eigenvalues sorted descending, stably.
 
-    Eigenvalues come from the trigonometric solution of the characteristic
-    cubic (acos argument clamped to [-1, 1]).  The eigenvector of the most
-    isolated eigenvalue is the largest-magnitude cross product of rows of
-    (S - lambda I); the remaining pair is resolved by an exact 2x2 rotation
-    inside the orthogonal complement, which stays stable through repeated
-    eigenvalues.  A non-finite entry raises ValueError.
+    s is symmetric when every entry of |s - s.T| is at most 1e-12 max|s|,
+    tested on s / 2, which overflows at no scale.  A non-finite entry raises
+    ValueError.
     """
     s = np.asarray(s, dtype=float)
     if s.shape != (3, 3):
         raise ValueError("expected a 3x3 matrix")
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
-    nrm = np.linalg.norm(s)
-    if np.linalg.norm(s - s.T) > 1e-12 * max(1.0, nrm):
+    half = s / 2.0
+    if np.abs(half - half.T).max() > 0.5e-12 * np.abs(s).max():
         raise ValueError("matrix is not symmetric")
-    s = (s + s.T) / 2.0
-
-    off = s[0, 1] ** 2 + s[0, 2] ** 2 + s[1, 2] ** 2
-    diag = np.diag(s)
-    if off == 0.0:
-        order = np.argsort(-diag, kind="stable")
-        return SymEig3(diag[order].copy(), np.eye(3)[:, order])
-
-    q_mean = diag.sum() / 3.0
-    p2 = float(((diag - q_mean) ** 2).sum() + 2.0 * off)
-    p = math.sqrt(p2 / 6.0)
-    b = (s - q_mean * np.eye(3)) / p
-    r = np.linalg.det(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    lam_hi = q_mean + 2.0 * p * math.cos(phi)
-    lam_lo = q_mean + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    lam_mid = 3.0 * q_mean - lam_hi - lam_lo
-    lams = np.array([lam_hi, lam_mid, lam_lo])
-
-    gaps = [min(abs(lams[i] - lams[j]) for j in range(3) if j != i) for i in range(3)]
-    m = int(np.argmax(gaps))
-    scale = float(np.max(np.abs(lams)))
-
-    c = s - lams[m] * np.eye(3)
-    crosses = [np.cross(c[0], c[1]), np.cross(c[0], c[2]), np.cross(c[1], c[2])]
-    norms = [np.linalg.norm(x) for x in crosses]
-    best = int(np.argmax(norms))
-    if norms[best] <= (1e-14 * scale) ** 2:
-        # numerically a triple eigenvalue; any orthonormal frame serves
-        return SymEig3(np.sort(lams)[::-1].copy(), np.eye(3))
-    v = crosses[best] / norms[best]
-
-    w1 = _drop_axis(v)
-    w2 = np.cross(v, w1)
-    t00 = float(w1 @ s @ w1)
-    t01 = float(w1 @ s @ w2)
-    t11 = float(w2 @ s @ w2)
-    theta = 0.5 * math.atan2(2.0 * t01, t00 - t11)
-    ct, st = math.cos(theta), math.sin(theta)
-    mu1 = ct * ct * t00 + 2.0 * ct * st * t01 + st * st * t11
-    mu2 = st * st * t00 - 2.0 * ct * st * t01 + ct * ct * t11
-    u1 = ct * w1 + st * w2
-    u2 = -st * w1 + ct * w2
-
-    triples = sorted([(lams[m], v), (mu1, u1), (mu2, u2)], key=lambda t: -t[0])
-    values = np.array([t[0] for t in triples])
-    q = np.column_stack([t[1] for t in triples])
-    return SymEig3(values, q)
+    w, q = np.linalg.eigh(half + half.T)
+    order = np.argsort(-w, kind="stable")
+    return SymEig3(w[order], q[:, order])
 
 
 def _svd3(m):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from structexp import classify, extract_special_normal, extract_symmetric_rep
+from structexp import classify, expm_auto, extract_special_normal, extract_symmetric_rep
 from structexp.classify import (
     COMPLEX_REGISTRY,
     DEFAULT_TOL,
@@ -270,3 +270,27 @@ def test_complex_input_to_the_real_extractors_warns_nothing():
         assert extract_special_normal(real + 0.5j * J4) is None
         with pytest.raises(ValueError, match="not real"):
             extract_symmetric_rep(sym + 0.5j * np.eye(4))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-320, 1e150])
+def test_special_normal_members_at_the_ends_of_the_range(scale):
+    # below about 1e-162 the squared skew norms underflow to an equal 0, and
+    # near 1e150 the normality test's A^T A overflowed: both refused members
+    rng = np.random.default_rng(59)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            a = sample_family("SpecialNormal", rng) * scale
+            assert extract_special_normal(a) is not None
+            assert "SpecialNormal" in [inst.tag for inst in classify(a)]
+            if scale < 1.0:
+                assert expm_auto(a, method="SpecialNormal").route == "SpecialNormal"
+
+
+def test_extract_symmetric_rep_refuses_an_overflowing_norm():
+    # |A - A^T| and |A| both overflowed to inf, and inf > 1e-12 * inf is false
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ((np.eye(4) + J4) * 1e160, np.eye(4) * 1e300):
+            with pytest.raises(ValueError, match="overflow"):
+                extract_symmetric_rep(a)

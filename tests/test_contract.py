@@ -3,6 +3,7 @@ field names, and how non-finite and overflowing input is refused."""
 
 import importlib
 import io
+import math
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,7 +18,7 @@ from structexp.classify import COMPLEX_REGISTRY, EXTRACTORS, REAL_REGISTRY
 from structexp.covering import COVERING_ALGEBRAS, psi_inverse
 from structexp.cli import ParseError, describe_instance, parse_document, run
 from structexp.expm_structured import ForcedClassMismatch
-from structexp.hxh import J4
+from structexp.hxh import J4, R4
 
 from conftest import covering_member, sample_family
 
@@ -152,6 +153,33 @@ def test_oracle_scaling_cap_exits_2():
         code, _, err = _cli(command + [text])
         assert code == 2, command
         assert "cap" in err
+
+
+def _text(a):
+    if np.iscomplexobj(a):
+        return "complex " + " ".join(f"{z.real!r} {z.imag!r}" for z in a.ravel().tolist())
+    return " ".join(repr(v) for v in a.ravel().tolist())
+
+
+def test_overflowing_norm_is_in_no_family():
+    # past |A| of about 1.3e154, tol * max(1, |A|) was inf and every family
+    # accepted: -1e160 S, S positive definite, came out as the identity
+    m = np.random.default_rng(14).standard_normal((4, 4))
+    a = -1e160 * (m @ m.T + np.eye(4))
+    # a huge imaginary part was dropped as negligible against that inf
+    z = J4 + 1e160j * R4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(a) == []
+        code, out, err = _cli(["expm", _text(a)])
+        assert code == 2 and out == "" and "cap" in err
+        with pytest.raises(ValueError, match="cap"):
+            expm_auto(z)
+        with pytest.raises(ForcedClassMismatch) as info:
+            expm_auto(z, method="SkewSymmetric")
+        assert info.value.residual == math.inf
+        code, out, err = _cli(["expm", _text(z), "--method", "SkewSymmetric"])
+        assert code == 3 and out == ""
 
 
 # ------------------------------------------------------------------ tolerance

@@ -1,6 +1,10 @@
 """Tests for the covering-homomorphism exponentials."""
 
 import dataclasses
+import io
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from structexp import (
     psi_inverse,
     rel_error,
 )
+from structexp.cli import run
 from structexp.covering import P3R, P4R, SO3, SO4, SO21R, SO22R
 
 from conftest import covering_member, rodrigues, u17
@@ -213,3 +218,45 @@ def test_complex_entries_with_zero_imag_accepted():
     a = _skew3((0.3, -0.2, 0.9)).astype(complex)
     g, _ = psi_inverse(SO3, a)
     assert np.linalg.norm(psi(SO3, g) - a.real) < 1e-12
+
+
+def test_psi_matrix_is_psi_of_each_generator():
+    # column m is vec(psi(generator m)), in the coordinates coord_pinv
+    # solves for: built here from those coordinates directly, and bitwise
+    # equal to the matrix each built-in algebra holds
+    for alg in COVERING_ALGEBRAS.values():
+        def coords(x):
+            x = np.asarray(x, dtype=complex)
+            return alg.coord_pinv @ np.concatenate([x.real.ravel(), x.imag.ravel()])
+
+        zero = np.zeros((2, 2))
+        pairs = [(g, zero if alg.two_factor else g) for g in alg.params]
+        if alg.two_factor:
+            pairs += [(zero, h) for h in alg.params]
+        cols = [np.column_stack([coords(g @ v - v @ h) for v in alg.basis]) for g, h in pairs]
+        want = np.column_stack([c.ravel() for c in cols])
+        assert want.tobytes() == alg.psi_matrix.tobytes(), alg.name
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
+def test_overflowing_norm_is_not_in_algebra(scale):
+    # the bound tol * (1 + |A|) is inf there, so every residual passed it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alg in COVERING_ALGEBRAS.values():
+            member = covering_member(alg, np.random.default_rng(84))
+            for a in (-scale * np.eye(alg.dim), scale * member,
+                      member + 1j * scale * np.eye(alg.dim)):
+                with pytest.raises(NotInAlgebra) as info:
+                    psi_inverse(alg, a)
+                assert info.value.residual == math.inf, alg.name
+
+
+def test_overflowing_3x3_falls_through_to_the_oracle_cap():
+    text = "-1e160 0 0  0 -1e160 0  0 0 -1e160"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert run(["expm", text]) == 2
+        assert run(["expm", text, "--method", "covering:so3"]) == 3
+    assert out.getvalue() == ""
+    assert "cap" in err.getvalue()

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from structexp import (
 )
 from structexp import cli
 from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
-                                SymToeplitzTridiag)
+                                SymToeplitzTridiag, _extract)
 from structexp.expm_structured import (
+    _SAFE_NORM,
+    _closed_form,
     exp_bisymmetric_rs,
     exp_ham_sym_persym,
     exp_jordan,
@@ -499,3 +502,37 @@ def test_routes_build_no_dataclass(monkeypatch):
     # the stubs are live
     with pytest.raises(_DataclassBuilt):
         classify(J4)
+
+
+# ------------------------------------------------------------------- overflow
+
+
+@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
+def test_no_value_overflows_below_the_safe_norm(tag):
+    # the closed forms skip the overflow check below |c| = _SAFE_NORM: at
+    # just under it, with every coefficient on the family's own slots, no
+    # value on the way may leave the float64 range
+    rng = np.random.default_rng(83)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+            member = member * (0.999 * _SAFE_NORM / np.linalg.norm(member))
+            assert np.isfinite(_closed_form(tag, member)).all()
+
+
+def test_overflow_on_the_way_raises_without_warnings():
+    # exp(A) is finite for these, near 1e260 and 1e154, but the group
+    # product before the factor exp(c00) is not
+    for tag, seed in (("BisymmetricRS", 3), ("Jordan1", 11)):
+        a = 300.0 * sample_family(tag, np.random.default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(expm_series(a)).all()
+            with pytest.raises(OverflowError):
+                expm_auto(a, method=tag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 1000 exp(1) is past the float64 range itself
+        with pytest.raises(OverflowError):
+            expm_auto(1000.0 * np.eye(4), method="SymmetricGeneral")

@@ -1,6 +1,7 @@
 """Tests for the series-based reference exponential and the error metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,3 +138,26 @@ def test_rel_error_matches_reference():
     z = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
     w = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
     assert rel_error(z, w) == pytest.approx(_rel_error_reference(z, w), rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_rel_error_of_huge_matrices(scale):
+    # their squared norms overflow; the reference sums in units of the scale
+    rng = np.random.default_rng(48)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            a = rng.uniform(-3.0, 3.0, (4, 4))
+            b = rng.uniform(-3.0, 3.0, (4, 4))
+            want = _rel_error_reference(a, b) * (1.0 + np.linalg.norm(b))
+            want /= 1.0 / scale + np.linalg.norm(b)
+            assert rel_error(a * scale, b * scale) == pytest.approx(want, rel=1e-14)
+
+
+def test_one_norm_past_the_float64_range_is_over_the_cap():
+    # each entry is finite, but a column sums to more than 1.8e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 3, 4):
+            with pytest.raises(ValueError, match="cap of 40"):
+                expm_series(np.full((n, n), 1e308))

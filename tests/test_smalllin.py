@@ -189,6 +189,31 @@ def test_sym_eig3_rejects_bad_input():
         sym_eig3(np.eye(4))
 
 
+@pytest.mark.parametrize("exponent", range(-300, 301, 50))
+def test_sym_eig3_at_every_scale(exponent):
+    scale = 10.0 ** exponent
+    rng = np.random.default_rng(25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            m = rng.uniform(-2.0, 2.0, (3, 3))
+            s = (m + m.T) * scale
+            e = sym_eig3(s)
+            assert np.linalg.norm(e.q.T @ e.q - np.eye(3)) < 1e-13
+            back = (e.q * e.eigenvalues) @ e.q.T
+            assert np.abs(back - s).max() <= 1e-13 * scale
+            assert e.eigenvalues[0] >= e.eigenvalues[1] >= e.eigenvalues[2]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e300, 1e-300])
+def test_sym_eig3_symmetry_test_is_scale_invariant(scale):
+    # a Frobenius-norm test overflowed to inf > 1e-12 * inf, which is false
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_eig3(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]) * scale)
+
+
 # ------------------------------------------------------------------------ svd3
 
 
