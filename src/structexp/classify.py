@@ -20,7 +20,8 @@ supports of a member of an earlier family.  The dataclasses are the public
 view of a member: `instance` and `coefficients` convert between the two.
 
 Every 4x4 entry point admits its input through one gate, `_admit`, which
-also puts a non-finite A, or one whose norm overflows, in no family.
+takes integer and bool input as float64 and puts a non-finite A, or one
+whose norm overflows, in no family.
 """
 
 from __future__ import annotations
@@ -528,6 +529,9 @@ def _admit(a_matrix, tol: float):
     a = np.asarray(a_matrix)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
+    if a.dtype.kind in "biu":
+        # integer squares wrap in the norm, and bool ones saturate
+        a = a.astype(float)
     norm = frobenius(a)
     if not norm < math.inf:
         return None

@@ -119,6 +119,9 @@ def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
     a = np.asarray(a_matrix)
     if a.shape != (alg.dim, alg.dim):
         raise ValueError(f"expected a {alg.dim}x{alg.dim} matrix")
+    if a.dtype.kind in "biu":
+        # integer squares wrap in the norm, and bool ones saturate
+        a = a.astype(float)
     # a non-finite A, or one whose norm overflows, has no finite residual;
     # the norm is that of A as given, imaginary part included
     norm = frobenius(a)

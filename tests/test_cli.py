@@ -16,9 +16,11 @@ from structexp.cli import (
     run,
 )
 from structexp.hxh import J4, R4
-from structexp import expm_series
+from structexp import (COVERING_ALGEBRAS, DEFAULT_TOL, exp_via_covering,
+                       expm2, expm_auto, expm_series)
 
-from conftest import sample_family
+from conftest import (COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, covering_member,
+                      sample_family)
 
 
 def _text(m) -> str:
@@ -227,6 +229,15 @@ def test_verify_inject_fault_fails(capsys):
     assert "residual above" in captured.err
 
 
+@pytest.mark.parametrize("text", [J4_TEXT, "0 1 -1 0"])
+def test_verify_nan_residual_fails(text, capsys):
+    # nan compares false with the tolerance, so it must fail the check
+    assert run(["verify", text, "--inject-fault", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert "nan" in captured.out
+    assert "residual above" in captured.err
+
+
 def test_verify_dense_has_only_the_reference(capsys):
     rng = np.random.default_rng(94)
     assert run(["verify", _text(rng.uniform(-1, 1, (4, 4)))]) == 0
@@ -255,3 +266,44 @@ def test_bad_file_contents(tmp_path, capsys):
     p2 = tmp_path / "bad.json"
     p2.write_text("{\"n\": 2}")
     assert run(["classify", str(p2)]) == 2
+
+
+def _one_sequence_inputs():
+    rng = np.random.default_rng(96)
+    yield rng.standard_normal((2, 2))
+    for alg in COVERING_ALGEBRAS.values():
+        if alg.dim == 3:
+            yield covering_member(alg, rng)
+    yield rng.standard_normal((3, 3))
+    for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS:
+        a = sample_family(tag, rng)
+        yield a
+        yield 30.0 * a
+    yield rng.standard_normal((4, 4))
+    yield rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    yield J4.astype(complex)
+
+
+def _library_route(route, a):
+    """exp(a) through the named route, called on the library directly."""
+    if route == "expm2":
+        return expm2(a)
+    if route == "oracle":
+        return expm_series(a)
+    if route.startswith("covering:"):
+        return exp_via_covering(COVERING_ALGEBRAS[route.split(":")[1]], a, DEFAULT_TOL)
+    return expm_auto(a, method=route, tol=DEFAULT_TOL).value
+
+
+@pytest.mark.parametrize("a", list(_one_sequence_inputs()),
+                         ids=lambda a: f"{a.shape[0]}x{a.shape[0]}")
+def test_expm_takes_the_first_route_verify_lists(a, capsys):
+    text = format_document_json(MatrixDocument.of_matrix(a))
+    assert run(["verify", text]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    first = rows[0].split()[0] if rows else "oracle"
+    assert run(["expm", text, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["route"] == first
+    value = MatrixDocument(doc["n"], doc["kind"], tuple(doc["entries"])).matrix()
+    assert np.array_equal(value, _library_route(first, a)), first

@@ -15,7 +15,7 @@ import pytest
 
 from structexp import classify, expm_auto, extract_special_normal
 from structexp.classify import COMPLEX_REGISTRY, EXTRACTORS, REAL_REGISTRY
-from structexp.covering import COVERING_ALGEBRAS, psi_inverse
+from structexp.covering import COVERING_ALGEBRAS, exp_via_covering, psi_inverse
 from structexp.cli import ParseError, describe_instance, parse_document, run
 from structexp.expm_structured import ForcedClassMismatch
 from structexp.hxh import J4, R4
@@ -180,6 +180,52 @@ def test_overflowing_norm_is_in_no_family():
         assert info.value.residual == math.inf
         code, out, err = _cli(["expm", _text(z), "--method", "SkewSymmetric"])
         assert code == 3 and out == ""
+
+
+# ------------------------------------------------------------ integer input
+
+
+def _tags(matches):
+    return [inst.tag for inst in matches]
+
+
+def _forced(a, tag):
+    """The bytes of the forced exponential, or the overflow it raises (a
+    hyperbolic group of 3e9 J4 is past the float64 range)."""
+    try:
+        return expm_auto(a, method=tag).value.tobytes()
+    except OverflowError:
+        return OverflowError
+
+
+def test_integer_input_equals_float_input_bitwise():
+    # the int64 sum of squares of 3e9 J4 wraps past 2**63
+    rng = np.random.default_rng(15)
+    for a in (3_000_000_000 * J4.astype(np.int64),
+              rng.integers(-5, 6, (4, 4)), np.eye(4, dtype=np.int32)):
+        f = a.astype(float)
+        assert classify(a) == classify(f)
+        auto, auto_f = expm_auto(a), expm_auto(f)
+        assert auto.route == auto_f.route
+        assert np.array_equal(auto.value, auto_f.value)
+        for tag in _tags(classify(f)):
+            assert _forced(a, tag) == _forced(f, tag), tag
+    for alg in COVERING_ALGEBRAS.values():
+        k = rng.integers(-9, 10, (alg.dim, alg.dim))
+        m = (alg.form @ (k - k.T)).astype(np.int64)
+        # exp of the sl(2,R) factors of 3e9 m is past the float64 range
+        for a in (m, 3_000_000_000 * m):
+            for x, y in zip(psi_inverse(alg, a), psi_inverse(alg, a.astype(float))):
+                assert x is y is None or np.array_equal(x, y), alg.name
+        assert np.array_equal(exp_via_covering(alg, m),
+                              exp_via_covering(alg, m.astype(float))), alg.name
+
+
+def test_bool_input_takes_the_float_norm():
+    # a bool sum of squares saturates at True: |b| is sqrt(8), not 1
+    b = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]], dtype=bool)
+    assert _tags(classify(b, 0.3)) == _tags(classify(b.astype(float), 0.3))
+    assert _tags(classify(b, 0.3)) == ["SymmetricGeneral"]
 
 
 # ------------------------------------------------------------------ tolerance

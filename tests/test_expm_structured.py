@@ -472,7 +472,7 @@ def test_auto_forced_and_verify_routes_take_one_path(tag, scale):
         # every family but HamSymPersym (always Lie8 first) is its own first match
         if auto.route == tag:
             assert np.array_equal(auto.value, forced), tag
-        routes = dict(cli._applicable_routes(a, False, DEFAULT_TOL))
+        routes = dict(cli._routes(a, DEFAULT_TOL, False))
         assert np.array_equal(routes[tag], forced), tag
         # the public edge: instance -> coefficients -> the same closed form
         inst = next(i for i in classify(a) if i.tag == tag)
