@@ -19,9 +19,10 @@ family's projector).  Matches are yielded lazily in dispatch order as
 supports of a member of an earlier family.  The dataclasses are the public
 view of a member: `instance` and `coefficients` convert between the two.
 
-Every 4x4 entry point admits its input through one gate, `_admit`, which
-takes integer and bool input as float64 and puts a non-finite A, or one
-whose norm overflows, in no family.
+Every entry point at every size (these families, the covering algebras
+and the 2x2 route) admits its input through one gate, `_admit`, which takes
+integer and bool input as float64 and a negligible imaginary part as zero,
+and puts a non-finite A, or one whose norm overflows, on no route.
 """
 
 from __future__ import annotations
@@ -519,24 +520,24 @@ _REAL_STACK = _stack(REAL_REGISTRY)
 _COMPLEX_STACK = _stack(COMPLEX_REGISTRY)
 
 
-def _admit(a_matrix, tol: float):
-    """(A, its coefficients, tol_abs) for a 4x4 input, or None when A is in
-    no family: an entry is not finite or |A|_F overflows (above about
-    1.3e154).  |A|_F is taken on A as given, so a huge imaginary part is
-    never dropped as negligible against an infinite scale."""
+def _admit(a_matrix, tol: float, n: int = 4):
+    """(A, |A|_F) for an n x n input, or None when A is on no closed-form
+    route: an entry is not finite or |A|_F overflows (above about 1.3e154).
+    A is taken as float64 if integer or bool, and as real if its imaginary
+    part vanishes (as_real_if_possible).  |A|_F is taken on A as given, so
+    a huge imaginary part is never dropped against an infinite scale."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     a = np.asarray(a_matrix)
-    if a.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    if a.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix")
     if a.dtype.kind in "biu":
         # integer squares wrap in the norm, and bool ones saturate
         a = a.astype(float)
     norm = frobenius(a)
     if not norm < math.inf:
         return None
-    a = as_real_if_possible(a)
-    return a, from_matrix(a), tol * max(1.0, norm)
+    return as_real_if_possible(a), norm
 
 
 def _matches(a_matrix, tol: float):
@@ -549,7 +550,8 @@ def _matches(a_matrix, tol: float):
     admitted = _admit(a_matrix, tol)
     if admitted is None:
         return
-    a, u, tol_abs = admitted
+    a, norm = admitted
+    u, tol_abs = from_matrix(a), tol * max(1.0, norm)
     if np.iscomplexobj(a):
         registry, (blocks, stack) = COMPLEX_REGISTRY, _COMPLEX_STACK
     else:
@@ -572,11 +574,11 @@ def _extract(tag: str, a_matrix, tol: float):
     admitted = _admit(a_matrix, tol)
     if admitted is None:
         return None, math.inf
-    a, u, tol_abs = admitted
+    a, norm = admitted
     if np.iscomplexobj(a) and tag not in _COMPLEX_STACK[0]:
         # a real family has no imaginary part: all of it is off the family
         return None, frobenius(a.imag)
-    return EXTRACTORS[tag](a, u, tol, tol_abs)
+    return EXTRACTORS[tag](a, from_matrix(a), tol, tol * max(1.0, norm))
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -595,13 +597,13 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
     admitted = _admit(a_matrix, 1e-12)
     if admitted is None:
         raise ValueError("matrix has non-finite entries or an overflowing norm")
-    a, u, tol_abs = admitted
+    a, norm = admitted
     if np.iscomplexobj(a):
         raise ValueError("matrix is not real")
-    if frobenius(a - a.T) > tol_abs:
+    if frobenius(a - a.T) > 1e-12 * max(1.0, norm):
         raise ValueError("matrix is not symmetric")
     # the skew part of A is on the slots (0, x) and (x, 0), which these skip
-    c = u.c
+    c = from_matrix(a).c
     return float(c[0, 0]), c[1:, _I].copy(), c[1:, _J].copy(), c[1:, _K].copy()
 
 

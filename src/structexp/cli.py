@@ -1,6 +1,10 @@
 """Command-line front door: classify, exponentiate, verify, and display
 tensor-basis representations of matrices given as files or inline text.
 
+The CLI only parses and prints: the route order (`_routes`, which `verify`
+walks) and the `expm --method` dispatch (`_dispatch`, which `expm_auto` also
+calls) live in `expm_structured`.
+
 Matrix input is either plaintext (whitespace-separated row-major scalars,
 `#` comments, optional leading token `complex` followed by re,im interleaved
 pairs) or a JSON object with fields n / kind / entries / label.  The matrix
@@ -28,12 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, _matches, as_real_if_possible, classify
-from .covering import COVERING_ALGEBRAS, NotInAlgebra, exp_via_covering
-from .expm_structured import ForcedClassMismatch, _exp_member, expm_auto
+from .classify import DEFAULT_TOL, classify
+from .covering import NotInAlgebra
+from .expm_structured import ForcedClassMismatch, _dispatch, _routes
 from .hxh import BASIS_NAMES, from_matrix
 from .oracle import expm_series, rel_error
-from .smalllin import expm2
 
 VERIFY_TOL = 1e-10
 
@@ -111,25 +114,18 @@ def _parse_plain(text: str) -> MatrixDocument:
     if tokens and tokens[0].lower() == "complex":
         kind = "complex"
         tokens = tokens[1:]
-    try:
-        entries = [float(t) for t in tokens]
-    except ValueError:
-        bad = next(t for t in tokens if not _is_number(t))
-        raise ParseError(f"not a number: {bad!r}") from None
+    entries = []
+    for t in tokens:
+        try:
+            entries.append(float(t))
+        except ValueError:
+            raise ParseError(f"not a number: {t!r}") from None
     per = 2 if kind == "complex" else 1
     sizes = {per * 4: 2, per * 9: 3, per * 16: 4}
     if len(entries) not in sizes:
         raise ParseError(f"got {len(entries)} scalars, expected a full 2x2, "
                          f"3x3 or 4x4 {kind} matrix")
     return _checked_document(sizes[len(entries)], kind, entries, None)
-
-
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def parse_document(text: str) -> MatrixDocument:
@@ -182,60 +178,17 @@ def describe_instance(inst) -> str:
 
 
 def _cmd_classify(args) -> int:
-    doc = load_document(args.matrix)
-    if doc.n != 4:
-        raise ParseError(f"classify expects a 4x4 matrix, got {doc.n}x{doc.n}")
-    matches = classify(doc.matrix(), args.tol)
-    if not matches:
-        print("no structured family matched")
-        return 0
+    matches = classify(load_document(args.matrix).matrix(), args.tol)
     for inst in matches:
         print(describe_instance(inst))
+    if not matches:
+        print("no structured family matched")
     return 0
-
-
-def _routes(a: np.ndarray, tol: float, coverings: bool):
-    """(route, value) for each closed form that claims a, computed lazily in
-    route order: expm2 for a 2x2, the structured families of a 4x4 in
-    dispatch order, then the covering algebras of a's size in registry
-    order, for a real 3x3 always and for a real 4x4 when `coverings` is set."""
-    n = a.shape[0]
-    if n == 2:
-        yield "expm2", expm2(a)
-    elif n == 4:
-        for tag, member in _matches(a, tol):
-            yield tag, _exp_member(tag, member)
-        a = as_real_if_possible(a)
-    if (n == 3 or coverings) and not np.iscomplexobj(a):
-        for alg in COVERING_ALGEBRAS.values():
-            if alg.dim == n:
-                try:
-                    yield f"covering:{alg.name}", exp_via_covering(alg, a, tol)
-                except NotInAlgebra:
-                    pass
 
 
 def _cmd_expm(args) -> int:
     doc = load_document(args.matrix)
-    a = doc.matrix()
-    method = args.method
-    if method.startswith("covering:"):
-        name = method.split(":", 1)[1]
-        if name not in COVERING_ALGEBRAS:
-            raise ParseError(f"unknown covering algebra {name!r}; choose from "
-                             + ", ".join(sorted(COVERING_ALGEBRAS)))
-        value, route = exp_via_covering(COVERING_ALGEBRAS[name], a, args.tol), method
-    elif method == "oracle":
-        value, route = expm_series(a), "oracle"
-    elif method == "auto":
-        route, value = next(_routes(a, args.tol, False), ("oracle", None))
-        value = expm_series(a) if value is None else value
-    elif doc.n == 4:
-        result = expm_auto(a, method=method, tol=args.tol)
-        value, route = result.value, result.route
-    else:
-        raise ParseError(f"method {method!r} needs a 4x4 matrix")
-
+    route, value = _dispatch(doc.matrix(), args.method, args.tol)
     if args.json:
         print(format_document_json(MatrixDocument.of_matrix(value, doc.label),
                                    route=route))
@@ -268,13 +221,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    doc = load_document(args.matrix)
-    if doc.n != 4:
-        raise ParseError(f"rep expects a 4x4 matrix, got {doc.n}x{doc.n}")
-    u = from_matrix(doc.matrix())
-    for i in range(4):
-        for j in range(4):
-            print(f"{BASIS_NAMES[i]}⊗{BASIS_NAMES[j]}: {_fmt_num(u.c[i, j])}")
+    u = from_matrix(load_document(args.matrix).matrix())
+    for (i, j), v in np.ndenumerate(u.c):
+        print(f"{BASIS_NAMES[i]}⊗{BASIS_NAMES[j]}: {_fmt_num(v)}")
     return 0
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import _admit
 from .smalllin import expm2, frobenius
 
 I2 = np.eye(2)
@@ -113,27 +114,16 @@ def _psi_pinv(alg: CoveringAlgebra) -> np.ndarray:
 
 def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
     """Traceless upstairs factor(s) mapping to A; (g, None) for the adjoint
-    algebras. Raises NotInAlgebra when A fails A^T M + M A = 0."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    a = np.asarray(a_matrix)
-    if a.shape != (alg.dim, alg.dim):
-        raise ValueError(f"expected a {alg.dim}x{alg.dim} matrix")
-    if a.dtype.kind in "biu":
-        # integer squares wrap in the norm, and bool ones saturate
-        a = a.astype(float)
-    # a non-finite A, or one whose norm overflows, has no finite residual;
-    # the norm is that of A as given, imaginary part included
-    norm = frobenius(a)
-    if not norm < math.inf:
+    algebras.  A is admitted through `classify._admit`; raises NotInAlgebra
+    when the gate admits no A (residual inf), when A keeps an imaginary part
+    (residual its norm) or when A fails A^T M + M A = 0."""
+    admitted = _admit(a_matrix, tol, alg.dim)
+    if admitted is None:
         raise NotInAlgebra(alg.name, math.inf)
+    a, norm = admitted
     if np.iscomplexobj(a):
         # these are algebras of real matrices
-        imag = frobenius(a.imag)
-        if imag > 1e-14 * (1.0 + norm):
-            raise NotInAlgebra(alg.name, imag)
-        a = a.real
-    a = np.asarray(a, dtype=float)
+        raise NotInAlgebra(alg.name, frobenius(a.imag))
     res = frobenius(a.T @ alg.form + alg.form @ a)
     if res > tol * (1.0 + norm):
         raise NotInAlgebra(alg.name, res)

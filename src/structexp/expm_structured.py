@@ -1,4 +1,5 @@
-"""Closed-form exponentials for the structured 4x4 families.
+"""Closed-form exponentials for the structured 4x4 families, and route
+selection for 2x2, 3x3 and 4x4 input.
 
 A family member arrives as its flat coefficient vector c in the tensor basis
 (see `classify`), and `_exp_member` is the one closed form for all of them.
@@ -33,6 +34,10 @@ The dataclasses are the public edge only: `exp_structured_class` and the
 
 A member of coefficient norm 150 or more (`_SAFE_NORM`) is exponentiated
 under np.errstate, raising OverflowError unless the result is finite.
+
+Route selection at every size is made here once: `_routes` yields each
+route that claims A, and `_dispatch`, which `expm_auto` and the CLI's `expm`
+call, picks one by method (auto, oracle, a class tag or covering:<name>).
 """
 
 from __future__ import annotations
@@ -48,11 +53,12 @@ from .classify import (DEFAULT_TOL, EXTRACTORS, GROUPS, RANK_ONE_GROUPS,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
-                       SymToeplitzS13Zero, SymToeplitzTridiag, _extract,
-                       _matches, coefficients)
+                       SymToeplitzS13Zero, SymToeplitzTridiag, _admit,
+                       _extract, _matches, coefficients)
+from .covering import COVERING_ALGEBRAS, NotInAlgebra, exp_via_covering
 from .hxh import _BASIS_ROWS
 from .oracle import expm_series, rel_error
-from .smalllin import _svd3, frobenius, phi_c, phi_s
+from .smalllin import _SAFE_NORM, _svd3, expm2, frobenius, phi_c, phi_s
 
 
 class ClosedFormDefect(RuntimeError):
@@ -181,13 +187,6 @@ def _closed_form(tag: str, member) -> np.ndarray:
                        ((member * member) @ squares).tolist())
 
 
-# below this |c| no value in a closed form overflows: every factor, partial
-# product or weight is exp of a part X of the member, |exp(X)| <= e^|X|_2
-# with |X|_2 <= 2|c_X|, so over c00 and at most three groups they stay below
-# e^((1 + 2 sqrt 3) |c|) < 1e291, which leaves 1e17 for the sums on the way
-_SAFE_NORM = 150.0
-
-
 def _exp_member(tag: str, member) -> np.ndarray:
     """exp of the member of family `tag`, given as its flat coefficient
     vector.  Raises OverflowError when a value on the way is beyond the
@@ -284,30 +283,64 @@ def exp_structured_class(inst) -> np.ndarray:
     return _exp_member(getattr(inst, "tag", None), coefficients(inst))
 
 
+def _routes(a_matrix, tol: float, coverings: bool = False):
+    """(route, value) for each closed form that claims A, lazily in route
+    order: expm2 for a 2x2, the structured families of a 4x4 in dispatch
+    order, then the covering algebras of A's size in registry order (for a
+    4x4 only when `coverings` is set).  Each admits A through `_admit`."""
+    n = a_matrix.shape[0]
+    if n == 2:
+        admitted = _admit(a_matrix, tol, 2)
+        if admitted is not None:
+            yield "expm2", expm2(admitted[0])
+    elif n == 4:
+        for tag, member in _matches(a_matrix, tol):
+            yield tag, _exp_member(tag, member)
+    if n == 3 or coverings:
+        for alg in COVERING_ALGEBRAS.values():
+            if alg.dim == n:
+                try:
+                    yield f"covering:{alg.name}", exp_via_covering(alg, a_matrix, tol)
+                except NotInAlgebra:
+                    pass
+
+
+def _dispatch(a, method: str, tol: float):
+    """(route, exp(A)) by `method`: "auto" takes the first of `_routes`, or
+    the series oracle when none claims A; "oracle" skips every closed form;
+    "covering:<name>" forces that algebra (NotInAlgebra when A is not in
+    it); a class tag forces that 4x4 family (ForcedClassMismatch)."""
+    if method == "auto":
+        route, value = next(_routes(a, tol), ("oracle", None))
+        return route, expm_series(a) if value is None else value
+    if method == "oracle":
+        return "oracle", expm_series(a)
+    if method.startswith("covering:"):
+        name = method.split(":", 1)[1]
+        if name not in COVERING_ALGEBRAS:
+            raise ValueError(f"unknown covering algebra {name!r}; choose from "
+                             + ", ".join(sorted(COVERING_ALGEBRAS)))
+        return method, exp_via_covering(COVERING_ALGEBRAS[name], a, tol)
+    if method not in EXTRACTORS:
+        raise ValueError(f"unknown method {method!r}")
+    member, residual = _extract(method, a, tol)
+    if member is None:
+        raise ForcedClassMismatch(method, residual)
+    return method, _exp_member(method, member)
+
+
 def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
               verify: bool = False) -> ExpResult:
-    """Exponential with route selection.
+    """Exponential of a 4x4 matrix with route selection.
 
     method="auto" takes the highest-priority structured family, falling back
     to the series oracle when nothing matches; a class tag forces that route
-    or raises ForcedClassMismatch; "oracle" skips classification.
+    or raises ForcedClassMismatch; "covering:<name>" forces that covering
+    algebra or raises NotInAlgebra; "oracle" skips classification.
     """
     a = np.asarray(a_matrix)
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
-
-    if method == "oracle":
-        value, route = expm_series(a), "oracle"
-    elif method == "auto":
-        route, member = next(_matches(a, tol), ("oracle", None))
-        value = expm_series(a) if member is None else _exp_member(route, member)
-    else:
-        if method not in EXTRACTORS:
-            raise ValueError(f"unknown method {method!r}")
-        member, residual = _extract(method, a, tol)
-        if member is None:
-            raise ForcedClassMismatch(method, residual)
-        value, route = _exp_member(method, member), method
-
+    route, value = _dispatch(a, method, tol)
     verified = rel_error(value, expm_series(a)) if verify else None
     return ExpResult(value, route, verified)

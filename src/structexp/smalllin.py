@@ -66,6 +66,21 @@ def phi_s(x):
     return math.sinh(r) / r
 
 
+# below this norm no value on the way to a closed form overflows: in expm2
+# each is at most e^(2|A|_F); in a 4x4 closed form each is exp of a part X of
+# the member c, |exp(X)| <= e^|X|_2 <= e^(2|c_X|), so over c00 and at most
+# three groups below e^((1 + 2 sqrt 3)|c|) < 1e291, leaving 1e17 for sums
+_SAFE_NORM = 150.0
+
+
+def _expm2(a, is_cplx) -> np.ndarray:
+    half_tr = (a[0, 0] + a[1, 1]) / 2.0
+    a0 = a - half_tr * np.eye(2, dtype=a.dtype)
+    d = a0[0, 0] * a0[1, 1] - a0[0, 1] * a0[1, 0]
+    scale = cmath.exp(complex(half_tr)) if is_cplx else math.exp(float(half_tr))
+    return scale * (phi_c(d) * np.eye(2, dtype=a.dtype) + phi_s(d) * a0)
+
+
 def expm2(a) -> np.ndarray:
     """Closed-form exponential of a real or complex 2x2 matrix.
 
@@ -73,17 +88,27 @@ def expm2(a) -> np.ndarray:
     A0^2 = -det(A0) I by Cayley-Hamilton and
 
         exp(A) = exp(tr/2) (phi_c(det A0) I + phi_s(det A0) A0).
+
+    A non-finite entry raises ValueError.  At |A|_F >= _SAFE_NORM it runs
+    under np.errstate and raises OverflowError unless the result is finite.
     """
     a = np.asarray(a)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
     is_cplx = np.iscomplexobj(a)
     a = a.astype(np.complex128 if is_cplx else np.float64)
-    half_tr = (a[0, 0] + a[1, 1]) / 2.0
-    a0 = a - half_tr * np.eye(2, dtype=a.dtype)
-    d = a0[0, 0] * a0[1, 1] - a0[0, 1] * a0[1, 0]
-    scale = cmath.exp(complex(half_tr)) if is_cplx else math.exp(float(half_tr))
-    return scale * (phi_c(d) * np.eye(2, dtype=a.dtype) + phi_s(d) * a0)
+    if frobenius(a) < _SAFE_NORM:
+        return _expm2(a, is_cplx)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = _expm2(a, is_cplx)
+        except ValueError:  # the cosine of an infinite sqrt(det A0)
+            value = np.full(2, math.inf)
+    if not np.isfinite(value).all():
+        raise OverflowError("the 2x2 exponential overflows")
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -307,3 +308,53 @@ def test_expm_takes_the_first_route_verify_lists(a, capsys):
     assert doc["route"] == first
     value = MatrixDocument(doc["n"], doc["kind"], tuple(doc["entries"])).matrix()
     assert np.array_equal(value, _library_route(first, a)), first
+
+
+# ------------------------------------------------------- 2x2 overflow, forced routes
+
+
+@pytest.mark.parametrize("text, code", [
+    ("800 0 0 0", 4),                # exp(800) is beyond the float64 range
+    ("0 1e200 1e200 0", 2),          # |A|_F overflows: no route, the oracle's cap
+    ("0 1e200 -1e200 0", 2),
+])
+def test_expm_2x2_never_prints_a_non_finite_number(text, code, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["expm", text]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("overflow" if code == 4 else "cap") in captured.err
+
+
+@pytest.mark.parametrize("text, routes", [
+    ("complex 0 0 -1 0 0 0  1 0 0 0 0 0  0 0 0 0 0 0", ["covering:so3", "covering:so21r"]),
+    ("complex 0 0 1 0  -1 0 0 0", ["expm2"]),
+])
+def test_complex_typed_input_takes_the_real_routes(text, routes, capsys):
+    # a zero imaginary part is dropped at every size, as for a 4x4
+    assert run(["verify", text]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-1]
+    assert [row.split()[0] for row in rows] == routes
+    assert run(["expm", text, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["route"], doc["kind"]) == (routes[0], "real")
+
+
+def _forced_inputs():
+    rng = np.random.default_rng(97)
+    for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS:
+        yield tag, sample_family(tag, rng)
+    for alg in COVERING_ALGEBRAS.values():
+        yield f"covering:{alg.name}", covering_member(alg, rng)
+
+
+@pytest.mark.parametrize("route, a", list(_forced_inputs()),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_expm_forced_route_prints_that_route(route, a, capsys):
+    text = format_document_json(MatrixDocument.of_matrix(a))
+    assert run(["expm", text, "--json", "--method", route]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["route"] == route
+    value = MatrixDocument(doc["n"], doc["kind"], tuple(doc["entries"])).matrix()
+    assert np.array_equal(value, _library_route(route, a)), route

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from structexp import (
+    COVERING_ALGEBRAS,
     ForcedClassMismatch,
+    NotInAlgebra,
     basis_matrix,
     classify,
+    exp_via_covering,
     expm_auto,
     expm_series,
     extract_symmetric_rep,
@@ -26,6 +29,7 @@ from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
 from structexp.expm_structured import (
     _SAFE_NORM,
     _closed_form,
+    _routes,
     exp_bisymmetric_rs,
     exp_ham_sym_persym,
     exp_jordan,
@@ -472,11 +476,21 @@ def test_auto_forced_and_verify_routes_take_one_path(tag, scale):
         # every family but HamSymPersym (always Lie8 first) is its own first match
         if auto.route == tag:
             assert np.array_equal(auto.value, forced), tag
-        routes = dict(cli._routes(a, DEFAULT_TOL, False))
+        routes = dict(_routes(a, DEFAULT_TOL, False))
         assert np.array_equal(routes[tag], forced), tag
         # the public edge: instance -> coefficients -> the same closed form
         inst = next(i for i in classify(a) if i.tag == tag)
         assert rel_error(exp_structured_class(inst), forced) <= 1e-13, tag
+
+
+def test_auto_forces_a_covering_algebra():
+    result = expm_auto(J4, method="covering:so4")
+    assert result.route == "covering:so4"
+    assert np.array_equal(result.value, exp_via_covering(COVERING_ALGEBRAS["so4"], J4))
+    with pytest.raises(NotInAlgebra):
+        expm_auto(np.diag([1.0, 1.0, -1.0, -1.0]), method="covering:so4")
+    with pytest.raises(ValueError, match="unknown covering algebra"):
+        expm_auto(J4, method="covering:nope")
 
 
 class _DataclassBuilt(Exception):

@@ -105,6 +105,45 @@ def test_expm2_rejects_wrong_shape():
         expm2(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expm2_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        expm2(np.array([[bad, 0.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        expm2(np.array([[0.0, 1.0], [bad, 0.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("a", [
+    [[800.0, 0.0], [0.0, 0.0]],          # cosh(400) * exp(400)
+    [[0.0, 1e200], [1e200, 0.0]],        # det A0 = -inf: cosh(inf) * inf
+    [[0.0, 1e200], [-1e200, 0.0]],       # det A0 = inf: cos(inf)
+    [[2000.0, 0.0], [0.0, 2000.0]],      # exp(tr/2) alone
+])
+def test_expm2_overflow_raises_without_a_warning(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            expm2(np.array(a))
+        with pytest.raises(OverflowError):
+            expm2(np.array(a, dtype=complex))
+
+
+def test_expm2_is_finite_past_the_safe_norm():
+    # A = A0 - r I with A0 traceless and r = sqrt(-det A0): cosh(r) and
+    # sinh(r) near 1e65, exp(A) of order one; the checked branch returns it
+    rng = np.random.default_rng(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(50):
+            a0 = 150.0 * rng.uniform(-1.0, 1.0, (2, 2))
+            a0 -= np.trace(a0) / 2.0 * np.eye(2)
+            r = math.sqrt(max(-np.linalg.det(a0), 0.0))
+            a = a0 - r * np.eye(2)
+            assert rel_error(expm2(a), expm_series(a)) < 1e-12
+        rot = np.array([[0.0, 300.0], [-300.0, 0.0]])
+        assert rel_error(expm2(rot), expm_series(rot)) < 1e-12
+
+
 # -------------------------------------------------------------------- sym_eig3
 
 
