@@ -33,7 +33,9 @@ The dataclasses are the public edge only: `exp_structured_class` and the
 `classify.coefficients`.
 
 A member of coefficient norm 150 or more (`_SAFE_NORM`) is exponentiated
-under np.errstate, raising OverflowError unless the result is finite.
+under np.errstate, raising OverflowError unless the result is finite; there
+exp(c00) and the growth of every hyperbolic group are applied as one
+exponent, so no partial product overflows before exp(A) does.
 
 Route selection at every size is made here once: `_routes` yields each
 route that claims A, and `_dispatch`, which `expm_auto` and the CLI's `expm`
@@ -42,6 +44,7 @@ call, picks one by method (auto, oracle, a class tag or covering:<name>).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -55,10 +58,11 @@ from .classify import (DEFAULT_TOL, EXTRACTORS, GROUPS, RANK_ONE_GROUPS,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
                        SymToeplitzS13Zero, SymToeplitzTridiag, _admit,
                        _extract, _matches, coefficients)
-from .covering import COVERING_ALGEBRAS, NotInAlgebra, exp_via_covering
+from .covering import COVERING_ALGEBRAS, _exp_lift, _lifts, exp_via_covering
 from .hxh import _BASIS_ROWS
 from .oracle import expm_series, rel_error
-from .smalllin import _SAFE_NORM, _svd3, expm2, frobenius, phi_c, phi_s
+from .smalllin import (_SAFE_NORM, _overflow_checked, _svd3, expm2, frobenius,
+                       phi_c, phi_s)
 
 
 class ClosedFormDefect(RuntimeError):
@@ -132,14 +136,35 @@ for _tag, _groups in GROUPS.items():
 _GROUP_ROWS = {tag: _group_rows(groups) for tag, groups in GROUPS.items()}
 
 
-def _exp_groups(scalar, groups, mus) -> np.ndarray:
+def _exp_groups(scalar, groups, mus, fold: bool) -> np.ndarray:
     """exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) over commuting
-    group matrices G_g with G_g @ G_g = mu_g I."""
-    value = None
+    group matrices G_g with G_g @ G_g = mu_g I.
+
+    With `fold`, a group whose r = sqrt(mu_g) has real part above 1 is taken
+    as e^(Re r) times a factor that does not grow, from
+
+        cosh r = e^(Re r) e^(i Im r) (1 + e^(-2r)) / 2,
+
+    and sinh(r) / r alike, and e^(scalar + sum Re r) is applied once, so no
+    partial product overflows before exp(A) does."""
+    value, growth = None, 0.0
     for g, mu in zip(groups, mus):
-        e = phi_s(-mu) * g
-        e.flat[::5] += phi_c(-mu)
+        if fold and (r := cmath.sqrt(mu)).real > 1.0:
+            growth += r.real
+            e2, phase = cmath.exp(-2.0 * r), cmath.exp(1j * r.imag)
+            c, s = phase * (1.0 + e2) / 2.0, phase * (1.0 - e2) / (2.0 * r)
+            if not isinstance(mu, complex):
+                c, s = c.real, s.real
+            e = s * g
+            e.flat[::5] += c
+        else:
+            e = phi_s(-mu) * g
+            e.flat[::5] += phi_c(-mu)
         value = e if value is None else value @ e
+    if growth:
+        # in two halves, so that no factor overflows where exp(A) does not
+        half = math.exp((growth + scalar.real) / 2.0)
+        return value * half * half
     # only real families have the scalar slot
     return math.exp(scalar) * value if scalar else value
 
@@ -179,25 +204,23 @@ def _exp_symmetric_general(member) -> np.ndarray:
     return value.reshape(4, 4)
 
 
-def _closed_form(tag: str, member) -> np.ndarray:
+def _closed_form(tag: str, member, fold: bool = False) -> np.ndarray:
     if tag == "SymmetricGeneral":
         return _exp_symmetric_general(member)
     rows, squares = _GROUP_ROWS[tag]
     return _exp_groups(member[0], (member @ rows).reshape(-1, 4, 4),
-                       ((member * member) @ squares).tolist())
+                       ((member * member) @ squares).tolist(), fold)
 
 
 def _exp_member(tag: str, member) -> np.ndarray:
     """exp of the member of family `tag`, given as its flat coefficient
-    vector.  Raises OverflowError when a value on the way is beyond the
-    float64 range."""
-    if frobenius(member) < _SAFE_NORM:
+    vector.  Raises OverflowError when exp(A) is beyond the float64 range.
+    At norm _SAFE_NORM or more, the growth of the scalar and of every
+    hyperbolic group is applied as one exponent (see _exp_groups)."""
+    norm = frobenius(member)
+    if norm < _SAFE_NORM:
         return _closed_form(tag, member)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = _closed_form(tag, member)
-    if not np.isfinite(value).all():
-        raise OverflowError("the closed form overflows")
-    return value
+    return _overflow_checked(norm, "the closed form", _closed_form, tag, member, True)
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:
@@ -287,7 +310,8 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
     """(route, value) for each closed form that claims A, lazily in route
     order: expm2 for a 2x2, the structured families of a 4x4 in dispatch
     order, then the covering algebras of A's size in registry order (for a
-    4x4 only when `coverings` is set).  Each admits A through `_admit`."""
+    4x4 only when `coverings` is set).  Each size admits A once through
+    `_admit`, and one product tests A against every covering algebra."""
     n = a_matrix.shape[0]
     if n == 2:
         admitted = _admit(a_matrix, tol, 2)
@@ -297,12 +321,8 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
         for tag, member in _matches(a_matrix, tol):
             yield tag, _exp_member(tag, member)
     if n == 3 or coverings:
-        for alg in COVERING_ALGEBRAS.values():
-            if alg.dim == n:
-                try:
-                    yield f"covering:{alg.name}", exp_via_covering(alg, a_matrix, tol)
-                except NotInAlgebra:
-                    pass
+        for tables, x in _lifts(a_matrix, tol):
+            yield f"covering:{tables.alg.name}", _exp_lift(tables, x)
 
 
 def _dispatch(a, method: str, tol: float):

@@ -69,7 +69,10 @@ def phi_s(x):
 # below this norm no value on the way to a closed form overflows: in expm2
 # each is at most e^(2|A|_F); in a 4x4 closed form each is exp of a part X of
 # the member c, |exp(X)| <= e^|X|_2 <= e^(2|c_X|), so over c00 and at most
-# three groups below e^((1 + 2 sqrt 3)|c|) < 1e291, leaving 1e17 for sums
+# three groups below e^((1 + 2 sqrt 3)|c|) < 1e291, leaving 1e17 for sums; in
+# a covering route each coordinate of a factor exponential is at most
+# e^|x| max(1, |x|) for the lift x (|det g| <= |x|^2), so products stay
+# below 1e135
 _SAFE_NORM = 150.0
 
 
@@ -79,6 +82,22 @@ def _expm2(a, is_cplx) -> np.ndarray:
     d = a0[0, 0] * a0[1, 1] - a0[0, 1] * a0[1, 0]
     scale = cmath.exp(complex(half_tr)) if is_cplx else math.exp(float(half_tr))
     return scale * (phi_c(d) * np.eye(2, dtype=a.dtype) + phi_s(d) * a0)
+
+
+def _overflow_checked(norm: float, what: str, fn, *args):
+    """fn(*args) for an input of norm `norm`.  At _SAFE_NORM or more it runs
+    under np.errstate and raises OverflowError unless the result is finite;
+    a ValueError there (the cosine of an infinite argument) counts as one."""
+    if norm < _SAFE_NORM:
+        return fn(*args)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = fn(*args)
+        except ValueError:
+            value = None
+    if value is None or not np.isfinite(value).all():
+        raise OverflowError(f"{what} overflows")
+    return value
 
 
 def expm2(a) -> np.ndarray:
@@ -97,18 +116,10 @@ def expm2(a) -> np.ndarray:
         raise ValueError("expected a 2x2 matrix")
     is_cplx = np.iscomplexobj(a)
     a = a.astype(np.complex128 if is_cplx else np.float64)
-    if frobenius(a) < _SAFE_NORM:
-        return _expm2(a, is_cplx)
-    if not np.isfinite(a).all():
+    norm = frobenius(a)
+    if not norm < _SAFE_NORM and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            value = _expm2(a, is_cplx)
-        except ValueError:  # the cosine of an infinite sqrt(det A0)
-            value = np.full(2, math.inf)
-    if not np.isfinite(value).all():
-        raise OverflowError("the 2x2 exponential overflows")
-    return value
+    return _overflow_checked(norm, "the 2x2 exponential", _expm2, a, is_cplx)
 
 
 @dataclass(frozen=True)

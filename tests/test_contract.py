@@ -301,6 +301,24 @@ def test_routes_square_no_group_and_take_no_numpy_norm(monkeypatch):
         assert expm_auto(a, method=tag).route == tag
 
 
+def test_covering_routes_take_no_2x2_exponential(monkeypatch):
+    # exp(A) is one precomputed bilinear map of the lift: neither expm2 nor
+    # a per-basis coordinate solve is on a covering route
+    covering = importlib.import_module("structexp.covering")
+    routes_of = importlib.import_module("structexp.expm_structured")._routes
+    smalllin = importlib.import_module("structexp.smalllin")
+    rng = np.random.default_rng(23)
+    samples = {name: covering_member(alg, rng) for name, alg in COVERING_ALGEBRAS.items()}
+    want = {name: exp_via_covering(COVERING_ALGEBRAS[name], a) for name, a in samples.items()}
+    for fn in (smalllin.expm2, covering._coords):
+        _refuse_everywhere(monkeypatch, fn)
+    for name, a in samples.items():
+        alg = COVERING_ALGEBRAS[name]
+        assert np.array_equal(exp_via_covering(alg, a), want[name]), name
+        routes = dict(routes_of(a, 1e-9, coverings=True))
+        assert np.array_equal(routes[f"covering:{name}"], want[name]), name
+
+
 def test_psi_inverse_takes_no_lstsq(monkeypatch):
     rng = np.random.default_rng(22)
     samples = {name: covering_member(alg, rng) for name, alg in COVERING_ALGEBRAS.items()}

@@ -8,9 +8,12 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structexp import (
     COVERING_ALGEBRAS,
+    DEFAULT_TOL,
     NotInAlgebra,
     expm_auto,
     expm_series,
@@ -21,6 +24,8 @@ from structexp import (
 )
 from structexp.cli import run
 from structexp.covering import P3R, P4R, SO3, SO4, SO21R, SO22R
+from structexp.expm_structured import _routes
+from structexp.smalllin import expm2
 
 from conftest import covering_member, rodrigues, u17
 
@@ -77,7 +82,7 @@ def test_psi_inverse_round_trip():
 
 def test_user_built_algebra_inverts_like_the_built_in():
     # a CoveringAlgebra built outside the registry has no precomputed
-    # pseudo-inverse; its own psi_matrix is inverted instead
+    # tables; its own psi_matrix is inverted instead
     rng = np.random.default_rng(82)
     for alg in COVERING_ALGEBRAS.values():
         own = dataclasses.replace(alg, psi_matrix=np.array(alg.psi_matrix))
@@ -87,6 +92,8 @@ def test_user_built_algebra_inverts_like_the_built_in():
                 assert got is None
             else:
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        # and its tables are built for it alone
+        assert rel_error(exp_via_covering(own, a), exp_via_covering(alg, a)) <= 1e-14
 
 
 def test_exp_matches_oracle():
@@ -260,3 +267,95 @@ def test_overflowing_3x3_falls_through_to_the_oracle_cap():
         assert run(["expm", text, "--method", "covering:so3"]) == 3
     assert out.getvalue() == ""
     assert "cap" in err.getvalue()
+
+
+def _exp_by_factors(alg, a):
+    """exp(A) the long way: the two 2x2 factor exponentials, and the action
+    of the pair on each basis matrix of V solved for its coordinates."""
+    g, h = psi_inverse(alg, a)
+    big_g = expm2(g)
+    big_h_inv = expm2(-(g if h is None else h))
+    cols = []
+    for v in alg.basis:
+        x = (big_g @ v @ big_h_inv).astype(complex)
+        cols.append(alg.coord_pinv @ np.concatenate([x.real.ravel(), x.imag.ravel()]))
+    return np.column_stack(cols)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(COVERING_ALGEBRAS)),
+       seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-3.0, 2.0))
+def test_bilinear_map_matches_the_factor_exponentials(name, seed, exponent):
+    alg = COVERING_ALGEBRAS[name]
+    member = covering_member(alg, np.random.default_rng(seed))
+    a = member * (10.0 ** exponent / np.linalg.norm(member))
+    assert rel_error(exp_via_covering(alg, a), _exp_by_factors(alg, a)) <= 1e-13
+
+
+def _accepts(alg, a, tol):
+    try:
+        psi_inverse(alg, a, tol)
+    except NotInAlgebra:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
+def test_routes_list_the_algebras_psi_inverse_accepts(name, side):
+    # A = member + t D with the defining-relation residual of D exactly 1:
+    # every form has M = M^T = M^-1, so D = M S, S symmetric, gives
+    # D^T M + M D = 2 S; t is side * tol * (1 + |A|), found by iteration
+    alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
+    rng = np.random.default_rng(90)
+    member = covering_member(alg, rng)
+    s = rng.standard_normal((alg.dim, alg.dim))
+    s = s + s.T
+    off = alg.form @ s / (2.0 * np.linalg.norm(s))
+    t = 0.0
+    for _ in range(5):
+        t = side * tol * (1.0 + np.linalg.norm(member + t * off))
+    a = member + t * off
+    routes = [r for r, _ in _routes(a, tol, coverings=True) if r.startswith("covering:")]
+    accepted = [f"covering:{b.name}" for b in COVERING_ALGEBRAS.values()
+                if b.dim == alg.dim and _accepts(b, a, tol)]
+    assert routes == accepted
+    assert (f"covering:{name}" in routes) == (side < 1.0)
+
+
+def _p4r_member_times_200():
+    # exp of this member overflows: expm_series raises OverflowError on it
+    a = 200.0 * covering_member(P4R, np.random.default_rng(0))
+    return " ".join(repr(v) for v in a.ravel().tolist())
+
+
+@pytest.mark.parametrize("argv", [
+    ["expm", "720 0 0 0 0 0 0 0 -720"],                # p3r, the default route
+    ["expm", "0 0 720  0 0 0  720 0 0"],               # an so21r boost
+    ["expm", "--method", "covering:p4r", _p4r_member_times_200()],
+])
+def test_overflowing_covering_exponential_exits_4(argv):
+    # these printed inf or NaN with exit 0 while the covering map did not
+    # check its result
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with redirect_stdout(out), redirect_stderr(err):
+            assert run(argv) == 4
+            assert run(["verify", argv[-1], "--all-routes"]) == 4
+    assert out.getvalue() == ""
+    assert "overflow" in err.getvalue()
+
+
+def test_overflowing_covering_exponential_raises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alg, a in ((P3R, np.diag([720.0, 0.0, -720.0])),
+                       (SO21R, 720.0 * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                                 [1.0, 0.0, 0.0]]))):
+            with pytest.raises(OverflowError):
+                expm_series(a)
+            with pytest.raises(OverflowError):
+                exp_via_covering(alg, a)
+            # a member whose exponential is finite still gets it at |x| >= 150
+            assert rel_error(exp_via_covering(alg, a / 2.0), expm_series(a / 2.0)) < 1e-12

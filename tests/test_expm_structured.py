@@ -535,18 +535,31 @@ def test_no_value_overflows_below_the_safe_norm(tag):
             assert np.isfinite(_closed_form(tag, member)).all()
 
 
-def test_overflow_on_the_way_raises_without_warnings():
+def test_growth_past_the_safe_norm_is_folded_into_one_exponent():
     # exp(A) is finite for these, near 1e260 and 1e154, but the group
-    # product before the factor exp(c00) is not
+    # product before the factor exp(c00) is not (and Jordan1's cosh
+    # overflows): applying every growth as one exponent gives exp(A)
     for tag, seed in (("BisymmetricRS", 3), ("Jordan1", 11)):
         a = 300.0 * sample_family(tag, np.random.default_rng(seed))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isfinite(expm_series(a)).all()
-            with pytest.raises(OverflowError):
-                expm_auto(a, method=tag)
+            ref = expm_series(a)
+            assert np.isfinite(ref).all()
+            assert rel_error(expm_auto(a, method=tag).value, ref) <= 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # 1000 exp(1) is past the float64 range itself
         with pytest.raises(OverflowError):
             expm_auto(1000.0 * np.eye(4), method="SymmetricGeneral")
+
+
+@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
+def test_folded_growth_agrees_with_the_plain_product(tag):
+    # below _SAFE_NORM the plain product runs; the folded one must give the
+    # same exp(A) to roundoff where both are finite
+    rng = np.random.default_rng(84)
+    for scale in (0.5, 5.0, 50.0, 0.999 * _SAFE_NORM):
+        member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+        member = member * (scale / np.linalg.norm(member))
+        plain = _closed_form(tag, member)
+        assert rel_error(_closed_form(tag, member, fold=True), plain) <= 1e-13, scale
