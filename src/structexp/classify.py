@@ -11,13 +11,25 @@ exact matrix-space distance to the family, and acceptance is one comparison
 against tol*max(1, ||A||_F).  Only the rank-one supports of SpecialNormal
 and BisymmetricRS need hand-written fits.
 
-The projectors of a registry's table families are stacked into one
-(F*16) x 16 matrix at import, so one product with c gives every table member
-and residual (`_table_members`, which the forced route calls with one
-family's projector).  Matches are yielded lazily in dispatch order as
-(tag, member), so expm_auto, which takes the first, never fits the rank-one
-supports of a member of an earlier family.  The dataclasses are the public
-view of a member: `instance` and `coefficients` convert between the two.
+One product decides every family.  At import each registry gets one map of
+16 + 16F rows, [I; P_1; ...; P_F] times the coefficient projection, applied
+to the flat matrix A: its first 16 rows give c, and block f gives the part
+of c off registry entry f.  P_f is I - B B^+ for a table family (an exact
+residual) and, for a hand-written fit, the projector off the slots its
+member can fill: twice the norm of that part bounds the fit's residual from
+below.  BisymmetricRS fills six slots, so a symmetric or dense A fails its
+bound and skips the fit; SpecialNormal fills every slot, so its block is
+zero and its fit always runs.  `_matches` compares the squared norms of all
+blocks with (tol_abs/2)^2 at once and walks only the entries that pass, in
+dispatch order, yielding (tag, member) lazily, so expm_auto, which takes the
+first, never fits the rank-one supports of a member of an earlier family; a
+fit reads c from the same product.  The forced route of a table family
+(`Family.extract`) applies the family's own 32 rows of the map, so auto,
+forced and verify give bitwise-equal members.  SpecialNormal's normality
+test reads the commutator of A's symmetric and skew parts off c too, with
+one precomputed bilinear map (`_COMMUTATOR`).  The dataclasses are the
+public view of a member: `instance` and `coefficients` convert between the
+two.
 
 Every entry point at every size (these families, the covering algebras
 and the 2x2 route) admits its input through one gate, `_admit`, which takes
@@ -34,7 +46,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .hxh import _BASIS_ROWS, HxHElement, from_matrix
+from .hxh import _BASIS_ROWS, _PROJECTION_ROWS, HxHElement, from_matrix
 from .smalllin import frobenius
 
 Vec3 = tuple[float, float, float]
@@ -253,6 +265,9 @@ class Family:
         self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
         self.projector = np.eye(16) - self.basis @ self.pinv
         self.groups = tuple(frozenset(g) for g in groups)
+        # its 32 rows of its registry's map, giving c and the part of c off
+        # the family from the flat matrix; set by _stack
+        self.rows = None
 
     def instance(self, member):
         """The dataclass of a member, its parameters B^+ c."""
@@ -273,10 +288,12 @@ class Family:
 
     def extract(self, a, u, tol, tol_abs):
         """(member or None, residual), with the signature of every entry
-        of REAL_REGISTRY and COMPLEX_REGISTRY."""
-        members, residuals = _table_members(self.projector, u.c.reshape(16))
-        res = float(residuals[0])
-        return (members[0] if res <= tol_abs else None), res
+        of REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not u."""
+        out = self.rows @ a.reshape(16)
+        off = out[16:]
+        sq = float(_squared_norms(off))
+        member = out[:16] - off if sq <= (0.5 * tol_abs) ** 2 else None
+        return member, 2.0 * math.sqrt(sq)
 
 
 def _one(a: int, b: int) -> tuple[Pattern]:
@@ -377,14 +394,11 @@ RANK_ONE_GROUPS = {"SpecialNormal": {0}, "BisymmetricRS": {1}}
 _RS_BLOCK = (slice(_I, None, 2), slice(_J, None))
 
 
-def _table_members(projectors, c):
-    """(members, residuals) of the families whose projectors I - B B^+ are
-    the 16-row blocks of `projectors`: row f of members is c minus its part
-    off family f, and residuals[f] is twice that part's norm."""
-    off = (projectors @ c).reshape(-1, 16)
-    # a complex row's squared norm is that of its real pairs
+def _squared_norms(off):
+    """The squared norm of each row of `off` (of a 1-d `off`, its own); a
+    complex entry's is that of its real pair."""
     pairs = off.view(np.float64)
-    return c - off, 2.0 * np.sqrt((pairs * pairs).sum(axis=1))
+    return (pairs * pairs).sum(axis=-1)
 
 
 def _rank_one(blk, scale):
@@ -414,6 +428,28 @@ def _bisymmetric_rs_member(eps, a, x, y) -> np.ndarray:
     return m.reshape(16)
 
 
+def _commutator_map() -> np.ndarray:
+    """N with (N @ c).reshape(9, 16) @ c the commutator [sym A, skew A] of
+    the A of flat table c, as a pure block scaled so that its norm is the
+    matrix norm.  sym A is c00 + B (B the pure block) and skew A is
+    s(x)1 + 1(x)t; as [x, y] = 2 x * y for pure x and y and every basis
+    matrix has norm 2, that block is 4 (B [t]x - [s]x B): row i of B
+    crossed with t, less s crossed with column j of B.  On a SpecialNormal
+    member, c00 + s(x)1 + 1(x)t + s(x)t_hat, its norm is 4 |s| |t_hat * t|."""
+    n = np.zeros((3, 3, 16, 16))
+    for x, y, z in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        for i in (1, 2, 3):
+            # (u * v)_z = u_x v_y - u_y v_x
+            n[i - 1, z - 1, 4 * i + x, y] += 4.0
+            n[i - 1, z - 1, 4 * i + y, x] -= 4.0
+            n[z - 1, i - 1, 4 * x, 4 * y + i] -= 4.0
+            n[z - 1, i - 1, 4 * y, 4 * x + i] += 4.0
+    return n.reshape(144, 16)
+
+
+_COMMUTATOR = _commutator_map()
+
+
 def _x_special_normal(a, u, tol, tol_abs):
     c = u.c
     # hypot scales, so norms below 1e-154 do not both underflow to 0
@@ -425,13 +461,14 @@ def _x_special_normal(a, u, tol, tol_abs):
     res = 2.0 * frobenius(c[1:, 1:] - fit)
     if not res <= tol_abs:
         return None, res
-    # A must be normal: its symmetric and skew parts commute,
-    # [sym A, skew A] = (A^T A - A A^T) / 2, here in units of k = max(1, |A|)
-    # so that no product overflows
-    k = max(1.0, frobenius(a))
-    b = a / k
-    comm = frobenius(b.T @ b - b @ b.T) / 2.0
-    if not comm <= tol * (1.0 / k + frobenius(b)) ** 2:
+    # A must be normal: its symmetric and skew parts commute.  The
+    # commutator is read off c / k, k = max(1, |A|), so that no product
+    # overflows.
+    norm = frobenius(a)
+    k = max(1.0, norm)
+    flat = c.reshape(16) / k
+    comm = math.hypot(*((_COMMUTATOR @ flat).reshape(9, 16) @ flat).tolist())
+    if not comm <= tol * ((1.0 + norm) / k) ** 2:
         return None, max(res, comm * k * k)
     member = c.copy()
     member[1:, 1:] = fit
@@ -508,16 +545,33 @@ def as_real_if_possible(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _stack(registry) -> tuple[dict[str, int], np.ndarray]:
-    """The block index of each table family of the registry, and their
-    projectors stacked in registry order."""
-    fams = [FAMILIES[tag] for tag, _ in registry if tag in FAMILIES]
-    return ({fam.tag: i for i, fam in enumerate(fams)},
-            np.vstack([fam.projector for fam in fams]))
+def _off_support(tag: str) -> np.ndarray:
+    """The projector off the slots that a member of the hand-written fit
+    `tag` can fill: the scalar slot and the slots of its groups."""
+    keep = np.ones(16)
+    keep[[0] + [4 * a + b for group in GROUPS[tag] for a, b in group]] = 0.0
+    return np.diag(keep)
 
 
-_REAL_STACK = _stack(REAL_REGISTRY)
-_COMPLEX_STACK = _stack(COMPLEX_REGISTRY)
+def _stack(registry) -> tuple[tuple[bool, ...], np.ndarray]:
+    """Whether each registry entry is a table family, and the map of the
+    registry (see the module docstring).  Each table family gets its own
+    32 rows of it, for the forced route."""
+    table = tuple(tag in FAMILIES for tag, _ in registry)
+    blocks = [FAMILIES[tag].projector if t else _off_support(tag)
+              for (tag, _), t in zip(registry, table)]
+    rows = np.vstack([np.eye(16), *blocks]) @ _PROJECTION_ROWS
+    for f, (tag, _) in enumerate(registry):
+        if table[f]:
+            FAMILIES[tag].rows = np.vstack([rows[:16], rows[16 * f + 16:16 * f + 32]])
+    return table, rows
+
+
+# the maps are built from the registries' order at import; the extractors
+# are read from the registries at each call
+_REAL_MAP = _stack(REAL_REGISTRY)
+_COMPLEX_MAP = _stack(COMPLEX_REGISTRY)
+_COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
 
 
 def _admit(a_matrix, tol: float, n: int = 4):
@@ -540,31 +594,33 @@ def _admit(a_matrix, tol: float, n: int = 4):
     return as_real_if_possible(a), norm
 
 
-def _matches(a_matrix, tol: float):
-    """(tag, member) of each structured family containing A, lazily in
-    dispatch order.
+def _matches(a, norm: float, tol: float):
+    """(tag, member) of each structured family containing the admitted A
+    of norm `norm` (see _admit), lazily in dispatch order.
 
-    The hand-written extractors are read from the registry at each call, not
-    bound at import.
+    One product of the registry's map with A gives c and every entry's part
+    off its family; only the entries whose part is within the tolerance are
+    visited, and a hand-written fit among them gets c as the coefficient
+    table of A.
     """
-    admitted = _admit(a_matrix, tol)
-    if admitted is None:
-        return
-    a, norm = admitted
-    u, tol_abs = from_matrix(a), tol * max(1.0, norm)
+    tol_abs = tol * max(1.0, norm)
     if np.iscomplexobj(a):
-        registry, (blocks, stack) = COMPLEX_REGISTRY, _COMPLEX_STACK
+        registry, (table, rows) = COMPLEX_REGISTRY, _COMPLEX_MAP
     else:
-        registry, (blocks, stack) = REAL_REGISTRY, _REAL_STACK
-    members, residuals = _table_members(stack, u.c.reshape(16))
-    for tag, extract in registry:
-        block = blocks.get(tag)
-        if block is None:
-            member, _res = extract(a, u, tol, tol_abs)
-            if member is not None:
-                yield tag, member
-        elif residuals[block] <= tol_abs:
-            yield tag, members[block]
+        registry, (table, rows) = REAL_REGISTRY, _REAL_MAP
+    out = rows @ a.reshape(16)
+    c, off = out[:16], out[16:].reshape(-1, 16)
+    u = None
+    for f in np.flatnonzero(_squared_norms(off) <= (0.5 * tol_abs) ** 2).tolist():
+        tag, extract = registry[f]
+        if table[f]:
+            yield tag, c - off[f]
+            continue
+        if u is None:
+            u = HxHElement(c.reshape(4, 4))
+        member, _res = extract(a, u, tol, tol_abs)
+        if member is not None:
+            yield tag, member
 
 
 def _extract(tag: str, a_matrix, tol: float):
@@ -575,10 +631,12 @@ def _extract(tag: str, a_matrix, tol: float):
     if admitted is None:
         return None, math.inf
     a, norm = admitted
-    if np.iscomplexobj(a) and tag not in _COMPLEX_STACK[0]:
+    if np.iscomplexobj(a) and tag not in _COMPLEX_TAGS:
         # a real family has no imaginary part: all of it is off the family
         return None, frobenius(a.imag)
-    return EXTRACTORS[tag](a, from_matrix(a), tol, tol * max(1.0, norm))
+    # a table family reads A itself; only the hand-written fits take c
+    u = None if tag in FAMILIES else from_matrix(a)
+    return EXTRACTORS[tag](a, u, tol, tol * max(1.0, norm))
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -587,7 +645,10 @@ def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
     An empty list means no closed-form route applies (the caller falls back
     to a series exponential).
     """
-    return [instance(tag, member) for tag, member in _matches(a_matrix, tol)]
+    admitted = _admit(a_matrix, tol)
+    if admitted is None:
+        return []
+    return [instance(tag, member) for tag, member in _matches(*admitted, tol)]
 
 
 def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

@@ -24,9 +24,9 @@ Q are built once per algebra at import (`_TABLES`), each with one einsum; a
 user-built algebra gets its own on each call.
 
 At |x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
-and raises OverflowError unless exp(A) is finite.  `_lifts` tests A against
-every built-in algebra of its size with one product of the stacked
-defining-relation maps, and solves only those that contain it.
+and raises OverflowError unless exp(A) is finite.  `_lifts` tests an
+admitted A against every built-in algebra of its size with one product of
+the stacked defining-relation maps, and solves only those that contain it.
 """
 
 from __future__ import annotations
@@ -191,17 +191,14 @@ def _lift(t: _Tables, a_matrix, tol: float):
     return _solve(t, a, norm, frobenius(t.relation @ a.ravel()), tol)
 
 
-def _lifts(a_matrix, tol: float):
-    """(tables, x) for each built-in algebra of A's size that contains A,
-    lazily in registry order.  A is admitted once, and one product with the
-    stacked relation maps gives every residual."""
-    n = a_matrix.shape[0]
-    if n not in _RELATIONS:
+def _lifts(a, norm: float, tol: float):
+    """(tables, x) for each built-in algebra of A's size that contains the
+    admitted A of norm `norm` (see `classify._admit`), lazily in registry
+    order.  One product with the stacked relation maps gives every
+    residual."""
+    n = a.shape[0]
+    if n not in _RELATIONS or np.iscomplexobj(a):
         return
-    admitted = _admit(a_matrix, tol, n)
-    if admitted is None or np.iscomplexobj(admitted[0]):
-        return
-    a, norm = admitted
     sized, relations = _RELATIONS[n]
     residuals = (relations @ a.ravel()).reshape(len(sized), n * n)
     for t, res in zip(sized, residuals):

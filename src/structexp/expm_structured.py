@@ -310,18 +310,20 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
     """(route, value) for each closed form that claims A, lazily in route
     order: expm2 for a 2x2, the structured families of a 4x4 in dispatch
     order, then the covering algebras of A's size in registry order (for a
-    4x4 only when `coverings` is set).  Each size admits A once through
-    `_admit`, and one product tests A against every covering algebra."""
+    4x4 only when `coverings` is set).  A is admitted once, through
+    `_admit`, and both steps of a 4x4 take that (A, |A|); one product tests
+    A against every covering algebra."""
     n = a_matrix.shape[0]
+    admitted = _admit(a_matrix, tol, n) if n in (2, 3, 4) else None
+    if admitted is None:
+        return
     if n == 2:
-        admitted = _admit(a_matrix, tol, 2)
-        if admitted is not None:
-            yield "expm2", expm2(admitted[0])
+        yield "expm2", expm2(admitted[0])
     elif n == 4:
-        for tag, member in _matches(a_matrix, tol):
+        for tag, member in _matches(*admitted, tol):
             yield tag, _exp_member(tag, member)
     if n == 3 or coverings:
-        for tables, x in _lifts(a_matrix, tol):
+        for tables, x in _lifts(*admitted, tol):
             yield f"covering:{tables.alg.name}", _exp_lift(tables, x)
 
 

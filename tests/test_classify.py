@@ -1,9 +1,12 @@
 """Tests for structured family recognition and coefficient extraction."""
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structexp import classify, expm_auto, extract_special_normal, extract_symmetric_rep
 from structexp.classify import (
@@ -23,6 +26,8 @@ from structexp.hxh import J4, R4, basis_matrix, from_matrix
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family
 
 _PRIORITY = [tag for tag, _ in REAL_REGISTRY]
+# the package attribute structexp.classify is the function
+cls_mod = importlib.import_module("structexp.classify")
 
 
 def test_j4_is_skew_symmetric():
@@ -294,3 +299,74 @@ def test_extract_symmetric_rep_refuses_an_overflowing_norm():
         for a in ((np.eye(4) + J4) * 1e160, np.eye(4) * 1e300):
             with pytest.raises(ValueError, match="overflow"):
                 extract_symmetric_rep(a)
+
+
+# ------------------------------------------------- one map, and the fit bounds
+
+
+def _bisymmetric_rs_bound(a):
+    """Twice the norm of A's part off the BisymmetricRS slots, as the real
+    registry's map gives it to classification."""
+    table, rows = cls_mod._REAL_MAP
+    f = _PRIORITY.index("BisymmetricRS")
+    assert not table[f]
+    return 2.0 * np.linalg.norm((rows @ a.reshape(16))[16 * f + 16:16 * f + 32])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 30.0),
+       kind=st.sampled_from(["dense", "symmetric", "member"]))
+def test_bisymmetric_rs_bound_never_exceeds_its_fit_residual(seed, scale, kind):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((4, 4))
+    if kind == "dense":
+        a = e
+    elif kind == "symmetric":
+        a = e + e.T
+    else:
+        # a member moved off its family by 1e-13 to 1e-5 of its norm, about
+        # the tolerance band
+        a = sample_family("BisymmetricRS", rng)
+        a = a + 10.0 ** rng.uniform(-13.0, -5.0) * np.linalg.norm(a) * e / np.linalg.norm(e)
+    a = scale * a
+    tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+    _member, res = cls_mod._x_bisymmetric_rs(a, from_matrix(a), DEFAULT_TOL, tol_abs)
+    # the bound sums a subset of the residual's squares: equal up to rounding
+    assert _bisymmetric_rs_bound(a) <= res * (1.0 + 1e-12)
+
+
+def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
+    calls = []
+    fit = cls_mod.EXTRACTORS["BisymmetricRS"]
+
+    def counting(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(cls_mod, "REAL_REGISTRY", [
+        (tag, counting if tag == "BisymmetricRS" else extract)
+        for tag, extract in cls_mod.REAL_REGISTRY])
+    rng = np.random.default_rng(60)
+    for _ in range(20):
+        for a in (sample_family("SymmetricGeneral", rng), rng.standard_normal((4, 4))):
+            classify(a)
+            expm_auto(a)
+    assert calls == []
+    a = sample_family("BisymmetricRS", rng)
+    assert "BisymmetricRS" in [inst.tag for inst in classify(a)]
+    assert expm_auto(a).route == "BisymmetricRS"
+    assert len(calls) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-3.0, 150.0))
+def test_normality_commutator_is_read_off_the_coefficients(seed, exponent):
+    # the SpecialNormal fit's normality test reads |[sym A, skew A]|_F, that
+    # is |A^T A - A A^T|_F / 2, off c / k as one bilinear map
+    a = np.random.default_rng(seed).standard_normal((4, 4)) * 10.0 ** exponent
+    k = max(1.0, float(np.linalg.norm(a)))
+    b = a / k
+    want = np.linalg.norm(b.T @ b - b @ b.T) / 2.0
+    flat = from_matrix(a).c.reshape(16) / k
+    got = np.linalg.norm((cls_mod._COMMUTATOR @ flat).reshape(9, 16) @ flat)
+    assert abs(got - want) <= 1e-13 * np.linalg.norm(b) ** 2
