@@ -398,7 +398,7 @@ def _squared_norms(off):
     """The squared norm of each row of `off` (of a 1-d `off`, its own); a
     complex entry's is that of its real pair."""
     pairs = off.view(np.float64)
-    return (pairs * pairs).sum(axis=-1)
+    return np.add.reduce(pairs * pairs, axis=-1)
 
 
 def _rank_one(blk, scale):
@@ -611,7 +611,7 @@ def _matches(a, norm: float, tol: float):
     out = rows @ a.reshape(16)
     c, off = out[:16], out[16:].reshape(-1, 16)
     u = None
-    for f in np.flatnonzero(_squared_norms(off) <= (0.5 * tol_abs) ** 2).tolist():
+    for f in (_squared_norms(off) <= (0.5 * tol_abs) ** 2).nonzero()[0].tolist():
         tag, extract = registry[f]
         if table[f]:
             yield tag, c - off[f]

@@ -5,11 +5,18 @@ The CLI only parses and prints: the route order (`_routes`, which `verify`
 walks) and the `expm --method` dispatch (`_dispatch`, which `expm_auto` also
 calls) live in `expm_structured`.
 
+Arguments are parsed in one pass: when the first names a subcommand, that
+subcommand's parser (built once, with the top-level one) reads the rest, and
+an argument it does not know is reported through the top-level parser, with
+its usage, as a plain argparse pass reports it.  Anything else (no
+arguments, -h, an unknown command) goes through the top-level parser.
+
 Matrix input is either plaintext (whitespace-separated row-major scalars,
 `#` comments, optional leading token `complex` followed by re,im interleaved
-pairs) or a JSON object with fields n / kind / entries / label.  The matrix
-argument is read as a file when a file of that name exists, otherwise parsed
-as inline text.
+pairs) or a JSON object with fields n / kind / entries / label: n a JSON
+integer and each entry a JSON number, so a bool, a string or (for n) a
+float is a parse error.  The matrix argument is read as a file when a file
+of that name exists, otherwise parsed as inline text.
 
 Exit codes: 0 success, 1 a verify residual above threshold or not a number,
 2 parse or shape error (non-finite entries included), a --tol that is not
@@ -25,9 +32,11 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from gettext import gettext
 from typing import Optional
 
 import numpy as np
@@ -81,7 +90,7 @@ def _checked_document(n, kind, entries, label) -> MatrixDocument:
     if len(entries) != per * n * n:
         raise ParseError(f"a {kind} {n}x{n} matrix needs {per * n * n} "
                          f"scalars, got {len(entries)}")
-    if not np.all(np.isfinite(entries)):
+    if not all(map(math.isfinite, entries)):
         raise ParseError("matrix entries must be finite")
     return MatrixDocument(n, kind, tuple(entries), label)
 
@@ -93,13 +102,14 @@ def _parse_json(text: str) -> MatrixDocument:
         raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("JSON matrix input must be an object")
-    try:
-        n = int(doc["n"])
-        kind = doc["kind"]
-        entries = [float(v) for v in doc["entries"]]
-    except (KeyError, TypeError, ValueError):
+    n, entries = doc.get("n"), doc.get("entries")
+    # json.loads makes int, float, bool, str, list, dict or None, and a bool
+    # is an int
+    if (type(n) is not int or "kind" not in doc or type(entries) is not list
+            or not all(type(v) in (int, float) for v in entries)):
         raise ParseError("JSON matrix object needs integer 'n', string "
-                         "'kind' and numeric 'entries'") from None
+                         "'kind' and numeric 'entries'")
+    kind, entries = doc["kind"], [float(v) for v in entries]
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError("'label' must be a string")
@@ -228,8 +238,9 @@ def _cmd_rep(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first run and reused after."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its subcommand parsers by name, built on the
+    first run and reused after."""
     parser = argparse.ArgumentParser(
         prog="structexp",
         description="closed-form structured matrix exponentials, "
@@ -270,11 +281,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rep", help="print the sixteen tensor-basis coefficients")
     matrix_arg(p)
     p.set_defaults(func=_cmd_rep)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The parser's parse_args(argv), in one pass when argv[0] names a
+    subcommand: its own parser reads the rest, and an argument left over is
+    reported by the top-level parser, as parse_args reports it."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (ForcedClassMismatch, NotInAlgebra) as exc:

@@ -164,12 +164,10 @@ for _n in (3, 4):
     _RELATIONS[_n] = (_sized, np.vstack([t.relation for t in _sized]))
 
 
-def _solve(t: _Tables, a, norm: float, res: float, tol: float):
+def _solve(t: _Tables, a, norm: float, tol: float):
     """The lift x of an admitted real A whose defining-relation residual is
-    res.  Raises NotInAlgebra when res, or the back-check psi_matrix @ x - A,
-    is above tol * (1 + |A|)."""
-    if res > tol * (1.0 + norm):
-        raise NotInAlgebra(t.alg.name, res)
+    within tol * (1 + |A|).  Raises NotInAlgebra when the back-check
+    psi_matrix @ x - A is above that bound."""
     x = t.psi_pinv @ a.ravel()
     # psi is linear in (g, h): psi(alg, g, h) is psi_matrix @ x
     res_back = frobenius(t.alg.psi_matrix @ x - a.ravel())
@@ -188,24 +186,32 @@ def _lift(t: _Tables, a_matrix, tol: float):
     a, norm = admitted
     if np.iscomplexobj(a):
         raise NotInAlgebra(t.alg.name, frobenius(a.imag))
-    return _solve(t, a, norm, frobenius(t.relation @ a.ravel()), tol)
+    res = frobenius(t.relation @ a.ravel())
+    if res > tol * (1.0 + norm):
+        raise NotInAlgebra(t.alg.name, res)
+    return _solve(t, a, norm, tol)
 
 
 def _lifts(a, norm: float, tol: float):
     """(tables, x) for each built-in algebra of A's size that contains the
     admitted A of norm `norm` (see `classify._admit`), lazily in registry
     order.  One product with the stacked relation maps gives every
-    residual."""
+    residual, and only an algebra whose residual is within tol * (1 + norm)
+    is solved, so an algebra that fails its relation raises nothing."""
     n = a.shape[0]
     if n not in _RELATIONS or np.iscomplexobj(a):
         return
     sized, relations = _RELATIONS[n]
     residuals = (relations @ a.ravel()).reshape(len(sized), n * n)
+    bound = tol * (1.0 + norm)
     for t, res in zip(sized, residuals):
+        if frobenius(res) > bound:
+            continue
         try:
-            yield t, _solve(t, a, norm, frobenius(res), tol)
+            x = _solve(t, a, norm, tol)
         except NotInAlgebra:
-            pass
+            continue
+        yield t, x
 
 
 def _factor(det_form, x0: float, x1: float, x2: float, sign: float) -> np.ndarray:

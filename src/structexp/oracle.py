@@ -28,7 +28,7 @@ def expm_series(a) -> np.ndarray:
         raise ValueError("expected a square matrix of size 2, 3 or 4")
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     a = a.astype(dtype)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise OverflowError("non-finite entries in input")
 
     # a column has at most four entries, so a quarter of the 1-norm is finite
@@ -41,14 +41,17 @@ def expm_series(a) -> np.ndarray:
                              f"cap of {_MAX_SQUARINGS}")
     b = a / (2.0 ** s)
 
+    # r = eye + (b @ r) / k for k = 18, ..., 1, in two buffers
     eye = np.eye(a.shape[0], dtype=dtype)
-    r = eye.copy()
+    r, t = eye.copy(), np.empty_like(eye)
     for k in range(_TAYLOR_DEGREE, 0, -1):
-        r = eye + (b @ r) / k
+        np.matmul(b, r, out=t)
+        np.divide(t, k, out=t)
+        np.add(eye, t, out=r)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             r = r @ r
-            if not np.all(np.isfinite(r)):
+            if not np.isfinite(r).all():
                 raise OverflowError("overflow while squaring")
     return r
 

@@ -10,6 +10,8 @@ import pytest
 from structexp.cli import (
     MatrixDocument,
     ParseError,
+    _parse_args,
+    _parsers,
     format_document_json,
     format_matrix,
     load_document,
@@ -95,6 +97,21 @@ def test_parse_json_rejects_malformed():
     with pytest.raises(ParseError):
         parse_document(json.dumps({"n": 2, "kind": "real", "entries": [0.0] * 4,
                                    "label": 7}))
+    # n must be a JSON integer, and each entry a JSON number
+    for n in (2.7, 2.0, "2", True, None):
+        with pytest.raises(ParseError, match="integer 'n'"):
+            parse_document(json.dumps({"n": n, "kind": "real", "entries": [0, 1, -1, 0]}))
+    for bad in (True, "1", None, [1]):
+        with pytest.raises(ParseError, match="numeric 'entries'"):
+            parse_document(json.dumps({"n": 2, "kind": "real", "entries": [0, bad, -1, 0]}))
+    with pytest.raises(ParseError, match="numeric 'entries'"):
+        parse_document(json.dumps({"n": 2, "kind": "real", "entries": "0110"}))
+
+
+def test_parse_json_reads_integer_entries_as_floats():
+    doc = parse_document('{"n": 2, "kind": "real", "entries": [0, 1, -1.5, 0]}')
+    assert doc.entries == (0.0, 1.0, -1.5, 0.0)
+    assert all(type(v) is float for v in doc.entries)
 
 
 def test_matrix_document_complex_round_trip():
@@ -118,6 +135,64 @@ def test_format_matrix_alignment():
     assert len(lines) == 2
     assert len(lines[0]) == len(lines[1])
     assert "-2.5" in lines[0]
+
+
+# ------------------------------------------------------------------ arguments
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(namespace fields or None, SystemExit code or None, stdout, stderr)."""
+    try:
+        fields, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        fields, code = None, exc.code
+    out, err = capsys.readouterr()
+    return fields, code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "1 2 3 4"],
+    ["classify", "1 2 3 4", "--tol", "1e-6"],
+    ["expm", "1 2 3 4", "--method", "oracle", "--json"],
+    ["verify", "1 2 3 4", "--all-routes", "--inject-fault", "1e-3"],
+    ["rep", J4_TEXT],
+    ["verify", "--all-routes", "1 2 3 4"],              # an option before the matrix
+    ["expm", "--method=oracle", "-1 2 3 4"],
+    ["verify", "--", "-1"],
+    ["verify"],                                         # no matrix
+    ["expm", "--json"],
+    ["verify", "1 2 3 4", "--bogus"],                   # reported at the top level
+    ["rep", "1 2 3 4", "5 6 7 8"],
+    ["classify", "1 2 3 4", "--tol", "abc"],
+    ["verify", "1 2 3 4", "--inject"],
+    ["frobnicate", "1 2 3 4"],                          # no such command
+    [],
+    ["-h"],
+    ["--help", "verify"],
+    ["verify", "-h"],
+    ["expm", "1 2 3 4", "--help"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_pass_parse_matches_the_full_parser(argv, capsys):
+    full = _parse_outcome(_parsers()[0].parse_args, argv, capsys)
+    assert _parse_outcome(_parse_args, argv, capsys) == full
+    assert _parse_outcome(_parse_args, tuple(argv), capsys) == full
+
+
+@pytest.mark.parametrize("argv", [["verify", "1 2 3 4"], ["verify", "1 2 3 4", "--bogus"],
+                                  ["-h"]])
+def test_one_pass_parse_reads_sys_argv_by_default(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["structexp", *argv])
+    assert (_parse_outcome(_parse_args, None, capsys)
+            == _parse_outcome(_parsers()[0].parse_args, None, capsys))
+
+
+def test_unknown_option_after_a_command_prints_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "1 2 3 4", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: structexp [-h]")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
 
 
 # ------------------------------------------------------------------ subcommands

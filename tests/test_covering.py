@@ -22,8 +22,10 @@ from structexp import (
     psi_inverse,
     rel_error,
 )
+from structexp import covering
+from structexp.classify import _admit
 from structexp.cli import run
-from structexp.covering import P3R, P4R, SO3, SO4, SO21R, SO22R
+from structexp.covering import P3R, P4R, SO3, SO4, SO21R, SO22R, _TABLES, _lift, _lifts
 from structexp.expm_structured import _routes
 from structexp.smalllin import expm2
 
@@ -321,6 +323,41 @@ def test_routes_list_the_algebras_psi_inverse_accepts(name, side):
                 if b.dim == alg.dim and _accepts(b, a, tol)]
     assert routes == accepted
     assert (f"covering:{name}" in routes) == (side < 1.0)
+
+
+class _ConstructionFails(NotInAlgebra):
+    def __init__(self, *args):
+        raise AssertionError(f"NotInAlgebra{args} constructed")
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lifts_outside_every_algebra_construct_no_exception(n, monkeypatch):
+    monkeypatch.setattr(covering, "NotInAlgebra", _ConstructionFails)
+    rng = np.random.default_rng(91 + n)
+    for _ in range(20):
+        a = rng.standard_normal((n, n))
+        assert list(_lifts(*_admit(a, DEFAULT_TOL, n), DEFAULT_TOL)) == []
+        assert not any(r.startswith("covering:")
+                       for r, _ in _routes(a, DEFAULT_TOL, coverings=True))
+
+
+@pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
+def test_lifts_are_the_lifts_of_each_algebra(name):
+    alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
+    rng = np.random.default_rng(92)
+    for scale in (1e-3, 1.0, 30.0):
+        a = covering_member(alg, rng, scale)
+        lifts = [(t.alg.name, x) for t, x in _lifts(*_admit(a, tol, alg.dim), tol)]
+        expected = []
+        for other in COVERING_ALGEBRAS.values():
+            if other.dim == alg.dim:
+                try:
+                    expected.append((other.name, _lift(_TABLES[other.name], a, tol)))
+                except NotInAlgebra:
+                    pass
+        assert name in [n for n, _ in lifts]
+        assert [n for n, _ in lifts] == [n for n, _ in expected]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(lifts, expected))
 
 
 def _p4r_member_times_200():

@@ -105,6 +105,58 @@ def test_scaling_cap_raises_instead_of_clamping():
     assert np.isfinite(expm_series(5e11 * basis_matrix(1, 0))).all()
 
 
+def _plain_series(a):
+    """expm_series as a plain Horner loop of new arrays, to pin it bit for bit."""
+    a = np.asarray(a)
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    a = a.astype(dtype)
+    norm = 4.0 * float(np.abs(a / 4.0).sum(axis=0).max())
+    s = math.ceil(math.log2(norm / 0.5)) if norm > 0.5 else 0
+    b = a / (2.0 ** s)
+    eye = np.eye(a.shape[0], dtype=dtype)
+    r = eye.copy()
+    for k in range(18, 0, -1):
+        r = eye + (b @ r) / k
+    for _ in range(s):
+        r = r @ r
+    return r, s
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_series_equals_the_plain_horner_loop_bit_for_bit(n, kind):
+    # generators of rotations (skew or skew-Hermitian) stay finite at any
+    # scale, so the norms reach 13 squarings; dense ones stay small
+    rng = np.random.default_rng(40 + n)
+    squarings = set()
+    for exponent in range(-3, 14):
+        for skew in (True, False):
+            if not skew and exponent > 2:
+                continue
+            m = rng.standard_normal((n, n))
+            if kind == "complex":
+                m = m + 1j * rng.standard_normal((n, n))
+            if skew:
+                m = m - m.conj().T
+            a = m * (0.4 * 2.0 ** exponent / np.abs(m).sum(axis=0).max())
+            expected, s = _plain_series(a)
+            got = expm_series(a)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (exponent, skew)
+            squarings.add(s)
+    assert min(squarings) == 0 and max(squarings) >= 12
+
+
+def test_series_errors_are_unchanged():
+    with pytest.raises(OverflowError, match="^non-finite entries in input$"):
+        expm_series(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    with pytest.raises(OverflowError, match="^overflow while squaring$"):
+        expm_series(np.diag([1000.0, 1000.0, 1000.0, 1000.0]))
+    with pytest.raises(ValueError, match=r"^1-norm 1\.000e\+13 needs 45 squarings, "
+                                         r"over the cap of 40$"):
+        expm_series(1e13 * basis_matrix(1, 0))
+
+
 def test_rejects_bad_shapes():
     for bad in (np.eye(5), np.eye(1), np.ones((2, 3)), np.ones(4)):
         with pytest.raises(ValueError):
