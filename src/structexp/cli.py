@@ -5,18 +5,26 @@ The CLI only parses and prints: the route order (`_routes`, which `verify`
 walks) and the `expm --method` dispatch (`_dispatch`, which `expm_auto` also
 calls) live in `expm_structured`.
 
-Arguments are parsed in one pass: when the first names a subcommand, that
-subcommand's parser (built once, with the top-level one) reads the rest, and
-an argument it does not know is reported through the top-level parser, with
-its usage, as a plain argparse pass reports it.  Anything else (no
-arguments, -h, an unknown command) goes through the top-level parser.
+When the first argument names a subcommand and each later token is an
+exact option string of that subcommand (a flag, or a one-value option
+followed by a value that does not begin with '-' and that its type accepts)
+or a token argparse reads as a positional (not beginning with '-', or '-'
+then a digit or '.' with a space in it, as in "-1 0 0 -1"), with as many
+positionals as the subcommand takes, the namespace is built without
+argparse.  Every other command line (-h, an abbreviation such as --all,
+--tol=1e-6, --, a value argparse rejects, an unknown option, a missing or
+extra matrix) goes to argparse, so every usage, help and error message is
+argparse's own: the subcommand's parser reads the rest in one pass, and an
+argument it does not know is reported through the top-level parser.
 
 Matrix input is either plaintext (whitespace-separated row-major scalars,
 `#` comments, optional leading token `complex` followed by re,im interleaved
 pairs) or a JSON object with fields n / kind / entries / label: n a JSON
 integer and each entry a JSON number, so a bool, a string or (for n) a
-float is a parse error.  The matrix argument is read as a file when a file
-of that name exists, otherwise parsed as inline text.
+float is a parse error.  An integer entry past the float64 range reads as
++-inf, as 1e400 does, so it is a non-finite entry.  The matrix argument is
+read as a file when a file of that name exists, otherwise parsed as inline
+text.
 
 Exit codes: 0 success, 1 a verify residual above threshold or not a number,
 2 parse or shape error (non-finite entries included), a --tol that is not
@@ -109,7 +117,12 @@ def _parse_json(text: str) -> MatrixDocument:
             or not all(type(v) in (int, float) for v in entries)):
         raise ParseError("JSON matrix object needs integer 'n', string "
                          "'kind' and numeric 'entries'")
-    kind, entries = doc["kind"], [float(v) for v in entries]
+    try:
+        entries = [float(v) for v in entries]
+    except OverflowError:
+        # an integer past the float64 range reads as +-inf, as 1e400 does
+        entries = [float(str(v)) for v in entries]
+    kind = doc["kind"]
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError("'label' must be a string")
@@ -284,18 +297,94 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+_NUMBER_START = frozenset("0123456789.")
+
+
+def _token_table(p: argparse.ArgumentParser):
+    """(defaults, flags, options, positional dests) for _read_tokens, from
+    p's own actions: the namespace before any token, each store_true or
+    store_const option string's (dest, const), and each one-value store
+    option's (dest, type).  Help, append, nargs and choices actions are left
+    out, so their tokens go to argparse.  None when leaving an action out
+    could change a well-formed command line's meaning: a positional or a
+    required option left out, a str default argparse passes through its
+    type, an exclusive group, or an option string like a negative number."""
+    defaults = {a.dest: a.default for a in p._actions
+                if argparse.SUPPRESS not in (a.dest, a.default)}
+    for dest, value in p._defaults.items():
+        defaults.setdefault(dest, value)
+    flags, options, positionals = {}, {}, []
+    for a in p._actions:
+        if (a.option_strings and a.required
+                or isinstance(a.default, str) and a.type is not None):
+            return None
+        single = (type(a) is argparse._StoreAction and a.nargs is None
+                  and a.choices is None)
+        if single and a.option_strings:
+            options.update(dict.fromkeys(a.option_strings, (a.dest, a.type or str)))
+        elif single:
+            positionals.append(a.dest)
+        elif isinstance(a, argparse._StoreConstAction):
+            flags.update(dict.fromkeys(a.option_strings, (a.dest, a.const)))
+        elif not a.option_strings:
+            return None
+    if p._mutually_exclusive_groups or any(
+            s[1] in _NUMBER_START for s in p._option_string_actions):
+        return None
+    return defaults, flags, options, positionals
+
+
+@functools.cache
+def _token_tables() -> dict:
+    """The token table of each subcommand, built on the first run."""
+    return {name: _token_table(p) for name, p in _parsers()[1].items()}
+
+
+def _read_tokens(table, tokens) -> Optional[argparse.Namespace]:
+    """The namespace argparse makes of a subcommand's tokens, read by the
+    rule in the module docstring, or None when argparse must read them."""
+    defaults, flags, options, positionals = table
+    values, given = dict(defaults), []
+    tokens = iter(tokens)
+    for tok in tokens:
+        if tok in flags:
+            dest, const = flags[tok]
+            values[dest] = const
+        elif tok in options:
+            dest, convert = options[tok]
+            value = next(tokens, "-")
+            if value[:1] == "-":
+                return None
+            try:
+                values[dest] = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None  # argparse reports it
+        elif tok[:1] != "-" or (tok[1:2] in _NUMBER_START and " " in tok):
+            given.append(tok)
+        else:
+            return None
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """The parser's parse_args(argv), in one pass when argv[0] names a
-    subcommand: its own parser reads the rest, and an argument left over is
-    reported by the top-level parser, as parse_args reports it."""
+    """The parser's parse_args(argv).  When argv[0] names a subcommand, a
+    command line its token table covers is read without argparse; otherwise
+    the subcommand's own parser reads the rest in one pass, and an argument
+    left over is reported by the top-level parser, as parse_args reports it."""
     parser, commands = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    table = _token_tables()[argv[0]]
+    args = None if table is None else _read_tokens(table, argv[1:])
+    if args is None:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
     args.command = argv[0]
     return args
 

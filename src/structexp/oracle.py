@@ -51,8 +51,10 @@ def expm_series(a) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
             r = r @ r
-            if not np.isfinite(r).all():
-                raise OverflowError("overflow while squaring")
+    # a non-finite r_ij stays non-finite in every later square, through its
+    # r_ii * r_ij term, so one check after the loop sees any overflow
+    if s and not np.isfinite(r).all():
+        raise OverflowError("overflow while squaring")
     return r
 
 

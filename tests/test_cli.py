@@ -1,17 +1,22 @@
 """Tests for the command-line interface: parsing, formatting, and exit codes."""
 
+import argparse
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from structexp.cli import (
     MatrixDocument,
     ParseError,
     _parse_args,
     _parsers,
+    _read_tokens,
+    _token_table,
     format_document_json,
     format_matrix,
     load_document,
@@ -106,6 +111,12 @@ def test_parse_json_rejects_malformed():
             parse_document(json.dumps({"n": 2, "kind": "real", "entries": [0, bad, -1, 0]}))
     with pytest.raises(ParseError, match="numeric 'entries'"):
         parse_document(json.dumps({"n": 2, "kind": "real", "entries": "0110"}))
+    # an integer past the float64 range is a non-finite entry, as 1e400 is
+    for big in (10 ** 400, -10 ** 400):
+        with pytest.raises(ParseError, match="^matrix entries must be finite$"):
+            parse_document(json.dumps({"n": 2, "kind": "real", "entries": [big, 0, 0, 0]}))
+    with pytest.raises(ParseError, match="^matrix size must be 2, 3 or 4, got 5$"):
+        parse_document(json.dumps({"n": 5, "kind": "real", "entries": [10 ** 400]}))
 
 
 def test_parse_json_reads_integer_entries_as_floats():
@@ -171,11 +182,99 @@ def _parse_outcome(parse, argv, capsys):
     ["--help", "verify"],
     ["verify", "-h"],
     ["expm", "1 2 3 4", "--help"],
+    ["verify", "-1 0 0 -1", "--all-routes"],            # a negative-leading matrix
+    ["classify", "-.5 1 2 3"],
+    ["verify", "-1"],                                   # no space: argparse reads these
+    ["verify", "- 1"],
+    ["verify", "-1\n0\n0\n1"],
+    ["verify", "1 0 0 -1", "--all"],                    # an abbreviation
+    ["classify", J4_TEXT, "--tol=1e-6"],
+    ["classify", "1 2 3 4", "--tol", "-1e-6"],          # a value that begins with -
+    ["verify", "1 2 3 4", "--all-routes", "--all-routes"],
+    ["classify", "1 2 3 4", "--tol", "1e-3", "--tol", "1e-6"],
+    ["verify", "1 2 3 4", "5 6 7 8"],                   # two matrices
+    ["verify", ""],
 ], ids=lambda argv: " ".join(argv) or "no arguments")
 def test_one_pass_parse_matches_the_full_parser(argv, capsys):
     full = _parse_outcome(_parsers()[0].parse_args, argv, capsys)
     assert _parse_outcome(_parse_args, argv, capsys) == full
     assert _parse_outcome(_parse_args, tuple(argv), capsys) == full
+
+
+def _nan_safe(outcome):
+    """A _parse_outcome with each NaN field read as "nan", so it equals itself."""
+    fields, *rest = outcome
+    if fields is not None:
+        fields = {k: "nan" if isinstance(v, float) and math.isnan(v) else v
+                  for k, v in fields.items()}
+    return fields, *rest
+
+
+_OPTIONS = ["--tol", "--method", "--inject-fault", "--json", "--all-routes", "--all",
+            "--tol=1e-6", "--js", "-h", "--help", "--", "--bogus", "-x", "-"]
+_VALUES = ["", "1e-6", "-1e-6", "nan", "abc", "oracle", "1 2 3 4", "-1 0 0 -1",
+           "-.5 1 2 3", "-1", "- 1", "-1\n0\n0\n1", "-h 1", "-1 2=3", J4_TEXT]
+# an option followed by a value, or a value alone
+_CHUNKS = st.one_of(st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+                    st.tuples(st.sampled_from(_VALUES)))
+
+
+# capsys is read, and so emptied, after each parse
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from([None, "classify", "expm", "verify", "rep"]),
+       chunks=st.lists(_CHUNKS, max_size=3))
+def test_one_pass_parse_matches_the_full_parser_on_any_tokens(command, chunks, capsys):
+    rest = [token for chunk in chunks for token in chunk]
+    argv = rest if command is None else [command, *rest]
+    assert (_nan_safe(_parse_outcome(_parse_args, argv, capsys))
+            == _nan_safe(_parse_outcome(_parsers()[0].parse_args, argv, capsys)))
+
+
+def test_a_well_formed_command_line_is_read_without_argparse(monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("argparse parsed the command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", unused)
+    args = _parse_args(["verify", "-0.5 0 0 1", "--all-routes"])
+    assert (args.command, args.matrix, args.all_routes, args.inject_fault) == (
+        "verify", "-0.5 0 0 1", True, 0.0)
+    args = _parse_args(["classify", J4_TEXT, "--tol", "1e-6"])
+    assert (args.command, args.matrix, args.tol) == ("classify", J4_TEXT, 1e-6)
+
+
+def _demo_parser(add):
+    p = argparse.ArgumentParser(prog="demo")
+    p.add_argument("matrix")
+    p.add_argument("--flag", action="store_true")
+    add(p)
+    return p
+
+
+@pytest.mark.parametrize("add", [
+    lambda p: p.add_argument("more", nargs="?"),
+    lambda p: p.add_argument("--need", required=True),
+    lambda p: p.add_argument("--n", type=int, default="3"),
+    lambda p: p.add_argument("-1", dest="one", action="store_true"),
+    lambda p: p.add_mutually_exclusive_group().add_argument("--either", action="store_true"),
+], ids=["optional positional", "required option", "str default with a type",
+        "negative-number option", "exclusive group"])
+def test_a_parser_the_token_table_cannot_cover_has_none(add):
+    assert _token_table(_demo_parser(add)) is None
+
+
+@pytest.mark.parametrize("add, option", [
+    (lambda p: p.add_argument("--c", choices=["1", "2"]), "--c"),
+    (lambda p: p.add_argument("--a", action="append"), "--a"),
+    (lambda p: p.add_argument("--two", nargs=2), "--two"),
+], ids=["choices", "append", "nargs"])
+def test_an_option_the_token_table_leaves_out_goes_to_argparse(add, option):
+    parser = _demo_parser(add)
+    table = _token_table(parser)
+    assert option not in table[1] and option not in table[2]
+    assert _read_tokens(table, ["1 2 3 4", option, "1"]) is None
+    argv = ["-1 2 3 4", "--flag"]
+    assert vars(_read_tokens(table, argv)) == vars(parser.parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [["verify", "1 2 3 4"], ["verify", "1 2 3 4", "--bogus"],

@@ -152,6 +152,9 @@ def test_series_errors_are_unchanged():
         expm_series(np.array([[0.0, np.nan], [0.0, 0.0]]))
     with pytest.raises(OverflowError, match="^overflow while squaring$"):
         expm_series(np.diag([1000.0, 1000.0, 1000.0, 1000.0]))
+    # overflows at squaring 11 of 21, and its zeros turn to NaN after
+    with pytest.raises(OverflowError, match="^overflow while squaring$"):
+        expm_series(np.diag([1e6, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match=r"^1-norm 1\.000e\+13 needs 45 squarings, "
                                          r"over the cap of 40$"):
         expm_series(1e13 * basis_matrix(1, 0))
