@@ -23,13 +23,13 @@ zero and its fit always runs.  `_matches` compares the squared norms of all
 blocks with (tol_abs/2)^2 at once and walks only the entries that pass, in
 dispatch order, yielding (tag, member) lazily, so expm_auto, which takes the
 first, never fits the rank-one supports of a member of an earlier family; a
-fit reads c from the same product.  The forced route of a table family
-(`Family.extract`) applies the family's own 32 rows of the map, so auto,
-forced and verify give bitwise-equal members.  SpecialNormal's normality
-test reads the commutator of A's symmetric and skew parts off c too, with
-one precomputed bilinear map (`_COMMUTATOR`).  The dataclasses are the
-public view of a member: `instance` and `coefficients` convert between the
-two.
+fit reads c, as a 4x4 table, from the same product.  The forced route of a
+table family (`Family.extract`) applies the family's own 32 rows of the
+map, so auto, forced and verify give bitwise-equal members; that of a fit
+projects A once (`_coefficient_table`).  SpecialNormal's normality test
+takes the commutator of A's symmetric and skew parts from A itself.  The
+dataclasses are the public view of a member: `instance` and `coefficients`
+convert between the two.
 
 Every entry point at every size (these families, the covering algebras
 and the 2x2 route) admits its input through one gate, `_admit`, which takes
@@ -46,7 +46,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .hxh import _BASIS_ROWS, _PROJECTION_ROWS, HxHElement, from_matrix
+from .hxh import _BASIS_ROWS, _PROJECTION_ROWS
 from .smalllin import frobenius
 
 Vec3 = tuple[float, float, float]
@@ -286,9 +286,9 @@ class Family:
         return self.basis @ np.concatenate([np.ravel(getattr(inst, name))
                                             for name in self.params])
 
-    def extract(self, a, u, tol, tol_abs):
+    def extract(self, a, c, tol, tol_abs):
         """(member or None, residual), with the signature of every entry
-        of REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not u."""
+        of REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not its table c."""
         out = self.rows @ a.reshape(16)
         off = out[16:]
         sq = float(_squared_norms(off))
@@ -428,30 +428,7 @@ def _bisymmetric_rs_member(eps, a, x, y) -> np.ndarray:
     return m.reshape(16)
 
 
-def _commutator_map() -> np.ndarray:
-    """N with (N @ c).reshape(9, 16) @ c the commutator [sym A, skew A] of
-    the A of flat table c, as a pure block scaled so that its norm is the
-    matrix norm.  sym A is c00 + B (B the pure block) and skew A is
-    s(x)1 + 1(x)t; as [x, y] = 2 x * y for pure x and y and every basis
-    matrix has norm 2, that block is 4 (B [t]x - [s]x B): row i of B
-    crossed with t, less s crossed with column j of B.  On a SpecialNormal
-    member, c00 + s(x)1 + 1(x)t + s(x)t_hat, its norm is 4 |s| |t_hat * t|."""
-    n = np.zeros((3, 3, 16, 16))
-    for x, y, z in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        for i in (1, 2, 3):
-            # (u * v)_z = u_x v_y - u_y v_x
-            n[i - 1, z - 1, 4 * i + x, y] += 4.0
-            n[i - 1, z - 1, 4 * i + y, x] -= 4.0
-            n[z - 1, i - 1, 4 * x, 4 * y + i] -= 4.0
-            n[z - 1, i - 1, 4 * y, 4 * x + i] += 4.0
-    return n.reshape(144, 16)
-
-
-_COMMUTATOR = _commutator_map()
-
-
-def _x_special_normal(a, u, tol, tol_abs):
-    c = u.c
+def _x_special_normal(a, c, tol, tol_abs):
     # hypot scales, so norms below 1e-154 do not both underflow to 0
     ns, nt = math.hypot(*c[1:, 0].tolist()), math.hypot(*c[0, 1:].tolist())
     if abs(ns - nt) <= tol * (ns + nt):
@@ -461,13 +438,13 @@ def _x_special_normal(a, u, tol, tol_abs):
     res = 2.0 * frobenius(c[1:, 1:] - fit)
     if not res <= tol_abs:
         return None, res
-    # A must be normal: its symmetric and skew parts commute.  The
-    # commutator is read off c / k, k = max(1, |A|), so that no product
-    # overflows.
+    # A must be normal: its symmetric and skew parts commute,
+    # [sym A, skew A] = (A^T A - A A^T) / 2, here in units of k = max(1, |A|)
+    # so that no product overflows
     norm = frobenius(a)
     k = max(1.0, norm)
-    flat = c.reshape(16) / k
-    comm = math.hypot(*((_COMMUTATOR @ flat).reshape(9, 16) @ flat).tolist())
+    b = a / k
+    comm = frobenius(b.T @ b - b @ b.T) / 2.0
     if not comm <= tol * ((1.0 + norm) / k) ** 2:
         return None, max(res, comm * k * k)
     member = c.copy()
@@ -475,8 +452,7 @@ def _x_special_normal(a, u, tol, tol_abs):
     return member.reshape(16), res
 
 
-def _x_bisymmetric_rs(a, u, tol, tol_abs):
-    c = u.c
+def _x_bisymmetric_rs(a, c, tol, tol_abs):
     x, y = _rank_one(c[_RS_BLOCK], max(1.0, frobenius(c)))
     member = _bisymmetric_rs_member(c[0, 0], c[_J, _I], x, y)
     res = 2.0 * frobenius(c.reshape(16) - member)
@@ -515,7 +491,8 @@ def coefficients(inst) -> np.ndarray:
     return fam.coefficients(inst)
 
 
-Extractor = Callable[[np.ndarray, HxHElement, float, float],
+# (A, its 4x4 coefficient table c, tol, tol_abs) -> (member or None, residual)
+Extractor = Callable[[np.ndarray, np.ndarray, float, float],
                      tuple[Optional[np.ndarray], float]]
 
 _real = [(fam.tag, fam.extract) for fam in _TABLE if not fam.complex_scalars]
@@ -594,6 +571,11 @@ def _admit(a_matrix, tol: float, n: int = 4):
     return as_real_if_possible(a), norm
 
 
+def _coefficient_table(a) -> np.ndarray:
+    """The 4x4 coefficient table c of an admitted A (see _admit)."""
+    return (_PROJECTION_ROWS @ a.reshape(16)).reshape(4, 4)
+
+
 def _matches(a, norm: float, tol: float):
     """(tag, member) of each structured family containing the admitted A
     of norm `norm` (see _admit), lazily in dispatch order.
@@ -610,15 +592,12 @@ def _matches(a, norm: float, tol: float):
         registry, (table, rows) = REAL_REGISTRY, _REAL_MAP
     out = rows @ a.reshape(16)
     c, off = out[:16], out[16:].reshape(-1, 16)
-    u = None
     for f in (_squared_norms(off) <= (0.5 * tol_abs) ** 2).nonzero()[0].tolist():
         tag, extract = registry[f]
         if table[f]:
             yield tag, c - off[f]
             continue
-        if u is None:
-            u = HxHElement(c.reshape(4, 4))
-        member, _res = extract(a, u, tol, tol_abs)
+        member, _res = extract(a, c.reshape(4, 4), tol, tol_abs)
         if member is not None:
             yield tag, member
 
@@ -635,8 +614,8 @@ def _extract(tag: str, a_matrix, tol: float):
         # a real family has no imaginary part: all of it is off the family
         return None, frobenius(a.imag)
     # a table family reads A itself; only the hand-written fits take c
-    u = None if tag in FAMILIES else from_matrix(a)
-    return EXTRACTORS[tag](a, u, tol, tol * max(1.0, norm))
+    c = None if tag in FAMILIES else _coefficient_table(a)
+    return EXTRACTORS[tag](a, c, tol, tol * max(1.0, norm))
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -664,7 +643,7 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
     if frobenius(a - a.T) > 1e-12 * max(1.0, norm):
         raise ValueError("matrix is not symmetric")
     # the skew part of A is on the slots (0, x) and (x, 0), which these skip
-    c = from_matrix(a).c
+    c = _coefficient_table(a)
     return float(c[0, 0]), c[1:, _I].copy(), c[1:, _J].copy(), c[1:, _K].copy()
 
 

@@ -13,18 +13,17 @@ then a digit or '.' with a space in it, as in "-1 0 0 -1"), with as many
 positionals as the subcommand takes, the namespace is built without
 argparse.  Every other command line (-h, an abbreviation such as --all,
 --tol=1e-6, --, a value argparse rejects, an unknown option, a missing or
-extra matrix) goes to argparse, so every usage, help and error message is
-argparse's own: the subcommand's parser reads the rest in one pass, and an
-argument it does not know is reported through the top-level parser.
+extra matrix) goes to the parser's own parse_args, so every usage, help and
+error message is argparse's own.
 
 Matrix input is either plaintext (whitespace-separated row-major scalars,
 `#` comments, optional leading token `complex` followed by re,im interleaved
 pairs) or a JSON object with fields n / kind / entries / label: n a JSON
 integer and each entry a JSON number, so a bool, a string or (for n) a
-float is a parse error.  An integer entry past the float64 range reads as
-+-inf, as 1e400 does, so it is a non-finite entry.  The matrix argument is
-read as a file when a file of that name exists, otherwise parsed as inline
-text.
+float is a parse error.  A JSON integer past the float64 range, of any
+length, reads as +-inf, as 1e400 does: a non-finite entry, or an n that is
+not an integer.  The matrix argument is read as a file when a file of that
+name exists, otherwise parsed as inline text.
 
 Exit codes: 0 success, 1 a verify residual above threshold or not a number,
 2 parse or shape error (non-finite entries included), a --tol that is not
@@ -44,7 +43,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from gettext import gettext
 from typing import Optional
 
 import numpy as np
@@ -103,9 +101,15 @@ def _checked_document(n, kind, entries, label) -> MatrixDocument:
     return MatrixDocument(n, kind, tuple(entries), label)
 
 
+def _json_int(digits: str):
+    """A JSON integer: an int, or +-inf past the float64 range (as 1e400
+    reads), so that no integer is too long for int() to read."""
+    return int(digits) if math.isfinite(float(digits)) else float(digits)
+
+
 def _parse_json(text: str) -> MatrixDocument:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -117,11 +121,7 @@ def _parse_json(text: str) -> MatrixDocument:
             or not all(type(v) in (int, float) for v in entries)):
         raise ParseError("JSON matrix object needs integer 'n', string "
                          "'kind' and numeric 'entries'")
-    try:
-        entries = [float(v) for v in entries]
-    except OverflowError:
-        # an integer past the float64 range reads as +-inf, as 1e400 does
-        entries = [float(str(v)) for v in entries]
+    entries = [float(v) for v in entries]
     kind = doc["kind"]
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
@@ -371,20 +371,12 @@ def _read_tokens(table, tokens) -> Optional[argparse.Namespace]:
 
 def _parse_args(argv) -> argparse.Namespace:
     """The parser's parse_args(argv).  When argv[0] names a subcommand, a
-    command line its token table covers is read without argparse; otherwise
-    the subcommand's own parser reads the rest in one pass, and an argument
-    left over is reported by the top-level parser, as parse_args reports it."""
-    parser, commands = _parsers()
+    command line its token table covers is read without argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    table = _token_tables()[argv[0]]
+    table = _token_tables().get(argv[0]) if argv else None
     args = None if table is None else _read_tokens(table, argv[1:])
     if args is None:
-        args, extras = command.parse_known_args(argv[1:])
-        if extras:
-            parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+        return _parsers()[0].parse_args(argv)
     args.command = argv[0]
     return args
 

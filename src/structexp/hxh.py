@@ -10,6 +10,9 @@ scaled projection rather than a linear solve.  Products obey
 
 which is what makes closed-form exponentials of structured matrices possible.
 The same coefficient tables work verbatim with complex scalars.
+
+`HxHElement` is the public view of an element.  No route builds one: they
+apply the flat projection and basis rows (`_PROJECTION_ROWS`, `_BASIS_ROWS`).
 """
 
 from __future__ import annotations
@@ -128,16 +131,11 @@ class HxHElement:
 
     @classmethod
     def from_matrix(cls, m) -> "HxHElement":
+        """The element of a 4x4 matrix, by Frobenius projection."""
         m = np.asarray(m)
         if m.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
-        c = (_PROJECTION_ROWS @ m.reshape(16)).reshape(4, 4)
-        if c.dtype != np.float64 and c.dtype != np.complex128:
-            return cls(c)
-        # already a table of the element's dtype: skip the constructor's copy
-        u = cls.__new__(cls)
-        u.c = c
-        return u
+        return cls((_PROJECTION_ROWS @ m.reshape(16)).reshape(4, 4))
 
     def __repr__(self):
         terms = []
@@ -165,20 +163,11 @@ def to_matrix(u: HxHElement) -> np.ndarray:
 
 
 def scalar_square(u: HxHElement, tol: float = 1e-10):
-    """If u*u = mu * (1 (x) 1), return mu; otherwise None (see
-    matrix_scalar_square, which checks the matrix of u)."""
-    return matrix_scalar_square(u.to_matrix(), tol)
-
-
-def matrix_scalar_square(g: np.ndarray, tol: float = 1e-10):
-    """If g @ g = mu * I, return mu; otherwise None.
-
-    The off-scalar residual is accepted up to tol * (1 + |u|^2) in the
-    coefficient norm of the element u that g represents, which is half the
-    Frobenius norm of its matrix.  The closed forms do not call this: they
-    read mu from the coefficients of their groups (see `expm_structured`),
-    whose squares are scalar by construction.
-    """
+    """If u*u = mu * (1 (x) 1), return mu; otherwise None.  The off-scalar
+    part of u*u is accepted up to tol * (1 + |u|^2) in the coefficient norm,
+    half the Frobenius norm of the matrix.  No route calls this: the closed
+    forms read mu off their groups' coefficients (see `expm_structured`)."""
+    g = u.to_matrix()
     w = g @ g
     mu = w.trace() / 4.0
     w.flat[::5] -= mu

@@ -21,7 +21,7 @@ from structexp.classify import (
     as_real_if_possible,
     instance,
 )
-from structexp.hxh import J4, R4, basis_matrix, from_matrix
+from structexp.hxh import J4, R4, HxHElement, basis_matrix, from_matrix
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family
 
@@ -106,10 +106,10 @@ def _classify_by_loop(a, tol=DEFAULT_TOL):
     """classify as one extractor call per registry entry: the reference the
     stacked table residuals must agree with."""
     a = as_real_if_possible(np.asarray(a))
-    u = from_matrix(a)
+    c = from_matrix(a).c
     tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
     registry = COMPLEX_REGISTRY if np.iscomplexobj(a) else REAL_REGISTRY
-    found = [(tag, EXTRACTORS[tag](a, u, tol, tol_abs)[0]) for tag, _ in registry]
+    found = [(tag, EXTRACTORS[tag](a, c, tol, tol_abs)[0]) for tag, _ in registry]
     return [instance(tag, member) for tag, member in found if member is not None]
 
 
@@ -120,7 +120,7 @@ def _residual_per_unit(a, e, tag):
     step = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
     m = as_real_if_possible(a + step * e)
     tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(m)))
-    return EXTRACTORS[tag](m, from_matrix(m), DEFAULT_TOL, tol_abs)[1] / step
+    return EXTRACTORS[tag](m, from_matrix(m).c, DEFAULT_TOL, tol_abs)[1] / step
 
 
 @pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
@@ -330,7 +330,7 @@ def test_bisymmetric_rs_bound_never_exceeds_its_fit_residual(seed, scale, kind):
         a = a + 10.0 ** rng.uniform(-13.0, -5.0) * np.linalg.norm(a) * e / np.linalg.norm(e)
     a = scale * a
     tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
-    _member, res = cls_mod._x_bisymmetric_rs(a, from_matrix(a), DEFAULT_TOL, tol_abs)
+    _member, res = cls_mod._x_bisymmetric_rs(a, from_matrix(a).c, DEFAULT_TOL, tol_abs)
     # the bound sums a subset of the residual's squares: equal up to rounding
     assert _bisymmetric_rs_bound(a) <= res * (1.0 + 1e-12)
 
@@ -360,13 +360,24 @@ def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-3.0, 150.0))
-def test_normality_commutator_is_read_off_the_coefficients(seed, exponent):
-    # the SpecialNormal fit's normality test reads |[sym A, skew A]|_F, that
-    # is |A^T A - A A^T|_F / 2, off c / k as one bilinear map
-    a = np.random.default_rng(seed).standard_normal((4, 4)) * 10.0 ** exponent
-    k = max(1.0, float(np.linalg.norm(a)))
-    b = a / k
-    want = np.linalg.norm(b.T @ b - b @ b.T) / 2.0
-    flat = from_matrix(a).c.reshape(16) / k
-    got = np.linalg.norm((cls_mod._COMMUTATOR @ flat).reshape(9, 16) @ flat)
-    assert abs(got - want) <= 1e-13 * np.linalg.norm(b) ** 2
+def test_special_normal_fit_takes_normality_from_a_at_any_scale(seed, exponent):
+    # the fit accepts a member, and rejects the same skew part s(x)1 + 1(x)t
+    # with the pure block s (x) w / |s|, w _|_ t and |w| = |t|, which still
+    # fits rank one but is not normal: the residual is then the commutator
+    # |[sym A, skew A]|_F = |A^T A - A A^T|_F / 2, here 4 |t|^2
+    rng = np.random.default_rng(seed)
+    a = sample_family("SpecialNormal", rng) * 10.0 ** exponent
+    c = from_matrix(a).c
+    s, t = c[1:, 0], c[0, 1:]
+    w = np.cross(t, rng.standard_normal(3))
+    c[1:, 1:] = np.outer(s, w) * (np.linalg.norm(t) / np.linalg.norm(w) / np.linalg.norm(s))
+    bad = HxHElement(c).to_matrix()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extract_special_normal(a) is not None
+        member, res = cls_mod._extract("SpecialNormal", bad, DEFAULT_TOL)
+    assert member is None
+    assert res == pytest.approx(4.0 * np.dot(t, t), rel=1e-10)
+    if exponent < 70.0:
+        assert res == pytest.approx(np.linalg.norm(bad.T @ bad - bad @ bad.T) / 2.0,
+                                    rel=1e-10)

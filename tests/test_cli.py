@@ -117,6 +117,13 @@ def test_parse_json_rejects_malformed():
             parse_document(json.dumps({"n": 2, "kind": "real", "entries": [big, 0, 0, 0]}))
     with pytest.raises(ParseError, match="^matrix size must be 2, 3 or 4, got 5$"):
         parse_document(json.dumps({"n": 5, "kind": "real", "entries": [10 ** 400]}))
+    # one too long for int() (over 4,300 digits) too, as an entry and as n
+    big = "1" + "0" * 4300
+    for sign in ("", "-"):
+        with pytest.raises(ParseError, match="^matrix entries must be finite$"):
+            parse_document(f'{{"n": 2, "kind": "real", "entries": [{sign}{big}, 0, 0, 0]}}')
+    with pytest.raises(ParseError, match="integer 'n'"):
+        parse_document(f'{{"n": {big}, "kind": "real", "entries": [0, 1, -1, 0]}}')
 
 
 def test_parse_json_reads_integer_entries_as_floats():

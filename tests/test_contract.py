@@ -16,7 +16,8 @@ import pytest
 from structexp import classify, expm_auto, extract_special_normal
 from structexp.classify import COMPLEX_REGISTRY, EXTRACTORS, REAL_REGISTRY
 from structexp.covering import COVERING_ALGEBRAS, exp_via_covering, psi_inverse
-from structexp.cli import ParseError, describe_instance, parse_document, run
+from structexp.cli import (MatrixDocument, ParseError, describe_instance,
+                           format_document_json, parse_document, run)
 from structexp.expm_structured import ForcedClassMismatch
 from structexp.hxh import J4, R4
 
@@ -293,12 +294,39 @@ def test_routes_square_no_group_and_take_no_numpy_norm(monkeypatch):
     rng = np.random.default_rng(21)
     tags = REAL_DISPATCH_ORDER + COMPLEX_DISPATCH_ORDER
     samples = {tag: sample_family(tag, rng) for tag in tags}
-    for fn in (hxh.matrix_scalar_square, hxh.scalar_square):
-        _refuse_everywhere(monkeypatch, fn)
+    _refuse_everywhere(monkeypatch, hxh.scalar_square)
     monkeypatch.setattr(np.linalg, "norm", _refuse)
     for tag, a in samples.items():
         assert expm_auto(a).route != "oracle", tag
         assert expm_auto(a, method=tag).route == tag
+
+
+def test_routes_build_no_hxh_element(monkeypatch):
+    # the routes pass coefficients as flat vectors and 4x4 tables:
+    # HxHElement, from_matrix included, is only the public view of them
+    rng = np.random.default_rng(24)
+    tags = REAL_DISPATCH_ORDER + COMPLEX_DISPATCH_ORDER
+    samples = {tag: sample_family(tag, rng) for tag in tags}
+    dense = rng.standard_normal((4, 4))
+    so4 = covering_member(COVERING_ALGEBRAS["so4"], rng)
+    element = importlib.import_module("structexp.hxh").HxHElement
+    monkeypatch.setattr(element, "__init__", _refuse)
+    monkeypatch.setattr(element, "from_matrix", classmethod(_refuse))
+    for tag, a in samples.items():
+        assert tag in [inst.tag for inst in classify(a)]
+        assert expm_auto(a).route in EXTRACTORS, tag
+        assert expm_auto(a, method=tag).route == tag
+    assert classify(dense) == [] and expm_auto(dense).route == "oracle"
+    for route, a in {**samples, "oracle": dense, "covering:so4": so4}.items():
+        text = format_document_json(MatrixDocument.of_matrix(a))
+        with redirect_stdout(io.StringIO()) as out:
+            assert run(["verify", text, "--all-routes"]) == 0, route
+        assert f"\n{route} " in out.getvalue(), route
+    # the stubs are live
+    with pytest.raises(AssertionError, match="closed-form route"):
+        element.zero()
+    with pytest.raises(AssertionError, match="closed-form route"):
+        element.from_matrix(J4)
 
 
 def test_covering_routes_take_no_2x2_exponential(monkeypatch):

@@ -87,7 +87,7 @@ def test_random_parameters_round_trip(tag):
         inst = fam.instance(fam.basis @ theta)
         a = inst.reconstruct()
         tol_abs = 1e-9 * max(1.0, float(np.linalg.norm(a)))
-        member, res = EXTRACTORS[tag](a, from_matrix(a), 1e-9, tol_abs)
+        member, res = EXTRACTORS[tag](a, from_matrix(a).c, 1e-9, tol_abs)
         assert member is not None and res <= tol_abs, tag
         back = instance(tag, member)
         assert type(back) is type(inst) and back.tag == tag
@@ -100,7 +100,7 @@ def test_random_parameters_round_trip(tag):
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 30.0))
 def test_mu_from_coefficients_is_the_group_square(tag, seed, scale):
     a = scale * sample_family(tag, np.random.default_rng(seed))
-    member, _ = EXTRACTORS[tag](a, from_matrix(a), 1e-9,
+    member, _ = EXTRACTORS[tag](a, from_matrix(a).c, 1e-9,
                                 1e-9 * max(1.0, np.linalg.norm(a)))
     assert member is not None
     rows, squares = _GROUP_ROWS[tag]
