@@ -9,7 +9,11 @@ member is c minus its off-family part (I - B B^+) c.  The basis matrices
 are pairwise orthogonal with Frobenius norm 2, so 2*||(I - B B^+) c|| is the
 exact matrix-space distance to the family, and acceptance is one comparison
 against tol*max(1, ||A||_F).  Only the rank-one supports of SpecialNormal
-and BisymmetricRS need hand-written fits.
+and BisymmetricRS need hand-written fits, taken on the 16 coefficients as
+plain floats: SpecialNormal's pure block is fitted along s_hat(x)t_hat, the
+one rank-one direction that commutes with its skew part s(x)1 + 1(x)t, so
+that its member is in the family (`_special_normal_frame`), and
+BisymmetricRS's 2x2 block {i,k}(x){j,k} by its larger column.
 
 One product decides every family.  At import each registry gets one map of
 16 + 16F rows, [I; P_1; ...; P_F] times the coefficient projection, applied
@@ -27,19 +31,22 @@ fit reads c, as a 4x4 table, from the same product.  The forced route of a
 table family (`Family.extract`) applies the family's own 32 rows of the
 map, so auto, forced and verify give bitwise-equal members; that of a fit
 projects A once (`_coefficient_table`).  SpecialNormal's normality test
-takes the commutator of A's symmetric and skew parts from A itself.  The
+takes the commutator of A's symmetric and skew parts from A's own
+coefficients.  The
 dataclasses are the public view of a member: `instance` and `coefficients`
 convert between the two.
 
 Every entry point at every size (these families, the covering algebras
 and the 2x2 route) admits its input through one gate, `_admit`, which takes
-integer and bool input as float64 and a negligible imaginary part as zero,
-and puts a non-finite A, or one whose norm overflows, on no route.
+integer, bool and every other floating kind as float64, every other complex
+kind as complex128 and a negligible imaginary part as zero, and puts a
+non-finite A, or one whose norm overflows, on no route.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, ClassVar, Optional
@@ -377,21 +384,13 @@ _TABLE = [
 FAMILIES: dict[str, Family] = {fam.tag: fam for fam in _TABLE}
 
 
-# the commuting slot groups of every family with a group closed form: a table
-# family's come from its entry; SpecialNormal's are s_hat(x)t_hat, s(x)1 and
-# 1(x)t, and BisymmetricRS's are j(x)i and the rank-one {i,k}(x){j,k}
-_PURE3 = (_I, _J, _K)
-GROUPS = {fam.tag: fam.groups for fam in _TABLE if fam.groups} | {
-    "SpecialNormal": (set(product(_PURE3, _PURE3)), set(product(_PURE3, [0])),
-                      set(product([0], _PURE3))),
-    "BisymmetricRS": ({(_J, _I)}, set(product((_I, _K), (_J, _K)))),
-}
-# the groups (by index) that are rank-one blocks x(x)y with x, y pure, whose
-# members are built with np.outer: their slots do not pairwise anticommute,
-# but x(x)y still squares to x^2 (x) y^2 = |x|^2 |y|^2
-RANK_ONE_GROUPS = {"SpecialNormal": {0}, "BisymmetricRS": {1}}
-# the rows i, k and columns j, k of a 4x4 table, as a view
-_RS_BLOCK = (slice(_I, None, 2), slice(_J, None))
+# the commuting slot groups of every table family with a group closed form
+GROUPS = {fam.tag: fam.groups for fam in _TABLE if fam.groups}
+# the slots, besides the scalar slot, that a member of each hand-written fit
+# can fill: SpecialNormal's every one, BisymmetricRS's j(x)i and its block
+# {i,k}(x){j,k}
+_FIT_SLOTS = {"SpecialNormal": set(product(range(4), range(4))) - {(0, 0)},
+              "BisymmetricRS": {(_J, _I)} | set(product((_I, _K), (_J, _K)))}
 
 
 def _squared_norms(off):
@@ -401,77 +400,125 @@ def _squared_norms(off):
     return np.add.reduce(pairs * pairs, axis=-1)
 
 
-def _rank_one(blk, scale):
-    """(x, y) with x the direction of blk's largest column and y = blk^T x,
-    so x y^T fits blk; zeros when blk is negligible against scale."""
-    col = int(np.argmax((blk * blk).sum(axis=0)))
-    cn = frobenius(blk[:, col])
-    if not cn > 1e-14 * scale:
-        return np.zeros(blk.shape[0]), np.zeros(blk.shape[1])
-    x = blk[:, col] / cn
-    return x, blk.T @ x
+def _special_normal_parts(flat):
+    """(c00, s, t, B) of a flat coefficient list, as lists: the skew part
+    s(x)1 + 1(x)t and the pure block B, its nine entries row by row."""
+    return flat[0], flat[4::4], flat[1:4], flat[5:8] + flat[9:12] + flat[13:16]
 
 
-def _special_normal_factors(c):
-    """(s_hat, t_hat) of the rank-one block s_hat(x)t_hat of a 4x4 table."""
-    s, blk = c[1:, 0], c[1:, 1:]
-    ns, scale = frobenius(s), max(1.0, frobenius(c))
-    if ns > 1e-12 * scale:
-        return s, blk.T @ s / (ns * ns)
-    return _rank_one(blk, scale)
-
-
-def _bisymmetric_rs_member(eps, a, x, y) -> np.ndarray:
-    """eps(1(x)1) + a(j(x)i) + x(x)y with x in span(i, k), y in span(j, k)."""
-    m = np.zeros((4, 4))
-    m[0, 0], m[_J, _I], m[_RS_BLOCK] = eps, a, np.outer(x, y)
-    return m.reshape(16)
+def _special_normal_frame(s, t, b, ns: float, nt: float):
+    """(u, v, mu) with mu u(x)v the fit of the pure block B (`b`, its nine
+    entries row by row) for the skew part s(x)1 + 1(x)t of norms ns and nt,
+    of which at most one is 0: along s_hat(x)t_hat, mu = s_hat^T B t_hat,
+    when both are nonzero; x_hat(x)t_hat with x = B t_hat when ns = 0; and
+    s_hat(x)y_hat with y = B^T s_hat when nt = 0, mu = |x| or |y| (a zero
+    factor for mu = 0).  The unit vectors come from ns and nt, so no square
+    underflows or overflows."""
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    if nt:
+        v0, v1, v2 = v = (t[0] / nt, t[1] / nt, t[2] / nt)
+        x = (b0 * v0 + b1 * v1 + b2 * v2, b3 * v0 + b4 * v1 + b5 * v2,
+             b6 * v0 + b7 * v1 + b8 * v2)
+        if ns:
+            u = (s[0] / ns, s[1] / ns, s[2] / ns)
+            return u, v, u[0] * x[0] + u[1] * x[1] + u[2] * x[2]
+        mu = math.hypot(*x)
+        return ((x[0] / mu, x[1] / mu, x[2] / mu) if mu else x), v, mu
+    u0, u1, u2 = u = (s[0] / ns, s[1] / ns, s[2] / ns)
+    y = (b0 * u0 + b3 * u1 + b6 * u2, b1 * u0 + b4 * u1 + b7 * u2,
+         b2 * u0 + b5 * u1 + b8 * u2)
+    mu = math.hypot(*y)
+    return u, ((y[0] / mu, y[1] / mu, y[2] / mu) if mu else y), mu
 
 
 def _x_special_normal(a, c, tol, tol_abs):
+    """The fit a(1(x)1) + s(x)1 + 1(x)t + mu s_hat(x)t_hat on the
+    coefficients as plain floats (see _special_normal_frame).  The smaller
+    skew norm counts as 0 at 1e-12 max(1, |c|) or below: the member drops
+    that part, and its block takes the free factor from B."""
+    c00, s, t, b = _special_normal_parts(c.reshape(16).tolist())
     # hypot scales, so norms below 1e-154 do not both underflow to 0
-    ns, nt = math.hypot(*c[1:, 0].tolist()), math.hypot(*c[0, 1:].tolist())
+    ns, nt = math.hypot(*s), math.hypot(*t)
     if abs(ns - nt) <= tol * (ns + nt):
         return None, np.inf
-    fit = np.outer(*_special_normal_factors(c))
-    # the member is c with its pure block replaced by the rank-one fit
-    res = 2.0 * frobenius(c[1:, 1:] - fit)
+    norm = 2.0 * math.hypot(c00, ns, nt, *b)
+    small = 1e-12 * max(1.0, norm / 2.0)
+    fs = ns if ns > small or ns > nt else 0.0
+    ft = nt if nt > small or nt > ns else 0.0
+    u, v, mu = _special_normal_frame(s, t, b, fs, ft)
+    fit = [mu * x * y for x in u for y in v]
+    res = 2.0 * math.hypot(*map(operator.sub, b, fit), ns - fs, nt - ft)
     if not res <= tol_abs:
         return None, res
-    # A must be normal: its symmetric and skew parts commute,
-    # [sym A, skew A] = (A^T A - A A^T) / 2, here in units of k = max(1, |A|)
-    # so that no product overflows
-    norm = frobenius(a)
+    # A must be normal: its symmetric and skew parts commute.  With K its
+    # skew part, |A^T A - A A^T|_F / 2 = |[B, K]|_F = 4 |D|_F, where column j
+    # of D is B[:, j] x s and row i adds B[i, :] x t; here in units of
+    # k = max(1, |A|), so that no product overflows
     k = max(1.0, norm)
-    b = a / k
-    comm = frobenius(b.T @ b - b @ b.T) / 2.0
-    if not comm <= tol * ((1.0 + norm) / k) ** 2:
-        return None, max(res, comm * k * k)
-    member = c.copy()
-    member[1:, 1:] = fit
-    return member.reshape(16), res
+    s1, s2, s3, t1, t2, t3 = [x / k for x in s + t]
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    comm = 4.0 * math.hypot(
+        b3 * s3 - b6 * s2 + b1 * t3 - b2 * t2, b4 * s3 - b7 * s2 + b2 * t1 - b0 * t3,
+        b5 * s3 - b8 * s2 + b0 * t2 - b1 * t1, b6 * s1 - b0 * s3 + b4 * t3 - b5 * t2,
+        b7 * s1 - b1 * s3 + b5 * t1 - b3 * t3, b8 * s1 - b2 * s3 + b3 * t2 - b4 * t1,
+        b0 * s2 - b3 * s1 + b7 * t3 - b8 * t2, b1 * s2 - b4 * s1 + b8 * t1 - b6 * t3,
+        b2 * s2 - b5 * s1 + b6 * t2 - b7 * t1)
+    if not comm <= tol * (1.0 + norm) * ((1.0 + norm) / k):
+        return None, max(res, comm * k)
+    s1, s2, s3 = s if fs else (0.0, 0.0, 0.0)
+    return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, *fit[:3], s2, *fit[3:6],
+                     s3, *fit[6:]]), res
+
+
+def _rank_one2(p, q, r, t, scale):
+    """(x1, x2, y1, y2) with x y^T a rank-one fit of [[p, q], [r, t]]: x is
+    the direction of its larger column and y its transpose applied to x;
+    zeros when that column is negligible against scale."""
+    x1, x2 = (p, r) if p * p + r * r >= q * q + t * t else (q, t)
+    n = math.hypot(x1, x2)
+    if not n > 1e-14 * scale:
+        return 0.0, 0.0, 0.0, 0.0
+    x1, x2 = x1 / n, x2 / n
+    return x1, x2, p * x1 + r * x2, q * x1 + t * x2
+
+
+def _bisymmetric_rs_member(eps, a, x1, x2, y1, y2) -> np.ndarray:
+    """eps(1(x)1) + a(j(x)i) + (x1 i + x2 k)(x)(y1 j + y2 k)."""
+    return np.array([eps, 0.0, 0.0, 0.0, 0.0, 0.0, x1 * y1, x1 * y2,
+                     0.0, a, 0.0, 0.0, 0.0, 0.0, x2 * y1, x2 * y2])
 
 
 def _x_bisymmetric_rs(a, c, tol, tol_abs):
-    x, y = _rank_one(c[_RS_BLOCK], max(1.0, frobenius(c)))
-    member = _bisymmetric_rs_member(c[0, 0], c[_J, _I], x, y)
-    res = 2.0 * frobenius(c.reshape(16) - member)
-    return (member if res <= tol_abs else None), res
+    """The fit eps(1(x)1) + a(j(x)i) + x(x)y with x in span(i, k), y in
+    span(j, k), on the coefficients as plain floats: x y^T is the rank-one
+    fit of the block [[p, q], [r, t]] (rows i, k, columns j, k)."""
+    flat = c.reshape(16).tolist()
+    p, q, r, t = flat[6], flat[7], flat[14], flat[15]
+    x1, x2, y1, y2 = _rank_one2(p, q, r, t, max(1.0, math.hypot(*flat)))
+    # every slot but 1(x)1, j(x)i and the block is off the member
+    res = 2.0 * math.hypot(*flat[1:6], flat[8], *flat[10:14], p - x1 * y1,
+                           q - x1 * y2, r - x2 * y1, t - x2 * y2)
+    if not res <= tol_abs:
+        return None, res
+    return _bisymmetric_rs_member(flat[0], flat[9], x1, x2, y1, y2), res
 
 
 def instance(tag: str, member) -> StructureClass:
     """The dataclass of the member of family `tag`."""
     if tag == "SpecialNormal":
-        c = member.reshape(4, 4)
-        s_hat, t_hat = _special_normal_factors(c)
-        return SpecialNormal(float(c[0, 0]), *(tuple(v.tolist()) for v in
-                                               (c[1:, 0], t_hat, c[0, 1:], s_hat)))
+        a, s, t, b = _special_normal_parts(member.tolist())
+        ns, nt = math.hypot(*s), math.hypot(*t)
+        u, v, mu = _special_normal_frame(s, t, b, ns, nt)
+        # s_hat = s when s is nonzero, and the unit x_hat otherwise, so that
+        # s_hat(x)t_hat is the block
+        s_hat, t_hat = (s, [mu * x / ns for x in v]) if ns else (u, [mu * x for x in v])
+        return SpecialNormal(a, tuple(s), tuple(t_hat), tuple(t), tuple(s_hat))
     if tag == "BisymmetricRS":
-        c = member.reshape(4, 4)
+        flat = member.tolist()
+        p, q, r, t = flat[6], flat[7], flat[14], flat[15]
         # the block of S = R4 A is (alpha, beta)(x)(gamma, delta)
-        (p, q), (r, s) = c[_RS_BLOCK]
-        ab, gd = _rank_one(np.array([[-s, r], [q, -p]]), max(1.0, frobenius(c)))
-        return BisymmetricRS(float(c[_J, _I]), float(c[0, 0]), *ab.tolist(), *gd.tolist())
+        alpha, beta, gamma, delta = _rank_one2(-t, r, q, -p, max(1.0, math.hypot(*flat)))
+        return BisymmetricRS(flat[9], flat[0], alpha, beta, gamma, delta)
     return FAMILIES[tag].instance(member)
 
 
@@ -483,8 +530,8 @@ def coefficients(inst) -> np.ndarray:
         m[1:, 1:] = np.outer(inst.s_hat, inst.t_hat)
         return m.reshape(16)
     if type(inst) is BisymmetricRS:
-        return _bisymmetric_rs_member(inst.eps, inst.a, (inst.beta, -inst.alpha),
-                                      (-inst.delta, inst.gamma))
+        return _bisymmetric_rs_member(inst.eps, inst.a, inst.beta, -inst.alpha,
+                                      -inst.delta, inst.gamma)
     fam = FAMILIES.get(getattr(inst, "tag", None))
     if fam is None or type(inst) is not fam.cls:
         raise TypeError(f"unknown structure class {type(inst).__name__}")
@@ -511,22 +558,27 @@ COMPLEX_REGISTRY: list[tuple[str, Extractor]] = [
 EXTRACTORS: dict[str, Extractor] = dict(REAL_REGISTRY + COMPLEX_REGISTRY)
 
 
+def _real_if_possible(a, norm: float):
+    """A without its imaginary part when every |Im A| is at most
+    1e-14 max(1, norm), for A of Frobenius norm `norm`; A otherwise."""
+    if a.dtype.kind == "c" and abs(a.imag).max() <= 1e-14 * max(1.0, norm):
+        return a.real.copy()
+    return a
+
+
 def as_real_if_possible(a: np.ndarray) -> np.ndarray:
     """Drop a vanishing imaginary part so complex-typed real data takes the
     real classification path."""
     if not np.iscomplexobj(a):
         return a
-    scale = max(1.0, frobenius(a))
-    if np.max(np.abs(a.imag)) <= 1e-14 * scale:
-        return a.real.copy()
-    return a
+    return _real_if_possible(a, frobenius(a))
 
 
 def _off_support(tag: str) -> np.ndarray:
     """The projector off the slots that a member of the hand-written fit
-    `tag` can fill: the scalar slot and the slots of its groups."""
+    `tag` can fill: the scalar slot and _FIT_SLOTS[tag]."""
     keep = np.ones(16)
-    keep[[0] + [4 * a + b for group in GROUPS[tag] for a, b in group]] = 0.0
+    keep[[0] + [4 * a + b for a, b in _FIT_SLOTS[tag]]] = 0.0
     return np.diag(keep)
 
 
@@ -551,24 +603,31 @@ _COMPLEX_MAP = _stack(COMPLEX_REGISTRY)
 _COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
 
 
+_DOUBLES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
 def _admit(a_matrix, tol: float, n: int = 4):
     """(A, |A|_F) for an n x n input, or None when A is on no closed-form
     route: an entry is not finite or |A|_F overflows (above about 1.3e154).
-    A is taken as float64 if integer or bool, and as real if its imaginary
-    part vanishes (as_real_if_possible).  |A|_F is taken on A as given, so
-    a huge imaginary part is never dropped against an infinite scale."""
+    A is taken as float64 if integer, bool or of another floating kind, as
+    complex128 if of another complex kind, and as real if its imaginary part
+    vanishes (as_real_if_possible).  |A|_F is taken on A as given, so a huge
+    imaginary part is never dropped against an infinite scale."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     a = np.asarray(a_matrix)
     if a.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix")
-    if a.dtype.kind in "biu":
-        # integer squares wrap in the norm, and bool ones saturate
-        a = a.astype(float)
+    if a.dtype not in _DOUBLES and a.dtype.kind in "biufc":
+        # integer squares wrap in the norm, bool ones saturate, and the
+        # coefficients are read as pairs of float64s; an entry past the
+        # float64 range becomes inf, which no route admits
+        with np.errstate(over="ignore"):
+            a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
     norm = frobenius(a)
     if not norm < math.inf:
         return None
-    return as_real_if_possible(a), norm
+    return _real_if_possible(a, norm), norm
 
 
 def _coefficient_table(a) -> np.ndarray:

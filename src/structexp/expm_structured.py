@@ -3,9 +3,9 @@ selection for 2x2, 3x3 and 4x4 input.
 
 A family member arrives as its flat coefficient vector c in the tensor basis
 (see `classify`), and `_exp_member` is the one closed form for all of them.
-Every family but one splits into a scalar part and groups that commute with
-each other, each group squaring to a scalar multiple of the identity,
-G @ G = mu I, so
+Every table family but SymmetricGeneral splits into a scalar part and
+groups that commute with each other, each group squaring to a scalar
+multiple of the identity, G @ G = mu I, so
 
     exp(A) = exp(c00) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
 
@@ -15,18 +15,25 @@ product of c with the family's group rows (`classify.GROUPS` as slot sets)
 gives every group matrix.  No group is squared: mu needs no spectral
 information and is read off the coefficients, one product (c * c) @ squares
 for all groups, since (e_a (x) e_b)^2 = e_a^2 (x) e_b^2 = +-1 and a group's
-slots either pairwise anticommute, which leaves no cross terms, or form a
-rank-one block x (x) y that squares to x^2 (x) y^2.  Those facts are
+slots pairwise anticommute, which leaves no cross terms.  Those facts are
 structural: they are checked once, at import, over `classify.GROUPS`, and a
 table that breaks them raises ClosedFormDefect.  The phi functions pick
 cos/cosh branches from the sign of mu, so no formula hard-codes a
 trigonometric choice.
 
-The exception, the one route that needs spectral information, is
-SymmetricGeneral: a LAPACK SVD (the core of `smalllin.svd3`) rotates its
-pure block to three commuting involutions, and the exponential sums their
-four joint sign patterns (`_exp_symmetric_general`).  Their product would
-amplify roundoff by up to exp(2 sigma_3).
+The two fitted families have rank-one blocks, and their exponentials are
+four scalars each on two commuting elements that square to -1 or +1, taken
+on the coefficients as plain floats and turned into the matrix with one
+product with the basis rows: SpecialNormal, a + ns X + nt Y + mu XY with
+X = s_hat(x)1 and Y = 1(x)t_hat (`_exp_special_normal`), and BisymmetricRS,
+eps + a J + P with J = j(x)i and the block P (`_exp_bisymmetric_rs`).  Both
+apply their hyperbolic growth with the scalar part at every scale.
+
+The one route that needs spectral information is SymmetricGeneral: a LAPACK
+SVD (the core of `smalllin.svd3`) rotates its pure block to three commuting
+involutions, and the exponential sums their four joint sign patterns
+(`_exp_symmetric_general`).  Their product would amplify roundoff by up to
+exp(2 sigma_3).
 
 The dataclasses are the public edge only: `exp_structured_class` and the
 `exp_*` adapters turn an instance into its member with
@@ -47,17 +54,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, EXTRACTORS, GROUPS, RANK_ONE_GROUPS,
+from .classify import (DEFAULT_TOL, EXTRACTORS, GROUPS,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
                        SymToeplitzS13Zero, SymToeplitzTridiag, _admit,
-                       _extract, _matches, coefficients)
+                       _extract, _matches, _special_normal_frame,
+                       _special_normal_parts, coefficients)
 from .covering import COVERING_ALGEBRAS, _exp_lift, _lifts, exp_via_covering
 from .hxh import _BASIS_ROWS
 from .oracle import expm_series, rel_error
@@ -91,28 +99,16 @@ def _anticommute(s, t) -> bool:
     return (a != c and 0 not in (a, c)) != (b != d and 0 not in (b, d))
 
 
-def _check_groups(groups, rank_one=()) -> None:
+def _check_groups(groups) -> None:
     """Raise ClosedFormDefect unless each group squares to a scalar and the
-    groups commute.  The slots inside a group must pairwise anticommute, so
-    its square has no cross terms, except in the groups indexed by
-    `rank_one`, which must be full blocks X(x)Y of pure slots.  Slots in
-    different groups must commute, except that a block x(x)y commutes with a
-    group X(x)1 or 1(x)Y only when that group's element is parallel to x or
-    y, which the family's fit provides."""
-    fitted = []
-    for g, group in enumerate(groups):
-        if g in rank_one:
-            rows, cols = {a for a, _ in group}, {b for _, b in group}
-            ok = 0 not in rows | cols and set(group) == set(product(rows, cols))
-            fitted += [(group, set(product(rows, [0]))),
-                       (group, set(product([0], cols)))]
-        else:
-            ok = all(_anticommute(s, t) for s, t in combinations(group, 2))
-        if not ok:
+    groups commute: the slots inside a group must pairwise anticommute, so
+    its square has no cross terms, and slots in different groups must
+    commute."""
+    for group in groups:
+        if not all(_anticommute(s, t) for s, t in combinations(group, 2)):
             raise ClosedFormDefect(f"group {sorted(group)} does not square to a scalar")
     for g, h in combinations(groups, 2):
-        if ((g, h) not in fitted and (h, g) not in fitted
-                and any(_anticommute(s, t) for s in g for t in h)):
+        if any(_anticommute(s, t) for s in g for t in h):
             raise ClosedFormDefect(f"groups {sorted(g)} and {sorted(h)} do not commute")
 
 
@@ -131,8 +127,8 @@ def _group_rows(groups):
     return rows, squares
 
 
-for _tag, _groups in GROUPS.items():
-    _check_groups(_groups, RANK_ONE_GROUPS.get(_tag, ()))
+for _groups in GROUPS.values():
+    _check_groups(_groups)
 _GROUP_ROWS = {tag: _group_rows(groups) for tag, groups in GROUPS.items()}
 
 
@@ -204,9 +200,73 @@ def _exp_symmetric_general(member) -> np.ndarray:
     return value.reshape(4, 4)
 
 
+def _folded(x: float):
+    """(cosh x, sinh x) / e^|x|, neither of which cancels or overflows."""
+    m = math.expm1(-2.0 * abs(x))
+    return 1.0 + m / 2.0, math.copysign(-m / 2.0, x)
+
+
+def _exp_special_normal(member) -> np.ndarray:
+    """exp of a(1(x)1) + ns X + nt Y + mu XY with X = u(x)1 and Y = 1(x)v
+    for the unit vectors u, v of classify._special_normal_frame.  X and Y
+    commute and X^2 = Y^2 = -1, so XY squares to +1 and
+
+        exp(A) = e^a (cos ns + sin ns X)(cos nt + sin nt Y)(cosh mu + sinh mu XY)
+               = e^a (alpha + beta X + gamma Y + delta XY),
+
+    with the growth e^|mu| of the last factor applied with e^a, in two
+    halves h, so that no factor overflows where exp(A) does not.  Without a
+    skew part the block W alone is exponentiated, mu = |W|."""
+    a, s, t, b = _special_normal_parts(member.tolist())
+    ns, nt = math.hypot(*s), math.hypot(*t)
+    if ns or nt:
+        (u0, u1, u2), (v0, v1, v2), mu = _special_normal_frame(s, t, b, ns, nt)
+        w = [x * y for x in (u0, u1, u2) for y in (v0, v1, v2)]
+    else:
+        u0 = u1 = u2 = v0 = v1 = v2 = 0.0
+        mu = math.hypot(*b)
+        w = [x / mu for x in b] if mu else b
+    cx, sx, cy, sy = math.cos(ns), math.sin(ns), math.cos(nt), math.sin(nt)
+    ch, sh = _folded(mu)
+    h = math.exp((a + abs(mu)) / 2.0)
+    alpha, delta = h * (cx * cy * ch + sx * sy * sh), h * (sx * sy * ch + cx * cy * sh)
+    beta, gamma = h * (sx * cy * ch - cx * sy * sh), h * (cx * sy * ch - sx * cy * sh)
+    d = [delta * x for x in w]
+    coefs = [alpha, gamma * v0, gamma * v1, gamma * v2, beta * u0, d[0], d[1], d[2],
+             beta * u1, d[3], d[4], d[5], beta * u2, d[6], d[7], d[8]]
+    return (np.array(coefs) @ _BASIS_ROWS).reshape(4, 4) * h
+
+
+def _exp_bisymmetric_rs(member) -> np.ndarray:
+    """exp of eps(1(x)1) + a J + P with J = j(x)i and P the rank-one block
+    x(x)y = [[p, q], [r, t]] (rows i, k, columns j, k).  J^2 = 1, P^2 = nu^2
+    with nu = |P|, and J commutes with P, so
+
+        exp(A) = e^eps (cosh a + sinh a J)(cosh nu + sinh(nu)/nu P),
+
+    where JP = (jx)(x)(iy) is the block P' = [[-t, r], [q, -p]].  The growth
+    e^(|a| + nu) is applied with e^eps, in two halves h."""
+    eps, _, _, _, _, _, p, q, _, a, _, _, _, _, r, t = member.tolist()
+    nu = math.hypot(p, q, r, t)
+    cha, sha = _folded(a)
+    m = math.expm1(-2.0 * nu)
+    h = math.exp((eps + abs(a) + nu) / 2.0)
+    chn, shc = h * (1.0 + m / 2.0), h * (-m / (2.0 * nu) if nu else 1.0)
+    coefs = [cha * chn, 0.0, 0.0, 0.0, 0.0, 0.0, shc * (cha * p - sha * t),
+             shc * (cha * q + sha * r), 0.0, sha * chn, 0.0, 0.0, 0.0, 0.0,
+             shc * (cha * r + sha * q), shc * (cha * t - sha * p)]
+    return (np.array(coefs) @ _BASIS_ROWS).reshape(4, 4) * h
+
+
+# the closed forms that are not a product over fixed slot groups
+_FORMS = {"SpecialNormal": _exp_special_normal, "BisymmetricRS": _exp_bisymmetric_rs,
+          "SymmetricGeneral": _exp_symmetric_general}
+
+
 def _closed_form(tag: str, member, fold: bool = False) -> np.ndarray:
-    if tag == "SymmetricGeneral":
-        return _exp_symmetric_general(member)
+    form = _FORMS.get(tag)
+    if form is not None:
+        return form(member)
     rows, squares = _GROUP_ROWS[tag]
     return _exp_groups(member[0], (member @ rows).reshape(-1, 4, 4),
                        ((member * member) @ squares).tolist(), fold)
@@ -216,7 +276,8 @@ def _exp_member(tag: str, member) -> np.ndarray:
     """exp of the member of family `tag`, given as its flat coefficient
     vector.  Raises OverflowError when exp(A) is beyond the float64 range.
     At norm _SAFE_NORM or more, the growth of the scalar and of every
-    hyperbolic group is applied as one exponent (see _exp_groups)."""
+    hyperbolic group is applied as one exponent (see _exp_groups); the
+    SpecialNormal and BisymmetricRS forms do so at every norm."""
     norm = frobenius(member)
     if norm < _SAFE_NORM:
         return _closed_form(tag, member)

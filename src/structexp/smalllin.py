@@ -87,13 +87,14 @@ def _expm2(a, is_cplx) -> np.ndarray:
 def _overflow_checked(norm: float, what: str, fn, *args):
     """fn(*args) for an input of norm `norm`.  At _SAFE_NORM or more it runs
     under np.errstate and raises OverflowError unless the result is finite;
-    a ValueError there (the cosine of an infinite argument) counts as one."""
+    a ValueError there (the cosine of an infinite argument) counts as one,
+    and so does math.exp's own OverflowError."""
     if norm < _SAFE_NORM:
         return fn(*args)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             value = fn(*args)
-        except ValueError:
+        except (ValueError, OverflowError):
             value = None
     if value is None or not np.isfinite(value).all():
         raise OverflowError(f"{what} overflows")

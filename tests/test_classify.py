@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structexp import classify, expm_auto, extract_special_normal, extract_symmetric_rep
+from structexp import (classify, expm_auto, expm_series, extract_special_normal,
+                       extract_symmetric_rep, rel_error)
 from structexp.classify import (
     COMPLEX_REGISTRY,
     DEFAULT_TOL,
@@ -21,7 +22,8 @@ from structexp.classify import (
     as_real_if_possible,
     instance,
 )
-from structexp.hxh import J4, R4, HxHElement, basis_matrix, from_matrix
+from structexp.expm_structured import _exp_member
+from structexp.hxh import _BASIS_ROWS, J4, R4, HxHElement, basis_matrix, from_matrix
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family
 
@@ -362,9 +364,9 @@ def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
 @given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-3.0, 150.0))
 def test_special_normal_fit_takes_normality_from_a_at_any_scale(seed, exponent):
     # the fit accepts a member, and rejects the same skew part s(x)1 + 1(x)t
-    # with the pure block s (x) w / |s|, w _|_ t and |w| = |t|, which still
-    # fits rank one but is not normal: the residual is then the commutator
-    # |[sym A, skew A]|_F = |A^T A - A A^T|_F / 2, here 4 |t|^2
+    # with the pure block s (x) w / |s|, w _|_ t and |w| = |t|, which is not
+    # normal: its part along s_hat(x)t_hat is 0, so the fit's residual
+    # 2 |B - lambda s(x)t| is 2 |B| = 2 |t|
     rng = np.random.default_rng(seed)
     a = sample_family("SpecialNormal", rng) * 10.0 ** exponent
     c = from_matrix(a).c
@@ -377,7 +379,101 @@ def test_special_normal_fit_takes_normality_from_a_at_any_scale(seed, exponent):
         assert extract_special_normal(a) is not None
         member, res = cls_mod._extract("SpecialNormal", bad, DEFAULT_TOL)
     assert member is None
-    assert res == pytest.approx(4.0 * np.dot(t, t), rel=1e-10)
-    if exponent < 70.0:
-        assert res == pytest.approx(np.linalg.norm(bad.T @ bad - bad @ bad.T) / 2.0,
-                                    rel=1e-10)
+    block = from_matrix(bad).c[1:, 1:]
+    u, v = s / np.linalg.norm(s), t / np.linalg.norm(t)
+    assert res == pytest.approx(2.0 * np.linalg.norm(block - (u @ block @ v) * np.outer(u, v)),
+                                rel=1e-10)
+    assert res == pytest.approx(2.0 * np.linalg.norm(t), rel=1e-10)
+
+
+def _d(block, s, t):
+    """D of the SpecialNormal normality test: column j is B[:, j] x s, and
+    row i adds B[i, :] x t."""
+    return np.cross(block.T, s).T + np.cross(block, t)
+
+
+def test_special_normal_normality_decides_in_the_band():
+    # near |A| = 1e3 the commutator's bound tol (1 + |A|)^2 is below the
+    # commutator of a block part that the fit's residual still accepts: the
+    # direction off s_hat(x)t_hat that maximises |D| is refused at 0.9
+    # tol_abs, on the commutator, and accepted at 0.5 tol_abs
+    s, t = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.4, 0.0])
+    c = np.zeros((4, 4))
+    c[1:, 0], c[0, 1:] = s, t
+    c *= 1e3 / np.linalg.norm(HxHElement(c).to_matrix())
+    s, t = c[1:, 0], c[0, 1:]
+    lin = np.column_stack([_d(e.reshape(3, 3), s, t).ravel() for e in np.eye(9)])
+    worst = np.linalg.svd(lin)[2][0].reshape(3, 3)
+    tol_abs = DEFAULT_TOL * 1e3
+    for factor, accepted in ((0.9, False), (0.5, True)):
+        band = c.copy()
+        band[1:, 1:] = factor * tol_abs / 2.0 * worst
+        a = HxHElement(band).to_matrix()
+        member, res = cls_mod._extract("SpecialNormal", a, DEFAULT_TOL)
+        assert (member is not None) == accepted, factor
+        comm = np.linalg.norm(a.T @ a - a @ a.T) / 2.0
+        assert 4.0 * np.linalg.norm(_d(band[1:, 1:], s, t)) == pytest.approx(comm, rel=1e-6)
+        if not accepted:
+            assert res == pytest.approx(comm, rel=1e-6)
+            assert res > DEFAULT_TOL * (1.0 + np.linalg.norm(a)) ** 2
+
+
+@pytest.mark.parametrize("tag", ["SpecialNormal", "BisymmetricRS"])
+def test_band_members_are_exponentiated_as_members(tag):
+    # members moved 0.9 tol_abs off the family: the fit returns a member of
+    # the family, so the closed form is the exponential of its own matrix
+    rng = np.random.default_rng(93)
+    for scale in (1.0, 10.0, 30.0):
+        for _ in range(10):
+            a = scale * sample_family(tag, rng)
+            e = rng.standard_normal((4, 4))
+            tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+            m = a + (0.9 * tol_abs / _residual_per_unit(a, e, tag)) * e
+            member, res = cls_mod._extract(tag, m, DEFAULT_TOL)
+            assert member is not None and res > 0.5 * tol_abs, (scale, res)
+            p = (member @ _BASIS_ROWS).reshape(4, 4)
+            if tag == "SpecialNormal":
+                assert np.linalg.norm(p.T @ p - p @ p.T) <= 1e-14 * np.linalg.norm(p) ** 2
+            assert rel_error(_exp_member(tag, member), expm_series(p)) <= 1e-13, scale
+
+
+@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
+def test_long_double_input_takes_the_float64_route(tag):
+    rng = np.random.default_rng(94)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(5):
+            a = sample_family(tag, rng)
+            want = expm_auto(a)
+            kinds = [np.clongdouble] if np.iscomplexobj(a) else [np.longdouble, np.clongdouble]
+            for kind in kinds:
+                wide = a.astype(kind)
+                assert classify(wide) == classify(a), kind
+                got = expm_auto(wide)
+                assert got.route == want.route, kind
+                assert np.linalg.norm(got.value - want.value) <= 1e-15 * np.linalg.norm(want.value)
+                forced = expm_auto(wide, method=tag).value
+                assert np.array_equal(forced, expm_auto(a, method=tag).value), kind
+
+
+def test_admission_drops_an_imaginary_part_once_by_the_public_criterion(monkeypatch):
+    # _admit reuses its own norm for the test as_real_if_possible makes:
+    # max |Im A| <= 1e-14 max(1, |A|_F)
+    a = 3.0 * sample_family("SkewSymmetric", np.random.default_rng(95)).astype(complex)
+    edge = 1e-14 * np.linalg.norm(a)
+    calls = []
+    norm = cls_mod.frobenius
+
+    def counting(x):
+        calls.append(x)
+        return norm(x)
+
+    monkeypatch.setattr(cls_mod, "frobenius", counting)
+    for im, dropped in ((edge, True), (1.01 * edge, False)):
+        b = a.copy()
+        b[0, 1] += 1j * im
+        calls.clear()
+        admitted, _ = cls_mod._admit(b, DEFAULT_TOL)
+        assert len(calls) == 1
+        assert np.iscomplexobj(admitted) != dropped
+        assert np.iscomplexobj(as_real_if_possible(b)) != dropped

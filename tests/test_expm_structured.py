@@ -29,6 +29,7 @@ from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
 from structexp.expm_structured import (
     _SAFE_NORM,
     _closed_form,
+    _exp_member,
     _routes,
     exp_bisymmetric_rs,
     exp_ham_sym_persym,
@@ -45,7 +46,7 @@ from structexp.expm_structured import (
     exp_sym_toeplitz_tridiag,
     exp_symmetric_general,
 )
-from structexp.hxh import I22, J4, R4
+from structexp.hxh import _BASIS_ROWS, I22, J4, R4
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family, u17
 
@@ -237,6 +238,137 @@ def test_bisymmetric_agrees_with_general_symmetric_route():
         via_rs = exp_bisymmetric_rs(inst)
         via_sym = exp_symmetric_general(*extract_symmetric_rep(a))
         assert np.linalg.norm(via_rs - via_sym) < 1e-11 * (1 + np.linalg.norm(via_rs))
+
+
+# ------------------------------------------- the two four-scalar closed forms
+
+
+def _member_matrix(member):
+    return (member @ _BASIS_ROWS).reshape(4, 4)
+
+
+def _close_to_series(value, a) -> bool:
+    """Within 1e-13 of the series of A, relative, and 1e-15 |A| past |A| =
+    100, where rounding A itself moves exp(A) by about eps |A|."""
+    return rel_error(value, expm_series(a)) <= max(1e-13, 1e-15 * np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("tag", ["SpecialNormal", "BisymmetricRS"])
+@pytest.mark.parametrize("scale", [0.1, 1.0, 3.0, 10.0, 30.0])
+def test_rank_one_closed_forms_match_the_series(tag, scale):
+    rng = np.random.default_rng(90)
+    for _ in range(20):
+        member, _ = _extract(tag, scale * sample_family(tag, rng), DEFAULT_TOL)
+        a = _member_matrix(member)
+        e = _exp_member(tag, member)
+        assert _close_to_series(e, a), (tag, scale)
+        # the group invariants: normal, or symmetric and persymmetric
+        bound = 1e-14 * np.linalg.norm(e)
+        if tag == "SpecialNormal":
+            assert np.linalg.norm(e @ e.T - e.T @ e) <= bound * np.linalg.norm(e)
+        else:
+            assert np.linalg.norm(e - e.T) <= bound
+            assert np.linalg.norm(R4 @ e @ R4 - e.T) <= bound
+
+
+def _special_normal(a, s, t, block):
+    c = np.zeros((4, 4))
+    c[0, 0], c[1:, 0], c[0, 1:], c[1:, 1:] = a, s, t, block
+    return c.reshape(16)
+
+
+def _bisymmetric_rs(eps, a, block):
+    c = np.zeros((4, 4))
+    c[0, 0], c[2, 1], c[1::2, 2:] = eps, a, block
+    return c.reshape(16)
+
+
+@pytest.mark.parametrize("member", [
+    # s = 0: the block pairs t_hat with any left factor
+    _special_normal(0.3, [0.0, 0.0, 0.0], [0.0, 1.2, 0.0], np.outer([0.7, -0.4, 0.2], [0, 1, 0])),
+    _special_normal(-0.2, [0.0, 0.0, 0.0], [0.6, -0.8, 1.1],
+                    np.outer([-1.3, 0.5, 0.9], [0.6, -0.8, 1.1])),
+    # t = 0: the block pairs s_hat with any right factor
+    _special_normal(0.1, [0.4, 1.5, -0.3], [0.0, 0.0, 0.0],
+                    np.outer([0.4, 1.5, -0.3], [0.2, 0.9, -1.4])),
+    # mu = 0, with and without a zero skew part
+    _special_normal(0.5, [1.0, -0.5, 0.2], [0.3, 0.1, 0.4], np.zeros((3, 3))),
+    _special_normal(0.5, [0.0, 0.0, 0.0], [0.3, 0.1, 0.4], np.zeros((3, 3))),
+    # no skew part: the rank-one block alone, as the public edge builds it
+    _special_normal(0.2, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], np.outer([1.0, 2.0, -0.5], [0.3, -1, 2])),
+    # the hyperbolic factor near and past _SAFE_NORM
+    _special_normal(-100.0, [1.0, 2.0, 2.0], [0.0, 0.6, 0.8], 100.0 * np.outer([1, 2, 2], [0, 0.6, 0.8]) / 3),
+    _special_normal(-300.0, [3.0, 0.0, 4.0], [0.0, 1.0, 0.0], 310.0 * np.outer([0.6, 0, 0.8], [0, 1, 0])),
+], ids=["s0", "s0-any", "t0", "mu0", "mu0-s0", "no-skew", "safe-norm", "past-safe-norm"])
+def test_special_normal_closed_form_edge_cases(member):
+    a = _member_matrix(member)
+    assert np.linalg.norm(a @ a.T - a.T @ a) <= 1e-13 * np.linalg.norm(a) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = _exp_member("SpecialNormal", member)
+    assert _close_to_series(e, a)
+
+
+@pytest.mark.parametrize("member", [
+    # nu = 0, and nu at and below the phi functions' series cutoff
+    _bisymmetric_rs(0.3, -1.1, np.zeros((2, 2))),
+    _bisymmetric_rs(0.3, -1.1, np.outer([1e-4, 0.0], [0.0, 1.0])),
+    _bisymmetric_rs(0.3, -1.1, np.outer([3e-9, 4e-9], [0.6, -0.8])),
+    # a = 0, and the scalar part alone
+    _bisymmetric_rs(-0.4, 0.0, np.outer([1.2, -0.7], [0.3, 1.9])),
+    _bisymmetric_rs(0.7, 0.0, np.zeros((2, 2))),
+    # growth near and past _SAFE_NORM, with a and nu of either sign of eps
+    _bisymmetric_rs(-100.0, 60.0, 90.0 * np.outer([0.6, 0.8], [0.8, -0.6])),
+    _bisymmetric_rs(-400.0, -250.0, 200.0 * np.outer([0.0, 1.0], [1.0, 0.0])),
+], ids=["nu0", "nu-cutoff", "nu-tiny", "a0", "scalar", "safe-norm", "past-safe-norm"])
+def test_bisymmetric_rs_closed_form_edge_cases(member):
+    a = _member_matrix(member)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = _exp_member("BisymmetricRS", member)
+    assert _close_to_series(e, a)
+    assert np.array_equal(e, e.T)
+
+
+@pytest.mark.parametrize("tag", ["SpecialNormal", "BisymmetricRS"])
+@pytest.mark.parametrize("norm", [0.999 * _SAFE_NORM, _SAFE_NORM, 2.0 * _SAFE_NORM])
+def test_rank_one_closed_forms_at_and_past_the_safe_norm(tag, norm):
+    # one path at every scale: the growth is folded below _SAFE_NORM too
+    rng = np.random.default_rng(92)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(10):
+            member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+            member = member * (norm / np.linalg.norm(member))
+            a = _member_matrix(member)
+            try:
+                ref = expm_series(a)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _exp_member(tag, member)
+                continue
+            assert rel_error(_exp_member(tag, member), ref) <= 1e-15 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("tag", ["SpecialNormal", "BisymmetricRS"])
+def test_rank_one_closed_forms_raise_overflow_where_exp_overflows(tag):
+    # exp(A) is past the float64 range at 1000 times a member whose growth
+    # is positive; the CLI reports that as exit 4
+    rng = np.random.default_rng(91)
+    while True:
+        a = sample_family(tag, rng)
+        if np.linalg.eigvals(a).real.max() > 1.0:
+            break
+    a = 1000.0 * a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            expm_auto(a, method=tag)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            text = " ".join(repr(x) for x in a.ravel().tolist())
+            assert cli.run(["expm", "--method", tag, text]) == 4
+    assert "the closed form overflows" in err.getvalue()
 
 
 def test_symmetric_general_scalar_and_spd():

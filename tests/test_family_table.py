@@ -131,6 +131,3 @@ def test_group_with_non_scalar_square_is_a_defect():
     # i(x)1 and j(x)1 anticommute, so as two groups they do not commute
     with pytest.raises(ClosedFormDefect):
         _check_groups([{(1, 0)}, {(2, 0)}])
-    # a rank-one block must be a full block of pure slots
-    with pytest.raises(ClosedFormDefect):
-        _check_groups([{(1, 1), (1, 2), (2, 1)}], rank_one={0})
