@@ -19,9 +19,11 @@ action of the pair on V is bilinear in them:
     vec exp(A) = T @ kron(a, b),
 
 where T[dim i + j, 4p + q] is coordinate i of E_p v_j E_q, a real dim^2 x 16
-table (kept as dim^2 x 4 x 4, so the product is T @ b @ a).  T and
-Q are built once per algebra at import (`_TABLES`), each with one einsum; a
-user-built algebra gets its own on each call.
+table (kept as dim^2 x 4 x 4, so the product is T @ b @ a).  A
+`CoveringAlgebra` is built from its six defining fields: construction takes
+T and Q with one einsum each, and psi's matrix, its columns the images of
+the generators, is read off T, so an algebra built outside the registry
+has every table a route reads.
 
 At |x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
 and raises OverflowError unless exp(A) is finite.  `_lifts` tests an
@@ -31,9 +33,8 @@ the stacked defining-relation maps, and solves only those that contain it.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,21 +62,57 @@ class NotInAlgebra(ValueError):
         self.residual = residual
 
 
+def _stack8(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    return np.concatenate([x.real.ravel(), x.imag.ravel()])
+
+
 @dataclass(frozen=True)
 class CoveringAlgebra:
+    """A covering algebra from its six defining fields.  Construction
+    derives the rest, each array read-only: coord_pinv (see _coords), T as
+    exp_map and Q as det_form (see the module docstring), psi_matrix with
+    the pseudo-inverse psi_pinv (A -> x), and relation, the map
+    vec A -> vec(A^T M + M A) for M the form."""
     name: str
     dim: int
     basis: tuple                 # V, identified with R^dim
     params: tuple                # generators of each upstairs factor
     two_factor: bool             # X -> gX - Xh if set, else adjoint
     form: np.ndarray             # Gram matrix of the preserved form
-    coord_pinv: np.ndarray       # solves for V-coordinates, see _coords
-    psi_matrix: np.ndarray       # dim^2 x (3 or 6), columns = vec(psi(generator))
+    coord_pinv: np.ndarray = field(init=False, repr=False, compare=False)
+    exp_map: np.ndarray = field(init=False, repr=False, compare=False)
+    det_form: tuple = field(init=False, repr=False, compare=False)
+    psi_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    psi_pinv: np.ndarray = field(init=False, repr=False, compare=False)
+    relation: np.ndarray = field(init=False, repr=False, compare=False)
 
-
-def _stack8(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    return np.concatenate([x.real.ravel(), x.imag.ravel()])
+    def __post_init__(self):
+        n = self.dim
+        coord_pinv = np.linalg.pinv(np.column_stack([_stack8(v) for v in self.basis]))
+        e = np.stack([I2, *self.params]).astype(complex)
+        # coordinate i of a 2x2 X is Re sum_ad k[i, a, d] X[a, d]
+        k = (coord_pinv[:, :4] - 1j * coord_pinv[:, 4:]).reshape(n, 2, 2)
+        exp_map = np.einsum("iad,pab,jbc,qcd->ijpq", k, e, np.stack(self.basis),
+                            e).real.reshape(n * n, 4, 4)
+        # column m is vec psi(P_m, 0) = T[:, m, 0] or vec psi(0, P_m) =
+        # -T[:, 0, m] (their difference when adjoint); 0.0 - T, not -T,
+        # keeps a zero coordinate +0.0, as gX - Xh gives it
+        psi_matrix = (np.hstack([exp_map[:, 1:, 0], 0.0 - exp_map[:, 0, 1:]])
+                      if self.two_factor else exp_map[:, 1:, 0] - exp_map[:, 0, 1:])
+        # column k is vec(U^T M + M U) for the k-th unit matrix U
+        units = np.eye(n * n).reshape(n * n, n, n)
+        relation = (units.transpose(0, 2, 1) @ self.form
+                    + self.form @ units).reshape(n * n, -1).T
+        derived = {"coord_pinv": coord_pinv, "exp_map": exp_map,
+                   "psi_matrix": psi_matrix, "psi_pinv": np.linalg.pinv(psi_matrix),
+                   "relation": relation}
+        for attr, array in derived.items():
+            array.setflags(write=False)
+            object.__setattr__(self, attr, array)
+        # det g = -tr(g @ g) / 2 for a traceless 2x2 g
+        det_form = -np.einsum("mab,nba->mn", e[1:], e[1:]).real / 2.0
+        object.__setattr__(self, "det_form", tuple(map(tuple, det_form.tolist())))
 
 
 def _coords(alg: CoveringAlgebra, x: np.ndarray) -> np.ndarray:
@@ -89,111 +126,60 @@ def psi(alg: CoveringAlgebra, g: np.ndarray, h: np.ndarray | None = None) -> np.
     return np.column_stack([_coords(alg, g @ v - v @ right) for v in alg.basis])
 
 
-class _Tables:
-    """An algebra and what a covering route needs of it beyond its fields:
-    the relation map vec A -> vec(A^T M + M A), M the form, the
-    pseudo-inverse of psi_matrix (A -> x), and T and Q (see the module
-    docstring), T as dim^2 x 4 x 4 and Q as nested lists."""
-    __slots__ = ("alg", "relation", "psi_pinv", "exp_map", "det_form")
-
-    def __init__(self, alg: CoveringAlgebra):
-        n = alg.dim
-        # column k is vec(U^T M + M U) for the k-th unit matrix U
-        units = np.eye(n * n).reshape(n * n, n, n)
-        self.relation = (units.transpose(0, 2, 1) @ alg.form
-                         + alg.form @ units).reshape(n * n, -1).T
-        self.psi_pinv = np.linalg.pinv(alg.psi_matrix)
-        e = np.stack([I2, *alg.params]).astype(complex)
-        # coordinate i of a 2x2 X is Re sum_ad k[i, a, d] X[a, d]
-        k = (alg.coord_pinv[:, :4] - 1j * alg.coord_pinv[:, 4:]).reshape(n, 2, 2)
-        self.exp_map = np.einsum("iad,pab,jbc,qcd->ijpq", k, e, np.stack(alg.basis),
-                                 e).real.reshape(n * n, 4, 4)
-        # det g = -tr(g @ g) / 2 for a traceless 2x2 g
-        self.det_form = (-np.einsum("mab,nba->mn", e[1:], e[1:]).real / 2.0).tolist()
-        self.alg = alg
-
-
-# the tables of each built-in algebra, whose psi_matrix is made read-only so
-# that they stay valid
-_TABLES = {}
-
-
-def _make(name, dim, basis, params, two_factor, form) -> CoveringAlgebra:
-    coord_pinv = np.linalg.pinv(np.column_stack([_stack8(v) for v in basis]))
-    alg = CoveringAlgebra(name, dim, tuple(basis), tuple(params), two_factor,
-                          form, coord_pinv, None)
-    zero = np.zeros((2, 2))
-    pairs = [(g, zero if two_factor else None) for g in params]
-    if two_factor:
-        pairs += [(zero, h) for h in params]
-    alg = dataclasses.replace(alg, psi_matrix=np.column_stack(
-        [psi(alg, g, h).ravel() for g, h in pairs]))
-    alg.psi_matrix.setflags(write=False)
-    _TABLES[name] = _Tables(alg)
-    return alg
-
-
-SO3 = _make("so3", 3, (SIGMA_X, SIGMA_Y, SIGMA_Z), _SU2, False, np.eye(3))
-SO4 = _make("so4", 4, (I2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z), _SU2,
-            True, np.eye(4))
-P4R = _make("p4r", 4, (E11, E12, -E21, E22), _SL2, True, np.eye(4)[::-1].copy())
-SO22R = _make("so22r", 4, (I2, E12 - E21, SIGMA_X, SIGMA_Z), _SL2, True,
-              np.diag([1.0, 1.0, -1.0, -1.0]))
-P3R = _make("p3r", 3, (E12, SIGMA_Z / math.sqrt(2.0), E21), _SL2, False,
-            np.eye(3)[::-1].copy())
-SO21R = _make("so21r", 3, (SIGMA_X, SIGMA_Z, E12 - E21), _SL2, False,
-              np.diag([1.0, 1.0, -1.0]))
+SO3 = CoveringAlgebra("so3", 3, (SIGMA_X, SIGMA_Y, SIGMA_Z), _SU2, False, np.eye(3))
+SO4 = CoveringAlgebra("so4", 4, (I2, 1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z), _SU2,
+                      True, np.eye(4))
+P4R = CoveringAlgebra("p4r", 4, (E11, E12, -E21, E22), _SL2, True,
+                      np.eye(4)[::-1].copy())
+SO22R = CoveringAlgebra("so22r", 4, (I2, E12 - E21, SIGMA_X, SIGMA_Z), _SL2, True,
+                        np.diag([1.0, 1.0, -1.0, -1.0]))
+P3R = CoveringAlgebra("p3r", 3, (E12, SIGMA_Z / math.sqrt(2.0), E21), _SL2, False,
+                      np.eye(3)[::-1].copy())
+SO21R = CoveringAlgebra("so21r", 3, (SIGMA_X, SIGMA_Z, E12 - E21), _SL2, False,
+                        np.diag([1.0, 1.0, -1.0]))
 
 COVERING_ALGEBRAS: dict[str, CoveringAlgebra] = {
     a.name: a for a in (SO3, SO4, P4R, SO22R, P3R, SO21R)
 }
 
-
-def _tables(alg: CoveringAlgebra) -> _Tables:
-    """The tables of alg: built at import for a built-in algebra, and on
-    each call for any other."""
-    tables = _TABLES.get(alg.name)
-    return tables if tables is not None and tables.alg is alg else _Tables(alg)
-
-
-# for each size, the tables of its built-in algebras in registry order and
-# their stacked relation maps
+# for each size, its built-in algebras in registry order and their stacked
+# relation maps
 _RELATIONS = {}
 for _n in (3, 4):
-    _sized = tuple(t for t in _TABLES.values() if t.alg.dim == _n)
-    _RELATIONS[_n] = (_sized, np.vstack([t.relation for t in _sized]))
+    _sized = tuple(a for a in COVERING_ALGEBRAS.values() if a.dim == _n)
+    _RELATIONS[_n] = (_sized, np.vstack([a.relation for a in _sized]))
 
 
-def _solve(t: _Tables, a, norm: float, tol: float):
+def _solve(alg: CoveringAlgebra, a, norm: float, tol: float):
     """The lift x of an admitted real A whose defining-relation residual is
     within tol * (1 + |A|).  Raises NotInAlgebra when the back-check
     psi_matrix @ x - A is above that bound."""
-    x = t.psi_pinv @ a.ravel()
+    x = alg.psi_pinv @ a.ravel()
     # psi is linear in (g, h): psi(alg, g, h) is psi_matrix @ x
-    res_back = frobenius(t.alg.psi_matrix @ x - a.ravel())
+    res_back = frobenius(alg.psi_matrix @ x - a.ravel())
     if res_back > max(1e-12 * (1.0 + norm), tol * (1.0 + norm)):
-        raise NotInAlgebra(t.alg.name, res_back)
+        raise NotInAlgebra(alg.name, res_back)
     return x
 
 
-def _lift(t: _Tables, a_matrix, tol: float):
+def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
     """The lift x of A, admitted through `classify._admit`: NotInAlgebra
     with residual inf when the gate admits no A, and the norm of the
     imaginary part when A keeps one (these are algebras of real matrices)."""
-    admitted = _admit(a_matrix, tol, t.alg.dim)
+    admitted = _admit(a_matrix, tol, alg.dim)
     if admitted is None:
-        raise NotInAlgebra(t.alg.name, math.inf)
+        raise NotInAlgebra(alg.name, math.inf)
     a, norm = admitted
     if np.iscomplexobj(a):
-        raise NotInAlgebra(t.alg.name, frobenius(a.imag))
-    res = frobenius(t.relation @ a.ravel())
+        raise NotInAlgebra(alg.name, frobenius(a.imag))
+    res = frobenius(alg.relation @ a.ravel())
     if res > tol * (1.0 + norm):
-        raise NotInAlgebra(t.alg.name, res)
-    return _solve(t, a, norm, tol)
+        raise NotInAlgebra(alg.name, res)
+    return _solve(alg, a, norm, tol)
 
 
 def _lifts(a, norm: float, tol: float):
-    """(tables, x) for each built-in algebra of A's size that contains the
+    """(algebra, x) for each built-in algebra of A's size that contains the
     admitted A of norm `norm` (see `classify._admit`), lazily in registry
     order.  One product with the stacked relation maps gives every
     residual, and only an algebra whose residual is within tol * (1 + norm)
@@ -204,14 +190,14 @@ def _lifts(a, norm: float, tol: float):
     sized, relations = _RELATIONS[n]
     residuals = (relations @ a.ravel()).reshape(len(sized), n * n)
     bound = tol * (1.0 + norm)
-    for t, res in zip(sized, residuals):
+    for alg, res in zip(sized, residuals):
         if frobenius(res) > bound:
             continue
         try:
-            x = _solve(t, a, norm, tol)
+            x = _solve(alg, a, norm, tol)
         except NotInAlgebra:
             continue
-        yield t, x
+        yield alg, x
 
 
 def _factor(det_form, x0: float, x1: float, x2: float, sign: float) -> np.ndarray:
@@ -223,19 +209,19 @@ def _factor(det_form, x0: float, x1: float, x2: float, sign: float) -> np.ndarra
     return np.array([phi_c(d), s * x0, s * x1, s * x2])
 
 
-def _bilinear(t: _Tables, x) -> np.ndarray:
+def _bilinear(alg: CoveringAlgebra, x) -> np.ndarray:
     """sum_pq T[:, p, q] a_p b_q over the coordinates a of exp(g) and b of
     exp(-h)."""
     xs = x.tolist()
-    a = _factor(t.det_form, *xs[:3], 1.0)
-    b = _factor(t.det_form, *xs[3:] if t.alg.two_factor else xs, -1.0)
-    return (t.exp_map @ b @ a).reshape(t.alg.dim, t.alg.dim)
+    a = _factor(alg.det_form, *xs[:3], 1.0)
+    b = _factor(alg.det_form, *xs[3:] if alg.two_factor else xs, -1.0)
+    return (alg.exp_map @ b @ a).reshape(alg.dim, alg.dim)
 
 
-def _exp_lift(t: _Tables, x) -> np.ndarray:
+def _exp_lift(alg: CoveringAlgebra, x) -> np.ndarray:
     """exp(A) from its lift x.  Raises OverflowError when it is beyond the
     float64 range."""
-    return _overflow_checked(frobenius(x), "the covering exponential", _bilinear, t, x)
+    return _overflow_checked(frobenius(x), "the covering exponential", _bilinear, alg, x)
 
 
 def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
@@ -243,7 +229,7 @@ def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
     algebras.  A is admitted through `classify._admit`; raises NotInAlgebra
     when the gate admits no A (residual inf), when A keeps an imaginary part
     (residual its norm) or when A fails A^T M + M A = 0."""
-    x = _lift(_tables(alg), a_matrix, tol)
+    x = _lift(alg, a_matrix, tol)
     g = sum(x[m] * alg.params[m] for m in range(3))
     h = sum(x[3 + m] * alg.params[m] for m in range(3)) if alg.two_factor else None
     return g, h
@@ -253,5 +239,4 @@ def exp_via_covering(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9) -> np.nd
     """exp(A) as the action matrix of (exp(g), exp(h)) on V, by the bilinear
     map of the lift.  Raises NotInAlgebra as psi_inverse does, and
     OverflowError when exp(A) is beyond the float64 range."""
-    t = _tables(alg)
-    return _exp_lift(t, _lift(t, a_matrix, tol))
+    return _exp_lift(alg, _lift(alg, a_matrix, tol))

@@ -37,7 +37,9 @@ exp(2 sigma_3).
 
 The dataclasses are the public edge only: `exp_structured_class` and the
 `exp_*` adapters turn an instance into its member with
-`classify.coefficients`.
+`classify.coefficients`, and fit the member of a SpecialNormal or
+BisymmetricRS instance again, since its fields can describe a matrix off
+the family.
 
 A member of coefficient norm 150 or more (`_SAFE_NORM`) is exponentiated
 under np.errstate, raising OverflowError unless the result is finite; there
@@ -59,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, EXTRACTORS, GROUPS,
+from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES, GROUPS,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
@@ -363,8 +365,20 @@ def minimal_poly_skewT(s, t) -> MinimalPolySkew:
 
 
 def exp_structured_class(inst) -> np.ndarray:
-    """The closed form of a classified instance."""
-    return _exp_member(getattr(inst, "tag", None), coefficients(inst))
+    """The closed form of a classified instance.  A table family's instance
+    is a member by construction; one of a hand-written fit can hold data off
+    its family, so its member is fitted again by the family's extractor, at
+    DEFAULT_TOL as `_matches` does, and ForcedClassMismatch is raised when
+    the fit rejects it."""
+    tag, member = getattr(inst, "tag", None), coefficients(inst)
+    if tag not in FAMILIES:
+        # |A|_F is twice the coefficient norm
+        tol_abs = DEFAULT_TOL * max(1.0, 2.0 * frobenius(member))
+        member, residual = EXTRACTORS[tag](None, member.reshape(4, 4), DEFAULT_TOL,
+                                           tol_abs)
+        if member is None:
+            raise ForcedClassMismatch(tag, residual)
+    return _exp_member(tag, member)
 
 
 def _routes(a_matrix, tol: float, coverings: bool = False):
@@ -384,8 +398,8 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
         for tag, member in _matches(*admitted, tol):
             yield tag, _exp_member(tag, member)
     if n == 3 or coverings:
-        for tables, x in _lifts(*admitted, tol):
-            yield f"covering:{tables.alg.name}", _exp_lift(tables, x)
+        for alg, x in _lifts(*admitted, tol):
+            yield f"covering:{alg.name}", _exp_lift(alg, x)
 
 
 def _dispatch(a, method: str, tol: float):

@@ -1,6 +1,8 @@
 """Shared samplers: random members of each structured family, random covering
 algebra members, and small independent oracles used across the suite."""
 
+import sys
+
 import numpy as np
 
 from structexp.classify import JORDAN_FORMS, LIE_FORMS
@@ -146,3 +148,16 @@ def rodrigues(w):
     if c < 1e-30:
         return np.eye(3)
     return np.eye(3) + (np.sin(c) / c) * w + ((1.0 - np.cos(c)) / c ** 2) * (w @ w)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called where the test refused it")
+
+
+def _refuse_everywhere(monkeypatch, fn):
+    """Make every structexp binding of fn raise."""
+    for name, mod in list(sys.modules.items()):
+        if name == "structexp" or name.startswith("structexp."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, _refuse)

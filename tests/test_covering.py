@@ -25,11 +25,12 @@ from structexp import (
 from structexp import covering
 from structexp.classify import _admit
 from structexp.cli import run
-from structexp.covering import P3R, P4R, SO3, SO4, SO21R, SO22R, _TABLES, _lift, _lifts
+from structexp.covering import (_SU2, P3R, P4R, SIGMA_X, SIGMA_Y, SIGMA_Z, SO3, SO4,
+                                SO21R, SO22R, CoveringAlgebra, _lift, _lifts)
 from structexp.expm_structured import _routes
 from structexp.smalllin import expm2
 
-from conftest import covering_member, rodrigues, u17
+from conftest import _refuse_everywhere, covering_member, rodrigues, u17
 
 
 def _skew3(w):
@@ -83,19 +84,62 @@ def test_psi_inverse_round_trip():
 
 
 def test_user_built_algebra_inverts_like_the_built_in():
-    # a CoveringAlgebra built outside the registry has no precomputed
-    # tables; its own psi_matrix is inverted instead
+    # a copy rebuilds every table from the six defining fields
     rng = np.random.default_rng(82)
     for alg in COVERING_ALGEBRAS.values():
-        own = dataclasses.replace(alg, psi_matrix=np.array(alg.psi_matrix))
+        own = dataclasses.replace(alg)
+        assert own is not alg and own.psi_matrix is not alg.psi_matrix
         a = covering_member(alg, rng)
         for got, want in zip(psi_inverse(own, a), psi_inverse(alg, a)):
             if want is None:
                 assert got is None
             else:
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-        # and its tables are built for it alone
         assert rel_error(exp_via_covering(own, a), exp_via_covering(alg, a)) <= 1e-14
+
+
+# so3 over the cyclically permuted basis: new data, not a registry copy
+_SO3_YZX = dict(name="so3yzx", dim=3, basis=(SIGMA_Y, SIGMA_Z, SIGMA_X), params=_SU2,
+                two_factor=False, form=np.eye(3))
+
+
+def test_algebra_built_from_new_data_exponentiates():
+    alg = CoveringAlgebra(**_SO3_YZX)
+    rng = np.random.default_rng(93)
+    for _ in range(50):
+        a = _skew3(u17(rng, 3))
+        assert rel_error(exp_via_covering(alg, a), expm_series(a)) <= 1e-12
+        g, h = psi_inverse(alg, a)
+        assert h is None
+        assert np.linalg.norm(psi(alg, g) - a) <= 1e-12 * (1.0 + np.linalg.norm(a))
+        # the permuted basis lifts A to another g than the registry's so3
+        assert np.linalg.norm(g - psi_inverse(SO3, a)[0]) > 1e-3
+
+
+def test_construction_takes_neither_psi_nor_coords(monkeypatch):
+    # every table is read off the einsums of the defining data
+    for fn in (covering.psi, covering._coords):
+        _refuse_everywhere(monkeypatch, fn)
+    for data in [_SO3_YZX] + [{f.name: getattr(alg, f.name) for f in dataclasses.fields(alg)
+                               if f.init} for alg in COVERING_ALGEBRAS.values()]:
+        alg = CoveringAlgebra(**data)
+        a = covering_member(alg, np.random.default_rng(94))
+        assert rel_error(exp_via_covering(alg, a), expm_series(a)) <= 1e-12, alg.name
+
+
+def test_derived_arrays_are_read_only():
+    for alg in [CoveringAlgebra(**_SO3_YZX), *COVERING_ALGEBRAS.values()]:
+        derived = [f.name for f in dataclasses.fields(alg) if not f.init]
+        assert derived
+        for attr in derived:
+            value = getattr(alg, attr)
+            if isinstance(value, tuple):
+                assert all(isinstance(row, tuple) for row in value), attr
+                continue
+            with pytest.raises(ValueError):
+                value.flat[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            alg.psi_matrix = None
 
 
 def test_exp_matches_oracle():
@@ -347,12 +391,12 @@ def test_lifts_are_the_lifts_of_each_algebra(name):
     rng = np.random.default_rng(92)
     for scale in (1e-3, 1.0, 30.0):
         a = covering_member(alg, rng, scale)
-        lifts = [(t.alg.name, x) for t, x in _lifts(*_admit(a, tol, alg.dim), tol)]
+        lifts = [(b.name, x) for b, x in _lifts(*_admit(a, tol, alg.dim), tol)]
         expected = []
         for other in COVERING_ALGEBRAS.values():
             if other.dim == alg.dim:
                 try:
-                    expected.append((other.name, _lift(_TABLES[other.name], a, tol)))
+                    expected.append((other.name, _lift(other, a, tol)))
                 except NotInAlgebra:
                     pass
         assert name in [n for n, _ in lifts]

@@ -211,6 +211,30 @@ def test_special_normal_generic_and_normality():
         assert np.linalg.norm(e @ e.T - e.T @ e) < 1e-11 * (1 + np.linalg.norm(e)) ** 2
 
 
+@pytest.mark.parametrize("inst", [
+    # the block s_hat(x)t_hat is not along s_hat(x)t
+    SpecialNormal(0.5, (2.0, 0.0, 0.0), (0.0, 0.0, 0.7), (0.0, 1.0, 0.0), (2.0, 0.0, 0.0)),
+    # s_hat is not parallel to s
+    SpecialNormal(0.5, (2.0, 0.0, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.7), (0.0, 2.0, 0.0)),
+])
+def test_special_normal_instance_off_the_family_is_refused(inst):
+    # each was exponentiated as its projection onto the family, 0.69 and
+    # 0.42 relative from the series of its own matrix
+    assert "SpecialNormal" not in [i.tag for i in classify(inst.reconstruct())]
+    for exp in (exp_special_normal, exp_structured_class):
+        with pytest.raises(ForcedClassMismatch) as info:
+            exp(inst)
+        assert info.value.tag == "SpecialNormal" and info.value.residual > 1.0
+
+
+def test_special_normal_instance_is_exponentiated_as_its_fit():
+    # s_hat = 2 s and t_hat halved give the same block as s_hat = s
+    inst = SpecialNormal(0.5, (2.0, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.7, 0.0),
+                         (4.0, 0.0, 0.0))
+    a = inst.reconstruct()
+    assert rel_error(exp_special_normal(inst), expm_series(a)) < 1e-12
+
+
 def test_bisymmetric_pure_scalar_factor():
     from structexp.classify import BisymmetricRS
     inst = BisymmetricRS(0.7, 0.0, 0.0, 0.0, 0.0, 0.0)
