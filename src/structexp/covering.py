@@ -67,25 +67,26 @@ def _stack8(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real.ravel(), x.imag.ravel()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringAlgebra:
     """A covering algebra from its six defining fields.  Construction
     derives the rest, each array read-only: coord_pinv (see _coords), T as
     exp_map and Q as det_form (see the module docstring), psi_matrix with
     the pseudo-inverse psi_pinv (A -> x), and relation, the map
-    vec A -> vec(A^T M + M A) for M the form."""
+    vec A -> vec(A^T M + M A) for M the form.  Equality and hash are by
+    identity, since arrays have no fieldwise truth value."""
     name: str
     dim: int
     basis: tuple                 # V, identified with R^dim
     params: tuple                # generators of each upstairs factor
     two_factor: bool             # X -> gX - Xh if set, else adjoint
     form: np.ndarray             # Gram matrix of the preserved form
-    coord_pinv: np.ndarray = field(init=False, repr=False, compare=False)
-    exp_map: np.ndarray = field(init=False, repr=False, compare=False)
-    det_form: tuple = field(init=False, repr=False, compare=False)
-    psi_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    psi_pinv: np.ndarray = field(init=False, repr=False, compare=False)
-    relation: np.ndarray = field(init=False, repr=False, compare=False)
+    coord_pinv: np.ndarray = field(init=False, repr=False)
+    exp_map: np.ndarray = field(init=False, repr=False)
+    det_form: tuple = field(init=False, repr=False)
+    psi_matrix: np.ndarray = field(init=False, repr=False)
+    psi_pinv: np.ndarray = field(init=False, repr=False)
+    relation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.dim

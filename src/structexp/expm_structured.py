@@ -10,16 +10,17 @@ multiple of the identity, G @ G = mu I, so
     exp(A) = exp(c00) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
 
 Since H (x) H is isomorphic to the algebra of 4x4 real matrices, the
-product is taken on the group matrices directly (`_exp_groups`), and one
-product of c with the family's group rows (`classify.GROUPS` as slot sets)
-gives every group matrix.  No group is squared: mu needs no spectral
-information and is read off the coefficients, one product (c * c) @ squares
-for all groups, since (e_a (x) e_b)^2 = e_a^2 (x) e_b^2 = +-1 and a group's
-slots pairwise anticommute, which leaves no cross terms.  Those facts are
-structural: they are checked once, at import, over `classify.GROUPS`, and a
-table that breaks them raises ClosedFormDefect.  The phi functions pick
-cos/cosh branches from the sign of mu, so no formula hard-codes a
-trigonometric choice.
+product is taken on the group matrices directly, by `smalllin._exp_groups`
+as in `expm2`, and one product of c with the family's group rows
+(`classify.GROUPS` as slot sets) gives every group matrix.  No group is
+squared: mu needs no spectral information and is read off the
+coefficients, one product (c * c) @ squares for all groups, since
+(e_a (x) e_b)^2 = e_a^2 (x) e_b^2 = +-1 and a group's slots pairwise
+anticommute, which leaves no cross terms.  Those facts are structural: they
+are checked once, at import, over `classify.GROUPS`, and a table that
+breaks them raises ClosedFormDefect.  The phi functions pick cos/cosh
+branches from the sign of mu, so no formula hard-codes a trigonometric
+choice.
 
 The two fitted families have rank-one blocks, and their exponentials are
 four scalars each on two commuting elements that square to -1 or +1, taken
@@ -41,10 +42,10 @@ The dataclasses are the public edge only: `exp_structured_class` and the
 BisymmetricRS instance again, since its fields can describe a matrix off
 the family.
 
-A member of coefficient norm 150 or more (`_SAFE_NORM`) is exponentiated
-under np.errstate, raising OverflowError unless the result is finite; there
-exp(c00) and the growth of every hyperbolic group are applied as one
-exponent, so no partial product overflows before exp(A) does.
+Every closed form applies exp(c00) and its hyperbolic growth as one
+exponent at every scale, so it raises OverflowError only where exp(A) is
+beyond the float64 range, checked under np.errstate from coefficient norm
+150 (`smalllin._SAFE_NORM`) up.
 
 Route selection at every size is made here once: `_routes` yields each
 route that claims A, and `_dispatch`, which `expm_auto` and the CLI's `expm`
@@ -53,7 +54,6 @@ call, picks one by method (auto, oracle, a class tag or covering:<name>).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -71,8 +71,7 @@ from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES, GROUPS,
 from .covering import COVERING_ALGEBRAS, _exp_lift, _lifts, exp_via_covering
 from .hxh import _BASIS_ROWS
 from .oracle import expm_series, rel_error
-from .smalllin import (_SAFE_NORM, _overflow_checked, _svd3, expm2, frobenius,
-                       phi_c, phi_s)
+from .smalllin import _exp_groups, _overflow_checked, _svd3, expm2, frobenius
 
 
 class ClosedFormDefect(RuntimeError):
@@ -134,41 +133,11 @@ for _groups in GROUPS.values():
 _GROUP_ROWS = {tag: _group_rows(groups) for tag, groups in GROUPS.items()}
 
 
-def _exp_groups(scalar, groups, mus, fold: bool) -> np.ndarray:
-    """exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) over commuting
-    group matrices G_g with G_g @ G_g = mu_g I.
-
-    With `fold`, a group whose r = sqrt(mu_g) has real part above 1 is taken
-    as e^(Re r) times a factor that does not grow, from
-
-        cosh r = e^(Re r) e^(i Im r) (1 + e^(-2r)) / 2,
-
-    and sinh(r) / r alike, and e^(scalar + sum Re r) is applied once, so no
-    partial product overflows before exp(A) does."""
-    value, growth = None, 0.0
-    for g, mu in zip(groups, mus):
-        if fold and (r := cmath.sqrt(mu)).real > 1.0:
-            growth += r.real
-            e2, phase = cmath.exp(-2.0 * r), cmath.exp(1j * r.imag)
-            c, s = phase * (1.0 + e2) / 2.0, phase * (1.0 - e2) / (2.0 * r)
-            if not isinstance(mu, complex):
-                c, s = c.real, s.real
-            e = s * g
-            e.flat[::5] += c
-        else:
-            e = phi_s(-mu) * g
-            e.flat[::5] += phi_c(-mu)
-        value = e if value is None else value @ e
-    if growth:
-        # in two halves, so that no factor overflows where exp(A) does not
-        half = math.exp((growth + scalar.real) / 2.0)
-        return value * half * half
-    # only real families have the scalar slot
-    return math.exp(scalar) * value if scalar else value
-
-
 # the slots of the pure-pure block
 _PURE_ROWS = _BASIS_ROWS[[4 * a + b for a in (1, 2, 3) for b in (1, 2, 3)]]
+# the weights' 1/4 is taken in the exponent, so that it does not overflow
+# where exp(A) does not
+_LOG4 = math.log(4.0)
 
 
 def _det3(m) -> float:
@@ -194,7 +163,7 @@ def _exp_symmetric_general(member) -> np.ndarray:
     d = 1.0 if _det3(u) * _det3(vh) > 0.0 else -1.0
     a = float(member[0])
     s1, s2, s3 = (d * x for x in sigma)
-    w0, w1, w2, w3 = (math.exp(a + x) / 4.0 for x in
+    w0, w1, w2, w3 = (math.exp(a + x - _LOG4) for x in
                       (s1 + s2 + s3, s1 - s2 - s3, -s1 + s2 - s3, -s1 - s2 + s3))
     t = [d * (w0 + w1 - w2 - w3), d * (w0 - w1 + w2 - w3), d * (w0 - w1 - w2 + w3)]
     value = ((u * t) @ vh).reshape(9) @ _PURE_ROWS
@@ -250,10 +219,9 @@ def _exp_bisymmetric_rs(member) -> np.ndarray:
     e^(|a| + nu) is applied with e^eps, in two halves h."""
     eps, _, _, _, _, _, p, q, _, a, _, _, _, _, r, t = member.tolist()
     nu = math.hypot(p, q, r, t)
-    cha, sha = _folded(a)
-    m = math.expm1(-2.0 * nu)
+    (cha, sha), (chn, shn) = _folded(a), _folded(nu)
     h = math.exp((eps + abs(a) + nu) / 2.0)
-    chn, shc = h * (1.0 + m / 2.0), h * (-m / (2.0 * nu) if nu else 1.0)
+    chn, shc = h * chn, h * (shn / nu if nu else 1.0)
     coefs = [cha * chn, 0.0, 0.0, 0.0, 0.0, 0.0, shc * (cha * p - sha * t),
              shc * (cha * q + sha * r), 0.0, sha * chn, 0.0, 0.0, 0.0, 0.0,
              shc * (cha * r + sha * q), shc * (cha * t - sha * p)]
@@ -265,25 +233,22 @@ _FORMS = {"SpecialNormal": _exp_special_normal, "BisymmetricRS": _exp_bisymmetri
           "SymmetricGeneral": _exp_symmetric_general}
 
 
-def _closed_form(tag: str, member, fold: bool = False) -> np.ndarray:
+def _closed_form(tag: str, member) -> np.ndarray:
     form = _FORMS.get(tag)
     if form is not None:
         return form(member)
     rows, squares = _GROUP_ROWS[tag]
     return _exp_groups(member[0], (member @ rows).reshape(-1, 4, 4),
-                       ((member * member) @ squares).tolist(), fold)
+                       ((member * member) @ squares).tolist())
 
 
 def _exp_member(tag: str, member) -> np.ndarray:
     """exp of the member of family `tag`, given as its flat coefficient
-    vector.  Raises OverflowError when exp(A) is beyond the float64 range.
-    At norm _SAFE_NORM or more, the growth of the scalar and of every
-    hyperbolic group is applied as one exponent (see _exp_groups); the
-    SpecialNormal and BisymmetricRS forms do so at every norm."""
-    norm = frobenius(member)
-    if norm < _SAFE_NORM:
-        return _closed_form(tag, member)
-    return _overflow_checked(norm, "the closed form", _closed_form, tag, member, True)
+    vector.  Raises OverflowError when exp(A) is beyond the float64 range;
+    every closed form applies its growth as one exponent, so that is the
+    only case in which it does."""
+    return _overflow_checked(frobenius(member), "the closed form", _closed_form,
+                             tag, member)
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:

@@ -66,22 +66,45 @@ def phi_s(x):
     return math.sinh(r) / r
 
 
-# below this norm no value on the way to a closed form overflows: in expm2
-# each is at most e^(2|A|_F); in a 4x4 closed form each is exp of a part X of
-# the member c, |exp(X)| <= e^|X|_2 <= e^(2|c_X|), so over c00 and at most
-# three groups below e^((1 + 2 sqrt 3)|c|) < 1e291, leaving 1e17 for sums; in
-# a covering route each coordinate of a factor exponential is at most
-# e^|x| max(1, |x|) for the lift x (|det g| <= |x|^2), so products stay
+def _exp_groups(scalar, groups, mus) -> np.ndarray:
+    """exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) over commuting
+    n x n matrices G_g with G_g @ G_g = mu_g I, for a real or complex scalar.
+
+    A group whose r = sqrt(mu_g) has real part above 1 (|mu_g| + Re mu_g > 2)
+    is taken as e^r times a factor that does not grow, from
+
+        cosh r = e^r (1 + e^(-2r)) / 2,   sinh(r) / r = e^r (1 - e^(-2r)) / (2r),
+
+    and e^(scalar + sum r) is applied once, in two halves, to the scalars of
+    the last factor, so no partial product overflows before exp(A) does."""
+    value, growth, last = None, 0.0, len(mus) - 1
+    for k, (g, mu) in enumerate(zip(groups, mus)):
+        if abs(mu) + mu.real > 2.0:
+            lib = cmath if isinstance(mu, complex) else math
+            r = lib.sqrt(mu)
+            growth += r
+            e2 = lib.exp(-2.0 * r)
+            c, s = (1.0 + e2) / 2.0, (1.0 - e2) / (2.0 * r)
+        else:
+            c, s = phi_c(-mu), phi_s(-mu)
+        if k == last and (growth or scalar):
+            x = (scalar + growth) / 2.0
+            half = (cmath if isinstance(x, complex) else math).exp(x)
+            c, s = c * half * half, s * half * half
+        e = s * g
+        for i in range(len(e)):
+            e[i, i] += c
+        value = e if value is None else value @ e
+    return value
+
+
+# below this norm no value on the way to a closed form overflows: each
+# applies its growth as one exponent of at most 2|c| for a 4x4 member c
+# (|A|_F in expm2), below e^300 < 1e131, to at most three factors, each below
+# 1.6 (1 + 2|c|); in a covering route each coordinate of a factor exponential
+# is at most e^|x| max(1, |x|) for the lift x (|det g| <= |x|^2), products
 # below 1e135
 _SAFE_NORM = 150.0
-
-
-def _expm2(a, is_cplx) -> np.ndarray:
-    half_tr = (a[0, 0] + a[1, 1]) / 2.0
-    a0 = a - half_tr * np.eye(2, dtype=a.dtype)
-    d = a0[0, 0] * a0[1, 1] - a0[0, 1] * a0[1, 0]
-    scale = cmath.exp(complex(half_tr)) if is_cplx else math.exp(float(half_tr))
-    return scale * (phi_c(d) * np.eye(2, dtype=a.dtype) + phi_s(d) * a0)
 
 
 def _overflow_checked(norm: float, what: str, fn, *args):
@@ -107,20 +130,24 @@ def expm2(a) -> np.ndarray:
     Split off half the trace: A = (tr/2) I + A0 with A0 traceless, so
     A0^2 = -det(A0) I by Cayley-Hamilton and
 
-        exp(A) = exp(tr/2) (phi_c(det A0) I + phi_s(det A0) A0).
+        exp(A) = exp(tr/2) (phi_c(det A0) I + phi_s(det A0) A0),
 
-    A non-finite entry raises ValueError.  At |A|_F >= _SAFE_NORM it runs
-    under np.errstate and raises OverflowError unless the result is finite.
+    by _exp_groups.  A non-finite entry raises ValueError.  At
+    |A|_F >= _SAFE_NORM it runs under np.errstate and raises OverflowError
+    unless the result is finite: only where exp(A) is not.
     """
     a = np.asarray(a)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    is_cplx = np.iscomplexobj(a)
-    a = a.astype(np.complex128 if is_cplx else np.float64)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     norm = frobenius(a)
     if not norm < _SAFE_NORM and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    return _overflow_checked(norm, "the 2x2 exponential", _expm2, a, is_cplx)
+    # in Python scalars, which neither overflow in the trace nor warn
+    (p, q), (r, s) = a.tolist()
+    half, d = p / 2.0 + s / 2.0, p / 2.0 - s / 2.0
+    return _overflow_checked(norm, "the 2x2 exponential", _exp_groups, half,
+                             (np.array([[d, q], [r, -d]]),), (d * d + q * r,))
 
 
 @dataclass(frozen=True)

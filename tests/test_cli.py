@@ -25,7 +25,7 @@ from structexp.cli import (
 )
 from structexp.hxh import J4, R4
 from structexp import (COVERING_ALGEBRAS, DEFAULT_TOL, exp_via_covering,
-                       expm2, expm_auto, expm_series)
+                       expm2, expm_auto, expm_series, rel_error)
 
 from conftest import (COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, covering_member,
                       sample_family)
@@ -506,6 +506,20 @@ def test_expm_2x2_never_prints_a_non_finite_number(text, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert ("overflow" if code == 4 else "cap") in captured.err
+
+
+@pytest.mark.parametrize("text", ["500 0 0 -1100", "-300 800 800 -300"])
+def test_expm_2x2_returns_a_finite_exponential_past_cosh_overflow(text, capsys):
+    # cosh(800) is beyond the float64 range, exp(A) (1.4e217, 7.0e216) is not
+    values = {}
+    for method in ("auto", "oracle"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["expm", text, "--json", "--method", method]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        values[doc["route"]] = MatrixDocument(doc["n"], doc["kind"],
+                                              tuple(doc["entries"])).matrix()
+    assert rel_error(values["expm2"], values["oracle"]) <= 1e-12
 
 
 @pytest.mark.parametrize("text, routes", [

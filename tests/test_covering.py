@@ -142,6 +142,13 @@ def test_derived_arrays_are_read_only():
             alg.psi_matrix = None
 
 
+def test_algebras_compare_and_hash_by_identity():
+    # array fields have no truth value, so fieldwise == would raise
+    copy = dataclasses.replace(SO3)
+    assert copy != SO3 and SO3 == SO3
+    assert len({copy, *COVERING_ALGEBRAS.values()}) == len(COVERING_ALGEBRAS) + 1
+
+
 def test_exp_matches_oracle():
     rng = np.random.default_rng(82)
     for alg in COVERING_ALGEBRAS.values():

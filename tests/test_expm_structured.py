@@ -24,10 +24,9 @@ from structexp import (
     rel_error,
 )
 from structexp import cli
-from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
-                                SymToeplitzTridiag, _extract)
+from structexp.classify import (DEFAULT_TOL, GROUPS, SpecialNormal,
+                                SymmetricGeneral, SymToeplitzTridiag, _extract)
 from structexp.expm_structured import (
-    _SAFE_NORM,
     _closed_form,
     _exp_member,
     _routes,
@@ -47,6 +46,7 @@ from structexp.expm_structured import (
     exp_symmetric_general,
 )
 from structexp.hxh import _BASIS_ROWS, I22, J4, R4
+from structexp.smalllin import _SAFE_NORM, phi_c, phi_s
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family, u17
 
@@ -703,16 +703,22 @@ def test_table_family_routes_build_no_coefficient_table(monkeypatch):
 
 @pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
 def test_no_value_overflows_below_the_safe_norm(tag):
-    # the closed forms skip the overflow check below |c| = _SAFE_NORM: at
+    # the closed forms skip the overflow check below |c| = _SAFE_NORM: up to
     # just under it, with every coefficient on the family's own slots, no
-    # value on the way may leave the float64 range
+    # value on the way may leave the float64 range, and the value is exp(A)
+    # to roundoff that grows with |A| (the series' own error dominates: its
+    # largest over these samples is 1.6e-14 |c|, at 0.999 _SAFE_NORM)
     rng = np.random.default_rng(83)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(20):
-            member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
-            member = member * (0.999 * _SAFE_NORM / np.linalg.norm(member))
-            assert np.isfinite(_closed_form(tag, member)).all()
+        for scale in (0.5, 5.0, 50.0, 0.999 * _SAFE_NORM):
+            for _ in range(20):
+                member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+                member = member * (scale / np.linalg.norm(member))
+                value = _closed_form(tag, member)
+                assert np.isfinite(value).all()
+                ref = expm_series((member @ _BASIS_ROWS).reshape(4, 4))
+                assert rel_error(value, ref) <= 5e-14 * max(1.0, scale), scale
 
 
 def test_growth_past_the_safe_norm_is_folded_into_one_exponent():
@@ -733,13 +739,30 @@ def test_growth_past_the_safe_norm_is_folded_into_one_exponent():
             expm_auto(1000.0 * np.eye(4), method="SymmetricGeneral")
 
 
-@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
+@pytest.mark.parametrize("tag", sorted(GROUPS))
 def test_folded_growth_agrees_with_the_plain_product(tag):
-    # below _SAFE_NORM the plain product runs; the folded one must give the
-    # same exp(A) to roundoff where both are finite
+    # the group closed forms fold the growth of each hyperbolic group into
+    # one exponent at every norm; below _SAFE_NORM, where the plain product
+    # exp(c00) prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) is finite, they
+    # must give it to roundoff
     rng = np.random.default_rng(84)
     for scale in (0.5, 5.0, 50.0, 0.999 * _SAFE_NORM):
         member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
         member = member * (scale / np.linalg.norm(member))
-        plain = _closed_form(tag, member)
-        assert rel_error(_closed_form(tag, member, fold=True), plain) <= 1e-13, scale
+        plain = np.exp(member[0]) * np.eye(4)
+        for group in GROUPS[tag]:
+            g = sum(member[4 * a + b] * basis_matrix(a, b) for a, b in group)
+            mu = (g @ g)[0, 0]
+            plain = plain @ (phi_c(-mu) * np.eye(4) + phi_s(-mu) * g)
+        assert rel_error(_closed_form(tag, member), plain) <= 1e-13, scale
+
+
+def test_symmetric_general_is_finite_where_its_largest_weight_is():
+    # lambda_max = 710.5: e^lambda_max is past the float64 range, but
+    # exp(A) = I + (e^lambda_max - 1) / 4 * ones is not, so the weight's 1/4
+    # must not be applied after the exponential
+    a = np.full((4, 4), 177.625)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = expm_auto(a, method="SymmetricGeneral").value
+        assert rel_error(value, expm_series(a)) <= 1e-12

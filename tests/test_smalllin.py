@@ -129,17 +129,23 @@ def test_expm2_overflow_raises_without_a_warning(a):
 
 
 def test_expm2_is_finite_past_the_safe_norm():
-    # A = A0 - r I with A0 traceless and r = sqrt(-det A0): cosh(r) and
-    # sinh(r) near 1e65, exp(A) of order one; the checked branch returns it
+    # A = A0 - r I with A0 traceless and r = sqrt(-det A0), real or complex:
+    # cosh(r) and sinh(r) near 1e65, and past the float64 range with A0
+    # scaled by 1000, exp(A) of order one; the checked branch returns it, to
+    # roundoff that grows with |A|
     rng = np.random.default_rng(9)
+    draws = [150.0 * rng.uniform(-1.0, 1.0, (2, 2)) for _ in range(50)]
+    draws += [150.0 * (rng.uniform(-1.0, 1.0, (2, 2)) + 1j * rng.uniform(-1.0, 1.0, (2, 2)))
+              for _ in range(50)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for _ in range(50):
-            a0 = 150.0 * rng.uniform(-1.0, 1.0, (2, 2))
-            a0 -= np.trace(a0) / 2.0 * np.eye(2)
-            r = math.sqrt(max(-np.linalg.det(a0), 0.0))
-            a = a0 - r * np.eye(2)
-            assert rel_error(expm2(a), expm_series(a)) < 1e-12
+        for a0 in draws:
+            a0 = a0 - np.trace(a0) / 2.0 * np.eye(2)
+            for scale in (1.0, 1000.0):
+                det = np.linalg.det(scale * a0)
+                r = cmath.sqrt(-det) if np.iscomplexobj(a0) else math.sqrt(max(-det, 0.0))
+                a = scale * a0 - r * np.eye(2)
+                assert rel_error(expm2(a), expm_series(a)) < 1e-12 * scale
         rot = np.array([[0.0, 300.0], [-300.0, 0.0]])
         assert rel_error(expm2(rot), expm_series(rot)) < 1e-12
 
