@@ -5,16 +5,17 @@ The CLI only parses and prints: the route order (`_routes`, which `verify`
 walks) and the `expm --method` dispatch (`_dispatch`, which `expm_auto` also
 calls) live in `expm_structured`.
 
-When the first argument names a subcommand and each later token is an
-exact option string of that subcommand (a flag, or a one-value option
+Each subcommand is described once, in `_COMMANDS`, and the argparse parser
+is built from that table.  A command line is read from the table without
+argparse when its first argument names a subcommand and each later token is
+an exact option string of that subcommand (a flag, or a one-value option
 followed by a value that does not begin with '-' and that its type accepts)
 or a token argparse reads as a positional (not beginning with '-', or '-'
-then a digit or '.' with a space in it, as in "-1 0 0 -1"), with as many
-positionals as the subcommand takes, the namespace is built without
-argparse.  Every other command line (-h, an abbreviation such as --all,
---tol=1e-6, --, a value argparse rejects, an unknown option, a missing or
-extra matrix) goes to the parser's own parse_args, so every usage, help and
-error message is argparse's own.
+then a digit or '.' with a space in it, as in "-1 0 0 -1"), with exactly one
+positional, the matrix.  Every other command line (-h, an abbreviation such
+as --all, --tol=1e-6, --, a value argparse rejects, an unknown option, a
+missing or extra matrix) goes to the parser's own parse_args, so every
+usage, help and error message is argparse's own.
 
 Matrix input is either plaintext (whitespace-separated row-major scalars,
 `#` comments, optional leading token `complex` followed by re,im interleaved
@@ -43,7 +44,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -250,135 +251,94 @@ def _cmd_rep(args) -> int:
     return 0
 
 
+class _Option(NamedTuple):
+    """A flag (type None: False, or True when given), or a one-value option."""
+    dest: str
+    type: Optional[Callable[[str], object]]
+    default: object
+    help: str
+    metavar: Optional[str] = None
+
+
+_TOL = _Option("tol", float, DEFAULT_TOL,
+               "relative residual tolerance (default %(default)g)")
+
+# Each subcommand as (help, handler, options by option string); every one
+# takes one positional, the matrix, first.
+_COMMANDS = {
+    "classify": ("list every structured family containing the matrix",
+                 _cmd_classify, {"--tol": _TOL}),
+    "expm": ("matrix exponential with route selection", _cmd_expm, {
+        "--method": _Option("method", str, "auto",
+                            "auto, oracle, a class tag, or covering:<algebra>"),
+        "--tol": _TOL,
+        "--json": _Option("json", None, False,
+                          "print the result as a JSON matrix document")}),
+    "verify": ("run every applicable route against the series oracle", _cmd_verify, {
+        "--all-routes": _Option("all_routes", None, False,
+                                "also try the 4x4 covering algebras"),
+        "--inject-fault": _Option("inject_fault", float, 0.0,
+                                  "perturb each non-oracle result by EPS (testing hook)",
+                                  "EPS")}),
+    "rep": ("print the sixteen tensor-basis coefficients", _cmd_rep, {}),
+}
+
+
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser and its subcommand parsers by name, built on the
-    first run and reused after."""
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser of _COMMANDS, built on the first run, then reused."""
     parser = argparse.ArgumentParser(
         prog="structexp",
         description="closed-form structured matrix exponentials, "
                     "checked against a series oracle")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def matrix_arg(p):
-        p.add_argument("matrix",
-                       help="matrix file, or the matrix itself as inline text")
-
-    p = sub.add_parser("classify",
-                       help="list every structured family containing the matrix")
-    matrix_arg(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="relative residual tolerance (default %(default)g)")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("expm", help="matrix exponential with route selection")
-    matrix_arg(p)
-    p.add_argument("--method", default="auto",
-                   help="auto, oracle, a class tag, or covering:<algebra>")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="relative residual tolerance (default %(default)g)")
-    p.add_argument("--json", action="store_true",
-                   help="print the result as a JSON matrix document")
-    p.set_defaults(func=_cmd_expm)
-
-    p = sub.add_parser("verify",
-                       help="run every applicable route against the series oracle")
-    matrix_arg(p)
-    p.add_argument("--all-routes", action="store_true", dest="all_routes",
-                   help="also try the 4x4 covering algebras")
-    p.add_argument("--inject-fault", type=float, default=0.0, metavar="EPS",
-                   dest="inject_fault",
-                   help="perturb each non-oracle result by EPS (testing hook)")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("rep", help="print the sixteen tensor-basis coefficients")
-    matrix_arg(p)
-    p.set_defaults(func=_cmd_rep)
-    return parser, sub.choices
+    for name, (summary, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("matrix", help="matrix file, or the matrix itself as inline text")
+        for option, o in options.items():
+            kind = ({"action": "store_true"} if o.type is None
+                    else {"type": o.type, "metavar": o.metavar})
+            p.add_argument(option, dest=o.dest, default=o.default, help=o.help, **kind)
+        p.set_defaults(func=handler)
+    return parser
 
 
 _NUMBER_START = frozenset("0123456789.")
 
 
-def _token_table(p: argparse.ArgumentParser):
-    """(defaults, flags, options, positional dests) for _read_tokens, from
-    p's own actions: the namespace before any token, each store_true or
-    store_const option string's (dest, const), and each one-value store
-    option's (dest, type).  Help, append, nargs and choices actions are left
-    out, so their tokens go to argparse.  None when leaving an action out
-    could change a well-formed command line's meaning: a positional or a
-    required option left out, a str default argparse passes through its
-    type, an exclusive group, or an option string like a negative number."""
-    defaults = {a.dest: a.default for a in p._actions
-                if argparse.SUPPRESS not in (a.dest, a.default)}
-    for dest, value in p._defaults.items():
-        defaults.setdefault(dest, value)
-    flags, options, positionals = {}, {}, []
-    for a in p._actions:
-        if (a.option_strings and a.required
-                or isinstance(a.default, str) and a.type is not None):
-            return None
-        single = (type(a) is argparse._StoreAction and a.nargs is None
-                  and a.choices is None)
-        if single and a.option_strings:
-            options.update(dict.fromkeys(a.option_strings, (a.dest, a.type or str)))
-        elif single:
-            positionals.append(a.dest)
-        elif isinstance(a, argparse._StoreConstAction):
-            flags.update(dict.fromkeys(a.option_strings, (a.dest, a.const)))
-        elif not a.option_strings:
-            return None
-    if p._mutually_exclusive_groups or any(
-            s[1] in _NUMBER_START for s in p._option_string_actions):
-        return None
-    return defaults, flags, options, positionals
-
-
-@functools.cache
-def _token_tables() -> dict:
-    """The token table of each subcommand, built on the first run."""
-    return {name: _token_table(p) for name, p in _parsers()[1].items()}
-
-
-def _read_tokens(table, tokens) -> Optional[argparse.Namespace]:
-    """The namespace argparse makes of a subcommand's tokens, read by the
-    rule in the module docstring, or None when argparse must read them."""
-    defaults, flags, options, positionals = table
-    values, given = dict(defaults), []
+def _read_tokens(command, tokens) -> Optional[argparse.Namespace]:
+    """The namespace argparse makes of a subcommand's tokens, read from
+    _COMMANDS by the module docstring's rule; None when argparse must read them."""
+    _, handler, options = _COMMANDS[command]
+    values, given = {o.dest: o.default for o in options.values()}, []
     tokens = iter(tokens)
     for tok in tokens:
-        if tok in flags:
-            dest, const = flags[tok]
-            values[dest] = const
-        elif tok in options:
-            dest, convert = options[tok]
+        o = options.get(tok)
+        if o is not None and o.type is None:
+            values[o.dest] = True
+        elif o is not None:
             value = next(tokens, "-")
             if value[:1] == "-":
                 return None
             try:
-                values[dest] = convert(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                values[o.dest] = o.type(value)
+            except ValueError:
                 return None  # argparse reports it
         elif tok[:1] != "-" or (tok[1:2] in _NUMBER_START and " " in tok):
             given.append(tok)
         else:
             return None
-    if len(given) != len(positionals):
+    if len(given) != 1:
         return None
-    values.update(zip(positionals, given))
-    return argparse.Namespace(**values)
+    return argparse.Namespace(command=command, matrix=given[0], func=handler, **values)
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """The parser's parse_args(argv).  When argv[0] names a subcommand, a
-    command line its token table covers is read without argparse."""
+    command line _read_tokens can read is read without argparse."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    table = _token_tables().get(argv[0]) if argv else None
-    args = None if table is None else _read_tokens(table, argv[1:])
-    if args is None:
-        return _parsers()[0].parse_args(argv)
-    args.command = argv[0]
-    return args
+    args = _read_tokens(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def run(argv=None) -> int:

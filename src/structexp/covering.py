@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _admit
+from .classify import DEFAULT_TOL, _admit
 from .smalllin import _overflow_checked, frobenius, phi_c, phi_s
 
 I2 = np.eye(2)
@@ -225,7 +225,7 @@ def _exp_lift(alg: CoveringAlgebra, x) -> np.ndarray:
     return _overflow_checked(frobenius(x), "the covering exponential", _bilinear, alg, x)
 
 
-def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
+def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = DEFAULT_TOL):
     """Traceless upstairs factor(s) mapping to A; (g, None) for the adjoint
     algebras.  A is admitted through `classify._admit`; raises NotInAlgebra
     when the gate admits no A (residual inf), when A keeps an imaginary part
@@ -236,7 +236,8 @@ def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9):
     return g, h
 
 
-def exp_via_covering(alg: CoveringAlgebra, a_matrix, tol: float = 1e-9) -> np.ndarray:
+def exp_via_covering(alg: CoveringAlgebra, a_matrix,
+                     tol: float = DEFAULT_TOL) -> np.ndarray:
     """exp(A) as the action matrix of (exp(g), exp(h)) on V, by the bilinear
     map of the lift.  Raises NotInAlgebra as psi_inverse does, and
     OverflowError when exp(A) is beyond the float64 range."""

@@ -313,7 +313,12 @@ class MinimalPolySkew:
 def minimal_poly_skewT(s, t) -> MinimalPolySkew:
     """Annihilating quartic of T = s(x)1 + 1(x)t (both slots pure):
     x^4 + 2(|s|^2+|t|^2) x^2 + (|s|^2-|t|^2)^2, with the degree of the true
-    minimal polynomial reported alongside (drops at s=0, t=0, |s|=|t|)."""
+    minimal polynomial reported alongside (drops at s=0, t=0, |s|=|t|).
+    ValueError unless s and t each hold 3 finite real entries."""
+    for v in (s, t):
+        v = np.asarray(v)
+        if v.shape != (3,) or v.dtype.kind not in "iuf" or not np.isfinite(v).all():
+            raise ValueError("s and t must each hold 3 finite real entries")
     ns = float(np.linalg.norm(s))
     nt = float(np.linalg.norm(t))
     coeffs = (1.0, 0.0, 2.0 * (ns * ns + nt * nt), 0.0,

@@ -164,19 +164,30 @@ class Svd3:
     v: np.ndarray
 
 
+def _real_3x3(m) -> np.ndarray:
+    """m as a real 3x3 float array, or ValueError (see svd3)."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        # np.asarray(m, dtype=float) would only warn, and drop m.imag
+        if m.imag.any():
+            raise ValueError("matrix is not real")
+        m = m.real
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError("expected a 3x3 matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
 def sym_eig3(s) -> SymEig3:
     """Eigendecomposition of a symmetric 3x3 matrix, s = q diag(eigenvalues)
     q.T, from LAPACK (np.linalg.eigh), eigenvalues sorted descending, stably.
 
     s is symmetric when every entry of |s - s.T| is at most 1e-12 max|s|,
-    tested on s / 2, which overflows at no scale.  A non-finite entry raises
-    ValueError.
+    tested on s / 2, which overflows at no scale.  s is checked as in svd3.
     """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    if not np.isfinite(s).all():
-        raise ValueError("matrix has non-finite entries")
+    s = _real_3x3(s)
     half = s / 2.0
     if np.abs(half - half.T).max() > 0.5e-12 * np.abs(s).max():
         raise ValueError("matrix is not symmetric")
@@ -200,12 +211,8 @@ def svd3(m) -> Svd3:
     sigma_1 >= sigma_2 >= sigma_3 >= 0 and u, v are orthogonal.  Singular
     values at or below 3 * eps * sigma_1 (numpy's matrix_rank cutoff) are
     rounding noise of a rank-deficient input and are reported as exact zeros.
-    A non-finite entry raises ValueError.
+    A complex m whose imaginary part is zero is read as real.  ValueError
+    for a nonzero imaginary part, another shape or a non-finite entry.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise ValueError("expected a 3x3 matrix")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    u, sigma, vh = _svd3(m)
+    u, sigma, vh = _svd3(_real_3x3(m))
     return Svd3(u, np.array(sigma), vh.T)

@@ -10,13 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from structexp import cli
 from structexp.cli import (
     MatrixDocument,
     ParseError,
     _parse_args,
-    _parsers,
-    _read_tokens,
-    _token_table,
+    _parser,
     format_document_json,
     format_matrix,
     load_document,
@@ -203,7 +202,7 @@ def _parse_outcome(parse, argv, capsys):
     ["verify", ""],
 ], ids=lambda argv: " ".join(argv) or "no arguments")
 def test_one_pass_parse_matches_the_full_parser(argv, capsys):
-    full = _parse_outcome(_parsers()[0].parse_args, argv, capsys)
+    full = _parse_outcome(_parser().parse_args, argv, capsys)
     assert _parse_outcome(_parse_args, argv, capsys) == full
     assert _parse_outcome(_parse_args, tuple(argv), capsys) == full
 
@@ -235,7 +234,7 @@ def test_one_pass_parse_matches_the_full_parser_on_any_tokens(command, chunks, c
     rest = [token for chunk in chunks for token in chunk]
     argv = rest if command is None else [command, *rest]
     assert (_nan_safe(_parse_outcome(_parse_args, argv, capsys))
-            == _nan_safe(_parse_outcome(_parsers()[0].parse_args, argv, capsys)))
+            == _nan_safe(_parse_outcome(_parser().parse_args, argv, capsys)))
 
 
 def test_a_well_formed_command_line_is_read_without_argparse(monkeypatch):
@@ -243,45 +242,18 @@ def test_a_well_formed_command_line_is_read_without_argparse(monkeypatch):
         raise AssertionError("argparse parsed the command line")
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", unused)
-    args = _parse_args(["verify", "-0.5 0 0 1", "--all-routes"])
-    assert (args.command, args.matrix, args.all_routes, args.inject_fault) == (
-        "verify", "-0.5 0 0 1", True, 0.0)
-    args = _parse_args(["classify", J4_TEXT, "--tol", "1e-6"])
-    assert (args.command, args.matrix, args.tol) == ("classify", J4_TEXT, 1e-6)
-
-
-def _demo_parser(add):
-    p = argparse.ArgumentParser(prog="demo")
-    p.add_argument("matrix")
-    p.add_argument("--flag", action="store_true")
-    add(p)
-    return p
-
-
-@pytest.mark.parametrize("add", [
-    lambda p: p.add_argument("more", nargs="?"),
-    lambda p: p.add_argument("--need", required=True),
-    lambda p: p.add_argument("--n", type=int, default="3"),
-    lambda p: p.add_argument("-1", dest="one", action="store_true"),
-    lambda p: p.add_mutually_exclusive_group().add_argument("--either", action="store_true"),
-], ids=["optional positional", "required option", "str default with a type",
-        "negative-number option", "exclusive group"])
-def test_a_parser_the_token_table_cannot_cover_has_none(add):
-    assert _token_table(_demo_parser(add)) is None
-
-
-@pytest.mark.parametrize("add, option", [
-    (lambda p: p.add_argument("--c", choices=["1", "2"]), "--c"),
-    (lambda p: p.add_argument("--a", action="append"), "--a"),
-    (lambda p: p.add_argument("--two", nargs=2), "--two"),
-], ids=["choices", "append", "nargs"])
-def test_an_option_the_token_table_leaves_out_goes_to_argparse(add, option):
-    parser = _demo_parser(add)
-    table = _token_table(parser)
-    assert option not in table[1] and option not in table[2]
-    assert _read_tokens(table, ["1 2 3 4", option, "1"]) is None
-    argv = ["-1 2 3 4", "--flag"]
-    assert vars(_read_tokens(table, argv)) == vars(parser.parse_args(argv))
+    # every subcommand, and every option of each
+    for argv, fields in [
+        (["classify", J4_TEXT, "--tol", "1e-6"], {"tol": 1e-6, "func": cli._cmd_classify}),
+        (["expm", J4_TEXT, "--method", "oracle", "--tol", "1e-6", "--json"],
+         {"method": "oracle", "tol": 1e-6, "json": True, "func": cli._cmd_expm}),
+        (["verify", J4_TEXT, "--inject-fault", "1e-3"],
+         {"all_routes": False, "inject_fault": 1e-3, "func": cli._cmd_verify}),
+        (["verify", "-0.5 0 0 1", "--all-routes"],
+         {"all_routes": True, "inject_fault": 0.0, "func": cli._cmd_verify}),
+        (["rep", J4_TEXT], {"func": cli._cmd_rep}),
+    ]:
+        assert vars(_parse_args(argv)) == {"command": argv[0], "matrix": argv[1], **fields}
 
 
 @pytest.mark.parametrize("argv", [["verify", "1 2 3 4"], ["verify", "1 2 3 4", "--bogus"],
@@ -289,7 +261,7 @@ def test_an_option_the_token_table_leaves_out_goes_to_argparse(add, option):
 def test_one_pass_parse_reads_sys_argv_by_default(argv, capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["structexp", *argv])
     assert (_parse_outcome(_parse_args, None, capsys)
-            == _parse_outcome(_parsers()[0].parse_args, None, capsys))
+            == _parse_outcome(_parser().parse_args, None, capsys))
 
 
 def test_unknown_option_after_a_command_prints_the_top_level_usage(capsys):

@@ -504,6 +504,19 @@ def test_minimal_poly_annihilates():
         assert np.linalg.norm(res) < 1e-12 * (1.0 + np.linalg.norm(m) ** 4)
 
 
+@pytest.mark.parametrize("s, t", [
+    ((math.inf, 0, 0), (0, 0, 0)),
+    ((1, 0, 0), (0, math.nan, 0)),
+    ((1j, 0, 0), (0, 0, 0)),
+    ((1, 0, 0, 0), (0, 1, 0)),
+    (1.0, (0, 1, 0)),
+    ((1, 0, 0), (0, 1)),
+], ids=["inf", "nan", "imaginary", "4-vector", "scalar", "2-vector"])
+def test_minimal_poly_refuses_all_but_two_finite_real_3_vectors(s, t):
+    with pytest.raises(ValueError, match="^s and t must each hold 3 finite real entries$"):
+        minimal_poly_skewT(s, t)
+
+
 # ------------------------------------------------------------------- dispatcher
 
 

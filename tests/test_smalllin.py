@@ -340,3 +340,18 @@ def test_svd3_and_sym_eig3_reject_non_finite(bad):
             m.T.flat[slot] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 sym_eig3(m)
+
+
+@pytest.mark.parametrize("decompose", [svd3, sym_eig3], ids=["svd3", "sym_eig3"])
+def test_complex_input_is_refused_unless_its_imaginary_part_is_zero(decompose):
+    s = np.array([[2.0, 1.0, 0.0], [1.0, -3.0, 0.5], [0.0, 0.5, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.eye(3) * (1 + 1j), s + 1e-300j * np.eye(3)):
+            with pytest.raises(ValueError, match="^matrix is not real$"):
+                decompose(bad)
+        want = decompose(s)
+        for same in (s.astype(complex), s.tolist(), s + 0j * np.eye(3)):
+            got = decompose(same)
+            assert all(np.array_equal(getattr(got, f), getattr(want, f))
+                       for f in want.__dataclass_fields__)
