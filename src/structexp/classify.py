@@ -299,7 +299,8 @@ class Family:
         out = self.rows @ a.reshape(16)
         off = out[16:]
         sq = float(_squared_norms(off))
-        member = out[:16] - off if sq <= (0.5 * tol_abs) ** 2 else None
+        half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
+        member = out[:16] - off if sq <= half * half else None
         return member, 2.0 * math.sqrt(sq)
 
 
@@ -651,7 +652,8 @@ def _matches(a, norm: float, tol: float):
         registry, (table, rows) = REAL_REGISTRY, _REAL_MAP
     out = rows @ a.reshape(16)
     c, off = out[:16], out[16:].reshape(-1, 16)
-    for f in (_squared_norms(off) <= (0.5 * tol_abs) ** 2).nonzero()[0].tolist():
+    half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
+    for f in (_squared_norms(off) <= half * half).nonzero()[0].tolist():
         tag, extract = registry[f]
         if table[f]:
             yield tag, c - off[f]

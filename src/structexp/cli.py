@@ -131,19 +131,24 @@ def _parse_json(text: str) -> MatrixDocument:
 
 
 def _parse_plain(text: str) -> MatrixDocument:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        tokens += line.split("#", 1)[0].split()
+    # without a comment one split() reads the tokens of the per-line loop:
+    # every line break splitlines() knows is whitespace to split()
+    if "#" in text:
+        tokens = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
+    else:
+        tokens = text.split()
     kind = "real"
     if tokens and tokens[0].lower() == "complex":
         kind = "complex"
         tokens = tokens[1:]
-    entries = []
-    for t in tokens:
-        try:
-            entries.append(float(t))
-        except ValueError:
-            raise ParseError(f"not a number: {t!r}") from None
+    try:
+        entries = list(map(float, tokens))
+    except ValueError:
+        for t in tokens:
+            try:
+                float(t)
+            except ValueError:
+                raise ParseError(f"not a number: {t!r}") from None
     per = 2 if kind == "complex" else 1
     sizes = {per * 4: 2, per * 9: 3, per * 16: 4}
     if len(entries) not in sizes:
@@ -233,10 +238,9 @@ def _cmd_verify(args) -> int:
         rows.append((name, rel_error(value, reference)))
 
     width = max(len(name) for name, _ in rows + [("route", 0.0), ("oracle", 0.0)])
-    print(f"{'route'.ljust(width)}  residual")
-    for name, res in rows:
-        print(f"{name.ljust(width)}  {res:.3e}")
-    print(f"{'oracle'.ljust(width)}  reference")
+    print(f"{'route'.ljust(width)}  residual",
+          *(f"{name.ljust(width)}  {res:.3e}" for name, res in rows),
+          f"{'oracle'.ljust(width)}  reference", sep="\n")
     # a NaN residual is not <= the tolerance either
     if not all(res <= VERIFY_TOL for _, res in rows):
         print(f"residual above {VERIFY_TOL:g}", file=sys.stderr)

@@ -183,22 +183,22 @@ def _lifts(a, norm: float, tol: float):
     """(algebra, x) for each built-in algebra of A's size that contains the
     admitted A of norm `norm` (see `classify._admit`), lazily in registry
     order.  One product with the stacked relation maps gives every
-    residual, and only an algebra whose residual is within tol * (1 + norm)
-    is solved, so an algebra that fails its relation raises nothing."""
+    residual, one comparison of their squared norms finds those within
+    tol * (1 + norm), and only those algebras are solved, so an algebra
+    that fails its relation raises nothing."""
     n = a.shape[0]
     if n not in _RELATIONS or np.iscomplexobj(a):
         return
     sized, relations = _RELATIONS[n]
     residuals = (relations @ a.ravel()).reshape(len(sized), n * n)
     bound = tol * (1.0 + norm)
-    for alg, res in zip(sized, residuals):
-        if frobenius(res) > bound:
-            continue
+    within = np.add.reduce(residuals * residuals, axis=1) <= bound * bound
+    for i in within.nonzero()[0].tolist():
         try:
-            x = _solve(alg, a, norm, tol)
+            x = _solve(sized[i], a, norm, tol)
         except NotInAlgebra:
             continue
-        yield alg, x
+        yield sized[i], x
 
 
 def _factor(det_form, x0: float, x1: float, x2: float, sign: float) -> np.ndarray:

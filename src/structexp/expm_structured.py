@@ -312,17 +312,23 @@ class MinimalPolySkew:
 
 def minimal_poly_skewT(s, t) -> MinimalPolySkew:
     """Annihilating quartic of T = s(x)1 + 1(x)t (both slots pure):
-    x^4 + 2(|s|^2+|t|^2) x^2 + (|s|^2-|t|^2)^2, with the degree of the true
-    minimal polynomial reported alongside (drops at s=0, t=0, |s|=|t|).
-    ValueError unless s and t each hold 3 finite real entries."""
+    x^4 + 2(|s|^2+|t|^2) x^2 + ((|s|-|t|)(|s|+|t|))^2, with the degree of
+    the true minimal polynomial reported alongside (drops at s=0, t=0,
+    |s|=|t|).  |s| and |t| are taken with math.hypot, so they neither
+    overflow nor underflow.  ValueError unless s and t each hold 3 finite
+    real entries; OverflowError when a coefficient is beyond the float64
+    range (an entry above about 1e77 can make the constant term so)."""
     for v in (s, t):
         v = np.asarray(v)
         if v.shape != (3,) or v.dtype.kind not in "iuf" or not np.isfinite(v).all():
             raise ValueError("s and t must each hold 3 finite real entries")
-    ns = float(np.linalg.norm(s))
-    nt = float(np.linalg.norm(t))
-    coeffs = (1.0, 0.0, 2.0 * (ns * ns + nt * nt), 0.0,
-              (ns * ns - nt * nt) ** 2)
+    ns = math.hypot(*map(float, s))
+    nt = math.hypot(*map(float, t))
+    gap = (ns - nt) * (ns + nt)
+    coeffs = (1.0, 0.0, 2.0 * (ns * ns + nt * nt), 0.0, gap * gap)
+    if not all(map(math.isfinite, coeffs)):
+        raise OverflowError("a coefficient of the annihilating quartic is "
+                            "beyond the float64 range")
     if ns == 0.0 and nt == 0.0:
         degree = 1
     elif ns == 0.0 or nt == 0.0:

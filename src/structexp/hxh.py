@@ -171,8 +171,10 @@ def scalar_square(u: HxHElement, tol: float = 1e-10):
     w = g @ g
     mu = w.trace() / 4.0
     w.flat[::5] -= mu
-    # |w - mu I|_F / 2 > tol * (1 + |g|_F^2 / 4), doubled and squared
-    if np.vdot(w, w).real > (tol * (2.0 + 0.5 * np.vdot(g, g).real)) ** 2:
+    # |w - mu I|_F / 2 > tol * (1 + |g|_F^2 / 4), doubled and squared as a
+    # Python float, which overflows to inf without a warning
+    bound = float(tol * (2.0 + 0.5 * np.vdot(g, g).real))
+    if np.vdot(w, w).real > bound * bound:
         return None
     if g.dtype.kind == "c":
         return complex(mu)

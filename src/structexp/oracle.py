@@ -4,6 +4,23 @@ This module intentionally shares no code with the closed-form routes: it sees
 only a dense numpy array, so it can serve as an oracle for all of them.
 Degree-18 Taylor on a matrix scaled below norm 1/2 leaves a truncation error
 well under 1e-13 for sizes up to 4.
+
+The Horner loop r = I + (B r) / k, k = 18, ..., 1 (Moler and Van Loan,
+"Nineteen Dubious Ways to Compute the Exponential of a Matrix, Twenty-Five
+Years Later", SIAM Review 45(1), 2003) is run with as few numpy calls as its
+floating-point operations allow, and every result is bit for bit that of
+the plain loop of new arrays:
+- the identity of each size and dtype is built once, read-only, at import;
+- each divisor k is stored as a float, since numpy converts an int scalar
+  to the array's dtype on every call (to the same float: the quotient is
+  unchanged);
+- the first step is I + B / 18, since B @ I is B exactly (a zero term can
+  differ in sign only, and adding I makes every zero +0.0);
+- the loop and the squarings write into two C-ordered buffers, the layout
+  of the plain loop's new arrays, and a result is never one of the cached
+  identities;
+- each product is np.dot with an output buffer: for 2-d operands it calls
+  the same BLAS gemm as the @ operator with less dispatch.
 """
 
 from __future__ import annotations
@@ -17,17 +34,33 @@ _TAYLOR_DEGREE = 18
 _SCALING_THRESHOLD = 0.5
 _MAX_SQUARINGS = 40
 
+# the divisors of the Horner steps after the first, k = 17, ..., 1
+_DIVISORS = tuple(float(k) for k in range(_TAYLOR_DEGREE - 1, 0, -1))
+
+
+def _identity(n: int, dtype) -> np.ndarray:
+    eye = np.eye(n, dtype=dtype)
+    eye.setflags(write=False)
+    return eye
+
+
+_EYES = {(n, np.dtype(dtype)): _identity(n, dtype)
+         for n in _ALLOWED_SIZES for dtype in (np.float64, np.complex128)}
+_SHAPES = frozenset((n, n) for n in _ALLOWED_SIZES)
+
 
 def expm_series(a) -> np.ndarray:
     """exp(A) by squaring exp(A / 2^s), the latter summed as a Horner Taylor
     polynomial. Raises OverflowError if the input or result is not finite,
     and ValueError if the 1-norm is over 0.5 * 2^_MAX_SQUARINGS (5.5e11).
+    The result is a new writable array.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in _ALLOWED_SIZES:
+    if a.shape not in _SHAPES:
         raise ValueError("expected a square matrix of size 2, 3 or 4")
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    a = a.astype(dtype)
+    dtype = np.dtype(np.complex128 if a.dtype.kind == "c" else np.float64)
+    a = a.astype(dtype, copy=False)
+    # ahead of the norm: np.abs warns on a complex inf
     if not np.isfinite(a).all():
         raise OverflowError("non-finite entries in input")
 
@@ -41,19 +74,24 @@ def expm_series(a) -> np.ndarray:
                              f"cap of {_MAX_SQUARINGS}")
     b = a / (2.0 ** s)
 
-    # r = eye + (b @ r) / k for k = 18, ..., 1, in two buffers
-    eye = np.eye(a.shape[0], dtype=dtype)
-    r, t = eye.copy(), np.empty_like(eye)
-    for k in range(_TAYLOR_DEGREE, 0, -1):
-        np.matmul(b, r, out=t)
+    # r = I + (b @ r) / k for k = 18, ..., 1, in two buffers
+    eye = _EYES[a.shape[0], dtype]
+    r = np.divide(b, float(_TAYLOR_DEGREE), order="C")
+    np.add(eye, r, out=r)
+    t = np.empty_like(r)
+    for k in _DIVISORS:
+        np.dot(b, r, out=t)
         np.divide(t, k, out=t)
         np.add(eye, t, out=r)
+    if not s:
+        return r
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
-            r = r @ r
+            np.dot(r, r, out=t)
+            r, t = t, r
     # a non-finite r_ij stays non-finite in every later square, through its
     # r_ii * r_ij term, so one check after the loop sees any overflow
-    if s and not np.isfinite(r).all():
+    if not np.isfinite(r).all():
         raise OverflowError("overflow while squaring")
     return r
 

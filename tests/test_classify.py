@@ -19,9 +19,12 @@ from structexp.classify import (
     SkewSymmetric,
     SpecialNormal,
     SymmetricGeneral,
+    _admit,
+    _extract,
     as_real_if_possible,
     instance,
 )
+from structexp.covering import _lifts
 from structexp.expm_structured import _exp_member
 from structexp.hxh import _BASIS_ROWS, J4, R4, HxHElement, basis_matrix, from_matrix
 
@@ -477,3 +480,15 @@ def test_admission_drops_an_imaginary_part_once_by_the_public_criterion(monkeypa
         assert len(calls) == 1
         assert np.iscomplexobj(admitted) != dropped
         assert np.iscomplexobj(as_real_if_possible(b)) != dropped
+
+
+def test_a_tolerance_past_the_square_root_of_the_float64_range_raises_nothing():
+    # the bound is squared as a product, which gives inf where ** raises
+    a = sample_family("Lie3", np.random.default_rng(62)) + 0.5
+    want = [m.tag for m in classify(a, 1e100)]
+    assert "Lie3" in want
+    assert [m.tag for m in classify(a, 1e160)] == want
+    member, _ = _extract("Lie3", a, 1e160)
+    assert member is not None
+    lifts = [alg.name for alg, _ in _lifts(*_admit(np.eye(3), 1e160, 3), 1e160)]
+    assert lifts == ["so3", "p3r", "so21r"]

@@ -68,6 +68,64 @@ def test_parse_plain_rejects_bad_count():
         parse_document("1 2 3 4 5")
 
 
+def _per_line_parse_plain(text: str) -> MatrixDocument:
+    """_parse_plain as a loop over lines and then over tokens, one float()
+    call each: the reading the one-split path must reproduce."""
+    tokens: list[str] = []
+    for line in text.splitlines():
+        tokens += line.split("#", 1)[0].split()
+    kind = "real"
+    if tokens and tokens[0].lower() == "complex":
+        kind = "complex"
+        tokens = tokens[1:]
+    entries = []
+    for t in tokens:
+        try:
+            entries.append(float(t))
+        except ValueError:
+            raise ParseError(f"not a number: {t!r}") from None
+    per = 2 if kind == "complex" else 1
+    sizes = {per * 4: 2, per * 9: 3, per * 16: 4}
+    if len(entries) not in sizes:
+        raise ParseError(f"got {len(entries)} scalars, expected a full 2x2, "
+                         f"3x3 or 4x4 {kind} matrix")
+    return cli._checked_document(sizes[len(entries)], kind, entries, None)
+
+
+def _plain_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+_NUMBER_TOKENS = st.sampled_from(["0", "1", "-1", "2.5", "-0.5", "+1e-3", "1_000", ".5", "-0",
+                                  "1E5", "3.141592653589793", "1e-300", "-7e22", "0.1"])
+# at most one of these replaces a number: a token float() rejects, one it
+# reads as not finite, or a misplaced `complex`
+_ODD_TOKENS = st.sampled_from(["x", "1,5", "banana", "0x10", "1e", "--1", "'1'",
+                               "inf", "nan", "1e400", "-Infinity", "complex"])
+# line breaks of every kind splitlines() knows, and comments (" #" takes
+# the rest of its line)
+_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b",
+                               "\x0c", "\x1c", "\x85", "\u2028", " # note\n", "#\n", " #"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=st.sampled_from(["", "complex ", "Complex\n", "# head\ncomplex\t", "COMPLEX#\n"]),
+       count=st.sampled_from([3, 4, 5, 8, 9, 16, 18, 32]),
+       numbers=st.lists(_NUMBER_TOKENS, min_size=32, max_size=32),
+       odd=st.one_of(st.none(), st.tuples(st.integers(0, 31), _ODD_TOKENS)),
+       seps=st.lists(_SEPARATORS, min_size=33, max_size=33))
+def test_parse_plain_matches_the_per_line_loop(prefix, count, numbers, odd, seps):
+    tokens = numbers[:count]
+    if odd is not None:
+        tokens[odd[0] % count] = odd[1]
+    text = prefix + "".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[count]
+    assert (_plain_outcome(cli._parse_plain, text)
+            == _plain_outcome(_per_line_parse_plain, text))
+
+
 def test_parse_empty():
     with pytest.raises(ParseError):
         parse_document("")

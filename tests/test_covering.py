@@ -353,22 +353,25 @@ def _accepts(alg, a, tol):
     return True
 
 
-@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
-@pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
-def test_routes_list_the_algebras_psi_inverse_accepts(name, side):
-    # A = member + t D with the defining-relation residual of D exactly 1:
-    # every form has M = M^T = M^-1, so D = M S, S symmetric, gives
-    # D^T M + M D = 2 S; t is side * tol * (1 + |A|), found by iteration
-    alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
-    rng = np.random.default_rng(90)
-    member = covering_member(alg, rng)
+def _moved(alg, member, side, tol, rng):
+    """member + t D with the defining-relation residual of D exactly 1:
+    every form has M = M^T = M^-1, so D = M S, S symmetric, gives
+    D^T M + M D = 2 S; t is side * tol * (1 + |A|), found by iteration."""
     s = rng.standard_normal((alg.dim, alg.dim))
     s = s + s.T
     off = alg.form @ s / (2.0 * np.linalg.norm(s))
     t = 0.0
     for _ in range(5):
         t = side * tol * (1.0 + np.linalg.norm(member + t * off))
-    a = member + t * off
+    return member + t * off
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
+def test_routes_list_the_algebras_psi_inverse_accepts(name, side):
+    alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
+    rng = np.random.default_rng(90)
+    a = _moved(alg, covering_member(alg, rng), side, tol, rng)
     routes = [r for r, _ in _routes(a, tol, coverings=True) if r.startswith("covering:")]
     accepted = [f"covering:{b.name}" for b in COVERING_ALGEBRAS.values()
                 if b.dim == alg.dim and _accepts(b, a, tol)]
@@ -409,6 +412,21 @@ def test_lifts_are_the_lifts_of_each_algebra(name):
         assert name in [n for n, _ in lifts]
         assert [n for n, _ in lifts] == [n for n, _ in expected]
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(lifts, expected))
+
+
+@pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
+def test_lifts_accept_what_lift_accepts_on_both_sides_of_the_bound(name):
+    # members, and members moved to half and twice the relation bound: the
+    # squared-norm test of _lifts takes the algebras _lift takes
+    alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
+    rng = np.random.default_rng(93)
+    sized = [b for b in COVERING_ALGEBRAS.values() if b.dim == alg.dim]
+    for scale in (1e-3, 1.0, 30.0):
+        for side in (0.0, 0.5, 2.0):
+            a = _moved(alg, covering_member(alg, rng, scale), side, tol, rng)
+            lifts = [b.name for b, _ in _lifts(*_admit(a, tol, alg.dim), tol)]
+            assert lifts == [b.name for b in sized if _accepts(b, a, tol)]
+            assert (name in lifts) == (side < 1.0)
 
 
 def _p4r_member_times_200():

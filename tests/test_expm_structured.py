@@ -505,6 +505,31 @@ def test_minimal_poly_annihilates():
 
 
 @pytest.mark.parametrize("s, t", [
+    ((1e200, 0, 0), (0, 0, 0)),
+    ((1e160, 0, 0), (1e160, 1, 0)),
+], ids=["one-side", "equal-norms"])
+def test_minimal_poly_raises_where_a_coefficient_overflows(s, t):
+    # |s|^2 + |t|^2 is past the float64 range; neither inf nor NaN comes back
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="beyond the float64 range"):
+            minimal_poly_skewT(s, t)
+
+
+def test_minimal_poly_norms_neither_overflow_nor_underflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # |s| = |t| to rounding, with squares near 1e200: degree 3, constant 0
+        mp = minimal_poly_skewT((1e100, 0, 0), (1e100, 1, 0))
+        assert mp.coefficients == (1.0, 0.0, 4e200, 0.0, 0.0)
+        assert mp.degree == 3
+        # |s|^2 underflows, |s| does not: s is not 0
+        mp = minimal_poly_skewT((1e-200, 0, 0), (0, 0, 0))
+        assert mp.coefficients == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert mp.degree == 2
+
+
+@pytest.mark.parametrize("s, t", [
     ((math.inf, 0, 0), (0, 0, 0)),
     ((1, 0, 0), (0, math.nan, 0)),
     ((1j, 0, 0), (0, 0, 0)),

@@ -135,6 +135,15 @@ def test_scalar_square_examples():
     assert scalar_square(u) == pytest.approx(5.0, abs=1e-12)
 
 
+def test_scalar_square_takes_a_tolerance_whose_square_overflows():
+    # the bound squares to inf, which accepts any finite off-scalar part
+    u = HxHElement.basis(1, 0)
+    u.c[2, 0] = 1.0
+    u.c[0, 1] = 1.0
+    assert scalar_square(u) is None
+    assert scalar_square(u, 1e160) == pytest.approx(-3.0, abs=1e-15)
+
+
 def test_scalar_square_rejects_nonscalar():
     u = HxHElement.zero()
     u.c[1, 0] = 1.0

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from structexp import basis_matrix, expm2, expm_series, rel_error
+from structexp import basis_matrix, expm2, expm_series, oracle, rel_error
 
 
 def test_zero_is_identity():
@@ -145,6 +145,41 @@ def test_series_equals_the_plain_horner_loop_bit_for_bit(n, kind):
             assert np.array_equal(got, expected), (exponent, skew)
             squarings.add(s)
     assert min(squarings) == 0 and max(squarings) >= 12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_result_is_a_fresh_writable_array(n):
+    first = expm_series(np.zeros((n, n)))
+    assert first.flags.writeable and first.flags.owndata
+    first[...] = 7.0
+    assert np.array_equal(expm_series(np.zeros((n, n))), np.eye(n))
+    # the same holds after squarings and for complex input
+    scaled = expm_series(np.full((n, n), 3.0 + 1j))
+    scaled[...] = 0.0
+    assert np.array_equal(expm_series(np.zeros((n, n), dtype=complex)), np.eye(n))
+    assert expm_series(np.full((n, n), 3.0 + 1j))[0, 0] != 0.0
+
+
+def test_cached_identities_are_read_only():
+    assert len(oracle._EYES) == 6
+    for (n, dtype), eye in oracle._EYES.items():
+        assert not eye.flags.writeable
+        assert eye.dtype == dtype and np.array_equal(eye, np.eye(n))
+        with pytest.raises(ValueError):
+            eye[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_bool_and_float32_input_is_its_float64_copy(n):
+    rng = np.random.default_rng(49 + n)
+    inputs = [rng.integers(-3, 4, (n, n)), rng.integers(0, 2, (n, n)).astype(bool),
+              np.eye(n, dtype=np.int8), (rng.standard_normal((n, n)) * 2).astype(np.float32),
+              rng.integers(0, 5, (n, n), dtype=np.uint16)]
+    for a in inputs:
+        want = expm_series(a.astype(np.float64))
+        got = expm_series(a)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), a.dtype
 
 
 def test_series_errors_are_unchanged():
