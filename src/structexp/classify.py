@@ -298,7 +298,7 @@ class Family:
         of REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not its table c."""
         out = self.rows @ a.reshape(16)
         off = out[16:]
-        sq = float(_squared_norms(off))
+        sq = float(np.vdot(off, off).real)
         half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
         member = out[:16] - off if sq <= half * half else None
         return member, 2.0 * math.sqrt(sq)
@@ -395,8 +395,8 @@ _FIT_SLOTS = {"SpecialNormal": set(product(range(4), range(4))) - {(0, 0)},
 
 
 def _squared_norms(off):
-    """The squared norm of each row of `off` (of a 1-d `off`, its own); a
-    complex entry's is that of its real pair."""
+    """The squared norm of each row of `off`; a complex entry's is that of
+    its real pair."""
     pairs = off.view(np.float64)
     return np.add.reduce(pairs * pairs, axis=-1)
 

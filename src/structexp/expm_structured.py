@@ -3,32 +3,25 @@ selection for 2x2, 3x3 and 4x4 input.
 
 A family member arrives as its flat coefficient vector c in the tensor basis
 (see `classify`), and `_exp_member` is the one closed form for all of them.
-Every table family but SymmetricGeneral splits into a scalar part and
-groups that commute with each other, each group squaring to a scalar
-multiple of the identity, G @ G = mu I, so
+Every table family but SymmetricGeneral splits into a scalar part and at
+most two commuting groups of slots, each squaring to a scalar, G @ G = mu I:
 
     exp(A) = exp(c00) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
 
-Since H (x) H is isomorphic to the algebra of 4x4 real matrices, the
-product is taken on the group matrices directly, by `smalllin._exp_groups`
-as in `expm2`, and one product of c with the family's group rows
-(`classify.GROUPS` as slot sets) gives every group matrix.  No group is
-squared: mu needs no spectral information and is read off the
-coefficients, one product (c * c) @ squares for all groups, since
-(e_a (x) e_b)^2 = e_a^2 (x) e_b^2 = +-1 and a group's slots pairwise
-anticommute, which leaves no cross terms.  Those facts are structural: they
-are checked once, at import, over `classify.GROUPS`, and a table that
-breaks them raises ClosedFormDefect.  The phi functions pick cos/cosh
-branches from the sign of mu, so no formula hard-codes a trigonometric
-choice.
+mu is read off c, since (e_a (x) e_b)^2 = +-1 and a group's slots pairwise
+anticommute, and since (p (x) q)(r (x) s) = (pr) (x) (qs), the product of
+two groups is a signed scatter of their slot products (`_exp_grouped`, with
+the scalars of `smalllin._factors`, which `expm2` shares).  Each family's
+plan, its group slots and squares and that cross table, is built and
+checked once, at import; a table that breaks it raises ClosedFormDefect.
 
 The two fitted families have rank-one blocks, and their exponentials are
-four scalars each on two commuting elements that square to -1 or +1, taken
-on the coefficients as plain floats and turned into the matrix with one
-product with the basis rows: SpecialNormal, a + ns X + nt Y + mu XY with
-X = s_hat(x)1 and Y = 1(x)t_hat (`_exp_special_normal`), and BisymmetricRS,
-eps + a J + P with J = j(x)i and the block P (`_exp_bisymmetric_rs`).  Both
-apply their hyperbolic growth with the scalar part at every scale.
+four scalars each on two commuting elements that square to -1 or +1:
+SpecialNormal, a + ns X + nt Y + mu XY with X = s_hat(x)1 and Y = 1(x)t_hat
+(`_exp_special_normal`), and BisymmetricRS, eps + a J + P with J = j(x)i
+and the block P (`_exp_bisymmetric_rs`).  These and the group forms are
+taken on the coefficients as plain floats, turned into the matrix with one
+product with the basis rows.
 
 The one route that needs spectral information is SymmetricGeneral: a LAPACK
 SVD (the core of `smalllin.svd3`) rotates its pure block to three commuting
@@ -56,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Optional
 
@@ -69,9 +63,9 @@ from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES, GROUPS,
                        _extract, _matches, _special_normal_frame,
                        _special_normal_parts, coefficients)
 from .covering import COVERING_ALGEBRAS, _exp_lift, _lifts, exp_via_covering
-from .hxh import _BASIS_ROWS
+from .hxh import _BASIS_ROWS, _MUL_IDX, _MUL_SGN
 from .oracle import expm_series, rel_error
-from .smalllin import _exp_groups, _overflow_checked, _svd3, expm2, frobenius
+from .smalllin import _factors, _overflow_checked, _svd3, expm2, frobenius
 
 
 class ClosedFormDefect(RuntimeError):
@@ -86,7 +80,7 @@ class ForcedClassMismatch(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExpResult:
     value: np.ndarray
     route: str
@@ -94,43 +88,36 @@ class ExpResult:
 
 
 def _anticommute(s, t) -> bool:
-    """Whether the slots s = (a, b) and t = (c, d) anticommute: exactly one
-    of the unit pairs (e_a, e_c), (e_b, e_d) does, being pure and distinct."""
+    """Whether the slots s and t anticommute, by the Hamilton table."""
     (a, b), (c, d) = s, t
-    return (a != c and 0 not in (a, c)) != (b != d and 0 not in (b, d))
+    return _MUL_SGN[a, c] * _MUL_SGN[b, d] != _MUL_SGN[c, a] * _MUL_SGN[d, b]
 
 
-def _check_groups(groups) -> None:
-    """Raise ClosedFormDefect unless each group squares to a scalar and the
-    groups commute: the slots inside a group must pairwise anticommute, so
-    its square has no cross terms, and slots in different groups must
-    commute."""
-    for group in groups:
-        if not all(_anticommute(s, t) for s, t in combinations(group, 2)):
-            raise ClosedFormDefect(f"group {sorted(group)} does not square to a scalar")
-    for g, h in combinations(groups, 2):
-        if any(_anticommute(s, t) for s in g for t in h):
-            raise ClosedFormDefect(f"groups {sorted(g)} and {sorted(h)} do not commute")
+def _group_plan(groups):
+    """(groups, cross) of a family's closed form: each group's (slot 4a + b,
+    square) pairs, the square +1 when a and b are both 0 or both pure and -1
+    otherwise, and of two groups the cross table (i, j, k, sign), slot i of
+    one times slot j of the other being sign times slot k, as (p(x)q)(r(x)s)
+    = (pr)(x)(qs) in the Hamilton table.  ClosedFormDefect unless at most two
+    groups each square to a scalar and commute, and slot 0, the group slots
+    and the cross slots are all distinct, so each coefficient is one term."""
+    lists = [sorted(g) for g in groups]
+    if len(groups) > 2 or not all(_anticommute(s, t) for g in lists
+                                  for s, t in combinations(g, 2)):
+        raise ClosedFormDefect(f"groups {lists} are not at most two scalar squares")
+    pairs = [(s, t) for g, h in combinations(lists, 2) for s in g for t in h]
+    if any(_anticommute(s, t) for s, t in pairs):
+        raise ClosedFormDefect(f"groups {lists} do not commute")
+    cross = tuple((4 * a + b, 4 * c + d, int(4 * _MUL_IDX[a, c] + _MUL_IDX[b, d]),
+                   float(_MUL_SGN[a, c] * _MUL_SGN[b, d])) for (a, b), (c, d) in pairs)
+    slots = [0, *(4 * a + b for g in lists for a, b in g), *(k for _, _, k, _ in cross)]
+    if len(set(slots)) < len(slots):
+        raise ClosedFormDefect(f"groups {lists} have colliding slots")
+    return tuple(tuple((4 * a + b, 1.0 if (a == 0) == (b == 0) else -1.0) for a, b in g)
+                 for g in lists), cross
 
 
-def _group_rows(groups):
-    """(rows, squares) for a flat coefficient vector c: c @ rows[g] is the
-    flat matrix G_g of group g, and (c * c) @ squares[:, g] is its mu_g.  With
-    no cross terms (see _check_groups), mu_g sums the squares of the slots,
-    (e_a(x)e_b)^2 = e_a^2 (x) e_b^2: +1 when a and b are both 0 or both
-    pure, -1 otherwise."""
-    rows = np.zeros((len(groups), 16, 16))
-    squares = np.zeros((16, len(groups)))
-    for g, group in enumerate(groups):
-        slots = [4 * a + b for a, b in group]
-        rows[g, slots] = _BASIS_ROWS[slots]
-        squares[slots, g] = [1.0 if (a == 0) == (b == 0) else -1.0 for a, b in group]
-    return rows, squares
-
-
-for _groups in GROUPS.values():
-    _check_groups(_groups)
-_GROUP_ROWS = {tag: _group_rows(groups) for tag, groups in GROUPS.items()}
+_PLANS = {tag: _group_plan(groups) for tag, groups in GROUPS.items()}
 
 
 # the slots of the pure-pure block
@@ -228,18 +215,33 @@ def _exp_bisymmetric_rs(member) -> np.ndarray:
     return (np.array(coefs) @ _BASIS_ROWS).reshape(4, 4) * h
 
 
-# the closed forms that are not a product over fixed slot groups
-_FORMS = {"SpecialNormal": _exp_special_normal, "BisymmetricRS": _exp_bisymmetric_rs,
-          "SymmetricGeneral": _exp_symmetric_general}
+def _exp_grouped(plan, member) -> np.ndarray:
+    """The group closed form on the coefficients as plain floats, by the
+    family's plan (see _group_plan): of two groups, exp(A) = e^c00 (c1 c2 +
+    s1 c2 G1 + c1 s2 G2 + s1 s2 G1 G2), G1 G2 putting sign c_i c_j on each
+    cross slot k.  The growth h of `smalllin._factors` is applied to these
+    scalars and again to the matrix, which one product with the basis rows
+    gives."""
+    groups, cross = plan
+    c = member.tolist()
+    cs, ss, h = _factors(c[0], [sum([sq * c[i] * c[i] for i, sq in g]) for g in groups])
+    # a lone group takes a second factor of 1
+    (c1, c2), (s1, s2) = (cs, ss) if cross else ((*cs, 1.0), (*ss, 0.0))
+    out = [0.0] * 16
+    out[0] = h * c1 * c2
+    for group, w in zip(groups, (h * s1 * c2, h * c1 * s2)):
+        for i, _ in group:
+            out[i] = w * c[i]
+    t = h * s1 * s2
+    for i, j, k, sign in cross:
+        out[k] = sign * t * c[i] * c[j]
+    return (np.array(out) @ _BASIS_ROWS).reshape(4, 4) * h
 
 
-def _closed_form(tag: str, member) -> np.ndarray:
-    form = _FORMS.get(tag)
-    if form is not None:
-        return form(member)
-    rows, squares = _GROUP_ROWS[tag]
-    return _exp_groups(member[0], (member @ rows).reshape(-1, 4, 4),
-                       ((member * member) @ squares).tolist())
+# every family's closed form, of its member
+_FORMS = {tag: partial(_exp_grouped, plan) for tag, plan in _PLANS.items()}
+_FORMS.update(SpecialNormal=_exp_special_normal, BisymmetricRS=_exp_bisymmetric_rs,
+              SymmetricGeneral=_exp_symmetric_general)
 
 
 def _exp_member(tag: str, member) -> np.ndarray:
@@ -247,8 +249,8 @@ def _exp_member(tag: str, member) -> np.ndarray:
     vector.  Raises OverflowError when exp(A) is beyond the float64 range;
     every closed form applies its growth as one exponent, so that is the
     only case in which it does."""
-    return _overflow_checked(frobenius(member), "the closed form", _closed_form,
-                             tag, member)
+    return _overflow_checked(frobenius(member), "the closed form", _FORMS[tag],
+                             member)
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:

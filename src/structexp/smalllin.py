@@ -1,5 +1,5 @@
-"""Small dense kernels: phi functions and 2x2 exponentials in closed form,
-and the 3x3 symmetric eigendecomposition and SVD from LAPACK.
+"""Small dense kernels: phi functions, group factors and 2x2 exponentials in
+closed form, and the 3x3 symmetric eigendecomposition and SVD from LAPACK.
 
 phi_c(x) = cos(sqrt(x)) and phi_s(x) = sin(sqrt(x))/sqrt(x) are even entire
 functions of sqrt(x), so they are well defined for every real or complex x;
@@ -66,36 +66,28 @@ def phi_s(x):
     return math.sinh(r) / r
 
 
-def _exp_groups(scalar, groups, mus) -> np.ndarray:
-    """exp(scalar) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) over commuting
-    n x n matrices G_g with G_g @ G_g = mu_g I, for a real or complex scalar.
-
-    A group whose r = sqrt(mu_g) has real part above 1 (|mu_g| + Re mu_g > 2)
-    is taken as e^r times a factor that does not grow, from
-
-        cosh r = e^r (1 + e^(-2r)) / 2,   sinh(r) / r = e^r (1 - e^(-2r)) / (2r),
-
-    and e^(scalar + sum r) is applied once, in two halves, to the scalars of
-    the last factor, so no partial product overflows before exp(A) does."""
-    value, growth, last = None, 0.0, len(mus) - 1
-    for k, (g, mu) in enumerate(zip(groups, mus)):
+def _factors(scalar, mus):
+    """(cs, ss, h) with exp(scalar) prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g)
+    = h^2 prod_g (cs[g] I + ss[g] G_g) over commuting G_g with G_g @ G_g =
+    mu_g I, for a real or complex scalar.  A group whose r = sqrt(mu_g) has
+    real part above 1 (|mu_g| + Re mu_g > 2) gives its growth e^r to
+    h = e^((scalar + sum r) / 2), from cosh r = e^r (1 + e^(-2r)) / 2 and
+    sinh(r) / r = e^r (1 - e^(-2r)) / (2r).  The caller applies h twice, to
+    the scalars and to the result, so nothing overflows before exp(A)."""
+    cs, ss, growth = [], [], 0.0
+    for mu in mus:
         if abs(mu) + mu.real > 2.0:
             lib = cmath if isinstance(mu, complex) else math
             r = lib.sqrt(mu)
             growth += r
             e2 = lib.exp(-2.0 * r)
-            c, s = (1.0 + e2) / 2.0, (1.0 - e2) / (2.0 * r)
+            cs.append((1.0 + e2) / 2.0)
+            ss.append((1.0 - e2) / (2.0 * r))
         else:
-            c, s = phi_c(-mu), phi_s(-mu)
-        if k == last and (growth or scalar):
-            x = (scalar + growth) / 2.0
-            half = (cmath if isinstance(x, complex) else math).exp(x)
-            c, s = c * half * half, s * half * half
-        e = s * g
-        for i in range(len(e)):
-            e[i, i] += c
-        value = e if value is None else value @ e
-    return value
+            cs.append(phi_c(-mu))
+            ss.append(phi_s(-mu))
+    x = (scalar + growth) / 2.0
+    return cs, ss, (cmath if isinstance(x, complex) else math).exp(x)
 
 
 # below this norm no value on the way to a closed form overflows: each
@@ -132,7 +124,7 @@ def expm2(a) -> np.ndarray:
 
         exp(A) = exp(tr/2) (phi_c(det A0) I + phi_s(det A0) A0),
 
-    by _exp_groups.  A non-finite entry raises ValueError.  At
+    by _factors.  A non-finite entry raises ValueError.  At
     |A|_F >= _SAFE_NORM it runs under np.errstate and raises OverflowError
     unless the result is finite: only where exp(A) is not.
     """
@@ -145,9 +137,15 @@ def expm2(a) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     # in Python scalars, which neither overflow in the trace nor warn
     (p, q), (r, s) = a.tolist()
-    half, d = p / 2.0 + s / 2.0, p / 2.0 - s / 2.0
-    return _overflow_checked(norm, "the 2x2 exponential", _exp_groups, half,
-                             (np.array([[d, q], [r, -d]]),), (d * d + q * r,))
+    return _overflow_checked(norm, "the 2x2 exponential", _exp2, p / 2.0 + s / 2.0,
+                             p / 2.0 - s / 2.0, q, r)
+
+
+def _exp2(half, d, q, r) -> np.ndarray:
+    """exp(half) exp(A0) for A0 = [[d, q], [r, -d]], as four Python scalars."""
+    (c,), (s,), h = _factors(half, (d * d + q * r,))
+    c, s = c * h, s * h
+    return np.array([[c + s * d, s * q], [s * r, c - s * d]]) * h
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from structexp.classify import (
     COMPLEX_REGISTRY,
     DEFAULT_TOL,
     EXTRACTORS,
+    FAMILIES,
     REAL_REGISTRY,
     SkewHamiltonian,
     SkewSymmetric,
@@ -21,6 +22,7 @@ from structexp.classify import (
     SymmetricGeneral,
     _admit,
     _extract,
+    _matches,
     as_real_if_possible,
     instance,
 )
@@ -145,6 +147,27 @@ def test_stacked_residuals_agree_with_extractor_loop(tag):
             found = classify(m)
             assert found == _classify_by_loop(m)
             assert (tag in [inst.tag for inst in found]) == (factor < 1.0), factor
+
+
+@pytest.mark.parametrize("tag", sorted(FAMILIES))
+def test_forced_and_auto_accept_the_same_members_at_the_bound(tag):
+    # the forced route (Family.extract) and auto (_matches) sum the squared
+    # residual differently: a member moved to 0.5, 0.999, 1.001 and 2 times
+    # the bound must be accepted by both or by neither
+    rng = np.random.default_rng(97)
+    for scale in (1.0, 30.0):
+        for _ in range(5):
+            a = scale * sample_family(tag, rng)
+            e = rng.standard_normal((4, 4))
+            if np.iscomplexobj(a):
+                e = e + 1j * rng.standard_normal((4, 4))
+            unit = _residual_per_unit(a, e, tag)
+            tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+            for factor in (0.5, 0.999, 1.001, 2.0):
+                m = a + (factor * tol_abs / unit) * e
+                forced = _extract(tag, m, DEFAULT_TOL)[0] is not None
+                auto = tag in [t for t, _ in _matches(*_admit(m, DEFAULT_TOL), DEFAULT_TOL)]
+                assert forced == auto == (factor < 1.0), (scale, factor)
 
 
 def test_stacked_residuals_agree_with_extractor_loop_on_dense():

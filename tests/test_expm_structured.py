@@ -27,7 +27,7 @@ from structexp import cli
 from structexp.classify import (DEFAULT_TOL, GROUPS, SpecialNormal,
                                 SymmetricGeneral, SymToeplitzTridiag, _extract)
 from structexp.expm_structured import (
-    _closed_form,
+    _FORMS,
     _exp_member,
     _routes,
     exp_bisymmetric_rs,
@@ -46,7 +46,7 @@ from structexp.expm_structured import (
     exp_symmetric_general,
 )
 from structexp.hxh import _BASIS_ROWS, I22, J4, R4
-from structexp.smalllin import _SAFE_NORM, phi_c, phi_s
+from structexp.smalllin import _SAFE_NORM
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family, u17
 
@@ -753,7 +753,7 @@ def test_no_value_overflows_below_the_safe_norm(tag):
             for _ in range(20):
                 member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
                 member = member * (scale / np.linalg.norm(member))
-                value = _closed_form(tag, member)
+                value = _FORMS[tag](member)
                 assert np.isfinite(value).all()
                 ref = expm_series((member @ _BASIS_ROWS).reshape(4, 4))
                 assert rel_error(value, ref) <= 5e-14 * max(1.0, scale), scale
@@ -777,22 +777,40 @@ def test_growth_past_the_safe_norm_is_folded_into_one_exponent():
             expm_auto(1000.0 * np.eye(4), method="SymmetricGeneral")
 
 
+def test_group_growth_is_applied_on_the_coefficients_and_the_matrix():
+    # -600 I + 650 i(x)j: cosh 650 and e^-600 are each past the float64
+    # range, exp(A) = e^50 (I + B) / 2 to roundoff is not
+    b = basis_matrix(1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = expm_auto(-600.0 * np.eye(4) + 650.0 * b)
+    assert result.route == "SkewHamiltonian"
+    assert rel_error(result.value, math.exp(50.0) / 2.0 * (np.eye(4) + b)) <= 1e-13
+    # e^1200 is past the float64 range itself
+    with pytest.raises(OverflowError):
+        expm_auto(1200.0 * np.eye(4) + 0.5 * b)
+
+
 @pytest.mark.parametrize("tag", sorted(GROUPS))
 def test_folded_growth_agrees_with_the_plain_product(tag):
-    # the group closed forms fold the growth of each hyperbolic group into
-    # one exponent at every norm; below _SAFE_NORM, where the plain product
-    # exp(c00) prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g) is finite, they
-    # must give it to roundoff
+    # the group closed forms take the product on the coefficients and fold
+    # the growth of each hyperbolic group into one exponent at every norm;
+    # below _SAFE_NORM, where the plain product exp(c00) prod_g (c_g I +
+    # s_g G_g), c_g = cosh sqrt(mu_g) and s_g = sinh(sqrt(mu_g)) / sqrt(mu_g),
+    # is finite, they must give it to roundoff
     rng = np.random.default_rng(84)
-    for scale in (0.5, 5.0, 50.0, 0.999 * _SAFE_NORM):
-        member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
-        member = member * (scale / np.linalg.norm(member))
-        plain = np.exp(member[0]) * np.eye(4)
-        for group in GROUPS[tag]:
-            g = sum(member[4 * a + b] * basis_matrix(a, b) for a, b in group)
-            mu = (g @ g)[0, 0]
-            plain = plain @ (phi_c(-mu) * np.eye(4) + phi_s(-mu) * g)
-        assert rel_error(_closed_form(tag, member), plain) <= 1e-13, scale
+    for scale in (1e-3, 0.5, 5.0, 30.0, 50.0, 0.999 * _SAFE_NORM):
+        for _ in range(5):
+            member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+            member = member * (scale / np.linalg.norm(member))
+            plain = np.exp(member[0]) * np.eye(4)
+            for group in GROUPS[tag]:
+                g = sum(member[4 * a + b] * basis_matrix(a, b) for a, b in group)
+                r = np.sqrt(complex((g @ g)[0, 0]))
+                plain = plain @ (np.cosh(r) * np.eye(4) + (np.sinh(r) / r if r else 1.0) * g)
+            if not np.iscomplexobj(member):
+                plain = plain.real
+            assert rel_error(_FORMS[tag](member), plain) <= 1e-13, scale
 
 
 def test_symmetric_general_is_finite_where_its_largest_weight_is():

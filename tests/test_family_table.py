@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structexp.classify import EXTRACTORS, FAMILIES, GROUPS, SkewSymmetric, instance
-from structexp.expm_structured import (_GROUP_ROWS, ClosedFormDefect, _check_groups,
-                                       _exp_member, exp_structured_class)
+from structexp.expm_structured import (_PLANS, ClosedFormDefect, _exp_member,
+                                       _group_plan, exp_structured_class)
 from structexp.hxh import _BASIS_ROWS, HxHElement, basis_matrix, from_matrix, hxh_mul
 from structexp.oracle import expm_series
 from structexp.quat import Quaternion, quat_exp
@@ -103,8 +103,10 @@ def test_mu_from_coefficients_is_the_group_square(tag, seed, scale):
     member, _ = EXTRACTORS[tag](a, from_matrix(a).c, 1e-9,
                                 1e-9 * max(1.0, np.linalg.norm(a)))
     assert member is not None
-    rows, squares = _GROUP_ROWS[tag]
-    for g, mu in zip((member @ rows).reshape(-1, 4, 4), (member * member) @ squares):
+    groups, _ = _PLANS[tag]
+    for group in groups:
+        g = sum(member[i] * _BASIS_ROWS[i] for i, _ in group).reshape(4, 4)
+        mu = sum(sq * member[i] ** 2 for i, sq in group)
         off = np.linalg.norm(g @ g - mu * np.eye(4)) / 2.0
         assert off <= 1e-10 * (1.0 + np.linalg.norm(g) ** 2 / 4.0), (tag, mu)
     ref = expm_series((member @ _BASIS_ROWS).reshape(4, 4))
@@ -127,7 +129,29 @@ def test_group_with_non_scalar_square_is_a_defect():
     group = basis_matrix("i", "1") + basis_matrix("1", "i")
     assert np.count_nonzero(group @ group - np.trace(group @ group) / 4 * np.eye(4))
     with pytest.raises(ClosedFormDefect):
-        _check_groups([{(1, 0), (0, 1)}])
+        _group_plan([{(1, 0), (0, 1)}])
     # i(x)1 and j(x)1 anticommute, so as two groups they do not commute
     with pytest.raises(ClosedFormDefect):
-        _check_groups([{(1, 0)}, {(2, 0)}])
+        _group_plan([{(1, 0)}, {(2, 0)}])
+
+
+@pytest.mark.parametrize("tag", sorted(GROUPS))
+def test_cross_table_is_the_basis_product(tag):
+    groups, cross = _PLANS[tag]
+    assert len(cross) == (len(groups[0]) * len(groups[1]) if len(groups) == 2 else 0)
+    basis = _BASIS_ROWS.reshape(16, 4, 4)
+    for i, j, k, sign in cross:
+        assert np.array_equal(basis[i] @ basis[j], sign * basis[k]), (i, j, k, sign)
+
+
+def test_colliding_cross_table_is_a_defect():
+    # i(x)1 in both groups commutes with itself, and their product is the
+    # scalar slot
+    with pytest.raises(ClosedFormDefect, match="colliding"):
+        _group_plan([{(1, 0)}, {(1, 0)}])
+    # the scalar slot as a group: its product with i(x)1 is i(x)1 again
+    with pytest.raises(ClosedFormDefect, match="colliding"):
+        _group_plan([{(0, 0)}, {(1, 0)}])
+    # the form multiplies at most two groups
+    with pytest.raises(ClosedFormDefect, match="at most two"):
+        _group_plan([{(1, 0)}, {(0, 1)}, {(1, 1)}])
