@@ -4,9 +4,11 @@ A family member is its flat coefficient vector c in the tensor basis, and
 that vector is what classification hands to the closed forms.  A table
 family is one `Family` entry: each parameter of its dataclass is a slot ->
 weight pattern in the coefficient table (ties among slots are weights, as in
-the Toeplitz cases).  With B the matrix whose columns are the patterns, the
-member is c minus its off-family part (I - B B^+) c.  The basis matrices
-are pairwise orthogonal with Frobenius norm 2, so 2*||(I - B B^+) c|| is the
+the Toeplitz cases).  An entry says nothing about closed forms:
+`expm_structured` reads each family's commuting groups off the support of
+its patterns.  With B the matrix whose columns are the patterns, the member
+is c minus its off-family part (I - B B^+) c.  The basis matrices are
+pairwise orthogonal with Frobenius norm 2, so 2*||(I - B B^+) c|| is the
 exact matrix-space distance to the family, and acceptance is one comparison
 against tol*max(1, ||A||_F).  Only the rank-one supports of SpecialNormal
 and BisymmetricRS need hand-written fits, taken on the 16 coefficients as
@@ -249,16 +251,12 @@ class Family:
 
     `params` maps each field of `cls` (other than the class index k) to its
     patterns, one per scalar: one for a scalar field, three for a 3-vector.
-    `groups` are slot sets that commute with each other while the slots
-    inside one pairwise anticommute, so each group squares to a scalar; they
-    cover the support except the scalar slot (0, 0).  The closed form is
-    then exp(c00) * prod_g (phi_c(-mu_g) 1 + phi_s(-mu_g) g).
-    SymmetricGeneral has no fixed groups (its closed form rotates them out
-    with an SVD), so its `groups` is empty.
+    `basis` holds the patterns as columns, so its nonzero rows are the
+    family's support, the slots a member can fill.
     """
 
     def __init__(self, cls, params: dict[str, tuple[Pattern, ...]],
-                 groups=(), k: Optional[int] = None, complex_scalars: bool = False):
+                 k: Optional[int] = None, complex_scalars: bool = False):
         self.cls, self.k, self.complex_scalars = cls, k, complex_scalars
         self.tag = cls.tag if k is None else f"{cls.tag_base}{k}"
         self.params = {f.name: params[f.name] for f in fields(cls) if f.name != "k"}
@@ -271,7 +269,6 @@ class Family:
         sq = (self.basis ** 2).sum(axis=0)
         self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
         self.projector = np.eye(16) - self.basis @ self.pinv
-        self.groups = tuple(frozenset(g) for g in groups)
         # its 32 rows of its registry's map, giving c and the part of c off
         # the family from the flat matrix; set by _stack
         self.rows = None
@@ -321,61 +318,46 @@ def _row(x: int, skip: int = 0) -> tuple[Pattern, ...]:
     return tuple({} if m == skip else {(x, m): 1.0} for m in (_I, _J, _K))
 
 
-def _slots(*params) -> set:
-    return {slot for pats in params for pat in pats for slot in pat}
-
-
 def _skew(cls, left: str, right: str, complex_scalars: bool = False) -> Family:
-    """left (x) 1 + 1 (x) right, one commuting group per side."""
-    p, q = _col(0), _row(0)
-    return Family(cls, {left: p, right: q}, (_slots(p), _slots(q)),
-                  complex_scalars=complex_scalars)
+    """left (x) 1 + 1 (x) right."""
+    return Family(cls, {left: _col(0), right: _row(0)}, complex_scalars=complex_scalars)
 
 
 def _lie(cls, x: int, y: int, k: Optional[int] = None, a: str = "a", b: str = "b",
          complex_scalars: bool = False) -> Family:
     """a(1(x)e_y) + p(x)e_y + b(e_x(x)1) + e_x(x)q with p _|_ e_x, q _|_ e_y:
-    the element skew for the symmetric form e_x (x) e_y, in the commuting
-    groups p(x)e_y + b(e_x(x)1) and e_x(x)q + a(1(x)e_y)."""
-    pa, pb, p, q = _one(0, y), _one(x, 0), _col(y, skip=x), _row(x, skip=y)
-    return Family(cls, {a: pa, b: pb, "p": p, "q": q},
-                  (_slots(p, pb), _slots(q, pa)), k, complex_scalars)
+    the element skew for the symmetric form e_x (x) e_y."""
+    return Family(cls, {a: _one(0, y), b: _one(x, 0), "p": _col(y, skip=x),
+                        "q": _row(x, skip=y)}, k, complex_scalars)
 
 
 def _jordan(k: int) -> Family:
-    """a(1(x)1) plus one group that squares to a scalar (see Jordan)."""
+    """a(1(x)1) + (b e_u + c e_v)(x)1 + e_x(x)vec for a left form e_x(x)1,
+    mirrored for a right one (see Jordan)."""
     side, w = JORDAN_FORMS[k]
     m1, m2 = (m for m in (_I, _J, _K) if m != w)
     if side == "left":
         b, c, vec = _one(m1, 0), _one(m2, 0), _row(w)
     else:
         b, c, vec = _one(0, m1), _one(0, m2), _col(w)
-    return Family(Jordan, {"a": _one(0, 0), "b": b, "c": c, "vec": vec},
-                  (_slots(b, c, vec),), k)
+    return Family(Jordan, {"a": _one(0, 0), "b": b, "c": c, "vec": vec}, k)
 
-
-# j(x)i alone, and the i(x)j / k(x)j pair of the two symmetric Toeplitz cases
-_TOEPLITZ_GROUPS = ({(_J, _I)}, {(_I, _J), (_K, _J)})
 
 # every family but SpecialNormal and BisymmetricRS, real ones in dispatch order
 _TABLE = [
     _skew(SkewSymmetric, "p", "q"),
     Family(SkewHamiltonian,
-           {"b": _one(0, 0), "p": _col(_J), "c": _one(0, _I), "d": _one(0, _K)},
-           (_slots(_col(_J), _one(0, _I), _one(0, _K)),)),
+           {"b": _one(0, 0), "p": _col(_J), "c": _one(0, _I), "d": _one(0, _K)}),
     _lie(Perskewsymmetric, _J, _I, a="beta", b="alpha"),
     *(_lie(Lie, *LIE_FORMS[k], k=k) for k in LIE_FORMS),
     *(_jordan(k) for k in JORDAN_FORMS),
     Family(HamSymPersym,
-           {"beta": _one(_J, _I), "gamma": _one(_I, _K), "delta": _one(_K, _K)},
-           ({(_J, _I)}, {(_I, _K), (_K, _K)})),
+           {"beta": _one(_J, _I), "gamma": _one(_I, _K), "delta": _one(_K, _K)}),
     # b/2 on the two slots i(x)j, j(x)i and b on k(x)j
     Family(SymToeplitzTridiag,
-           {"a": _one(0, 0), "b": ({(_J, _I): 0.5, (_I, _J): 0.5, (_K, _J): 1.0},)},
-           _TOEPLITZ_GROUPS),
+           {"a": _one(0, 0), "b": ({(_J, _I): 0.5, (_I, _J): 0.5, (_K, _J): 1.0},)}),
     Family(SymToeplitzS13Zero,
-           {"a": _one(0, 0), "b": ({(_J, _I): 1.0, (_K, _J): 1.0},), "c": _one(_I, _J)},
-           _TOEPLITZ_GROUPS),
+           {"a": _one(0, 0), "b": ({(_J, _I): 1.0, (_K, _J): 1.0},), "c": _one(_I, _J)}),
     Family(SymmetricGeneral,
            {"a": _one(0, 0), "p": _col(_I), "q": _col(_J), "r": _col(_K)}),
     _skew(ComplexSO4, "left", "right", complex_scalars=True),
@@ -384,9 +366,6 @@ _TABLE = [
 
 FAMILIES: dict[str, Family] = {fam.tag: fam for fam in _TABLE}
 
-
-# the commuting slot groups of every table family with a group closed form
-GROUPS = {fam.tag: fam.groups for fam in _TABLE if fam.groups}
 # the slots, besides the scalar slot, that a member of each hand-written fit
 # can fill: SpecialNormal's every one, BisymmetricRS's j(x)i and its block
 # {i,k}(x){j,k}

@@ -3,17 +3,22 @@ selection for 2x2, 3x3 and 4x4 input.
 
 A family member arrives as its flat coefficient vector c in the tensor basis
 (see `classify`), and `_exp_member` is the one closed form for all of them.
-Every table family but SymmetricGeneral splits into a scalar part and at
-most two commuting groups of slots, each squaring to a scalar, G @ G = mu I:
+A table family's groups are not declared but read off its support: they are
+the connected parts of the support, less the scalar slot, under
+anticommutation (`_group_plan`).  When there are at most two and the slots
+of each pairwise anticommute, each group squares to a scalar, G @ G = mu I,
+the groups commute, and
 
     exp(A) = exp(c00) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
 
-mu is read off c, since (e_a (x) e_b)^2 = +-1 and a group's slots pairwise
-anticommute, and since (p (x) q)(r (x) s) = (pr) (x) (qs), the product of
-two groups is a signed scatter of their slot products (`_exp_grouped`, with
-the scalars of `smalllin._factors`, which `expm2` shares).  Each family's
-plan, its group slots and squares and that cross table, is built and
-checked once, at import; a table that breaks it raises ClosedFormDefect.
+mu is read off c, since (e_a (x) e_b)^2 = +-1, and since (p (x) q)(r (x) s)
+= (pr) (x) (qs), the product of two groups is a signed scatter of their
+slot products (`_exp_grouped`, with the scalars of `smalllin._factors`,
+which `expm2` shares).  Each plan, the group slots and squares and that
+cross table, is built once, at import, for every table family without a
+hand-written form; a support that does not split so raises
+ClosedFormDefect.  SymmetricGeneral is the one table family whose support
+does not: its pure block is one part whose slots do not all anticommute.
 
 The two fitted families have rank-one blocks, and their exponentials are
 four scalars each on two commuting elements that square to -1 or +1:
@@ -50,12 +55,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES, GROUPS,
+from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
@@ -69,8 +74,8 @@ from .smalllin import _factors, _overflow_checked, _svd3, expm2, frobenius
 
 
 class ClosedFormDefect(RuntimeError):
-    """A family's slot groups do not square to scalars or do not commute:
-    the table violates the constraints its closed form relies on."""
+    """A table family's support does not split into at most two groups that
+    each square to a scalar, so the family has no group closed form."""
 
 
 class ForcedClassMismatch(ValueError):
@@ -93,31 +98,36 @@ def _anticommute(s, t) -> bool:
     return _MUL_SGN[a, c] * _MUL_SGN[b, d] != _MUL_SGN[c, a] * _MUL_SGN[d, b]
 
 
-def _group_plan(groups):
-    """(groups, cross) of a family's closed form: each group's (slot 4a + b,
-    square) pairs, the square +1 when a and b are both 0 or both pure and -1
-    otherwise, and of two groups the cross table (i, j, k, sign), slot i of
-    one times slot j of the other being sign times slot k, as (p(x)q)(r(x)s)
-    = (pr)(x)(qs) in the Hamilton table.  ClosedFormDefect unless at most two
-    groups each square to a scalar and commute, and slot 0, the group slots
-    and the cross slots are all distinct, so each coefficient is one term."""
-    lists = [sorted(g) for g in groups]
-    if len(groups) > 2 or not all(_anticommute(s, t) for g in lists
-                                  for s, t in combinations(g, 2)):
+def _group_plan(support):
+    """(groups, cross) of the closed form of a family of support `support`,
+    its (a, b) slots: the groups are the connected parts of the support less
+    the scalar slot under anticommutation, the one holding the lowest slot
+    last, each as its (slot 4a + b, square) pairs, the square +1 when a and
+    b are both 0 or both pure and -1 otherwise; of two groups the cross
+    table (i, j, k, sign), slot i of one times slot j of the other being
+    sign times slot k, as (p(x)q)(r(x)s) = (pr)(x)(qs) in the Hamilton
+    table.  ClosedFormDefect unless there are at most two groups and the
+    slots of each pairwise anticommute, so that each squares to a scalar.
+
+    Slots of different parts commute by construction, and each coefficient
+    is one term: slot 0, the group slots and the cross slots all differ.
+    For s1, s2 in one group and t1, t2 in the other, e_s1 e_t1 ~ e_u with u
+    in either group would make s1 and t1 anticommute, and e_s1 e_t1 ~
+    e_s2 e_t2 with s1 != s2 would make e_s2 e_s1, which commutes with e_t1,
+    equal up to sign to e_t2 e_t1, which anticommutes with it."""
+    parts = []
+    for s in sorted(set(support) - {(0, 0)}):
+        near = [p for p in parts if any(_anticommute(s, t) for t in p)]
+        parts = [p for p in parts if p not in near] + [sorted([s, *chain(*near)])]
+    lists = sorted(parts, reverse=True)
+    if len(lists) > 2 or not all(_anticommute(s, t) for g in lists
+                                 for s, t in combinations(g, 2)):
         raise ClosedFormDefect(f"groups {lists} are not at most two scalar squares")
     pairs = [(s, t) for g, h in combinations(lists, 2) for s in g for t in h]
-    if any(_anticommute(s, t) for s, t in pairs):
-        raise ClosedFormDefect(f"groups {lists} do not commute")
     cross = tuple((4 * a + b, 4 * c + d, int(4 * _MUL_IDX[a, c] + _MUL_IDX[b, d]),
                    float(_MUL_SGN[a, c] * _MUL_SGN[b, d])) for (a, b), (c, d) in pairs)
-    slots = [0, *(4 * a + b for g in lists for a, b in g), *(k for _, _, k, _ in cross)]
-    if len(set(slots)) < len(slots):
-        raise ClosedFormDefect(f"groups {lists} have colliding slots")
     return tuple(tuple((4 * a + b, 1.0 if (a == 0) == (b == 0) else -1.0) for a, b in g)
                  for g in lists), cross
-
-
-_PLANS = {tag: _group_plan(groups) for tag, groups in GROUPS.items()}
 
 
 # the slots of the pure-pure block
@@ -238,10 +248,14 @@ def _exp_grouped(plan, member) -> np.ndarray:
     return (np.array(out) @ _BASIS_ROWS).reshape(4, 4) * h
 
 
-# every family's closed form, of its member
-_FORMS = {tag: partial(_exp_grouped, plan) for tag, plan in _PLANS.items()}
-_FORMS.update(SpecialNormal=_exp_special_normal, BisymmetricRS=_exp_bisymmetric_rs,
+# every family's closed form, of its member: the hand-written ones, and the
+# group form of every other table family by the plan of its support
+_FORMS = dict(SpecialNormal=_exp_special_normal, BisymmetricRS=_exp_bisymmetric_rs,
               SymmetricGeneral=_exp_symmetric_general)
+_PLANS = {tag: _group_plan(divmod(s, 4)
+                           for s in fam.basis.any(axis=1).nonzero()[0].tolist())
+          for tag, fam in FAMILIES.items() if tag not in _FORMS}
+_FORMS.update((tag, partial(_exp_grouped, plan)) for tag, plan in _PLANS.items())
 
 
 def _exp_member(tag: str, member) -> np.ndarray:

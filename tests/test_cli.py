@@ -347,6 +347,12 @@ def test_rep_needs_4x4(capsys):
     assert "4x4" in capsys.readouterr().err
 
 
+def test_json_entry_count_that_does_not_fit_n_exits_2(capsys):
+    text = json.dumps({"n": 2, "kind": "real", "entries": [1, 2, 3]})
+    assert run(["expm", text]) == 2
+    assert "needs 4 scalars, got 3" in capsys.readouterr().err
+
+
 def test_classify_lists_matches(capsys):
     assert run(["classify", J4_TEXT]) == 0
     out = capsys.readouterr().out

@@ -274,6 +274,21 @@ def test_rejects_non_members():
         psi_inverse(SO4, np.zeros((3, 3)))
 
 
+def test_member_of_the_form_outside_the_image_of_psi_is_refused():
+    # so3's Pauli basis and su(2) with the form diag(1, 1, -1): psi maps
+    # onto so(3), not onto so(2,1), so a member of so(2,1) that is not skew
+    # passes the defining relation and fails the back-check of the lift
+    alg = CoveringAlgebra("so3_21", 3, (SIGMA_X, SIGMA_Y, SIGMA_Z), _SU2, False,
+                          np.diag([1.0, 1.0, -1.0]))
+    a = alg.form @ _skew3((1.0, 2.0, 3.0))
+    assert np.array_equal(alg.relation @ a.ravel(), np.zeros(9))
+    for route in (exp_via_covering, psi_inverse):
+        with pytest.raises(NotInAlgebra) as exc:
+            route(alg, a)
+        assert exc.value.name == "so3_21"
+        assert exc.value.residual > 1.0
+
+
 def test_complex_entries_with_zero_imag_accepted():
     a = _skew3((0.3, -0.2, 0.9)).astype(complex)
     g, _ = psi_inverse(SO3, a)

@@ -24,10 +24,11 @@ from structexp import (
     rel_error,
 )
 from structexp import cli
-from structexp.classify import (DEFAULT_TOL, GROUPS, SpecialNormal,
-                                SymmetricGeneral, SymToeplitzTridiag, _extract)
+from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
+                                SymToeplitzTridiag, _extract)
 from structexp.expm_structured import (
     _FORMS,
+    _PLANS,
     _exp_member,
     _routes,
     exp_bisymmetric_rs,
@@ -791,7 +792,7 @@ def test_group_growth_is_applied_on_the_coefficients_and_the_matrix():
         expm_auto(1200.0 * np.eye(4) + 0.5 * b)
 
 
-@pytest.mark.parametrize("tag", sorted(GROUPS))
+@pytest.mark.parametrize("tag", sorted(_PLANS))
 def test_folded_growth_agrees_with_the_plain_product(tag):
     # the group closed forms take the product on the coefficients and fold
     # the growth of each hyperbolic group into one exponent at every norm;
@@ -804,8 +805,8 @@ def test_folded_growth_agrees_with_the_plain_product(tag):
             member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
             member = member * (scale / np.linalg.norm(member))
             plain = np.exp(member[0]) * np.eye(4)
-            for group in GROUPS[tag]:
-                g = sum(member[4 * a + b] * basis_matrix(a, b) for a, b in group)
+            for group in _PLANS[tag][0]:
+                g = sum(member[i] * _BASIS_ROWS[i] for i, _ in group).reshape(4, 4)
                 r = np.sqrt(complex((g @ g)[0, 0]))
                 plain = plain @ (np.cosh(r) * np.eye(4) + (np.sinh(r) / r if r else 1.0) * g)
             if not np.iscomplexobj(member):

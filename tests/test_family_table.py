@@ -1,16 +1,22 @@
-"""The family table: every entry's parameter patterns and commuting groups
-are consistent, and random parameters survive instance -> reconstruct ->
-extractor.  Extending the table is safe exactly when these hold."""
+"""The family table: every entry's parameter patterns are consistent, the
+commuting groups derived from each entry's support fit its closed form, and
+random parameters survive instance -> reconstruct -> extractor.  Extending
+the table is safe exactly when these hold."""
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structexp.classify import EXTRACTORS, FAMILIES, GROUPS, SkewSymmetric, instance
+import structexp
+from structexp.classify import EXTRACTORS, FAMILIES, SkewSymmetric, instance
 from structexp.expm_structured import (_PLANS, ClosedFormDefect, _exp_member,
                                        _group_plan, exp_structured_class)
 from structexp.hxh import _BASIS_ROWS, HxHElement, basis_matrix, from_matrix, hxh_mul
@@ -19,10 +25,15 @@ from structexp.quat import Quaternion, quat_exp
 
 from conftest import sample_family
 
-# the one entry without fixed groups: its closed form sums the joint sign
+# the one entry without a group plan: its closed form sums the joint sign
 # patterns of the involutions svd3 rotates out of each matrix
 GROUPLESS = {"SymmetricGeneral"}
 GROUPED = [tag for tag in FAMILIES if tag not in GROUPLESS]
+
+
+def _groups(tag):
+    """The derived groups of family `tag`, as sets of (a, b) slots."""
+    return [{divmod(i, 4) for i, _ in group} for group in _PLANS[tag][0]]
 
 
 def _patterns(fam):
@@ -39,7 +50,7 @@ def _product(s, t):
 
 def test_table_has_22_entries():
     assert len(FAMILIES) == 22
-    assert {tag for tag, fam in FAMILIES.items() if not fam.groups} == GROUPLESS
+    assert set(FAMILIES) - set(_PLANS) == GROUPLESS
 
 
 @pytest.mark.parametrize("tag", list(FAMILIES))
@@ -54,7 +65,7 @@ def test_parameter_patterns_are_disjoint(tag):
 def test_groups_partition_the_support_minus_scalar(tag):
     fam = FAMILIES[tag]
     union = set()
-    for group in fam.groups:
+    for group in _groups(tag):
         assert group, tag
         assert not group & union, tag
         union |= group
@@ -64,11 +75,11 @@ def test_groups_partition_the_support_minus_scalar(tag):
 
 @pytest.mark.parametrize("tag", GROUPED)
 def test_groups_anticommute_inside_and_commute_across(tag):
-    fam = FAMILIES[tag]
-    for group in fam.groups:
+    groups = _groups(tag)
+    for group in groups:
         for s, t in itertools.combinations(sorted(group), 2):
             assert np.array_equal(_product(s, t), -_product(t, s)), (tag, s, t)
-    for g, h in itertools.combinations(fam.groups, 2):
+    for g, h in itertools.combinations(groups, 2):
         for s, t in itertools.product(g, h):
             assert np.array_equal(_product(s, t), _product(t, s)), (tag, s, t)
 
@@ -95,7 +106,7 @@ def test_random_parameters_round_trip(tag):
                            rtol=0.0, atol=1e-14), tag
 
 
-@pytest.mark.parametrize("tag", sorted(GROUPS))
+@pytest.mark.parametrize("tag", GROUPED)
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 30.0))
 def test_mu_from_coefficients_is_the_group_square(tag, seed, scale):
@@ -124,18 +135,26 @@ def test_skew_symmetric_groups_agree_with_quaternion_pair_form():
         assert np.linalg.norm(exp_structured_class(inst) - pair.to_matrix()) < 1e-13
 
 
-def test_group_with_non_scalar_square_is_a_defect():
-    # (i(x)1 + 1(x)i)^2 = -2 + 2 i(x)i is not a multiple of the identity
-    group = basis_matrix("i", "1") + basis_matrix("1", "i")
+def test_symmetric_general_support_is_a_defect():
+    # its pure block is one part under anticommutation, i(x)i anticommuting
+    # with i(x)j and j(x)i, but i(x)i and j(x)j commute, so (i(x)i +
+    # j(x)j)^2 = 2 + 2 k(x)k is not a multiple of the identity
+    group = basis_matrix("i", "i") + basis_matrix("j", "j")
     assert np.count_nonzero(group @ group - np.trace(group @ group) / 4 * np.eye(4))
-    with pytest.raises(ClosedFormDefect):
-        _group_plan([{(1, 0), (0, 1)}])
-    # i(x)1 and j(x)1 anticommute, so as two groups they do not commute
-    with pytest.raises(ClosedFormDefect):
-        _group_plan([{(1, 0)}, {(2, 0)}])
+    with pytest.raises(ClosedFormDefect, match="not at most two scalar squares"):
+        _group_plan(_support(FAMILIES["SymmetricGeneral"]))
 
 
-@pytest.mark.parametrize("tag", sorted(GROUPS))
+def test_plan_of_two_commuting_slots():
+    # i(x)1 and 1(x)i commute: two groups, the one holding the lowest slot
+    # (flat 1) last, each squaring to -1, and (i(x)1)(1(x)i) = i(x)i
+    assert _group_plan([(0, 0), (1, 0), (0, 1)]) == (
+        (((4, -1.0),), ((1, -1.0),)), ((4, 1, 5, 1.0),))
+    # i(x)1 and j(x)1 anticommute: one group, and no cross table
+    assert _group_plan([(2, 0), (1, 0)]) == ((((4, -1.0), (8, -1.0)),), ())
+
+
+@pytest.mark.parametrize("tag", GROUPED)
 def test_cross_table_is_the_basis_product(tag):
     groups, cross = _PLANS[tag]
     assert len(cross) == (len(groups[0]) * len(groups[1]) if len(groups) == 2 else 0)
@@ -144,14 +163,28 @@ def test_cross_table_is_the_basis_product(tag):
         assert np.array_equal(basis[i] @ basis[j], sign * basis[k]), (i, j, k, sign)
 
 
-def test_colliding_cross_table_is_a_defect():
-    # i(x)1 in both groups commutes with itself, and their product is the
-    # scalar slot
-    with pytest.raises(ClosedFormDefect, match="colliding"):
-        _group_plan([{(1, 0)}, {(1, 0)}])
-    # the scalar slot as a group: its product with i(x)1 is i(x)1 again
-    with pytest.raises(ClosedFormDefect, match="colliding"):
-        _group_plan([{(0, 0)}, {(1, 0)}])
-    # the form multiplies at most two groups
+def test_three_groups_are_a_defect():
+    # i(x)1, 1(x)i and i(x)i commute pairwise: three groups, and the form
+    # multiplies at most two
     with pytest.raises(ClosedFormDefect, match="at most two"):
-        _group_plan([{(1, 0)}, {(0, 1)}, {(1, 1)}])
+        _group_plan([(1, 0), (0, 1), (1, 1)])
+
+
+def test_table_family_without_a_plan_fails_the_import():
+    # a table family with SymmetricGeneral's support but no hand-written
+    # form: building the plans, as at import, raises ClosedFormDefect
+    code = """if True:
+        import importlib
+        import structexp.expm_structured as es
+        from structexp.classify import FAMILIES, Family, SymmetricGeneral
+        FAMILIES["Symmetric2"] = Family(SymmetricGeneral,
+                                        FAMILIES["SymmetricGeneral"].params)
+        try:
+            importlib.reload(es)
+        except Exception as exc:
+            print(type(exc).__name__)
+        """
+    src = str(Path(structexp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["ClosedFormDefect"]

@@ -175,3 +175,17 @@ def test_skew_and_symmetric_support():
 
 def test_basis_names():
     assert BASIS_NAMES == ("1", "i", "j", "k")
+
+
+def test_bad_basis_indexes_and_tables_raise():
+    with pytest.raises(ValueError, match="unknown basis name 'x'"):
+        basis_matrix("x", "1")
+    with pytest.raises(ValueError, match="0..3"):
+        basis_matrix(4, 0)
+    with pytest.raises(ValueError, match="4x4"):
+        HxHElement(np.zeros((3, 3)))
+
+
+def test_repr_lists_the_nonzero_terms():
+    assert repr(HxHElement.zero()) == "HxHElement(0)"
+    assert repr(HxHElement.basis("i", "j")) == "HxHElement(1.0*(i(x)j))"
