@@ -10,11 +10,12 @@ algebra.  psi is inverted with the pseudo-inverse of its precomputed matrix,
 which gives the lift x: g = sum_m x_m P_m over the factor's generators P_m,
 and h from x[3:] (or h = g for conjugation).
 
-A traceless 2x2 g squares to -det(g) I, so exp(g) = phi_c(d) I + phi_s(d) g
-with d = det g = x^T Q x, Q the determinant form on the generators.  Over
-E = (I, P1, P2, P3), exp(g) has the real coordinates a = (phi_c(d_g),
-phi_s(d_g) x_g) and exp(-h) has b = (phi_c(d_h), -phi_s(d_h) x_h), and the
-action of the pair on V is bilinear in them:
+A traceless 2x2 g squares to -det(g) I, det g = x^T Q x with Q the
+determinant form on the generators.  Over E = (I, P1, P2, P3), exp(g) has
+the real coordinates a = w (c_g, s_g x_g) and exp(-h) has b = w (c_h,
+-s_h x_h), c, s and w (w^2 the growth of both) from one call of
+`smalllin._factors` on mu = -det, and the action of the pair on V is
+bilinear in them:
 
     vec exp(A) = T @ kron(a, b),
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import DEFAULT_TOL, _admit
-from .smalllin import _overflow_checked, frobenius, phi_c, phi_s
+from .smalllin import _factors, _overflow_checked, frobenius
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -201,21 +202,23 @@ def _lifts(a, norm: float, tol: float):
         yield sized[i], x
 
 
-def _factor(det_form, x0: float, x1: float, x2: float, sign: float) -> np.ndarray:
-    """Coordinates over (I, P1, P2, P3) of exp(sign * sum_m x_m P_m)."""
+def _det(det_form, x0: float, x1: float, x2: float) -> float:
+    """det of sum_m x_m P_m, x^T Q x."""
     (q00, q01, q02), (_, q11, q12), (_, _, q22) = det_form
-    d = (q00 * x0 * x0 + q11 * x1 * x1 + q22 * x2 * x2
-         + 2.0 * (q01 * x0 * x1 + q02 * x0 * x2 + q12 * x1 * x2))
-    s = sign * phi_s(d)
-    return np.array([phi_c(d), s * x0, s * x1, s * x2])
+    return (q00 * x0 * x0 + q11 * x1 * x1 + q22 * x2 * x2
+            + 2.0 * (q01 * x0 * x1 + q02 * x0 * x2 + q12 * x1 * x2))
 
 
 def _bilinear(alg: CoveringAlgebra, x) -> np.ndarray:
     """sum_pq T[:, p, q] a_p b_q over the coordinates a of exp(g) and b of
-    exp(-h)."""
+    exp(-h), each times w (see the module docstring)."""
     xs = x.tolist()
-    a = _factor(alg.det_form, *xs[:3], 1.0)
-    b = _factor(alg.det_form, *xs[3:] if alg.two_factor else xs, -1.0)
+    xg, xh = xs[:3], xs[3:] if alg.two_factor else xs
+    (cg, ch), (sg, sh), w = _factors(0.0, (-_det(alg.det_form, *xg),
+                                           -_det(alg.det_form, *xh)))
+    sg, sh = w * sg, -w * sh
+    a = np.array([w * cg, sg * xg[0], sg * xg[1], sg * xg[2]])
+    b = np.array([w * ch, sh * xh[0], sh * xh[1], sh * xh[2]])
     return (alg.exp_map @ b @ a).reshape(alg.dim, alg.dim)
 
 

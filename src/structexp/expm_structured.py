@@ -9,14 +9,13 @@ anticommutation (`_group_plan`).  When there are at most two and the slots
 of each pairwise anticommute, each group squares to a scalar, G @ G = mu I,
 the groups commute, and
 
-    exp(A) = exp(c00) * prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g).
+    exp(A) = exp(c00) * prod_g (cos r_g I + sin(r_g)/r_g G_g),  r_g = sqrt(-mu_g).
 
 mu is read off c, since (e_a (x) e_b)^2 = +-1, and since (p (x) q)(r (x) s)
 = (pr) (x) (qs), the product of two groups is a signed scatter of their
-slot products (`_exp_grouped`, with the scalars of `smalllin._factors`,
-which `expm2` shares).  Each plan, the group slots and squares and that
-cross table, is built once, at import, for every table family without a
-hand-written form; a support that does not split so raises
+slot products (`_exp_grouped`).  Each plan, the group slots and squares
+and that cross table, is built once, at import, for every table family
+without a hand-written form; a support that does not split so raises
 ClosedFormDefect.  SymmetricGeneral is the one table family whose support
 does not: its pure block is one part whose slots do not all anticommute.
 
@@ -24,9 +23,9 @@ The two fitted families have rank-one blocks, and their exponentials are
 four scalars each on two commuting elements that square to -1 or +1:
 SpecialNormal, a + ns X + nt Y + mu XY with X = s_hat(x)1 and Y = 1(x)t_hat
 (`_exp_special_normal`), and BisymmetricRS, eps + a J + P with J = j(x)i
-and the block P (`_exp_bisymmetric_rs`).  These and the group forms are
-taken on the coefficients as plain floats, turned into the matrix with one
-product with the basis rows.
+and the block P (`_exp_bisymmetric_rs`), so they are group forms of three
+and two groups.  All these are taken on the coefficients as plain floats,
+turned into the matrix with one product with the basis rows.
 
 The one route that needs spectral information is SymmetricGeneral: a LAPACK
 SVD (the core of `smalllin.svd3`) rotates its pure block to three commuting
@@ -40,10 +39,12 @@ The dataclasses are the public edge only: `exp_structured_class` and the
 BisymmetricRS instance again, since its fields can describe a matrix off
 the family.
 
-Every closed form applies exp(c00) and its hyperbolic growth as one
-exponent at every scale, so it raises OverflowError only where exp(A) is
-beyond the float64 range, checked under np.errstate from coefficient norm
-150 (`smalllin._SAFE_NORM`) up.
+Every closed form but SymmetricGeneral (which takes the 1/4 of its weights
+in their exponents) takes its groups' scalars from one `smalllin._factors`
+call, which folds exp(c00) and every hyperbolic growth into one exponent at
+every scale, so it raises OverflowError only where exp(A) is beyond the
+float64 range, checked under np.errstate from coefficient norm 150
+(`smalllin._SAFE_NORM`) up.
 
 Route selection at every size is made here once: `_routes` yields each
 route that claims A, and `_dispatch`, which `expm_auto` and the CLI's `expm`
@@ -168,12 +169,6 @@ def _exp_symmetric_general(member) -> np.ndarray:
     return value.reshape(4, 4)
 
 
-def _folded(x: float):
-    """(cosh x, sinh x) / e^|x|, neither of which cancels or overflows."""
-    m = math.expm1(-2.0 * abs(x))
-    return 1.0 + m / 2.0, math.copysign(-m / 2.0, x)
-
-
 def _exp_special_normal(member) -> np.ndarray:
     """exp of a(1(x)1) + ns X + nt Y + mu XY with X = u(x)1 and Y = 1(x)v
     for the unit vectors u, v of classify._special_normal_frame.  X and Y
@@ -182,8 +177,7 @@ def _exp_special_normal(member) -> np.ndarray:
         exp(A) = e^a (cos ns + sin ns X)(cos nt + sin nt Y)(cosh mu + sinh mu XY)
                = e^a (alpha + beta X + gamma Y + delta XY),
 
-    with the growth e^|mu| of the last factor applied with e^a, in two
-    halves h, so that no factor overflows where exp(A) does not.  Without a
+    by `smalllin._factors` of the squares -ns^2, -nt^2 and mu^2.  Without a
     skew part the block W alone is exponentiated, mu = |W|."""
     a, s, t, b = _special_normal_parts(member.tolist())
     ns, nt = math.hypot(*s), math.hypot(*t)
@@ -194,9 +188,8 @@ def _exp_special_normal(member) -> np.ndarray:
         u0 = u1 = u2 = v0 = v1 = v2 = 0.0
         mu = math.hypot(*b)
         w = [x / mu for x in b] if mu else b
-    cx, sx, cy, sy = math.cos(ns), math.sin(ns), math.cos(nt), math.sin(nt)
-    ch, sh = _folded(mu)
-    h = math.exp((a + abs(mu)) / 2.0)
+    (cx, cy, ch), (sx, sy, sh), h = _factors(a, (-ns * ns, -nt * nt, mu * mu))
+    sx, sy, sh = sx * ns, sy * nt, sh * mu
     alpha, delta = h * (cx * cy * ch + sx * sy * sh), h * (sx * sy * ch + cx * cy * sh)
     beta, gamma = h * (sx * cy * ch - cx * sy * sh), h * (cx * sy * ch - sx * cy * sh)
     d = [delta * x for x in w]
@@ -212,13 +205,12 @@ def _exp_bisymmetric_rs(member) -> np.ndarray:
 
         exp(A) = e^eps (cosh a + sinh a J)(cosh nu + sinh(nu)/nu P),
 
-    where JP = (jx)(x)(iy) is the block P' = [[-t, r], [q, -p]].  The growth
-    e^(|a| + nu) is applied with e^eps, in two halves h."""
+    where JP = (jx)(x)(iy) is the block P' = [[-t, r], [q, -p]], by
+    `smalllin._factors` of the squares a^2 and nu^2."""
     eps, _, _, _, _, _, p, q, _, a, _, _, _, _, r, t = member.tolist()
     nu = math.hypot(p, q, r, t)
-    (cha, sha), (chn, shn) = _folded(a), _folded(nu)
-    h = math.exp((eps + abs(a) + nu) / 2.0)
-    chn, shc = h * chn, h * (shn / nu if nu else 1.0)
+    (cha, chn), (sha, shc), h = _factors(eps, (a * a, nu * nu))
+    sha, chn, shc = sha * a, h * chn, h * shc
     coefs = [cha * chn, 0.0, 0.0, 0.0, 0.0, 0.0, shc * (cha * p - sha * t),
              shc * (cha * q + sha * r), 0.0, sha * chn, 0.0, 0.0, 0.0, 0.0,
              shc * (cha * r + sha * q), shc * (cha * t - sha * p)]
@@ -235,8 +227,8 @@ def _exp_grouped(plan, member) -> np.ndarray:
     groups, cross = plan
     c = member.tolist()
     cs, ss, h = _factors(c[0], [sum([sq * c[i] * c[i] for i, sq in g]) for g in groups])
-    # a lone group takes a second factor of 1
-    (c1, c2), (s1, s2) = (cs, ss) if cross else ((*cs, 1.0), (*ss, 0.0))
+    # a missing group is a factor of 1
+    (c1, c2, *_), (s1, s2, *_) = (*cs, 1.0, 1.0), (*ss, 0.0, 0.0)
     out = [0.0] * 16
     out[0] = h * c1 * c2
     for group, w in zip(groups, (h * s1 * c2, h * c1 * s2)):

@@ -1,5 +1,7 @@
-"""Small dense kernels: phi functions, group factors and 2x2 exponentials in
-closed form, and the 3x3 symmetric eigendecomposition and SVD from LAPACK.
+"""Small dense kernels: `_factors`, the one evaluation of the cos, sin, cosh,
+sinh and growth of every circular or hyperbolic closed form, with the phi
+functions over it; 2x2 exponentials in closed form; and the 3x3 symmetric
+eigendecomposition and SVD from LAPACK.
 
 phi_c(x) = cos(sqrt(x)) and phi_s(x) = sin(sqrt(x))/sqrt(x) are even entire
 functions of sqrt(x), so they are well defined for every real or complex x;
@@ -25,77 +27,69 @@ def frobenius(x) -> float:
     return math.sqrt(np.vdot(x, x).real)
 
 
-def _phi_c_series(x):
-    return 1.0 - x / 2.0 + x * x / 24.0 - x ** 3 / 720.0
-
-
-def _phi_s_series(x):
-    return 1.0 - x / 6.0 + x * x / 120.0 - x ** 3 / 5040.0
-
-
-def phi_c(x):
-    """cos(sqrt(x)); equals cosh(sqrt(-x)) for x < 0. Real in, real out."""
-    if isinstance(x, (complex, np.complexfloating)):
-        x = complex(x)
-        if abs(x) < _TAYLOR_CUTOFF:
-            return _phi_c_series(x)
-        return cmath.cos(cmath.sqrt(x))
-    x = float(x)
-    if abs(x) < _TAYLOR_CUTOFF:
-        return float(_phi_c_series(x))
-    if x > 0.0:
-        return math.cos(math.sqrt(x))
-    return math.cosh(math.sqrt(-x))
-
-
-def phi_s(x):
-    """sin(sqrt(x))/sqrt(x); equals sinh(sqrt(-x))/sqrt(-x) for x < 0."""
-    if isinstance(x, (complex, np.complexfloating)):
-        x = complex(x)
-        if abs(x) < _TAYLOR_CUTOFF:
-            return _phi_s_series(x)
-        r = cmath.sqrt(x)
-        return cmath.sin(r) / r
-    x = float(x)
-    if abs(x) < _TAYLOR_CUTOFF:
-        return float(_phi_s_series(x))
-    if x > 0.0:
-        r = math.sqrt(x)
-        return math.sin(r) / r
-    r = math.sqrt(-x)
-    return math.sinh(r) / r
-
-
 def _factors(scalar, mus):
-    """(cs, ss, h) with exp(scalar) prod_g (phi_c(-mu_g) I + phi_s(-mu_g) G_g)
-    = h^2 prod_g (cs[g] I + ss[g] G_g) over commuting G_g with G_g @ G_g =
-    mu_g I, for a real or complex scalar.  A group whose r = sqrt(mu_g) has
-    real part above 1 (|mu_g| + Re mu_g > 2) gives its growth e^r to
-    h = e^((scalar + sum r) / 2), from cosh r = e^r (1 + e^(-2r)) / 2 and
-    sinh(r) / r = e^r (1 - e^(-2r)) / (2r).  The caller applies h twice, to
-    the scalars and to the result, so nothing overflows before exp(A)."""
+    """(cs, ss, h) with exp(scalar) prod_g (cos r_g I + sin(r_g)/r_g G_g) =
+    h^2 prod_g (cs[g] I + ss[g] G_g), r_g = sqrt(-mu_g), over commuting G_g
+    with G_g @ G_g = mu_g I, for a real or complex scalar; real mus give
+    real cs and ss.  One square root a group: below |mu| = 1e-8 the cubic
+    Taylor polynomials in x = -mu, for a real mu < 0 cos and sin of
+    sqrt(-mu), else cosh and sinh of r = sqrt(mu), whose growth e^r, when
+    Re r > 1 (|mu| + Re mu > 2), goes to h = e^((scalar + sum r) / 2) by
+    cosh r = e^r (1 + e^(-2r)) / 2 and sinh(r) / r = e^r (1 - e^(-2r)) /
+    (2r).  The caller applies h twice, to the scalars and to the result, so
+    nothing overflows before exp(A)."""
     cs, ss, growth = [], [], 0.0
     for mu in mus:
-        if abs(mu) + mu.real > 2.0:
-            lib = cmath if isinstance(mu, complex) else math
+        x = -mu
+        lib = cmath if isinstance(mu, complex) else math
+        if abs(mu) < _TAYLOR_CUTOFF:
+            c = 1.0 - x / 2.0 + x * x / 24.0 - x ** 3 / 720.0
+            s = 1.0 - x / 6.0 + x * x / 120.0 - x ** 3 / 5040.0
+        elif lib is math and mu < 0.0:
+            r = math.sqrt(x)
+            c, s = math.cos(r), math.sin(r) / r
+        elif abs(mu) + mu.real > 2.0:
             r = lib.sqrt(mu)
             growth += r
             e2 = lib.exp(-2.0 * r)
-            cs.append((1.0 + e2) / 2.0)
-            ss.append((1.0 - e2) / (2.0 * r))
+            c, s = (1.0 + e2) / 2.0, (1.0 - e2) / (2.0 * r)
         else:
-            cs.append(phi_c(-mu))
-            ss.append(phi_s(-mu))
+            r = lib.sqrt(mu)
+            c, s = lib.cosh(r), lib.sinh(r) / r
+        cs.append(c)
+        ss.append(s)
     x = (scalar + growth) / 2.0
     return cs, ss, (cmath if isinstance(x, complex) else math).exp(x)
 
 
-# below this norm no value on the way to a closed form overflows: each
-# applies its growth as one exponent of at most 2|c| for a 4x4 member c
-# (|A|_F in expm2), below e^300 < 1e131, to at most three factors, each below
-# 1.6 (1 + 2|c|); in a covering route each coordinate of a factor exponential
-# is at most e^|x| max(1, |x|) for the lift x (|det g| <= |x|^2), products
-# below 1e135
+def _phi(x, which: int):
+    """phi_c (which 0) or phi_s (1) of x by _factors; OverflowError where
+    the value of a finite x is beyond the float64 range, as math.cosh's."""
+    x = complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
+    *scalars, h = _factors(0.0, (-x,))
+    value = scalars[which][0] * h * h
+    if not cmath.isfinite(value) and cmath.isfinite(x):
+        raise OverflowError("math range error")
+    return value
+
+
+def phi_c(x):
+    """cos(sqrt(x)); equals cosh(sqrt(-x)) for x < 0. Real in, real out."""
+    return _phi(x, 0)
+
+
+def phi_s(x):
+    """sin(sqrt(x))/sqrt(x); equals sinh(sqrt(-x))/sqrt(-x) for x < 0."""
+    return _phi(x, 1)
+
+
+# below this norm no value on the way to a closed form overflows: each takes
+# its growth h^2 from one _factors call, one exponent of at most 2|c| for a
+# 4x4 member c (|A|_F in expm2), below e^300 < 1e131, applied to at most
+# three factors, each below 1.6 (1 + 2|c|); in a covering route h = e^((r_g +
+# r_h) / 2) <= e^|x| for the lift x (r^2 = |det g| <= |x|^2), so each
+# coordinate of h times a factor exponential is at most 1.6 e^|x| max(1, |x|),
+# products below 1.2e135
 _SAFE_NORM = 150.0
 
 

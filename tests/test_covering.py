@@ -360,6 +360,19 @@ def test_bilinear_map_matches_the_factor_exponentials(name, seed, exponent):
     assert rel_error(exp_via_covering(alg, a), _exp_by_factors(alg, a)) <= 1e-13
 
 
+@pytest.mark.parametrize("alg", [P4R, SO22R], ids=lambda alg: alg.name)
+def test_folded_growth_agrees_with_the_factor_product(alg):
+    # the bilinear map folds the growth of both hyperbolic factors into one
+    # exponent from smalllin._factors; at lifts of norm 140, below _SAFE_NORM,
+    # where the map runs unchecked, it must still give the product of the
+    # two factor exponentials
+    rng = np.random.default_rng(85)
+    for _ in range(20):
+        member = covering_member(alg, rng)
+        a = member * (140.0 / np.linalg.norm(alg.psi_pinv @ member.ravel()))
+        assert rel_error(exp_via_covering(alg, a), _exp_by_factors(alg, a)) <= 1e-13
+
+
 def _accepts(alg, a, tol):
     try:
         psi_inverse(alg, a, tol)

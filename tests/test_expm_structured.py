@@ -792,21 +792,28 @@ def test_group_growth_is_applied_on_the_coefficients_and_the_matrix():
         expm_auto(1200.0 * np.eye(4) + 0.5 * b)
 
 
-@pytest.mark.parametrize("tag", sorted(_PLANS))
+# the flat slots of each group of a closed form: those of every plan, and
+# SpecialNormal's ns X, nt Y and mu XY and BisymmetricRS's a J and block P
+_GROUP_SLOTS = {tag: [[i for i, _ in g] for g in plan[0]] for tag, plan in _PLANS.items()}
+_GROUP_SLOTS.update(SpecialNormal=[[4, 8, 12], [1, 2, 3], [5, 6, 7, 9, 10, 11, 13, 14, 15]],
+                    BisymmetricRS=[[9], [6, 7, 14, 15]])
+
+
+@pytest.mark.parametrize("tag", sorted(_GROUP_SLOTS))
 def test_folded_growth_agrees_with_the_plain_product(tag):
-    # the group closed forms take the product on the coefficients and fold
-    # the growth of each hyperbolic group into one exponent at every norm;
-    # below _SAFE_NORM, where the plain product exp(c00) prod_g (c_g I +
-    # s_g G_g), c_g = cosh sqrt(mu_g) and s_g = sinh(sqrt(mu_g)) / sqrt(mu_g),
-    # is finite, they must give it to roundoff
+    # every circular or hyperbolic closed form takes the product on the
+    # coefficients and folds the growth of each hyperbolic group into one
+    # exponent at every norm; below _SAFE_NORM, where the plain product
+    # exp(c00) prod_g (c_g I + s_g G_g), c_g = cosh sqrt(mu_g) and s_g =
+    # sinh(sqrt(mu_g)) / sqrt(mu_g), is finite, they must give it to roundoff
     rng = np.random.default_rng(84)
     for scale in (1e-3, 0.5, 5.0, 30.0, 50.0, 0.999 * _SAFE_NORM):
         for _ in range(5):
             member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
             member = member * (scale / np.linalg.norm(member))
             plain = np.exp(member[0]) * np.eye(4)
-            for group in _PLANS[tag][0]:
-                g = sum(member[i] * _BASIS_ROWS[i] for i, _ in group).reshape(4, 4)
+            for group in _GROUP_SLOTS[tag]:
+                g = sum(member[i] * _BASIS_ROWS[i] for i in group).reshape(4, 4)
                 r = np.sqrt(complex((g @ g)[0, 0]))
                 plain = plain @ (np.cosh(r) * np.eye(4) + (np.sinh(r) / r if r else 1.0) * g)
             if not np.iscomplexobj(member):

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import structexp
 from structexp.classify import EXTRACTORS, FAMILIES, SkewSymmetric, instance
-from structexp.expm_structured import (_PLANS, ClosedFormDefect, _exp_member,
-                                       _group_plan, exp_structured_class)
+from structexp.expm_structured import (_PLANS, ClosedFormDefect, _exp_grouped,
+                                       _exp_member, _group_plan, exp_structured_class)
 from structexp.hxh import _BASIS_ROWS, HxHElement, basis_matrix, from_matrix, hxh_mul
-from structexp.oracle import expm_series
+from structexp.oracle import expm_series, rel_error
 from structexp.quat import Quaternion, quat_exp
 
 from conftest import sample_family
@@ -152,6 +152,17 @@ def test_plan_of_two_commuting_slots():
         (((4, -1.0),), ((1, -1.0),)), ((4, 1, 5, 1.0),))
     # i(x)1 and j(x)1 anticommute: one group, and no cross table
     assert _group_plan([(2, 0), (1, 0)]) == ((((4, -1.0), (8, -1.0)),), ())
+
+
+def test_plan_of_the_scalar_slot_alone():
+    # no group: exp(c00 1(x)1) = e^c00 I, also at 700, where e^c00 is applied
+    # in two halves
+    plan = _group_plan([(0, 0)])
+    assert plan == ((), ())
+    for c00 in (0.0, -1.5, 0.7, 700.0):
+        member = np.zeros(16)
+        member[0] = c00
+        assert rel_error(_exp_grouped(plan, member), np.exp(c00) * np.eye(4)) <= 1e-15
 
 
 @pytest.mark.parametrize("tag", GROUPED)

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from structexp import expm2, expm_series, phi_c, phi_s, rel_error, svd3, sym_eig3
+from structexp.smalllin import _factors
 
 
 # ---------------------------------------------------------------- phi functions
@@ -35,6 +36,11 @@ def test_phi_real_in_real_out():
         assert isinstance(phi_s(x), float)
     assert isinstance(phi_c(1.0 + 0.0j), complex)
     assert isinstance(phi_s(1.0 + 0.0j), complex)
+    for phi in (phi_c, phi_s):
+        got = phi(np.float32(-2.25))
+        assert type(got) is float and got == phi(-2.25)
+        got = phi(np.complex64(-2.25 + 0.5j))
+        assert type(got) is complex and got == phi(-2.25 + 0.5j)
 
 
 def test_phi_series_branch_agrees_with_direct_formula():
@@ -57,6 +63,57 @@ def test_phi_complex_identity():
     for z in (1.0 + 2.0j, -3.0 + 0.5j, 0.25j, -7.0 - 4.0j):
         assert phi_c(z) ** 2 + z * phi_s(z) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert phi_c(1.0 + 0.0j) == pytest.approx(phi_c(1.0))
+
+
+def test_phi_overflows_where_cosh_does():
+    # sqrt(1e6) = 1000: cosh(1000) and sinh(1000) / 1000 are past the float64
+    # range, so the growth e^1000 must not come back as inf
+    for phi in (phi_c, phi_s):
+        with pytest.raises(OverflowError):
+            phi(-1e6)
+        with pytest.raises(OverflowError):
+            phi(complex(-1e6, 0.0))
+        assert math.isfinite(phi(-5e5))
+
+
+# ---------------------------------------------------------- group factors
+
+
+def _reference(scalar, mu):
+    """exp(scalar) cos(r) and exp(scalar) sin(r) / r, r = sqrt(-mu), by cmath."""
+    r = cmath.sqrt(-complex(mu))
+    return (cmath.exp(scalar) * cmath.cos(r),
+            cmath.exp(scalar) * (cmath.sin(r) / r if r else 1.0))
+
+
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+# |mu| + Re mu = 2 exactly (0.75^2 + 1 = 1.25^2), and 2 -+ 2e-15
+_ON_THE_FOLD = (complex(0.75, 1.0), complex(0.75 - 1e-15, 1.0),
+                complex(0.75 + 1e-15, 1.0))
+
+
+@pytest.mark.parametrize("scalar, mu, folded", [
+    (0.0, 9.9e-9, False), (0.0, -9.9e-9, False),    # the Taylor polynomials
+    (0.0, 1.1e-8, False), (0.0, -1.1e-8, False),    # cosh and cos
+    (0.3, complex(9.9e-9, 1e-10), False), (0.3, complex(-1.1e-8, 1e-10), False),
+    (0.0, 1.0, False), (0.0, -1.0, False), (0.0, _ABOVE_ONE, True),
+    (-700.0, 700.0 ** 2, True), (-0.25, -700.0 ** 2, False),
+    (0.0, _ON_THE_FOLD[0], False), (0.0, _ON_THE_FOLD[1], False),
+    (0.0, _ON_THE_FOLD[2], True),
+    (0.5, complex(-4.0, 0.0), False), (0.5, complex(-4.0, -0.0), False),
+    (1j, complex(9.0, 0.0), True),
+])
+def test_factors_at_each_branch_edge(scalar, mu, folded):
+    # h^2 cs and h^2 ss against cmath's cos and sin of sqrt(-mu), which share
+    # no code with _factors; the growth is folded into h exactly when
+    # Re sqrt(mu) > 1 (|mu| + Re mu > 2)
+    (c,), (s,), h = _factors(scalar, (mu,))
+    want_c, want_s = _reference(scalar, mu)
+    assert abs(c * h * h - want_c) <= 4e-16 * abs(want_c)
+    assert abs(s * h * h - want_s) <= 4e-16 * abs(want_s)
+    assert (abs(h) != abs(cmath.exp(scalar / 2.0))) == folded
+    if isinstance(mu, float):
+        assert type(c) is type(s) is type(h) is float
 
 
 # ----------------------------------------------------------------------- expm2
