@@ -293,7 +293,7 @@ class Family:
     def extract(self, a, c, tol, tol_abs):
         """(member or None, residual), with the signature of every entry
         of REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not its table c."""
-        out = self.rows @ a.reshape(16)
+        out = self.rows.dot(a.reshape(16))
         off = out[16:]
         sq = float(np.vdot(off, off).real)
         half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
@@ -612,7 +612,7 @@ def _admit(a_matrix, tol: float, n: int = 4):
 
 def _coefficient_table(a) -> np.ndarray:
     """The 4x4 coefficient table c of an admitted A (see _admit)."""
-    return (_PROJECTION_ROWS @ a.reshape(16)).reshape(4, 4)
+    return _PROJECTION_ROWS.dot(a.reshape(16)).reshape(4, 4)
 
 
 def _matches(a, norm: float, tol: float):
@@ -625,11 +625,11 @@ def _matches(a, norm: float, tol: float):
     table of A.
     """
     tol_abs = tol * max(1.0, norm)
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         registry, (table, rows) = COMPLEX_REGISTRY, _COMPLEX_MAP
     else:
         registry, (table, rows) = REAL_REGISTRY, _REAL_MAP
-    out = rows @ a.reshape(16)
+    out = rows.dot(a.reshape(16))
     c, off = out[:16], out[16:].reshape(-1, 16)
     half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
     for f in (_squared_norms(off) <= half * half).nonzero()[0].tolist():
@@ -643,19 +643,24 @@ def _matches(a, norm: float, tol: float):
 
 
 def _extract(tag: str, a_matrix, tol: float):
-    """(member or None, residual) of A in the one family `tag`: the forced
-    route.  The residual is inf for an A in no family (see _admit) and the
-    norm of the imaginary part for a complex A and a real family."""
+    """(member or None, residual, bound) of A in the one family `tag`: the
+    forced route.  The residual is inf for an A in no family (see _admit) and
+    the norm of the imaginary part for a complex A and a real family.  bound
+    is |A|_F/2 + tol_abs, at least the norm of any member fitted to A (its
+    table c has norm |A|_F/2, a table member is a projection of c and a fit's
+    is no longer than c), which the closed form takes as its overflow gate."""
     admitted = _admit(a_matrix, tol)
     if admitted is None:
-        return None, math.inf
+        return None, math.inf, math.inf
     a, norm = admitted
-    if np.iscomplexobj(a) and tag not in _COMPLEX_TAGS:
+    tol_abs = tol * max(1.0, norm)
+    bound = norm / 2.0 + tol_abs
+    if a.dtype.kind == "c" and tag not in _COMPLEX_TAGS:
         # a real family has no imaginary part: all of it is off the family
-        return None, frobenius(a.imag)
+        return None, frobenius(a.imag), bound
     # a table family reads A itself; only the hand-written fits take c
     c = None if tag in FAMILIES else _coefficient_table(a)
-    return EXTRACTORS[tag](a, c, tol, tol * max(1.0, norm))
+    return *EXTRACTORS[tag](a, c, tol, tol_abs), bound
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -678,7 +683,7 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
     if admitted is None:
         raise ValueError("matrix has non-finite entries or an overflowing norm")
     a, norm = admitted
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         raise ValueError("matrix is not real")
     if frobenius(a - a.T) > 1e-12 * max(1.0, norm):
         raise ValueError("matrix is not symmetric")
@@ -690,5 +695,5 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
 def extract_special_normal(a_matrix, tol: float = DEFAULT_TOL) -> Optional[SpecialNormal]:
     """The SpecialNormal fit of A, or None (always for a complex A and one in
     no family)."""
-    member, _res = _extract("SpecialNormal", a_matrix, tol)
+    member = _extract("SpecialNormal", a_matrix, tol)[0]
     return None if member is None else instance("SpecialNormal", member)

@@ -53,6 +53,7 @@ from .covering import NotInAlgebra
 from .expm_structured import ForcedClassMismatch, _dispatch, _routes
 from .hxh import BASIS_NAMES, from_matrix
 from .oracle import expm_series, rel_error
+from .smalllin import frobenius
 
 VERIFY_TOL = 1e-10
 
@@ -231,11 +232,16 @@ def _cmd_verify(args) -> int:
     doc = load_document(args.matrix)
     a = doc.matrix()
     reference = expm_series(a)
+    # rel_error's denominator, taken once; rel_error itself where a norm
+    # overflows
+    den = 1.0 + frobenius(reference)
     rows = []
     for name, value in _routes(a, DEFAULT_TOL, args.all_routes):
         if args.inject_fault:
             value = value + args.inject_fault * np.eye(doc.n)
-        rows.append((name, rel_error(value, reference)))
+        num = frobenius(value - reference)
+        rows.append((name, num / den if num < math.inf and den < math.inf
+                     else rel_error(value, reference)))
 
     width = max(len(name) for name, _ in rows + [("route", 0.0), ("oracle", 0.0)])
     print(f"{'route'.ljust(width)}  residual",
@@ -334,7 +340,9 @@ def _read_tokens(command, tokens) -> Optional[argparse.Namespace]:
             return None
     if len(given) != 1:
         return None
-    return argparse.Namespace(command=command, matrix=given[0], func=handler, **values)
+    ns = argparse.Namespace()
+    vars(ns).update(values, command=command, matrix=given[0], func=handler)
+    return ns
 
 
 def _parse_args(argv) -> argparse.Namespace:

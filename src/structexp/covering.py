@@ -156,9 +156,9 @@ def _solve(alg: CoveringAlgebra, a, norm: float, tol: float):
     """The lift x of an admitted real A whose defining-relation residual is
     within tol * (1 + |A|).  Raises NotInAlgebra when the back-check
     psi_matrix @ x - A is above that bound."""
-    x = alg.psi_pinv @ a.ravel()
+    x = alg.psi_pinv.dot(a.ravel())
     # psi is linear in (g, h): psi(alg, g, h) is psi_matrix @ x
-    res_back = frobenius(alg.psi_matrix @ x - a.ravel())
+    res_back = frobenius(alg.psi_matrix.dot(x) - a.ravel())
     if res_back > max(1e-12 * (1.0 + norm), tol * (1.0 + norm)):
         raise NotInAlgebra(alg.name, res_back)
     return x
@@ -172,7 +172,7 @@ def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
     if admitted is None:
         raise NotInAlgebra(alg.name, math.inf)
     a, norm = admitted
-    if np.iscomplexobj(a):
+    if a.dtype.kind == "c":
         raise NotInAlgebra(alg.name, frobenius(a.imag))
     res = frobenius(alg.relation @ a.ravel())
     if res > tol * (1.0 + norm):
@@ -188,10 +188,10 @@ def _lifts(a, norm: float, tol: float):
     tol * (1 + norm), and only those algebras are solved, so an algebra
     that fails its relation raises nothing."""
     n = a.shape[0]
-    if n not in _RELATIONS or np.iscomplexobj(a):
+    if n not in _RELATIONS or a.dtype.kind == "c":
         return
     sized, relations = _RELATIONS[n]
-    residuals = (relations @ a.ravel()).reshape(len(sized), n * n)
+    residuals = relations.dot(a.ravel()).reshape(len(sized), n * n)
     bound = tol * (1.0 + norm)
     within = np.add.reduce(residuals * residuals, axis=1) <= bound * bound
     for i in within.nonzero()[0].tolist():
@@ -219,7 +219,8 @@ def _bilinear(alg: CoveringAlgebra, x) -> np.ndarray:
     sg, sh = w * sg, -w * sh
     a = np.array([w * cg, sg * xg[0], sg * xg[1], sg * xg[2]])
     b = np.array([w * ch, sh * xh[0], sh * xh[1], sh * xh[2]])
-    return (alg.exp_map @ b @ a).reshape(alg.dim, alg.dim)
+    # the 3-d product stays a matmul: ndarray.dot rounds it differently
+    return (alg.exp_map @ b).dot(a).reshape(alg.dim, alg.dim)
 
 
 def _exp_lift(alg: CoveringAlgebra, x) -> np.ndarray:

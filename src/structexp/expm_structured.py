@@ -164,7 +164,7 @@ def _exp_symmetric_general(member) -> np.ndarray:
     w0, w1, w2, w3 = (math.exp(a + x - _LOG4) for x in
                       (s1 + s2 + s3, s1 - s2 - s3, -s1 + s2 - s3, -s1 - s2 + s3))
     t = [d * (w0 + w1 - w2 - w3), d * (w0 - w1 + w2 - w3), d * (w0 - w1 - w2 + w3)]
-    value = ((u * t) @ vh).reshape(9) @ _PURE_ROWS
+    value = (u * t).dot(vh).reshape(9).dot(_PURE_ROWS)
     value[::5] += w0 + w1 + w2 + w3
     return value.reshape(4, 4)
 
@@ -195,7 +195,7 @@ def _exp_special_normal(member) -> np.ndarray:
     d = [delta * x for x in w]
     coefs = [alpha, gamma * v0, gamma * v1, gamma * v2, beta * u0, d[0], d[1], d[2],
              beta * u1, d[3], d[4], d[5], beta * u2, d[6], d[7], d[8]]
-    return (np.array(coefs) @ _BASIS_ROWS).reshape(4, 4) * h
+    return np.array(coefs).dot(_BASIS_ROWS).reshape(4, 4) * h
 
 
 def _exp_bisymmetric_rs(member) -> np.ndarray:
@@ -214,7 +214,7 @@ def _exp_bisymmetric_rs(member) -> np.ndarray:
     coefs = [cha * chn, 0.0, 0.0, 0.0, 0.0, 0.0, shc * (cha * p - sha * t),
              shc * (cha * q + sha * r), 0.0, sha * chn, 0.0, 0.0, 0.0, 0.0,
              shc * (cha * r + sha * q), shc * (cha * t - sha * p)]
-    return (np.array(coefs) @ _BASIS_ROWS).reshape(4, 4) * h
+    return np.array(coefs).dot(_BASIS_ROWS).reshape(4, 4) * h
 
 
 def _exp_grouped(plan, member) -> np.ndarray:
@@ -237,7 +237,7 @@ def _exp_grouped(plan, member) -> np.ndarray:
     t = h * s1 * s2
     for i, j, k, sign in cross:
         out[k] = sign * t * c[i] * c[j]
-    return (np.array(out) @ _BASIS_ROWS).reshape(4, 4) * h
+    return np.array(out).dot(_BASIS_ROWS).reshape(4, 4) * h
 
 
 # every family's closed form, of its member: the hand-written ones, and the
@@ -250,13 +250,13 @@ _PLANS = {tag: _group_plan(divmod(s, 4)
 _FORMS.update((tag, partial(_exp_grouped, plan)) for tag, plan in _PLANS.items())
 
 
-def _exp_member(tag: str, member) -> np.ndarray:
+def _exp_member(tag: str, member, bound: float) -> np.ndarray:
     """exp of the member of family `tag`, given as its flat coefficient
-    vector.  Raises OverflowError when exp(A) is beyond the float64 range;
-    every closed form applies its growth as one exponent, so that is the
-    only case in which it does."""
-    return _overflow_checked(frobenius(member), "the closed form", _FORMS[tag],
-                             member)
+    vector, with `bound` at least its norm, the overflow gate's (see
+    `classify._extract`).  Raises OverflowError when exp(A) is beyond the
+    float64 range; every closed form applies its growth as one exponent, so
+    that is the only case in which it does."""
+    return _overflow_checked(bound, "the closed form", _FORMS[tag], member)
 
 
 def exp_skew_symmetric(p, q) -> np.ndarray:
@@ -355,14 +355,16 @@ def exp_structured_class(inst) -> np.ndarray:
     DEFAULT_TOL as `_matches` does, and ForcedClassMismatch is raised when
     the fit rejects it."""
     tag, member = getattr(inst, "tag", None), coefficients(inst)
+    bound = frobenius(member)
     if tag not in FAMILIES:
         # |A|_F is twice the coefficient norm
-        tol_abs = DEFAULT_TOL * max(1.0, 2.0 * frobenius(member))
+        tol_abs = DEFAULT_TOL * max(1.0, 2.0 * bound)
         member, residual = EXTRACTORS[tag](None, member.reshape(4, 4), DEFAULT_TOL,
                                            tol_abs)
         if member is None:
             raise ForcedClassMismatch(tag, residual)
-    return _exp_member(tag, member)
+        bound += tol_abs
+    return _exp_member(tag, member, bound)
 
 
 def _routes(a_matrix, tol: float, coverings: bool = False):
@@ -379,8 +381,11 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
     if n == 2:
         yield "expm2", expm2(admitted[0])
     elif n == 4:
+        # the bound of `classify._extract`
+        norm = admitted[1]
+        bound = norm / 2.0 + tol * max(1.0, norm)
         for tag, member in _matches(*admitted, tol):
-            yield tag, _exp_member(tag, member)
+            yield tag, _exp_member(tag, member, bound)
     if n == 3 or coverings:
         for alg, x in _lifts(*admitted, tol):
             yield f"covering:{alg.name}", _exp_lift(alg, x)
@@ -404,10 +409,10 @@ def _dispatch(a, method: str, tol: float):
         return method, exp_via_covering(COVERING_ALGEBRAS[name], a, tol)
     if method not in EXTRACTORS:
         raise ValueError(f"unknown method {method!r}")
-    member, residual = _extract(method, a, tol)
+    member, residual, bound = _extract(method, a, tol)
     if member is None:
         raise ForcedClassMismatch(method, residual)
-    return method, _exp_member(method, member)
+    return method, _exp_member(method, member, bound)
 
 
 def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
@@ -423,5 +428,8 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
     if a.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
     route, value = _dispatch(a, method, tol)
-    verified = rel_error(value, expm_series(a)) if verify else None
+    verified = None
+    if verify:
+        # the oracle's own value is 0.0 from itself, rel_error(x, x)
+        verified = 0.0 if route == "oracle" else rel_error(value, expm_series(a))
     return ExpResult(value, route, verified)

@@ -11,16 +11,20 @@ Years Later", SIAM Review 45(1), 2003) is run with as few numpy calls as its
 floating-point operations allow, and every result is bit for bit that of
 the plain loop of new arrays:
 - the identity of each size and dtype is built once, read-only, at import;
-- each divisor k is stored as a float, since numpy converts an int scalar
-  to the array's dtype on every call (to the same float: the quotient is
-  unchanged);
+- each divisor k is a read-only 0-d float64 array, which numpy divides by
+  with less dispatch than by a Python number (to the same float: the
+  quotient is unchanged);
 - the first step is I + B / 18, since B @ I is B exactly (a zero term can
-  differ in sign only, and adding I makes every zero +0.0);
+  differ in sign only, and adding I makes every zero +0.0), and the last
+  step, k = 1, has no divide, since T / 1 is T (a complex quotient can
+  differ in the sign of a zero only, which adding I also removes);
 - the loop and the squarings write into two C-ordered buffers, the layout
   of the plain loop's new arrays, and a result is never one of the cached
   identities;
-- each product is np.dot with an output buffer: for 2-d operands it calls
-  the same BLAS gemm as the @ operator with less dispatch.
+- each product is ndarray.dot with an output buffer: for 2-d operands it
+  calls the same BLAS gemm as the @ operator with less dispatch, and the
+  1-norm and the finiteness checks call the ufunc reductions that
+  ndarray.sum, .max and .all call.
 """
 
 from __future__ import annotations
@@ -34,17 +38,17 @@ _TAYLOR_DEGREE = 18
 _SCALING_THRESHOLD = 0.5
 _MAX_SQUARINGS = 40
 
-# the divisors of the Horner steps after the first, k = 17, ..., 1
-_DIVISORS = tuple(float(k) for k in range(_TAYLOR_DEGREE - 1, 0, -1))
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
-def _identity(n: int, dtype) -> np.ndarray:
-    eye = np.eye(n, dtype=dtype)
-    eye.setflags(write=False)
-    return eye
-
-
-_EYES = {(n, np.dtype(dtype)): _identity(n, dtype)
+# the divisors of the Horner steps between the first and the last, k = 17,
+# ..., 2
+_DIVISORS = tuple(_read_only(np.array(float(k)))
+                  for k in range(_TAYLOR_DEGREE - 1, 1, -1))
+_EYES = {(n, np.dtype(dtype)): _read_only(np.eye(n, dtype=dtype))
          for n in _ALLOWED_SIZES for dtype in (np.float64, np.complex128)}
 _SHAPES = frozenset((n, n) for n in _ALLOWED_SIZES)
 
@@ -61,11 +65,11 @@ def expm_series(a) -> np.ndarray:
     dtype = np.dtype(np.complex128 if a.dtype.kind == "c" else np.float64)
     a = a.astype(dtype, copy=False)
     # ahead of the norm: np.abs warns on a complex inf
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), None):
         raise OverflowError("non-finite entries in input")
 
     # a column has at most four entries, so a quarter of the 1-norm is finite
-    norm = 4.0 * float(np.abs(a / 4.0).sum(axis=0).max())
+    norm = 4.0 * float(np.maximum.reduce(np.add.reduce(np.abs(a / 4.0), 0), None))
     s = 0
     if norm > _SCALING_THRESHOLD:
         s = math.ceil(math.log2(norm / _SCALING_THRESHOLD)) if norm < math.inf else norm
@@ -80,18 +84,21 @@ def expm_series(a) -> np.ndarray:
     np.add(eye, r, out=r)
     t = np.empty_like(r)
     for k in _DIVISORS:
-        np.dot(b, r, out=t)
+        b.dot(r, out=t)
         np.divide(t, k, out=t)
         np.add(eye, t, out=r)
+    # k = 1
+    b.dot(r, out=t)
+    np.add(eye, t, out=r)
     if not s:
         return r
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(s):
-            np.dot(r, r, out=t)
+            r.dot(r, out=t)
             r, t = t, r
     # a non-finite r_ij stays non-finite in every later square, through its
     # r_ii * r_ij term, so one check after the loop sees any overflow
-    if not np.isfinite(r).all():
+    if not np.logical_and.reduce(np.isfinite(r), None):
         raise OverflowError("overflow while squaring")
     return r
 

@@ -29,6 +29,7 @@ from structexp.classify import (
 from structexp.covering import _lifts
 from structexp.expm_structured import _exp_member
 from structexp.hxh import _BASIS_ROWS, J4, R4, HxHElement, basis_matrix, from_matrix
+from structexp.smalllin import _SAFE_NORM, frobenius
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family
 
@@ -403,7 +404,7 @@ def test_special_normal_fit_takes_normality_from_a_at_any_scale(seed, exponent):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert extract_special_normal(a) is not None
-        member, res = cls_mod._extract("SpecialNormal", bad, DEFAULT_TOL)
+        member, res, _ = cls_mod._extract("SpecialNormal", bad, DEFAULT_TOL)
     assert member is None
     block = from_matrix(bad).c[1:, 1:]
     u, v = s / np.linalg.norm(s), t / np.linalg.norm(t)
@@ -435,7 +436,7 @@ def test_special_normal_normality_decides_in_the_band():
         band = c.copy()
         band[1:, 1:] = factor * tol_abs / 2.0 * worst
         a = HxHElement(band).to_matrix()
-        member, res = cls_mod._extract("SpecialNormal", a, DEFAULT_TOL)
+        member, res, _ = cls_mod._extract("SpecialNormal", a, DEFAULT_TOL)
         assert (member is not None) == accepted, factor
         comm = np.linalg.norm(a.T @ a - a @ a.T) / 2.0
         assert 4.0 * np.linalg.norm(_d(band[1:, 1:], s, t)) == pytest.approx(comm, rel=1e-6)
@@ -455,12 +456,54 @@ def test_band_members_are_exponentiated_as_members(tag):
             e = rng.standard_normal((4, 4))
             tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
             m = a + (0.9 * tol_abs / _residual_per_unit(a, e, tag)) * e
-            member, res = cls_mod._extract(tag, m, DEFAULT_TOL)
+            member, res, bound = cls_mod._extract(tag, m, DEFAULT_TOL)
             assert member is not None and res > 0.5 * tol_abs, (scale, res)
             p = (member @ _BASIS_ROWS).reshape(4, 4)
             if tag == "SpecialNormal":
                 assert np.linalg.norm(p.T @ p - p @ p.T) <= 1e-14 * np.linalg.norm(p) ** 2
-            assert rel_error(_exp_member(tag, member), expm_series(p)) <= 1e-13, scale
+            assert rel_error(_exp_member(tag, member, bound), expm_series(p)) <= 1e-13, scale
+
+
+@pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
+def test_overflow_gate_bound_is_at_least_the_member_norm(tag, monkeypatch):
+    # auto (_matches), forced (_extract) and exp_structured_class hand the
+    # closed form a bound for its overflow gate, |A|_F/2 + tol_abs or the
+    # instance's own norm: never below the member's norm, so the closed form
+    # raises OverflowError on exactly the members that its own norm gates
+    es = importlib.import_module("structexp.expm_structured")
+    real, seen, path = es._exp_member, [], [None]
+    monkeypatch.setattr(es, "_exp_member", lambda t, member, bound: (
+        seen.append((path[0], t, member, bound)), np.eye(4))[1])
+    rng = np.random.default_rng(95)
+    # across _SAFE_NORM, and at 3000, where exp(A) overflows for most families
+    norms = [*np.geomspace(1e-3, 800.0, 10), 0.999 * _SAFE_NORM, _SAFE_NORM,
+             1.001 * _SAFE_NORM, 3000.0]
+    for norm in norms:
+        a = sample_family(tag, rng)
+        a = a * (2.0 * norm / np.linalg.norm(a))  # coefficient norm `norm`
+        e = rng.standard_normal((4, 4))
+        if np.iscomplexobj(a):
+            e = e + 1j * rng.standard_normal((4, 4))
+        tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+        band = a + (0.9 * tol_abs / _residual_per_unit(a, e, tag)) * e
+        for m in (a, band):
+            path[0] = "auto"
+            list(es._routes(m, DEFAULT_TOL))
+            path[0] = "forced"
+            es._dispatch(m, tag, DEFAULT_TOL)
+            path[0] = "class"
+            for inst in classify(m):
+                es.exp_structured_class(inst)
+    assert {(p, t) for p, t, _, _ in seen} >= {(p, tag) for p in ("auto", "forced", "class")}
+    for p, t, member, bound in seen:
+        assert bound >= frobenius(member), (p, t, bound)
+        try:
+            want = real(t, member, frobenius(member))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                real(t, member, bound)
+            continue
+        assert np.array_equal(real(t, member, bound), want), (p, t)
 
 
 @pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
@@ -511,7 +554,7 @@ def test_a_tolerance_past_the_square_root_of_the_float64_range_raises_nothing():
     want = [m.tag for m in classify(a, 1e100)]
     assert "Lie3" in want
     assert [m.tag for m in classify(a, 1e160)] == want
-    member, _ = _extract("Lie3", a, 1e160)
+    member = _extract("Lie3", a, 1e160)[0]
     assert member is not None
     lifts = [alg.name for alg, _ in _lifts(*_admit(np.eye(3), 1e160, 3), 1e160)]
     assert lifts == ["so3", "p3r", "so21r"]

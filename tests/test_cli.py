@@ -556,6 +556,10 @@ def test_expm_2x2_returns_a_finite_exponential_past_cosh_overflow(text, capsys):
         values[doc["route"]] = MatrixDocument(doc["n"], doc["kind"],
                                               tuple(doc["entries"])).matrix()
     assert rel_error(values["expm2"], values["oracle"]) <= 1e-12
+    # verify's norms of exp(A) overflow, so its residual is rel_error's own
+    assert run(["verify", text]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row == ["expm2", f"{rel_error(values['expm2'], values['oracle']):.3e}"]
 
 
 @pytest.mark.parametrize("text, routes", [

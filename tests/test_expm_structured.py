@@ -47,7 +47,7 @@ from structexp.expm_structured import (
     exp_symmetric_general,
 )
 from structexp.hxh import _BASIS_ROWS, I22, J4, R4
-from structexp.smalllin import _SAFE_NORM
+from structexp.smalllin import _SAFE_NORM, frobenius
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family, u17
 
@@ -283,9 +283,9 @@ def _close_to_series(value, a) -> bool:
 def test_rank_one_closed_forms_match_the_series(tag, scale):
     rng = np.random.default_rng(90)
     for _ in range(20):
-        member, _ = _extract(tag, scale * sample_family(tag, rng), DEFAULT_TOL)
+        member, _, bound = _extract(tag, scale * sample_family(tag, rng), DEFAULT_TOL)
         a = _member_matrix(member)
-        e = _exp_member(tag, member)
+        e = _exp_member(tag, member, bound)
         assert _close_to_series(e, a), (tag, scale)
         # the group invariants: normal, or symmetric and persymmetric
         bound = 1e-14 * np.linalg.norm(e)
@@ -330,7 +330,7 @@ def test_special_normal_closed_form_edge_cases(member):
     assert np.linalg.norm(a @ a.T - a.T @ a) <= 1e-13 * np.linalg.norm(a) ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e = _exp_member("SpecialNormal", member)
+        e = _exp_member("SpecialNormal", member, frobenius(member))
     assert _close_to_series(e, a)
 
 
@@ -350,7 +350,7 @@ def test_bisymmetric_rs_closed_form_edge_cases(member):
     a = _member_matrix(member)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e = _exp_member("BisymmetricRS", member)
+        e = _exp_member("BisymmetricRS", member, frobenius(member))
     assert _close_to_series(e, a)
     assert np.array_equal(e, e.T)
 
@@ -363,16 +363,17 @@ def test_rank_one_closed_forms_at_and_past_the_safe_norm(tag, norm):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(10):
-            member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+            member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
             member = member * (norm / np.linalg.norm(member))
             a = _member_matrix(member)
             try:
                 ref = expm_series(a)
             except OverflowError:
                 with pytest.raises(OverflowError):
-                    _exp_member(tag, member)
+                    _exp_member(tag, member, frobenius(member))
                 continue
-            assert rel_error(_exp_member(tag, member), ref) <= 1e-15 * np.linalg.norm(a)
+            e = _exp_member(tag, member, frobenius(member))
+            assert rel_error(e, ref) <= 1e-15 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("tag", ["SpecialNormal", "BisymmetricRS"])
@@ -604,6 +605,25 @@ def test_expm_auto_dense_falls_back_to_oracle():
     assert r.verified == 0.0
 
 
+def test_verify_runs_the_series_once_on_every_route(monkeypatch):
+    # on the oracle route, auto or forced, the value is the series itself,
+    # 0.0 from itself; a closed form is compared with one series call
+    es = importlib.import_module("structexp.expm_structured")
+    calls = []
+    monkeypatch.setattr(es, "expm_series", lambda a: calls.append(a) or expm_series(a))
+    rng = np.random.default_rng(76)
+    dense = rng.uniform(-1.0, 1.0, (4, 4))
+    member = sample_family("Perskewsymmetric", rng)
+    for a, method, route in ((dense, "auto", "oracle"), (dense, "oracle", "oracle"),
+                             (member, "auto", "Perskewsymmetric"),
+                             (member, "Perskewsymmetric", "Perskewsymmetric")):
+        calls.clear()
+        r = expm_auto(a, method=method, verify=True)
+        assert r.route == route and len(calls) == 1, method
+        assert r.verified == rel_error(r.value, expm_series(a)), method
+        assert (r.verified == 0.0) == (route == "oracle")
+
+
 def test_expm_auto_priority_on_tridiagonal():
     a = sample_family("SymToeplitzTridiag", np.random.default_rng(77))
     r = expm_auto(a, verify=True)
@@ -752,7 +772,7 @@ def test_no_value_overflows_below_the_safe_norm(tag):
         warnings.simplefilter("error")
         for scale in (0.5, 5.0, 50.0, 0.999 * _SAFE_NORM):
             for _ in range(20):
-                member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+                member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
                 member = member * (scale / np.linalg.norm(member))
                 value = _FORMS[tag](member)
                 assert np.isfinite(value).all()
@@ -809,7 +829,7 @@ def test_folded_growth_agrees_with_the_plain_product(tag):
     rng = np.random.default_rng(84)
     for scale in (1e-3, 0.5, 5.0, 30.0, 50.0, 0.999 * _SAFE_NORM):
         for _ in range(5):
-            member, _ = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)
+            member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
             member = member * (scale / np.linalg.norm(member))
             plain = np.exp(member[0]) * np.eye(4)
             for group in _GROUP_SLOTS[tag]:

@@ -22,6 +22,7 @@ from structexp.expm_structured import (_PLANS, ClosedFormDefect, _exp_grouped,
 from structexp.hxh import _BASIS_ROWS, HxHElement, basis_matrix, from_matrix, hxh_mul
 from structexp.oracle import expm_series, rel_error
 from structexp.quat import Quaternion, quat_exp
+from structexp.smalllin import frobenius
 
 from conftest import sample_family
 
@@ -121,7 +122,8 @@ def test_mu_from_coefficients_is_the_group_square(tag, seed, scale):
         off = np.linalg.norm(g @ g - mu * np.eye(4)) / 2.0
         assert off <= 1e-10 * (1.0 + np.linalg.norm(g) ** 2 / 4.0), (tag, mu)
     ref = expm_series((member @ _BASIS_ROWS).reshape(4, 4))
-    assert np.linalg.norm(_exp_member(tag, member) - ref) <= 1e-10 * np.linalg.norm(ref)
+    value = _exp_member(tag, member, frobenius(member))
+    assert np.linalg.norm(value - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_skew_symmetric_groups_agree_with_quaternion_pair_form():

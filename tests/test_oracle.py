@@ -148,6 +148,28 @@ def test_series_equals_the_plain_horner_loop_bit_for_bit(n, kind):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_series_of_non_c_ordered_input_equals_the_plain_loop_bit_for_bit(n, kind):
+    # the Horner products run on B, which keeps A's layout: transposed,
+    # Fortran-ordered, strided and reversed views
+    rng = np.random.default_rng(50 + n)
+    for exponent in range(-3, 10):
+        m = rng.standard_normal((n, n))
+        if kind == "complex":
+            m = m + 1j * rng.standard_normal((n, n))
+        if exponent > 2:
+            m = m - m.conj().T
+        a = m * (0.4 * 2.0 ** exponent / np.abs(m).sum(axis=0).max())
+        wide = np.zeros((2 * n, 3 * n), a.dtype)
+        wide[::2, ::3] = a
+        views = (a.T, np.asfortranarray(a), wide[::2, ::3], a[::-1], a[:, ::-1])
+        for view in views:
+            assert not view.flags.c_contiguous
+            expected, _ = _plain_series(view)
+            assert np.array_equal(expm_series(view), expected), (exponent, view.strides)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_result_is_a_fresh_writable_array(n):
     first = expm_series(np.zeros((n, n)))
     assert first.flags.writeable and first.flags.owndata
