@@ -26,10 +26,11 @@ T and Q with one einsum each, and psi's matrix, its columns the images of
 the generators, is read off T, so an algebra built outside the registry
 has every table a route reads.
 
-At |x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
-and raises OverflowError unless exp(A) is finite.  `_lifts` tests an
-admitted A against every built-in algebra of its size with one product of
-the stacked defining-relation maps, and solves only those that contain it.
+A is in the algebra when 2 |(I - psi psi^+) vec A|, which is |A^T M + M A|_F
+for every built-in form M (orthogonal and symmetric), is within tol * (1 +
+|A|); `_lifts` takes it for every built-in algebra of A's size at once.  At
+|x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
+and raises OverflowError unless exp(A) is finite.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ class CoveringAlgebra:
     """A covering algebra from its six defining fields.  Construction
     derives the rest, each array read-only: coord_pinv (see _coords), T as
     exp_map and Q as det_form (see the module docstring), psi_matrix with
-    the pseudo-inverse psi_pinv (A -> x), and relation, the map
-    vec A -> vec(A^T M + M A) for M the form.  Equality and hash are by
-    identity, since arrays have no fieldwise truth value."""
+    the pseudo-inverse psi_pinv (A -> x), and off = 2 (I - psi psi^+).
+    Membership is the image of psi, which preserves `form` and, for every
+    built-in algebra, is the whole algebra of that form.  Equality and hash
+    are by identity, since arrays have no fieldwise truth value."""
     name: str
     dim: int
     basis: tuple                 # V, identified with R^dim
@@ -87,7 +89,7 @@ class CoveringAlgebra:
     det_form: tuple = field(init=False, repr=False)
     psi_matrix: np.ndarray = field(init=False, repr=False)
     psi_pinv: np.ndarray = field(init=False, repr=False)
-    relation: np.ndarray = field(init=False, repr=False)
+    off: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.dim
@@ -102,13 +104,10 @@ class CoveringAlgebra:
         # keeps a zero coordinate +0.0, as gX - Xh gives it
         psi_matrix = (np.hstack([exp_map[:, 1:, 0], 0.0 - exp_map[:, 0, 1:]])
                       if self.two_factor else exp_map[:, 1:, 0] - exp_map[:, 0, 1:])
-        # column k is vec(U^T M + M U) for the k-th unit matrix U
-        units = np.eye(n * n).reshape(n * n, n, n)
-        relation = (units.transpose(0, 2, 1) @ self.form
-                    + self.form @ units).reshape(n * n, -1).T
+        psi_pinv = np.linalg.pinv(psi_matrix)
         derived = {"coord_pinv": coord_pinv, "exp_map": exp_map,
-                   "psi_matrix": psi_matrix, "psi_pinv": np.linalg.pinv(psi_matrix),
-                   "relation": relation}
+                   "psi_matrix": psi_matrix, "psi_pinv": psi_pinv,
+                   "off": 2.0 * (np.eye(n * n) - psi_matrix @ psi_pinv)}
         for attr, array in derived.items():
             array.setflags(write=False)
             object.__setattr__(self, attr, array)
@@ -145,61 +144,46 @@ COVERING_ALGEBRAS: dict[str, CoveringAlgebra] = {
 }
 
 # for each size, its built-in algebras in registry order and their stacked
-# relation maps
-_RELATIONS = {}
+# off maps
+_OFF = {}
 for _n in (3, 4):
     _sized = tuple(a for a in COVERING_ALGEBRAS.values() if a.dim == _n)
-    _RELATIONS[_n] = (_sized, np.vstack([a.relation for a in _sized]))
-
-
-def _solve(alg: CoveringAlgebra, a, norm: float, tol: float):
-    """The lift x of an admitted real A whose defining-relation residual is
-    within tol * (1 + |A|).  Raises NotInAlgebra when the back-check
-    psi_matrix @ x - A is above that bound."""
-    x = alg.psi_pinv.dot(a.ravel())
-    # psi is linear in (g, h): psi(alg, g, h) is psi_matrix @ x
-    res_back = frobenius(alg.psi_matrix.dot(x) - a.ravel())
-    if res_back > max(1e-12 * (1.0 + norm), tol * (1.0 + norm)):
-        raise NotInAlgebra(alg.name, res_back)
-    return x
+    _OFF[_n] = (_sized, np.vstack([a.off for a in _sized]))
 
 
 def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
     """The lift x of A, admitted through `classify._admit`: NotInAlgebra
-    with residual inf when the gate admits no A, and the norm of the
-    imaginary part when A keeps one (these are algebras of real matrices)."""
+    with residual inf when the gate admits no A, the norm of the imaginary
+    part when A keeps one (these are algebras of real matrices), and the
+    projector residual when it is above tol * (1 + |A|)."""
     admitted = _admit(a_matrix, tol, alg.dim)
     if admitted is None:
         raise NotInAlgebra(alg.name, math.inf)
     a, norm = admitted
     if a.dtype.kind == "c":
         raise NotInAlgebra(alg.name, frobenius(a.imag))
-    res = frobenius(alg.relation @ a.ravel())
+    res = frobenius(alg.off.dot(a.ravel()))
     if res > tol * (1.0 + norm):
         raise NotInAlgebra(alg.name, res)
-    return _solve(alg, a, norm, tol)
+    return alg.psi_pinv.dot(a.ravel())
 
 
 def _lifts(a, norm: float, tol: float):
     """(algebra, x) for each built-in algebra of A's size that contains the
     admitted A of norm `norm` (see `classify._admit`), lazily in registry
-    order.  One product with the stacked relation maps gives every
-    residual, one comparison of their squared norms finds those within
-    tol * (1 + norm), and only those algebras are solved, so an algebra
-    that fails its relation raises nothing."""
+    order.  One product with the stacked off maps gives every residual, one
+    comparison of their squared norms finds those within tol * (1 + norm),
+    and only those algebras are lifted, so an algebra that does not contain
+    A raises nothing."""
     n = a.shape[0]
-    if n not in _RELATIONS or a.dtype.kind == "c":
+    if n not in _OFF or a.dtype.kind == "c":
         return
-    sized, relations = _RELATIONS[n]
-    residuals = relations.dot(a.ravel()).reshape(len(sized), n * n)
+    sized, offs = _OFF[n]
+    residuals = offs.dot(a.ravel()).reshape(len(sized), n * n)
     bound = tol * (1.0 + norm)
     within = np.add.reduce(residuals * residuals, axis=1) <= bound * bound
     for i in within.nonzero()[0].tolist():
-        try:
-            x = _solve(sized[i], a, norm, tol)
-        except NotInAlgebra:
-            continue
-        yield sized[i], x
+        yield sized[i], sized[i].psi_pinv.dot(a.ravel())
 
 
 def _det(det_form, x0: float, x1: float, x2: float) -> float:
@@ -233,7 +217,7 @@ def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = DEFAULT_TOL):
     """Traceless upstairs factor(s) mapping to A; (g, None) for the adjoint
     algebras.  A is admitted through `classify._admit`; raises NotInAlgebra
     when the gate admits no A (residual inf), when A keeps an imaginary part
-    (residual its norm) or when A fails A^T M + M A = 0."""
+    (residual its norm) or when its projector residual is over the bound."""
     x = _lift(alg, a_matrix, tol)
     g = sum(x[m] * alg.params[m] for m in range(3))
     h = sum(x[3 + m] * alg.params[m] for m in range(3)) if alg.two_factor else None

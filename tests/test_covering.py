@@ -277,11 +277,11 @@ def test_rejects_non_members():
 def test_member_of_the_form_outside_the_image_of_psi_is_refused():
     # so3's Pauli basis and su(2) with the form diag(1, 1, -1): psi maps
     # onto so(3), not onto so(2,1), so a member of so(2,1) that is not skew
-    # passes the defining relation and fails the back-check of the lift
+    # passes the defining relation and is outside the image of psi
     alg = CoveringAlgebra("so3_21", 3, (SIGMA_X, SIGMA_Y, SIGMA_Z), _SU2, False,
                           np.diag([1.0, 1.0, -1.0]))
     a = alg.form @ _skew3((1.0, 2.0, 3.0))
-    assert np.array_equal(alg.relation @ a.ravel(), np.zeros(9))
+    assert np.array_equal(a.T @ alg.form + alg.form @ a, np.zeros((3, 3)))
     for route in (exp_via_covering, psi_inverse):
         with pytest.raises(NotInAlgebra) as exc:
             route(alg, a)
@@ -405,6 +405,25 @@ def test_routes_list_the_algebras_psi_inverse_accepts(name, side):
                 if b.dim == alg.dim and _accepts(b, a, tol)]
     assert routes == accepted
     assert (f"covering:{name}" in routes) == (side < 1.0)
+
+
+@pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
+def test_refusal_residual_is_the_defining_relation_residual(name):
+    # every built-in form is orthogonal and symmetric, so the residual of
+    # the image of psi is |A^T M + M A|_F: on dense matrices and on members
+    # moved to twice the bound
+    alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
+    rng = np.random.default_rng(94)
+    inputs = [scale * rng.standard_normal((alg.dim, alg.dim))
+              for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3) for _ in range(4)]
+    inputs += [_moved(alg, covering_member(alg, rng, scale), 2.0, tol, rng)
+               for scale in (1e-3, 1.0, 30.0, 1e3)]
+    for a in inputs:
+        relation = np.linalg.norm(a.T @ alg.form + alg.form @ a)
+        for route in (exp_via_covering, psi_inverse):
+            with pytest.raises(NotInAlgebra) as exc:
+                route(alg, a)
+            assert abs(exc.value.residual - relation) <= 1e-12 * (1.0 + np.linalg.norm(a))
 
 
 class _ConstructionFails(NotInAlgebra):

@@ -189,3 +189,8 @@ def test_bad_basis_indexes_and_tables_raise():
 def test_repr_lists_the_nonzero_terms():
     assert repr(HxHElement.zero()) == "HxHElement(0)"
     assert repr(HxHElement.basis("i", "j")) == "HxHElement(1.0*(i(x)j))"
+
+
+def test_norm_is_the_frobenius_norm_of_the_table():
+    c = np.random.default_rng(5).standard_normal((4, 4))
+    assert HxHElement(c).norm() == np.linalg.norm(c)

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from structexp.quat import Quaternion, quat_exp, quat_mul
@@ -119,3 +120,17 @@ def test_exp_small_pure_series_branch():
         assert abs(e.w - math.cos(eps)) <= 1e-16
         assert abs(e.x - math.sin(eps)) <= 1e-16
         assert abs(e.norm() - 1.0) <= 1e-15
+
+
+def test_value_type_operators():
+    q = Quaternion(0.5, -1.25, 2.0, 3.5)
+    assert q.vector == (-1.25, 2.0, 3.5)
+    assert 2 * q == q * 2 == Quaternion(1.0, -2.5, 4.0, 7.0)
+    assert q - q == Quaternion()
+    assert (-q).components == (-0.5, 1.25, -2.0, -3.5)
+    assert eval(repr(q)) == q
+    assert (q == "x") is False
+    for op in (lambda: q * "x", lambda: object() * q,
+               lambda: q + "x", lambda: q - "x"):
+        with pytest.raises(TypeError):
+            op()
