@@ -17,26 +17,28 @@ one rank-one direction that commutes with its skew part s(x)1 + 1(x)t, so
 that its member is in the family (`_special_normal_frame`), and
 BisymmetricRS's 2x2 block {i,k}(x){j,k} by its larger column.
 
-One product decides every family.  At import each registry gets one map of
-16 + 16F rows, [I; P_1; ...; P_F] times the coefficient projection, applied
-to the flat matrix A: its first 16 rows give c, and block f gives the part
-of c off registry entry f.  P_f is I - B B^+ for a table family (an exact
-residual) and, for a hand-written fit, the projector off the slots its
-member can fill: twice the norm of that part bounds the fit's residual from
-below.  BisymmetricRS fills six slots, so a symmetric or dense A fails its
-bound and skips the fit; SpecialNormal fills every slot, so its block is
-zero and its fit always runs.  `_matches` compares the squared norms of all
-blocks with (tol_abs/2)^2 at once and walks only the entries that pass, in
-dispatch order, yielding (tag, member) lazily, so expm_auto, which takes the
-first, never fits the rank-one supports of a member of an earlier family; a
-fit reads c, as a 4x4 table, from the same product.  The forced route of a
-table family (`Family.extract`) applies the family's own 32 rows of the
-map, so auto, forced and verify give bitwise-equal members; that of a fit
+The squares of A's coefficients decide every family.  P_f, the projector off
+registry entry f, is I - B B^+ for a table family (an exact residual) and,
+for a hand-written fit, the projector off the slots its member can fill:
+twice the norm of that part bounds the fit's residual from below.  All but
+SymToeplitzTridiag's and SymToeplitzS13Zero's are diagonal and 0/1; those
+two keep, on the slots they tie, the span of two and one orthonormal tie
+functionals T.  So at import each registry gets its membership kernel
+Y = [P; T P], with P the coefficient projection, and the 0/1 incidence W of
+its entries on the squares of y = Y vec A: |P_f c|^2 is row f of W (y o y).
+BisymmetricRS fills six slots, so a symmetric or dense A fails its bound and
+skips the fit; SpecialNormal fills every slot, so its row is zero and its
+fit always runs.  `_matches` compares every row with (tol_abs/2)^2 at once
+and walks only the entries that pass, in dispatch order, yielding
+(tag, member) lazily, so expm_auto, which takes the first, never fits the
+rank-one supports of a member of an earlier family; a fit reads c = y[:16]
+as a 4x4 table.  A table family's member is c minus its off rows P_f P
+applied to A, the rows its forced route (`Family.extract`) applies, so auto,
+forced and verify give bitwise-equal members; the forced route of a fit
 projects A once (`_coefficient_table`).  SpecialNormal's normality test
 takes the commutator of A's symmetric and skew parts from A's own
-coefficients.  The
-dataclasses are the public view of a member: `instance` and `coefficients`
-convert between the two.
+coefficients.  The dataclasses are the public view of a member: `instance`
+and `coefficients` convert between the two.
 
 Every entry point at every size (these families, the covering algebras
 and the 2x2 route) admits its input through one gate, `_admit`, which takes
@@ -269,8 +271,8 @@ class Family:
         sq = (self.basis ** 2).sum(axis=0)
         self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
         self.projector = np.eye(16) - self.basis @ self.pinv
-        # its 32 rows of its registry's map, giving c and the part of c off
-        # the family from the flat matrix; set by _stack
+        # [P; P_f P], giving c and the part of c off the family from the
+        # flat matrix; set by _stack
         self.rows = None
 
     def instance(self, member):
@@ -371,13 +373,6 @@ FAMILIES: dict[str, Family] = {fam.tag: fam for fam in _TABLE}
 # {i,k}(x){j,k}
 _FIT_SLOTS = {"SpecialNormal": set(product(range(4), range(4))) - {(0, 0)},
               "BisymmetricRS": {(_J, _I)} | set(product((_I, _K), (_J, _K)))}
-
-
-def _squared_norms(off):
-    """The squared norm of each row of `off`; a complex entry's is that of
-    its real pair."""
-    pairs = off.view(np.float64)
-    return np.add.reduce(pairs * pairs, axis=-1)
 
 
 def _special_normal_parts(flat):
@@ -562,24 +557,43 @@ def _off_support(tag: str) -> np.ndarray:
     return np.diag(keep)
 
 
-def _stack(registry) -> tuple[tuple[bool, ...], np.ndarray]:
-    """Whether each registry entry is a table family, and the map of the
-    registry (see the module docstring).  Each table family gets its own
-    32 rows of it, for the forced route."""
-    table = tuple(tag in FAMILIES for tag, _ in registry)
-    blocks = [FAMILIES[tag].projector if t else _off_support(tag)
-              for (tag, _), t in zip(registry, table)]
-    rows = np.vstack([np.eye(16), *blocks]) @ _PROJECTION_ROWS
-    for f, (tag, _) in enumerate(registry):
-        if table[f]:
-            FAMILIES[tag].rows = np.vstack([rows[:16], rows[16 * f + 16:16 * f + 32]])
-    return table, rows
+def _ties(projector) -> np.ndarray:
+    """Orthonormal rows over the 16 slots spanning what `projector` keeps of
+    the slots it neither keeps nor drops whole: two for SymToeplitzTridiag,
+    one for SymToeplitzS13Zero, none for a diagonal projector."""
+    tied = ~np.isin(projector.diagonal(), (0.0, 1.0))
+    vals, vecs = np.linalg.eigh(projector[np.ix_(tied, tied)])
+    rows = np.zeros((16, len(vals)))
+    rows[tied] = vecs
+    return rows[:, vals > 0.5].T
 
 
-# the maps are built from the registries' order at import; the extractors
+def _stack(registry, pairs: int = 1):
+    """(offs, Y, W), the membership kernel of a registry (see the module
+    docstring): each entry's off rows P_f P if it is a table family, else
+    None; Y = [P; T P]; and W, each column repeated for the `pairs` floats
+    of a coefficient.  A table family also gets [P; P_f P], for its forced
+    route."""
+    projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
+             for tag, _ in registry]
+    ties = [_ties(proj) for proj in projs]
+    ends = np.cumsum([16] + [len(tie) for tie in ties])
+    w = np.zeros((len(projs), ends[-1]))
+    offs = []
+    for f, ((tag, _), proj) in enumerate(zip(registry, projs)):
+        w[f, :16], w[f, ends[f]:ends[f + 1]] = proj.diagonal() == 1.0, 1.0
+        fam = FAMILIES.get(tag)
+        if fam is not None:
+            fam.rows = np.vstack([np.eye(16), proj]) @ _PROJECTION_ROWS
+        offs.append(None if fam is None else fam.rows[16:])
+    kernel = np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS
+    return tuple(offs), kernel, np.repeat(w, pairs, axis=1)
+
+
+# the kernels are built from the registries' order at import; the extractors
 # are read from the registries at each call
-_REAL_MAP = _stack(REAL_REGISTRY)
-_COMPLEX_MAP = _stack(COMPLEX_REGISTRY)
+_REAL_KERNEL = _stack(REAL_REGISTRY)
+_COMPLEX_KERNEL = _stack(COMPLEX_REGISTRY, pairs=2)
 _COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
 
 
@@ -619,23 +633,23 @@ def _matches(a, norm: float, tol: float):
     """(tag, member) of each structured family containing the admitted A
     of norm `norm` (see _admit), lazily in dispatch order.
 
-    One product of the registry's map with A gives c and every entry's part
-    off its family; only the entries whose part is within the tolerance are
-    visited, and a hand-written fit among them gets c as the coefficient
-    table of A.
+    y = Y vec A gives c, and W (y o y) each entry's squared part off its
+    family (see the module docstring); only the entries within the
+    tolerance are visited.
     """
     tol_abs = tol * max(1.0, norm)
     if a.dtype.kind == "c":
-        registry, (table, rows) = COMPLEX_REGISTRY, _COMPLEX_MAP
+        registry, (offs, kernel, incidence) = COMPLEX_REGISTRY, _COMPLEX_KERNEL
     else:
-        registry, (table, rows) = REAL_REGISTRY, _REAL_MAP
-    out = rows.dot(a.reshape(16))
-    c, off = out[:16], out[16:].reshape(-1, 16)
+        registry, (offs, kernel, incidence) = REAL_REGISTRY, _REAL_KERNEL
+    vec = a.reshape(16)
+    y = kernel.dot(vec)
+    c, pairs = y[:16], y.view(np.float64)  # a complex y is squared as pairs
     half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
-    for f in (_squared_norms(off) <= half * half).nonzero()[0].tolist():
+    for f in (incidence.dot(pairs * pairs) <= half * half).nonzero()[0].tolist():
         tag, extract = registry[f]
-        if table[f]:
-            yield tag, c - off[f]
+        if offs[f] is not None:
+            yield tag, c - offs[f].dot(vec)
             continue
         member, _res = extract(a, c.reshape(4, 4), tol, tol_abs)
         if member is not None:

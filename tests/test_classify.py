@@ -28,7 +28,8 @@ from structexp.classify import (
 )
 from structexp.covering import _lifts
 from structexp.expm_structured import _exp_member
-from structexp.hxh import _BASIS_ROWS, J4, R4, HxHElement, basis_matrix, from_matrix
+from structexp.hxh import (_BASIS_ROWS, _PROJECTION_ROWS, J4, R4, HxHElement, basis_matrix,
+                           from_matrix)
 from structexp.smalllin import _SAFE_NORM, frobenius
 
 from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family
@@ -330,16 +331,17 @@ def test_extract_symmetric_rep_refuses_an_overflowing_norm():
                 extract_symmetric_rep(a)
 
 
-# ------------------------------------------------- one map, and the fit bounds
+# --------------------------------- the membership kernel, and the fit bounds
 
 
 def _bisymmetric_rs_bound(a):
     """Twice the norm of A's part off the BisymmetricRS slots, as the real
-    registry's map gives it to classification."""
-    table, rows = cls_mod._REAL_MAP
+    registry's membership kernel gives it to classification."""
+    offs, kernel, incidence = cls_mod._REAL_KERNEL
     f = _PRIORITY.index("BisymmetricRS")
-    assert not table[f]
-    return 2.0 * np.linalg.norm((rows @ a.reshape(16))[16 * f + 16:16 * f + 32])
+    assert offs[f] is None
+    y = kernel @ a.reshape(16)
+    return 2.0 * np.sqrt(incidence[f] @ (y * y))
 
 
 @settings(max_examples=80, deadline=None)
@@ -385,6 +387,105 @@ def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
     assert "BisymmetricRS" in [inst.tag for inst in classify(a)]
     assert expm_auto(a).route == "BisymmetricRS"
     assert len(calls) == 2
+
+
+_ENTRIES = [tag for tag, _ in REAL_REGISTRY + COMPLEX_REGISTRY]
+
+
+def _projector(tag):
+    """P_f of a registry entry: off its family, or off a fit's slots."""
+    return FAMILIES[tag].projector if tag in FAMILIES else cls_mod._off_support(tag)
+
+
+def _kernel_inputs(tags, cplx, rng, scales=(1e-3, 1.0, 30.0, 1e150)):
+    """Members of each family in `tags` at each scale, members of each moved
+    0.5, 0.999, 1.001 and 2 tolerances off it, and 20 dense draws."""
+    out = [s * sample_family(tag, rng) for tag in tags for s in scales]
+    for tag in tags:
+        a = sample_family(tag, rng)
+        e = rng.standard_normal((4, 4))
+        if cplx:
+            e = e + 1j * rng.standard_normal((4, 4))
+        unit = _residual_per_unit(a, e, tag)
+        tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+        out += [a + (factor * tol_abs / unit) * e for factor in (0.5, 0.999, 1.001, 2.0)]
+    for _ in range(20):
+        a = rng.standard_normal((4, 4))
+        out.append(a + 1j * rng.standard_normal((4, 4)) if cplx else a)
+    return out
+
+
+@pytest.mark.parametrize("tag", _ENTRIES)
+def test_membership_kernel_is_each_entrys_projector_residual(tag):
+    cplx = tag in COMPLEX_FAMILY_TAGS
+    registry = COMPLEX_REGISTRY if cplx else REAL_REGISTRY
+    offs, kernel, incidence = cls_mod._COMPLEX_KERNEL if cplx else cls_mod._REAL_KERNEL
+    f = [t for t, _ in registry].index(tag)
+    # W is 0/1, each column repeated for the floats of one coefficient
+    pairs = incidence.shape[1] // kernel.shape[0]
+    w = incidence[f, ::pairs]
+    assert set(incidence.ravel().tolist()) <= {0.0, 1.0}
+    assert np.array_equal(incidence[f], np.repeat(w, pairs))
+    # Y = [I; T] P: the entry's coordinate rows and tie functionals rebuild
+    # its projector, and its ties are orthonormal and off its patterns
+    ties = (kernel[16:] @ _BASIS_ROWS.T)[w[16:] == 1.0]
+    proj = _projector(tag)
+    np.testing.assert_allclose(kernel[:16] @ _BASIS_ROWS.T, np.eye(16), atol=1e-15)
+    np.testing.assert_allclose(np.diag(w[:16]) + ties.T @ ties, proj, atol=1e-15)
+    np.testing.assert_allclose(ties @ ties.T, np.eye(len(ties)), atol=1e-15)
+    if tag in FAMILIES:
+        np.testing.assert_allclose(ties @ FAMILIES[tag].basis, 0.0, atol=1e-15)
+    rng = np.random.default_rng(98)
+    tags = COMPLEX_FAMILY_TAGS if cplx else REAL_FAMILY_TAGS
+    for a in _kernel_inputs(tags, cplx, rng):
+        y = (kernel @ a.reshape(16)).view(np.float64)
+        res = 2.0 * np.sqrt(incidence[f] @ (y * y))
+        want = 2.0 * np.linalg.norm(proj @ from_matrix(a).c.reshape(16))
+        assert abs(res - want) <= 1e-14 * max(1.0, np.linalg.norm(a)), (res, want)
+
+
+def _matches_by_stacked_map(a, tol=DEFAULT_TOL):
+    """(passing entries, [(tag, member)]) by the map [I; P_1; ...; P_F] P
+    with one 16-row block per registry entry: the reference the membership
+    kernel must decide and extract as."""
+    a, norm = _admit(a, tol)
+    registry = COMPLEX_REGISTRY if a.dtype.kind == "c" else REAL_REGISTRY
+    rows = np.vstack([np.eye(16), *(_projector(t) for t, _ in registry)]) @ _PROJECTION_ROWS
+    out = rows.dot(a.reshape(16))
+    c, off = out[:16], out[16:].reshape(-1, 16)
+    pairs = off.view(np.float64)
+    tol_abs = tol * max(1.0, norm)
+    passing = (np.add.reduce(pairs * pairs, axis=-1) <= (tol_abs / 2) ** 2).nonzero()[0].tolist()
+    found = []
+    for f in passing:
+        tag, extract = registry[f]
+        member = (c - off[f] if tag in FAMILIES
+                  else extract(a, c.reshape(4, 4), tol, tol_abs)[0])
+        if member is not None:
+            found.append((tag, member))
+    return passing, found
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_membership_kernel_decides_and_extracts_as_the_stacked_map(cplx):
+    rng = np.random.default_rng(99)
+    tags = COMPLEX_FAMILY_TAGS if cplx else REAL_FAMILY_TAGS
+    inputs = _kernel_inputs(tags, cplx, rng)
+    inputs += [s * sample_family(tag, rng) for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
+               for s in (0.1, 10.0)]
+    offs, kernel, incidence = cls_mod._COMPLEX_KERNEL if cplx else cls_mod._REAL_KERNEL
+    for a in inputs:
+        admitted = _admit(a, DEFAULT_TOL)
+        if (admitted[0].dtype.kind == "c") != cplx:
+            continue
+        passing, found = _matches_by_stacked_map(a)
+        y = kernel.dot(admitted[0].reshape(16)).view(np.float64)
+        half = 0.5 * DEFAULT_TOL * max(1.0, admitted[1])
+        assert (incidence.dot(y * y) <= half * half).nonzero()[0].tolist() == passing
+        got = list(_matches(*admitted, DEFAULT_TOL))
+        assert [t for t, _ in got] == [t for t, _ in found]
+        for (tag, m), (_, want) in zip(got, found):
+            assert m.tobytes() == want.tobytes(), tag
 
 
 @settings(max_examples=60, deadline=None)
