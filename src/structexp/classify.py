@@ -50,7 +50,6 @@ non-finite A, or one whose norm overflows, on no route.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable, ClassVar, Optional
@@ -421,8 +420,13 @@ def _x_special_normal(a, c, tol, tol_abs):
     fs = ns if ns > small or ns > nt else 0.0
     ft = nt if nt > small or nt > ns else 0.0
     u, v, mu = _special_normal_frame(s, t, b, fs, ft)
-    fit = [mu * x * y for x in u for y in v]
-    res = 2.0 * math.hypot(*map(operator.sub, b, fit), ns - fs, nt - ft)
+    # written out: a comprehension is a frame of its own on CPython <= 3.11
+    (u0, u1, u2), (v0, v1, v2), b0, b1, b2, b3, b4, b5, b6, b7, b8 = u, v, *b
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = (mu * u0 * v0, mu * u0 * v1, mu * u0 * v2,
+                                          mu * u1 * v0, mu * u1 * v1, mu * u1 * v2,
+                                          mu * u2 * v0, mu * u2 * v1, mu * u2 * v2)
+    res = 2.0 * math.hypot(b0 - f0, b1 - f1, b2 - f2, b3 - f3, b4 - f4, b5 - f5,
+                           b6 - f6, b7 - f7, b8 - f8, ns - fs, nt - ft)
     if not res <= tol_abs:
         return None, res
     # A must be normal: its symmetric and skew parts commute.  With K its
@@ -430,8 +434,7 @@ def _x_special_normal(a, c, tol, tol_abs):
     # of D is B[:, j] x s and row i adds B[i, :] x t; here in units of
     # k = max(1, |A|), so that no product overflows
     k = max(1.0, norm)
-    s1, s2, s3, t1, t2, t3 = [x / k for x in s + t]
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    s1, s2, s3, t1, t2, t3 = s[0] / k, s[1] / k, s[2] / k, t[0] / k, t[1] / k, t[2] / k
     comm = 4.0 * math.hypot(
         b3 * s3 - b6 * s2 + b1 * t3 - b2 * t2, b4 * s3 - b7 * s2 + b2 * t1 - b0 * t3,
         b5 * s3 - b8 * s2 + b0 * t2 - b1 * t1, b6 * s1 - b0 * s3 + b4 * t3 - b5 * t2,
@@ -441,8 +444,8 @@ def _x_special_normal(a, c, tol, tol_abs):
     if not comm <= tol * (1.0 + norm) * ((1.0 + norm) / k):
         return None, max(res, comm * k)
     s1, s2, s3 = s if fs else (0.0, 0.0, 0.0)
-    return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, *fit[:3], s2, *fit[3:6],
-                     s3, *fit[6:]]), res
+    return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, f0, f1, f2, s2, f3, f4, f5,
+                     s3, f6, f7, f8]), res
 
 
 def _rank_one2(p, q, r, t, scale):
@@ -534,9 +537,9 @@ EXTRACTORS: dict[str, Extractor] = dict(REAL_REGISTRY + COMPLEX_REGISTRY)
 
 
 def _real_if_possible(a, norm: float):
-    """A without its imaginary part when every |Im A| is at most
+    """A complex A without its imaginary part when every |Im A| is at most
     1e-14 max(1, norm), for A of Frobenius norm `norm`; A otherwise."""
-    if a.dtype.kind == "c" and abs(a.imag).max() <= 1e-14 * max(1.0, norm):
+    if abs(a.imag).max() <= 1e-14 * max(1.0, norm):
         return a.real.copy()
     return a
 
@@ -572,12 +575,13 @@ def _stack(registry, pairs: int = 1):
     """(offs, Y, W), the membership kernel of a registry (see the module
     docstring): each entry's off rows P_f P if it is a table family, else
     None; Y = [P; T P]; and W, each column repeated for the `pairs` floats
-    of a coefficient.  A table family also gets [P; P_f P], for its forced
-    route."""
+    of a coefficient, with Y and the off rows complex for two, as vec A is.
+    A table family also gets [P; P_f P], for its forced route, kept real."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
     ends = np.cumsum([16] + [len(tie) for tie in ties])
+    dtype = np.complex128 if pairs == 2 else np.float64
     w = np.zeros((len(projs), ends[-1]))
     offs = []
     for f, ((tag, _), proj) in enumerate(zip(registry, projs)):
@@ -585,8 +589,8 @@ def _stack(registry, pairs: int = 1):
         fam = FAMILIES.get(tag)
         if fam is not None:
             fam.rows = np.vstack([np.eye(16), proj]) @ _PROJECTION_ROWS
-        offs.append(None if fam is None else fam.rows[16:])
-    kernel = np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS
+        offs.append(None if fam is None else fam.rows[16:].astype(dtype))
+    kernel = (np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS).astype(dtype)
     return tuple(offs), kernel, np.repeat(w, pairs, axis=1)
 
 
@@ -621,7 +625,7 @@ def _admit(a_matrix, tol: float, n: int = 4):
     norm = frobenius(a)
     if not norm < math.inf:
         return None
-    return _real_if_possible(a, norm), norm
+    return (_real_if_possible(a, norm) if a.dtype.kind == "c" else a), norm
 
 
 def _coefficient_table(a) -> np.ndarray:

@@ -235,20 +235,23 @@ def _cmd_verify(args) -> int:
     # rel_error's denominator, taken once; rel_error itself where a norm
     # overflows
     den = 1.0 + frobenius(reference)
-    rows = []
+    # plain loops, as a generator is a frame of its own on CPython <= 3.11
+    rows, width, passed = [], len("oracle"), True  # the longest fixed name
     for name, value in _routes(a, DEFAULT_TOL, args.all_routes):
         if args.inject_fault:
             value = value + args.inject_fault * np.eye(doc.n)
         num = frobenius(value - reference)
-        rows.append((name, num / den if num < math.inf and den < math.inf
-                     else rel_error(value, reference)))
-
-    width = max(len(name) for name, _ in rows + [("route", 0.0), ("oracle", 0.0)])
-    print(f"{'route'.ljust(width)}  residual",
-          *(f"{name.ljust(width)}  {res:.3e}" for name, res in rows),
-          f"{'oracle'.ljust(width)}  reference", sep="\n")
-    # a NaN residual is not <= the tolerance either
-    if not all(res <= VERIFY_TOL for _, res in rows):
+        res = (num / den if num < math.inf and den < math.inf
+               else rel_error(value, reference))
+        rows.append((name, res))
+        width = max(width, len(name))
+        # a NaN residual is not <= the tolerance either
+        passed = passed and res <= VERIFY_TOL
+    print(f"{'route'.ljust(width)}  residual")
+    for name, res in rows:
+        print(f"{name.ljust(width)}  {res:.3e}")
+    print(f"{'oracle'.ljust(width)}  reference")
+    if not passed:
         print(f"residual above {VERIFY_TOL:g}", file=sys.stderr)
         return 1
     return 0
@@ -320,7 +323,9 @@ def _read_tokens(command, tokens) -> Optional[argparse.Namespace]:
     """The namespace argparse makes of a subcommand's tokens, read from
     _COMMANDS by the module docstring's rule; None when argparse must read them."""
     _, handler, options = _COMMANDS[command]
-    values, given = {o.dest: o.default for o in options.values()}, []
+    values, given = {}, []
+    for o in options.values():
+        values[o.dest] = o.default
     tokens = iter(tokens)
     for tok in tokens:
         o = options.get(tok)

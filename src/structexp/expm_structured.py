@@ -49,6 +49,8 @@ float64 range, checked under np.errstate from coefficient norm 150
 Route selection at every size is made here once: `_routes` yields each
 route that claims A, and `_dispatch`, which `expm_auto` and the CLI's `expm`
 call, picks one by method (auto, oracle, a class tag or covering:<name>).
+Auto on a 4x4 takes the first of `classify._matches`, the one membership
+walk, which `_routes` also walks, with no `_routes` generator around it.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES,
 from .covering import COVERING_ALGEBRAS, _exp_lift, _lifts, exp_via_covering
 from .hxh import _BASIS_ROWS, _MUL_IDX, _MUL_SGN
 from .oracle import expm_series, rel_error
-from .smalllin import _factors, _overflow_checked, _svd3, expm2, frobenius
+from .smalllin import _SAFE_NORM, _expm2, _factors, _overflow_checked, _svd3, frobenius
 
 
 class ClosedFormDefect(RuntimeError):
@@ -131,6 +133,7 @@ def _group_plan(support):
                  for g in lists), cross
 
 
+_COMPLEX_BASIS_ROWS = _BASIS_ROWS.astype(np.complex128)  # a complex member's product
 # the slots of the pure-pure block
 _PURE_ROWS = _BASIS_ROWS[[4 * a + b for a in (1, 2, 3) for b in (1, 2, 3)]]
 # the weights' 1/4 is taken in the exponent, so that it does not overflow
@@ -160,9 +163,9 @@ def _exp_symmetric_general(member) -> np.ndarray:
     u, sigma, vh = _svd3(member.reshape(4, 4)[1:, 1:])
     d = 1.0 if _det3(u) * _det3(vh) > 0.0 else -1.0
     a = float(member[0])
-    s1, s2, s3 = (d * x for x in sigma)
-    w0, w1, w2, w3 = (math.exp(a + x - _LOG4) for x in
-                      (s1 + s2 + s3, s1 - s2 - s3, -s1 + s2 - s3, -s1 - s2 + s3))
+    s1, s2, s3 = d * sigma[0], d * sigma[1], d * sigma[2]
+    w0, w1 = math.exp(a + (s1 + s2 + s3) - _LOG4), math.exp(a + (s1 - s2 - s3) - _LOG4)
+    w2, w3 = math.exp(a + (-s1 + s2 - s3) - _LOG4), math.exp(a + (-s1 - s2 + s3) - _LOG4)
     t = [d * (w0 + w1 - w2 - w3), d * (w0 - w1 + w2 - w3), d * (w0 - w1 - w2 + w3)]
     value = (u * t).dot(vh).reshape(9).dot(_PURE_ROWS)
     value[::5] += w0 + w1 + w2 + w3
@@ -183,18 +186,19 @@ def _exp_special_normal(member) -> np.ndarray:
     ns, nt = math.hypot(*s), math.hypot(*t)
     if ns or nt:
         (u0, u1, u2), (v0, v1, v2), mu = _special_normal_frame(s, t, b, ns, nt)
-        w = [x * y for x in (u0, u1, u2) for y in (v0, v1, v2)]
+        w0, w1, w2, w3, w4, w5, w6, w7, w8 = (u0 * v0, u0 * v1, u0 * v2, u1 * v0, u1 * v1,
+                                              u1 * v2, u2 * v0, u2 * v1, u2 * v2)
     else:
         u0 = u1 = u2 = v0 = v1 = v2 = 0.0
         mu = math.hypot(*b)
-        w = [x / mu for x in b] if mu else b
+        w0, w1, w2, w3, w4, w5, w6, w7, w8 = [x / mu for x in b] if mu else b
     (cx, cy, ch), (sx, sy, sh), h = _factors(a, (-ns * ns, -nt * nt, mu * mu))
     sx, sy, sh = sx * ns, sy * nt, sh * mu
     alpha, delta = h * (cx * cy * ch + sx * sy * sh), h * (sx * sy * ch + cx * cy * sh)
     beta, gamma = h * (sx * cy * ch - cx * sy * sh), h * (cx * sy * ch - sx * cy * sh)
-    d = [delta * x for x in w]
-    coefs = [alpha, gamma * v0, gamma * v1, gamma * v2, beta * u0, d[0], d[1], d[2],
-             beta * u1, d[3], d[4], d[5], beta * u2, d[6], d[7], d[8]]
+    coefs = [alpha, gamma * v0, gamma * v1, gamma * v2, beta * u0, delta * w0, delta * w1,
+             delta * w2, beta * u1, delta * w3, delta * w4, delta * w5, beta * u2, delta * w6,
+             delta * w7, delta * w8]
     return np.array(coefs).dot(_BASIS_ROWS).reshape(4, 4) * h
 
 
@@ -223,21 +227,33 @@ def _exp_grouped(plan, member) -> np.ndarray:
     s1 c2 G1 + c1 s2 G2 + s1 s2 G1 G2), G1 G2 putting sign c_i c_j on each
     cross slot k.  The growth h of `smalllin._factors` is applied to these
     scalars and again to the matrix, which one product with the basis rows
-    gives."""
+    gives, complex for a complex member.  No comprehension or generator:
+    on CPython <= 3.11 each runs in a frame of its own, which costs more
+    than a small group's arithmetic."""
     groups, cross = plan
     c = member.tolist()
-    cs, ss, h = _factors(c[0], [sum([sq * c[i] * c[i] for i, sq in g]) for g in groups])
+    mus = []
+    for group in groups:
+        mu = 0.0
+        for i, sq in group:
+            mu += sq * c[i] * c[i]
+        mus.append(mu)
+    cs, ss, h = _factors(c[0], mus)
     # a missing group is a factor of 1
-    (c1, c2, *_), (s1, s2, *_) = (*cs, 1.0, 1.0), (*ss, 0.0, 0.0)
+    c1, s1 = (cs[0], ss[0]) if cs else (1.0, 0.0)
+    c2, s2 = (cs[1], ss[1]) if len(cs) == 2 else (1.0, 0.0)
     out = [0.0] * 16
     out[0] = h * c1 * c2
-    for group, w in zip(groups, (h * s1 * c2, h * c1 * s2)):
+    w = h * s1 * c2  # then c1 s2 for the second group
+    for group in groups:
         for i, _ in group:
             out[i] = w * c[i]
+        w = h * c1 * s2
     t = h * s1 * s2
     for i, j, k, sign in cross:
         out[k] = sign * t * c[i] * c[j]
-    return np.array(out).dot(_BASIS_ROWS).reshape(4, 4) * h
+    rows = _BASIS_ROWS if member.dtype.kind != "c" else _COMPLEX_BASIS_ROWS
+    return np.array(out).dot(rows).reshape(4, 4) * h
 
 
 # every family's closed form, of its member: the hand-written ones, and the
@@ -256,6 +272,8 @@ def _exp_member(tag: str, member, bound: float) -> np.ndarray:
     `classify._extract`).  Raises OverflowError when exp(A) is beyond the
     float64 range; every closed form applies its growth as one exponent, so
     that is the only case in which it does."""
+    if bound < _SAFE_NORM:
+        return _FORMS[tag](member)
     return _overflow_checked(bound, "the closed form", _FORMS[tag], member)
 
 
@@ -379,7 +397,7 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
     if admitted is None:
         return
     if n == 2:
-        yield "expm2", expm2(admitted[0])
+        yield "expm2", _expm2(*admitted)
     elif n == 4:
         # the bound of `classify._extract`
         norm = admitted[1]
@@ -395,7 +413,15 @@ def _dispatch(a, method: str, tol: float):
     """(route, exp(A)) by `method`: "auto" takes the first of `_routes`, or
     the series oracle when none claims A; "oracle" skips every closed form;
     "covering:<name>" forces that algebra (NotInAlgebra when A is not in
-    it); a class tag forces that 4x4 family (ForcedClassMismatch)."""
+    it); a class tag forces that 4x4 family (ForcedClassMismatch).  Auto on
+    a 4x4, where `_routes` yields only the families, takes the first of
+    `_matches` itself, with the overflow bound `_routes` gives it."""
+    if method == "auto" and a.shape == (4, 4):
+        admitted = _admit(a, tol)
+        match = None if admitted is None else next(_matches(*admitted, tol), None)
+        if match is None:
+            return "oracle", expm_series(a)
+        return match[0], _exp_member(*match, admitted[1] / 2.0 + tol * max(1.0, admitted[1]))
     if method == "auto":
         route, value = next(_routes(a, tol), ("oracle", None))
         return route, expm_series(a) if value is None else value

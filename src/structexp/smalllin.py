@@ -129,6 +129,11 @@ def expm2(a) -> np.ndarray:
     norm = frobenius(a)
     if not norm < _SAFE_NORM and not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
+    return _expm2(a, norm)
+
+
+def _expm2(a, norm: float) -> np.ndarray:
+    """expm2 of an A and its Frobenius norm as `classify._admit` gives them."""
     # in Python scalars, which neither overflow in the trace nor warn
     (p, q), (r, s) = a.tolist()
     return _overflow_checked(norm, "the 2x2 exponential", _exp2, p / 2.0 + s / 2.0,

@@ -1,6 +1,8 @@
 """Tests for structured family recognition and coefficient extraction."""
 
 import importlib
+import math
+import operator
 import warnings
 
 import numpy as np
@@ -659,3 +661,66 @@ def test_a_tolerance_past_the_square_root_of_the_float64_range_raises_nothing():
     assert member is not None
     lifts = [alg.name for alg, _ in _lifts(*_admit(np.eye(3), 1e160, 3), 1e160)]
     assert lifts == ["so3", "p3r", "so21r"]
+
+
+def _comprehension_x_special_normal(a, c, tol, tol_abs):
+    """The SpecialNormal fit as it was written with comprehensions, the
+    reference of its straight-line form: the same float operations in the
+    same order."""
+    c00, s, t, b = cls_mod._special_normal_parts(c.reshape(16).tolist())
+    ns, nt = math.hypot(*s), math.hypot(*t)
+    if abs(ns - nt) <= tol * (ns + nt):
+        return None, np.inf
+    norm = 2.0 * math.hypot(c00, ns, nt, *b)
+    small = 1e-12 * max(1.0, norm / 2.0)
+    fs = ns if ns > small or ns > nt else 0.0
+    ft = nt if nt > small or nt > ns else 0.0
+    u, v, mu = cls_mod._special_normal_frame(s, t, b, fs, ft)
+    fit = [mu * x * y for x in u for y in v]
+    res = 2.0 * math.hypot(*map(operator.sub, b, fit), ns - fs, nt - ft)
+    if not res <= tol_abs:
+        return None, res
+    k = max(1.0, norm)
+    s1, s2, s3, t1, t2, t3 = [x / k for x in s + t]
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    comm = 4.0 * math.hypot(
+        b3 * s3 - b6 * s2 + b1 * t3 - b2 * t2, b4 * s3 - b7 * s2 + b2 * t1 - b0 * t3,
+        b5 * s3 - b8 * s2 + b0 * t2 - b1 * t1, b6 * s1 - b0 * s3 + b4 * t3 - b5 * t2,
+        b7 * s1 - b1 * s3 + b5 * t1 - b3 * t3, b8 * s1 - b2 * s3 + b3 * t2 - b4 * t1,
+        b0 * s2 - b3 * s1 + b7 * t3 - b8 * t2, b1 * s2 - b4 * s1 + b8 * t1 - b6 * t3,
+        b2 * s2 - b5 * s1 + b6 * t2 - b7 * t1)
+    if not comm <= tol * (1.0 + norm) * ((1.0 + norm) / k):
+        return None, max(res, comm * k)
+    s1, s2, s3 = s if fs else (0.0, 0.0, 0.0)
+    return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, *fit[:3], s2, *fit[3:6],
+                     s3, *fit[6:]]), res
+
+
+def test_straight_line_special_normal_fit_is_bitwise_the_comprehension_form():
+    # members at three scales, members moved 0.999 and 1.001 tol_abs off the
+    # family, and members whose smaller skew part is below the fit's cut
+    rng = np.random.default_rng(27)
+    cases = []
+    for scale in (1e-3, 1.0, 30.0):
+        for _ in range(10):
+            a = scale * sample_family("SpecialNormal", rng)
+            e = rng.standard_normal((4, 4))
+            tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+            unit = _residual_per_unit(a, e, "SpecialNormal")
+            cases += [a] + [a + (f * tol_abs / unit) * e for f in (0.999, 1.001)]
+            for part in (np.s_[1:, 0], np.s_[0, 1:]):  # s or t near zero
+                c = from_matrix(a).c
+                c[part] *= 1e-13
+                cases.append(HxHElement(c).to_matrix())
+    accepted = 0
+    for a in cases:
+        c = from_matrix(a).c
+        tol_abs = DEFAULT_TOL * max(1.0, frobenius(a))
+        member, res = cls_mod._x_special_normal(a, c, DEFAULT_TOL, tol_abs)
+        ref_member, ref_res = _comprehension_x_special_normal(a, c, DEFAULT_TOL, tol_abs)
+        assert res == ref_res
+        assert (member is None) == (ref_member is None)
+        if member is not None:
+            accepted += 1
+            assert member.tobytes() == ref_member.tobytes()
+    assert 0 < accepted < len(cases)

@@ -2,9 +2,11 @@
 series oracle and, where one exists, an independent second formula."""
 
 import contextlib
+import functools
 import importlib
 import io
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -850,3 +852,152 @@ def test_symmetric_general_is_finite_where_its_largest_weight_is():
         warnings.simplefilter("error")
         value = expm_auto(a, method="SymmetricGeneral").value
         assert rel_error(value, expm_series(a)) <= 1e-12
+
+
+# --------------------------- straight-line closed forms, bit for bit as before
+# The closed forms are written as straight-line code, with no comprehension
+# or generator (each is a frame of its own on CPython <= 3.11).  These are
+# the comprehension forms they replaced, kept as the reference: every float
+# operation and its order are the same, so the values must be bitwise equal.
+es_mod = importlib.import_module("structexp.expm_structured")
+
+def _comprehension_exp_grouped(plan, member):
+    groups, cross = plan
+    c = member.tolist()
+    # sum() as it adds floats on CPython <= 3.11, from int 0 left to right
+    # (3.12 compensates the sum)
+    mus = [functools.reduce(operator.add, [sq * c[i] * c[i] for i, sq in g], 0)
+           for g in groups]
+    cs, ss, h = es_mod._factors(c[0], mus)
+    (c1, c2, *_), (s1, s2, *_) = (*cs, 1.0, 1.0), (*ss, 0.0, 0.0)
+    out = [0.0] * 16
+    out[0] = h * c1 * c2
+    for group, w in zip(groups, (h * s1 * c2, h * c1 * s2)):
+        for i, _ in group:
+            out[i] = w * c[i]
+    t = h * s1 * s2
+    for i, j, k, sign in cross:
+        out[k] = sign * t * c[i] * c[j]
+    return np.array(out).dot(_BASIS_ROWS).reshape(4, 4) * h
+
+
+def _comprehension_exp_special_normal(member):
+    a, s, t, b = es_mod._special_normal_parts(member.tolist())
+    ns, nt = math.hypot(*s), math.hypot(*t)
+    if ns or nt:
+        (u0, u1, u2), (v0, v1, v2), mu = es_mod._special_normal_frame(s, t, b, ns, nt)
+        w = [x * y for x in (u0, u1, u2) for y in (v0, v1, v2)]
+    else:
+        u0 = u1 = u2 = v0 = v1 = v2 = 0.0
+        mu = math.hypot(*b)
+        w = [x / mu for x in b] if mu else b
+    (cx, cy, ch), (sx, sy, sh), h = es_mod._factors(a, (-ns * ns, -nt * nt, mu * mu))
+    sx, sy, sh = sx * ns, sy * nt, sh * mu
+    alpha, delta = h * (cx * cy * ch + sx * sy * sh), h * (sx * sy * ch + cx * cy * sh)
+    beta, gamma = h * (sx * cy * ch - cx * sy * sh), h * (cx * sy * ch - sx * cy * sh)
+    d = [delta * x for x in w]
+    coefs = [alpha, gamma * v0, gamma * v1, gamma * v2, beta * u0, d[0], d[1], d[2],
+             beta * u1, d[3], d[4], d[5], beta * u2, d[6], d[7], d[8]]
+    return np.array(coefs).dot(_BASIS_ROWS).reshape(4, 4) * h
+
+
+def _comprehension_exp_symmetric_general(member):
+    u, sigma, vh = es_mod._svd3(member.reshape(4, 4)[1:, 1:])
+    d = 1.0 if es_mod._det3(u) * es_mod._det3(vh) > 0.0 else -1.0
+    a = float(member[0])
+    s1, s2, s3 = (d * x for x in sigma)
+    w0, w1, w2, w3 = (math.exp(a + x - es_mod._LOG4) for x in
+                      (s1 + s2 + s3, s1 - s2 - s3, -s1 + s2 - s3, -s1 - s2 + s3))
+    t = [d * (w0 + w1 - w2 - w3), d * (w0 - w1 + w2 - w3), d * (w0 - w1 - w2 + w3)]
+    value = (u * t).dot(vh).reshape(9).dot(es_mod._PURE_ROWS)
+    value[::5] += w0 + w1 + w2 + w3
+    return value.reshape(4, 4)
+
+
+def _reference_form(tag):
+    if tag == "SpecialNormal":
+        return _comprehension_exp_special_normal
+    if tag == "SymmetricGeneral":
+        return _comprehension_exp_symmetric_general
+    return lambda member: _comprehension_exp_grouped(_PLANS[tag], member)
+
+
+def _bitwise_equal(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+_STRAIGHT_LINE_TAGS = [t for t in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS if t != "BisymmetricRS"]
+
+
+@pytest.mark.parametrize("tag", _STRAIGHT_LINE_TAGS)
+def test_straight_line_closed_forms_are_bitwise_the_comprehension_forms(tag):
+    rng = np.random.default_rng(27)
+    form, reference = _FORMS[tag], _reference_form(tag)
+    for _ in range(12):
+        member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
+        members = [member]
+        if tag in _PLANS:
+            # a complex member of a real family's plan takes the complex rows
+            members.append(member * (1.0 + 0.5j))
+        for m in members:
+            for scale in (1e-3, 1.0, 30.0):
+                assert _bitwise_equal(form(m * scale), reference(m * scale)), (tag, scale)
+
+
+@pytest.mark.parametrize("member", [
+    # no skew part, where the block alone is exponentiated; and a zero block
+    _special_normal(0.5, (0, 0, 0), (0, 0, 0), np.outer((0.6, 0.0, 0.8), (0.0, 1.0, 0.0))),
+    _special_normal(-0.5, (0, 0, 0), (0, 0, 0), np.zeros((3, 3))),
+    # one skew part zero
+    _special_normal(0.25, (0.3, -1.2, 0.4), (0, 0, 0), np.outer((0.3, -1.2, 0.4), (1, 2, 2)) / 1.3),
+    _special_normal(0.25, (0, 0, 0), (1.0, 0.5, -0.5), np.outer((2, 1, 2), (1.0, 0.5, -0.5)) / 3.0),
+])
+def test_special_normal_edge_members_are_bitwise_the_comprehension_form(member):
+    for scale in (1e-3, 1.0, 30.0):
+        assert _bitwise_equal(es_mod._exp_special_normal(member * scale),
+                              _comprehension_exp_special_normal(member * scale))
+
+
+@pytest.mark.parametrize("support", [[(0, 0)], [(0, 0), (2, 0), (1, 0)]])
+def test_group_plans_of_no_or_one_group_are_bitwise_the_comprehension_form(support):
+    plan = es_mod._group_plan(support)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        member = np.zeros(16)
+        for a, b in support:
+            member[4 * a + b] = u17(rng)
+        for m in (member, member * (0.5 - 1.0j)):
+            assert _bitwise_equal(es_mod._exp_grouped(plan, m), _comprehension_exp_grouped(plan, m))
+
+
+def _first_route_rule(a, tol):
+    """The auto rule as the first of `_routes`, or the series oracle."""
+    route, value = next(_routes(a, tol), ("oracle", None))
+    return route, expm_series(a) if value is None else value
+
+
+def _outcome(fn, *args):
+    try:
+        route, value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return route, str(value.dtype), value.shape, value.tobytes()
+
+
+def test_auto_dispatch_is_the_first_route_rule_bit_for_bit():
+    rng = np.random.default_rng(27)
+    inputs = []
+    for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS:
+        for scale in (1e-3, 1.0, 30.0):
+            inputs.append(sample_family(tag, rng) * scale)
+    for _ in range(6):
+        inputs.append(rng.standard_normal((4, 4)))
+        inputs.append(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    inputs.append(np.array([[0.5, -1.0], [2.0, 0.25]]))
+    inputs.append(np.array([[0.0, -0.3, 0.2], [0.3, 0.0, -0.1], [-0.2, 0.1, 0.0]]))
+    with_inf = np.eye(4)
+    with_inf[1, 2] = np.inf
+    inputs.append(with_inf)
+    for a in inputs:
+        for tol in (DEFAULT_TOL, 1e-6):
+            assert _outcome(es_mod._dispatch, a, "auto", tol) == _outcome(_first_route_rule, a, tol)
