@@ -1,50 +1,41 @@
-"""Detection of structured 4x4 families.
+"""Detection of structured 4x4 families, and the one membership walk of
+every route at every size.
 
 A family member is its flat coefficient vector c in the tensor basis, and
 that vector is what classification hands to the closed forms.  A table
 family is one `Family` entry: each parameter of its dataclass is a slot ->
 weight pattern in the coefficient table (ties among slots are weights, as in
-the Toeplitz cases).  An entry says nothing about closed forms:
-`expm_structured` reads each family's commuting groups off the support of
-its patterns.  With B the matrix whose columns are the patterns, the member
-is c minus its off-family part (I - B B^+) c.  The basis matrices are
-pairwise orthogonal with Frobenius norm 2, so 2*||(I - B B^+) c|| is the
-exact matrix-space distance to the family, and acceptance is one comparison
-against tol*max(1, ||A||_F).  Only the rank-one supports of SpecialNormal
-and BisymmetricRS need hand-written fits, taken on the 16 coefficients as
-plain floats: SpecialNormal's pure block is fitted along s_hat(x)t_hat, the
-one rank-one direction that commutes with its skew part s(x)1 + 1(x)t, so
-that its member is in the family (`_special_normal_frame`), and
-BisymmetricRS's 2x2 block {i,k}(x){j,k} by its larger column.
+the Toeplitz cases); `expm_structured` reads its commuting groups off the
+support of its patterns.  With B the patterns as columns, the member is c
+minus its off-family part (I - B B^+) c, and, the basis matrices being
+pairwise orthogonal with Frobenius norm 2, 2 |(I - B B^+) c| is the exact
+distance to the family.  Only the rank-one supports of SpecialNormal and
+BisymmetricRS need hand-written fits, on the 16 coefficients as plain
+floats: SpecialNormal's pure block along s_hat(x)t_hat, the one rank-one
+direction that commutes with its skew part s(x)1 + 1(x)t
+(`_special_normal_frame`), BisymmetricRS's block {i,k}(x){j,k} by its
+larger column.
 
-The squares of A's coefficients decide every family.  P_f, the projector off
-registry entry f, is I - B B^+ for a table family (an exact residual) and,
-for a hand-written fit, the projector off the slots its member can fill:
-twice the norm of that part bounds the fit's residual from below.  All but
-SymToeplitzTridiag's and SymToeplitzS13Zero's are diagonal and 0/1; those
-two keep, on the slots they tie, the span of two and one orthonormal tie
-functionals T.  So at import each registry gets its membership kernel
-Y = [P; T P], with P the coefficient projection, and the 0/1 incidence W of
-its entries on the squares of y = Y vec A: |P_f c|^2 is row f of W (y o y).
-BisymmetricRS fills six slots, so a symmetric or dense A fails its bound and
-skips the fit; SpecialNormal fills every slot, so its row is zero and its
-fit always runs.  `_matches` compares every row with (tol_abs/2)^2 at once
-and walks only the entries that pass, in dispatch order, yielding
-(tag, member) lazily, so expm_auto, which takes the first, never fits the
-rank-one supports of a member of an earlier family; a fit reads c = y[:16]
-as a 4x4 table.  A table family's member is c minus its off rows P_f P
-applied to A, the rows its forced route (`Family.extract`) applies, so auto,
-forced and verify give bitwise-equal members; the forced route of a fit
-projects A once (`_coefficient_table`).  SpecialNormal's normality test
-takes the commutator of A's symmetric and skew parts from A's own
-coefficients.  The dataclasses are the public view of a member: `instance`
-and `coefficients` convert between the two.
-
-Every entry point at every size (these families, the covering algebras
-and the 2x2 route) admits its input through one gate, `_admit`, which takes
-integer, bool and every other floating kind as float64, every other complex
-kind as complex128 and a negligible imaginary part as zero, and puts a
-non-finite A, or one whose norm overflows, on no route.
+Squares decide every route.  P_f, the projector off registry entry f, is
+I - B B^+ for a table family and, for a fit, the projector off the slots its
+member can fill, whose residual it bounds from below; all but the two
+Toeplitz families' are diagonal and 0/1, and those keep two and one
+orthonormal tie functionals T.  A covering algebra's is I - psi psi^+ =
+off/2 on vec A.  So at import each size gets one membership kernel Y = [P;
+T P; off/2 of each algebra], P the coefficient projection, and the 0/1
+incidence W of its entries on the squares of y = Y vec A: 19 + 48 rows for
+a real 4x4 (the families, then so4, p4r and so22r), 27 for a 3x3, none for
+a 2x2, its own expm2 member.  BisymmetricRS fills six slots, so a symmetric
+or dense A skips its fit; SpecialNormal fills every slot, so its fit always
+runs.  `_walk` compares W (y o y) with (tol_abs/2)^2 and visits only the
+entries that pass, in route order, yielding (route, member) lazily, so auto,
+which takes the first, never fits a member of an earlier family; classify
+and auto take a 4x4's leading family block alone.  A table family's member
+is c minus its off rows P_f P applied to A, the rows its forced route
+(`Family.extract`) applies, so auto, forced and verify give bitwise-equal
+members; a fit reads c = y[:16]; an algebra's member is its lift psi^+
+vec A.  The dataclasses are the public view of a member: `instance` and
+`coefficients` convert between the two.
 """
 
 from __future__ import annotations
@@ -56,13 +47,13 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from .covering import COVERING_ALGEBRAS
 from .hxh import _BASIS_ROWS, _PROJECTION_ROWS
-from .smalllin import frobenius
+from .smalllin import DEFAULT_TOL, _admit, _real_if_possible, frobenius
 
+_COMPLEX = np.dtype(np.complex128)
 Vec3 = tuple[float, float, float]
 CVec3 = tuple[complex, complex, complex]
-
-DEFAULT_TOL = 1e-9
 
 # pure-basis indexes into the coefficient table (0 is the scalar slot)
 _I, _J, _K = 1, 2, 3
@@ -271,8 +262,8 @@ class Family:
         self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
         self.projector = np.eye(16) - self.basis @ self.pinv
         # [P; P_f P], giving c and the part of c off the family from the
-        # flat matrix; set by _stack
-        self.rows = None
+        # flat matrix, and its complex128 copy for a complex A; set by _stack
+        self.rows = self.complex_rows = None
 
     def instance(self, member):
         """The dataclass of a member, its parameters B^+ c."""
@@ -292,9 +283,10 @@ class Family:
                                             for name in self.params])
 
     def extract(self, a, c, tol, tol_abs):
-        """(member or None, residual), with the signature of every entry
-        of REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not its table c."""
-        out = self.rows.dot(a.reshape(16))
+        """(member or None, residual), with the signature of every entry of
+        REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not its table c, by the
+        complex128 copy of its rows when A is complex128, uncast."""
+        out = (self.complex_rows if a.dtype is _COMPLEX else self.rows).dot(a.reshape(16))
         off = out[16:]
         sq = float(np.vdot(off, off).real)
         half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
@@ -432,7 +424,8 @@ def _x_special_normal(a, c, tol, tol_abs):
     # A must be normal: its symmetric and skew parts commute.  With K its
     # skew part, |A^T A - A A^T|_F / 2 = |[B, K]|_F = 4 |D|_F, where column j
     # of D is B[:, j] x s and row i adds B[i, :] x t; here in units of
-    # k = max(1, |A|), so that no product overflows
+    # k = max(1, |A|), so that no product overflows, and held to tol k^2:
+    # tol_abs in those units
     k = max(1.0, norm)
     s1, s2, s3, t1, t2, t3 = s[0] / k, s[1] / k, s[2] / k, t[0] / k, t[1] / k, t[2] / k
     comm = 4.0 * math.hypot(
@@ -441,7 +434,7 @@ def _x_special_normal(a, c, tol, tol_abs):
         b7 * s1 - b1 * s3 + b5 * t1 - b3 * t3, b8 * s1 - b2 * s3 + b3 * t2 - b4 * t1,
         b0 * s2 - b3 * s1 + b7 * t3 - b8 * t2, b1 * s2 - b4 * s1 + b8 * t1 - b6 * t3,
         b2 * s2 - b5 * s1 + b6 * t2 - b7 * t1)
-    if not comm <= tol * (1.0 + norm) * ((1.0 + norm) / k):
+    if not comm <= tol_abs:
         return None, max(res, comm * k)
     s1, s2, s3 = s if fs else (0.0, 0.0, 0.0)
     return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, f0, f1, f2, s2, f3, f4, f5,
@@ -536,14 +529,6 @@ COMPLEX_REGISTRY: list[tuple[str, Extractor]] = [
 EXTRACTORS: dict[str, Extractor] = dict(REAL_REGISTRY + COMPLEX_REGISTRY)
 
 
-def _real_if_possible(a, norm: float):
-    """A complex A without its imaginary part when every |Im A| is at most
-    1e-14 max(1, norm), for A of Frobenius norm `norm`; A otherwise."""
-    if abs(a.imag).max() <= 1e-14 * max(1.0, norm):
-        return a.real.copy()
-    return a
-
-
 def as_real_if_possible(a: np.ndarray) -> np.ndarray:
     """Drop a vanishing imaginary part so complex-typed real data takes the
     real classification path."""
@@ -571,61 +556,53 @@ def _ties(projector) -> np.ndarray:
     return rows[:, vals > 0.5].T
 
 
-def _stack(registry, pairs: int = 1):
-    """(offs, Y, W), the membership kernel of a registry (see the module
-    docstring): each entry's off rows P_f P if it is a table family, else
-    None; Y = [P; T P]; and W, each column repeated for the `pairs` floats
-    of a coefficient, with Y and the off rows complex for two, as vec A is.
-    A table family also gets [P; P_f P], for its forced route, kept real."""
+def _stack(registry, algebras=(), pairs: int = 1):
+    """The membership kernel (routes, Y, W) of a registry's entries and then
+    covering algebras (see the module docstring), and its leading block of
+    the registry alone: a route is (name, a table family's off rows P_f P,
+    an algebra's lift map psi^+), W repeats each column for the `pairs`
+    floats of a coefficient, and Y and the off rows are complex for two, as
+    vec A is.  A table family gets [P; P_f P] for its forced route, real and
+    complex128."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
-    ends = np.cumsum([16] + [len(tie) for tie in ties])
+    ends = np.cumsum([0, 16 if registry else 0] + [len(tie) for tie in ties]
+                     + [len(alg.off) for alg in algebras])
     dtype = np.complex128 if pairs == 2 else np.float64
-    w = np.zeros((len(projs), ends[-1]))
-    offs = []
+    w = np.zeros((len(projs) + len(algebras), ends[-1]))
+    routes = []
     for f, ((tag, _), proj) in enumerate(zip(registry, projs)):
-        w[f, :16], w[f, ends[f]:ends[f + 1]] = proj.diagonal() == 1.0, 1.0
+        w[f, :16], w[f, ends[f + 1]:ends[f + 2]] = proj.diagonal() == 1.0, 1.0
         fam = FAMILIES.get(tag)
         if fam is not None:
             fam.rows = np.vstack([np.eye(16), proj]) @ _PROJECTION_ROWS
-        offs.append(None if fam is None else fam.rows[16:].astype(dtype))
-    kernel = (np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS).astype(dtype)
-    return tuple(offs), kernel, np.repeat(w, pairs, axis=1)
+            fam.complex_rows = fam.rows.astype(np.complex128)
+        routes.append((tag, None if fam is None else fam.rows[16:].astype(dtype), None))
+    for g, alg in enumerate(algebras, len(projs)):
+        w[g, ends[g + 1]:ends[g + 2]] = 1.0
+        routes.append((f"covering:{alg.name}", None, alg.psi_pinv))
+    blocks = [alg.off / 2.0 for alg in algebras]
+    if registry:
+        blocks.insert(0, np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS)
+    kernel, incidence = np.vstack(blocks).astype(dtype), np.repeat(w, pairs, axis=1)
+    f, rows = len(projs), ends[len(projs) + 1]
+    head = (tuple(routes[:f]), kernel[:rows], np.ascontiguousarray(incidence[:f, :rows * pairs]))
+    return (tuple(routes), kernel, incidence), head
 
 
-# the kernels are built from the registries' order at import; the extractors
-# are read from the registries at each call
-_REAL_KERNEL = _stack(REAL_REGISTRY)
-_COMPLEX_KERNEL = _stack(COMPLEX_REGISTRY, pairs=2)
+# (size, complex) -> (kernel without a 4x4's covering algebras, with them),
+# built from the registries' order at import; a kernel without rows admits
+# every A as its own member: a 2x2 of expm2, a complex 3x3 of no route
+_REAL4, _REAL4_FAMILIES = _stack(REAL_REGISTRY, [a for a in COVERING_ALGEBRAS.values()
+                                                 if a.dim == 4])
+_COMPLEX4 = _stack(COMPLEX_REGISTRY, pairs=2)[0]
+_REAL3 = _stack((), [a for a in COVERING_ALGEBRAS.values() if a.dim == 3])[0]
+_EXPM2 = ((("expm2", None, None),), None, None)
+_KERNELS = {(2, False): (_EXPM2, _EXPM2), (2, True): (_EXPM2, _EXPM2),
+            (3, False): (_REAL3, _REAL3), (3, True): (((), None, None),) * 2,
+            (4, False): (_REAL4_FAMILIES, _REAL4), (4, True): (_COMPLEX4, _COMPLEX4)}
 _COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
-
-
-_DOUBLES = (np.dtype(np.float64), np.dtype(np.complex128))
-
-
-def _admit(a_matrix, tol: float, n: int = 4):
-    """(A, |A|_F) for an n x n input, or None when A is on no closed-form
-    route: an entry is not finite or |A|_F overflows (above about 1.3e154).
-    A is taken as float64 if integer, bool or of another floating kind, as
-    complex128 if of another complex kind, and as real if its imaginary part
-    vanishes (as_real_if_possible).  |A|_F is taken on A as given, so a huge
-    imaginary part is never dropped against an infinite scale."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    a = np.asarray(a_matrix)
-    if a.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix")
-    if a.dtype not in _DOUBLES and a.dtype.kind in "biufc":
-        # integer squares wrap in the norm, bool ones saturate, and the
-        # coefficients are read as pairs of float64s; an entry past the
-        # float64 range becomes inf, which no route admits
-        with np.errstate(over="ignore"):
-            a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
-    norm = frobenius(a)
-    if not norm < math.inf:
-        return None
-    return (_real_if_possible(a, norm) if a.dtype.kind == "c" else a), norm
 
 
 def _coefficient_table(a) -> np.ndarray:
@@ -633,52 +610,39 @@ def _coefficient_table(a) -> np.ndarray:
     return _PROJECTION_ROWS.dot(a.reshape(16)).reshape(4, 4)
 
 
-def _matches(a, norm: float, tol: float):
-    """(tag, member) of each structured family containing the admitted A
-    of norm `norm` (see _admit), lazily in dispatch order.
-
-    y = Y vec A gives c, and W (y o y) each entry's squared part off its
-    family (see the module docstring); only the entries within the
-    tolerance are visited.
-    """
-    tol_abs = tol * max(1.0, norm)
-    if a.dtype.kind == "c":
-        registry, (offs, kernel, incidence) = COMPLEX_REGISTRY, _COMPLEX_KERNEL
-    else:
-        registry, (offs, kernel, incidence) = REAL_REGISTRY, _REAL_KERNEL
-    vec = a.reshape(16)
+def _walk(a, tol_abs: float, tol: float, coverings: bool):
+    """(route, member) of each route that claims the admitted A (see
+    `smalllin._admit`), lazily in route order: a 4x4's structured families
+    in dispatch order, then, when `coverings` is set, its covering algebras;
+    a 3x3's covering algebras; expm2 for a 2x2 (see the module docstring)."""
+    routes, kernel, incidence = _KERNELS[len(a), a.dtype.kind == "c"][coverings]
+    if kernel is None:
+        for route, _, _ in routes:
+            yield route, a
+        return
+    vec = a.reshape(-1)
     y = kernel.dot(vec)
     c, pairs = y[:16], y.view(np.float64)  # a complex y is squared as pairs
     half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
     for f in (incidence.dot(pairs * pairs) <= half * half).nonzero()[0].tolist():
-        tag, extract = registry[f]
-        if offs[f] is not None:
-            yield tag, c - offs[f].dot(vec)
-            continue
-        member, _res = extract(a, c.reshape(4, 4), tol, tol_abs)
-        if member is not None:
-            yield tag, member
+        route, off, lift = routes[f]
+        if off is not None:
+            yield route, c - off.dot(vec)
+        elif lift is not None:
+            yield route, lift.dot(vec)
+        else:
+            # a hand-written fit, read from the registry at each call
+            member = REAL_REGISTRY[f][1](a, c.reshape(4, 4), tol, tol_abs)[0]
+            if member is not None:
+                yield route, member
 
 
-def _extract(tag: str, a_matrix, tol: float):
-    """(member or None, residual, bound) of A in the one family `tag`: the
-    forced route.  The residual is inf for an A in no family (see _admit) and
-    the norm of the imaginary part for a complex A and a real family.  bound
-    is |A|_F/2 + tol_abs, at least the norm of any member fitted to A (its
-    table c has norm |A|_F/2, a table member is a projection of c and a fit's
-    is no longer than c), which the closed form takes as its overflow gate."""
-    admitted = _admit(a_matrix, tol)
-    if admitted is None:
-        return None, math.inf, math.inf
-    a, norm = admitted
-    tol_abs = tol * max(1.0, norm)
-    bound = norm / 2.0 + tol_abs
-    if a.dtype.kind == "c" and tag not in _COMPLEX_TAGS:
-        # a real family has no imaginary part: all of it is off the family
-        return None, frobenius(a.imag), bound
-    # a table family reads A itself; only the hand-written fits take c
+def _member(tag: str, a, tol: float, tol_abs: float):
+    """(member or None, residual) of the admitted A in the one family `tag`,
+    by its extractor: the forced step of a family route.  A table family
+    reads A itself; only the hand-written fits take c."""
     c = None if tag in FAMILIES else _coefficient_table(a)
-    return *EXTRACTORS[tag](a, c, tol, tol_abs), bound
+    return EXTRACTORS[tag](a, c, tol, tol_abs)
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -690,7 +654,8 @@ def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
     admitted = _admit(a_matrix, tol)
     if admitted is None:
         return []
-    return [instance(tag, member) for tag, member in _matches(*admitted, tol)]
+    a, _, tol_abs = admitted
+    return [instance(tag, member) for tag, member in _walk(a, tol_abs, tol, False)]
 
 
 def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
@@ -700,10 +665,10 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
     admitted = _admit(a_matrix, 1e-12)
     if admitted is None:
         raise ValueError("matrix has non-finite entries or an overflowing norm")
-    a, norm = admitted
+    a, _, tol_abs = admitted
     if a.dtype.kind == "c":
         raise ValueError("matrix is not real")
-    if frobenius(a - a.T) > 1e-12 * max(1.0, norm):
+    if frobenius(a - a.T) > tol_abs:
         raise ValueError("matrix is not symmetric")
     # the skew part of A is on the slots (0, x) and (x, 0), which these skip
     c = _coefficient_table(a)
@@ -713,5 +678,8 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
 def extract_special_normal(a_matrix, tol: float = DEFAULT_TOL) -> Optional[SpecialNormal]:
     """The SpecialNormal fit of A, or None (always for a complex A and one in
     no family)."""
-    member = _extract("SpecialNormal", a_matrix, tol)[0]
+    admitted = _admit(a_matrix, tol)
+    if admitted is None or admitted[0].dtype.kind == "c":
+        return None
+    member = _member("SpecialNormal", admitted[0], tol, admitted[2])[0]
     return None if member is None else instance("SpecialNormal", member)

@@ -283,7 +283,7 @@ _COMMANDS = {
                  _cmd_classify, {"--tol": _TOL}),
     "expm": ("matrix exponential with route selection", _cmd_expm, {
         "--method": _Option("method", str, "auto",
-                            "auto, oracle, a class tag, or covering:<algebra>"),
+                            "auto, oracle, a class tag, covering:<algebra> or expm2"),
         "--tol": _TOL,
         "--json": _Option("json", None, False,
                           "print the result as a JSON matrix document")}),

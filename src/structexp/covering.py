@@ -27,8 +27,9 @@ the generators, is read off T, so an algebra built outside the registry
 has every table a route reads.
 
 A is in the algebra when 2 |(I - psi psi^+) vec A|, which is |A^T M + M A|_F
-for every built-in form M (orthogonal and symmetric), is within tol * (1 +
-|A|); `_lifts` takes it for every built-in algebra of A's size at once.  At
+for every built-in form M (orthogonal and symmetric), is within tol_abs =
+tol max(1, |A|_F) (`smalllin._admit`); the built-in algebras are entries,
+with rows off/2, of the membership kernel of their size (`classify`).  At
 |x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
 and raises OverflowError unless exp(A) is finite.
 """
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .classify import DEFAULT_TOL, _admit
-from .smalllin import _factors, _overflow_checked, frobenius
+from .smalllin import DEFAULT_TOL, _factors, _forced, _overflow_checked, frobenius
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -143,47 +144,18 @@ COVERING_ALGEBRAS: dict[str, CoveringAlgebra] = {
     a.name: a for a in (SO3, SO4, P4R, SO22R, P3R, SO21R)
 }
 
-# for each size, its built-in algebras in registry order and their stacked
-# off maps
-_OFF = {}
-for _n in (3, 4):
-    _sized = tuple(a for a in COVERING_ALGEBRAS.values() if a.dim == _n)
-    _OFF[_n] = (_sized, np.vstack([a.off for a in _sized]))
+def _lift_step(alg: CoveringAlgebra, a, tol: float, tol_abs: float):
+    """The forced step of the algebra (`smalllin._forced`, whose tol it
+    does not need): the lift x of A, or None when |off vec A| > tol_abs."""
+    vec = a.reshape(-1)
+    res = frobenius(alg.off.dot(vec))
+    return (None if res > tol_abs else alg.psi_pinv.dot(vec)), res
 
 
 def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
-    """The lift x of A, admitted through `classify._admit`: NotInAlgebra
-    with residual inf when the gate admits no A, the norm of the imaginary
-    part when A keeps one (these are algebras of real matrices), and the
-    projector residual when it is above tol * (1 + |A|)."""
-    admitted = _admit(a_matrix, tol, alg.dim)
-    if admitted is None:
-        raise NotInAlgebra(alg.name, math.inf)
-    a, norm = admitted
-    if a.dtype.kind == "c":
-        raise NotInAlgebra(alg.name, frobenius(a.imag))
-    res = frobenius(alg.off.dot(a.ravel()))
-    if res > tol * (1.0 + norm):
-        raise NotInAlgebra(alg.name, res)
-    return alg.psi_pinv.dot(a.ravel())
-
-
-def _lifts(a, norm: float, tol: float):
-    """(algebra, x) for each built-in algebra of A's size that contains the
-    admitted A of norm `norm` (see `classify._admit`), lazily in registry
-    order.  One product with the stacked off maps gives every residual, one
-    comparison of their squared norms finds those within tol * (1 + norm),
-    and only those algebras are lifted, so an algebra that does not contain
-    A raises nothing."""
-    n = a.shape[0]
-    if n not in _OFF or a.dtype.kind == "c":
-        return
-    sized, offs = _OFF[n]
-    residuals = offs.dot(a.ravel()).reshape(len(sized), n * n)
-    bound = tol * (1.0 + norm)
-    within = np.add.reduce(residuals * residuals, axis=1) <= bound * bound
-    for i in within.nonzero()[0].tolist():
-        yield sized[i], sized[i].psi_pinv.dot(a.ravel())
+    """The lift x of A forced onto the algebra, or NotInAlgebra."""
+    return _forced(a_matrix, tol, (alg.dim, True, partial(NotInAlgebra, alg.name),
+                                   partial(_lift_step, alg)))[0]
 
 
 def _det(det_form, x0: float, x1: float, x2: float) -> float:
@@ -215,9 +187,9 @@ def _exp_lift(alg: CoveringAlgebra, x) -> np.ndarray:
 
 def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = DEFAULT_TOL):
     """Traceless upstairs factor(s) mapping to A; (g, None) for the adjoint
-    algebras.  A is admitted through `classify._admit`; raises NotInAlgebra
+    algebras.  A is admitted through `smalllin._admit`; raises NotInAlgebra
     when the gate admits no A (residual inf), when A keeps an imaginary part
-    (residual its norm) or when its projector residual is over the bound."""
+    (residual its norm) or when its projector residual is over tol_abs."""
     x = _lift(alg, a_matrix, tol)
     g = sum(x[m] * alg.params[m] for m in range(3))
     h = sum(x[3 + m] * alg.params[m] for m in range(3)) if alg.two_factor else None

@@ -34,23 +34,17 @@ involutions, and the exponential sums their four joint sign patterns
 exp(2 sigma_3).
 
 The dataclasses are the public edge only: `exp_structured_class` and the
-`exp_*` adapters turn an instance into its member with
-`classify.coefficients`, and fit the member of a SpecialNormal or
-BisymmetricRS instance again, since its fields can describe a matrix off
-the family.
+`exp_*` adapters turn an instance into its member, fitting that of a
+SpecialNormal or BisymmetricRS instance again.  Every closed form but
+SymmetricGeneral takes its scalars from one `smalllin._factors` call, which
+folds exp(c00) and every hyperbolic growth into one exponent, so it raises
+OverflowError only where exp(A) is beyond the float64 range.
 
-Every closed form but SymmetricGeneral (which takes the 1/4 of its weights
-in their exponents) takes its groups' scalars from one `smalllin._factors`
-call, which folds exp(c00) and every hyperbolic growth into one exponent at
-every scale, so it raises OverflowError only where exp(A) is beyond the
-float64 range, checked under np.errstate from coefficient norm 150
-(`smalllin._SAFE_NORM`) up.
-
-Route selection at every size is made here once: `_routes` yields each
-route that claims A, and `_dispatch`, which `expm_auto` and the CLI's `expm`
-call, picks one by method (auto, oracle, a class tag or covering:<name>).
-Auto on a 4x4 takes the first of `classify._matches`, the one membership
-walk, which `_routes` also walks, with no `_routes` generator around it.
+Route selection at every size is made here once, from one table of each
+route's forced step and closed form by name (_ROUTES): `_routes` gives the
+routes of `classify._walk` their closed forms, and `_dispatch`, which
+`expm_auto` and the CLI's `expm` call, takes the first of `_walk` for auto
+or forces a route through its table entry.
 """
 
 from __future__ import annotations
@@ -63,17 +57,18 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (DEFAULT_TOL, EXTRACTORS, FAMILIES,
+from .classify import (_COMPLEX_TAGS, EXTRACTORS, FAMILIES,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
-                       SymToeplitzS13Zero, SymToeplitzTridiag, _admit,
-                       _extract, _matches, _special_normal_frame,
-                       _special_normal_parts, coefficients)
-from .covering import COVERING_ALGEBRAS, _exp_lift, _lifts, exp_via_covering
+                       SymToeplitzS13Zero, SymToeplitzTridiag, _member,
+                       _special_normal_frame, _special_normal_parts, _walk,
+                       coefficients)
+from .covering import COVERING_ALGEBRAS, NotInAlgebra, _exp_lift, _lift_step
 from .hxh import _BASIS_ROWS, _MUL_IDX, _MUL_SGN
 from .oracle import expm_series, rel_error
-from .smalllin import _SAFE_NORM, _expm2, _factors, _overflow_checked, _svd3, frobenius
+from .smalllin import (_SAFE_NORM, DEFAULT_TOL, _admit, _expm2, _factors, _forced,
+                       _overflow_checked, _svd3, frobenius)
 
 
 class ClosedFormDefect(RuntimeError):
@@ -266,12 +261,14 @@ _PLANS = {tag: _group_plan(divmod(s, 4)
 _FORMS.update((tag, partial(_exp_grouped, plan)) for tag, plan in _PLANS.items())
 
 
-def _exp_member(tag: str, member, bound: float) -> np.ndarray:
+def _exp_member(tag: str, member, norm: float, tol_abs: float) -> np.ndarray:
     """exp of the member of family `tag`, given as its flat coefficient
-    vector, with `bound` at least its norm, the overflow gate's (see
-    `classify._extract`).  Raises OverflowError when exp(A) is beyond the
-    float64 range; every closed form applies its growth as one exponent, so
-    that is the only case in which it does."""
+    vector, fitted to an A of Frobenius norm `norm` at the bound tol_abs.
+    Its overflow gate |A|_F/2 + tol_abs is at least the member's norm, since
+    A's table c has norm |A|_F/2 and no member is longer than c.  Raises
+    OverflowError when exp(A) is beyond the float64 range; every closed form
+    applies its growth as one exponent, so that is the only case."""
+    bound = norm / 2.0 + tol_abs
     if bound < _SAFE_NORM:
         return _FORMS[tag](member)
     return _overflow_checked(bound, "the closed form", _FORMS[tag], member)
@@ -370,89 +367,88 @@ def exp_structured_class(inst) -> np.ndarray:
     """The closed form of a classified instance.  A table family's instance
     is a member by construction; one of a hand-written fit can hold data off
     its family, so its member is fitted again by the family's extractor, at
-    DEFAULT_TOL as `_matches` does, and ForcedClassMismatch is raised when
-    the fit rejects it."""
+    DEFAULT_TOL as `_walk` does, and ForcedClassMismatch is raised when the
+    fit rejects it."""
     tag, member = getattr(inst, "tag", None), coefficients(inst)
-    bound = frobenius(member)
+    # the instance's matrix has twice the coefficient norm
+    norm, tol_abs = 2.0 * frobenius(member), 0.0
     if tag not in FAMILIES:
-        # |A|_F is twice the coefficient norm
-        tol_abs = DEFAULT_TOL * max(1.0, 2.0 * bound)
+        tol_abs = DEFAULT_TOL * max(1.0, norm)
         member, residual = EXTRACTORS[tag](None, member.reshape(4, 4), DEFAULT_TOL,
                                            tol_abs)
         if member is None:
             raise ForcedClassMismatch(tag, residual)
-        bound += tol_abs
-    return _exp_member(tag, member, bound)
+    return _exp_member(tag, member, norm, tol_abs)
+
+
+# every route by name, as its route of `smalllin._forced` (size, real,
+# refuse, step) and its closed form (member, |A|_F, tol_abs) -> exp(A); a
+# 2x2 is its own member, and it and a covering lift gate their own norms
+_ROUTES = {
+    "expm2": ((2, False, partial(ForcedClassMismatch, "expm2"), lambda a, tol, tol_abs: (a, 0.0)),
+              lambda a, norm, tol_abs: _expm2(a, norm)),
+    **{tag: ((4, tag not in _COMPLEX_TAGS, partial(ForcedClassMismatch, tag),
+              partial(_member, tag)), partial(_exp_member, tag)) for tag in EXTRACTORS},
+    **{f"covering:{name}": ((alg.dim, True, partial(NotInAlgebra, name),
+                             partial(_lift_step, alg)),
+                            lambda x, norm, tol_abs, alg=alg: _exp_lift(alg, x))
+       for name, alg in COVERING_ALGEBRAS.items()},
+}
+_SHAPES = frozenset({(2, 2), (3, 3), (4, 4)})
 
 
 def _routes(a_matrix, tol: float, coverings: bool = False):
-    """(route, value) for each closed form that claims A, lazily in route
-    order: expm2 for a 2x2, the structured families of a 4x4 in dispatch
-    order, then the covering algebras of A's size in registry order (for a
-    4x4 only when `coverings` is set).  A is admitted once, through
-    `_admit`, and both steps of a 4x4 take that (A, |A|); one product tests
-    A against every covering algebra."""
-    n = a_matrix.shape[0]
-    admitted = _admit(a_matrix, tol, n) if n in (2, 3, 4) else None
+    """(route, value) of each route of `classify._walk` on A, lazily."""
+    admitted = _admit(a_matrix, tol, len(a_matrix))
     if admitted is None:
         return
-    if n == 2:
-        yield "expm2", _expm2(*admitted)
-    elif n == 4:
-        # the bound of `classify._extract`
-        norm = admitted[1]
-        bound = norm / 2.0 + tol * max(1.0, norm)
-        for tag, member in _matches(*admitted, tol):
-            yield tag, _exp_member(tag, member, bound)
-    if n == 3 or coverings:
-        for alg, x in _lifts(*admitted, tol):
-            yield f"covering:{alg.name}", _exp_lift(alg, x)
+    a, norm, tol_abs = admitted
+    for route, member in _walk(a, tol_abs, tol, coverings):
+        yield route, _ROUTES[route][1](member, norm, tol_abs)
 
 
 def _dispatch(a, method: str, tol: float):
-    """(route, exp(A)) by `method`: "auto" takes the first of `_routes`, or
-    the series oracle when none claims A; "oracle" skips every closed form;
-    "covering:<name>" forces that algebra (NotInAlgebra when A is not in
-    it); a class tag forces that 4x4 family (ForcedClassMismatch).  Auto on
-    a 4x4, where `_routes` yields only the families, takes the first of
-    `_matches` itself, with the overflow bound `_routes` gives it."""
-    if method == "auto" and a.shape == (4, 4):
-        admitted = _admit(a, tol)
-        match = None if admitted is None else next(_matches(*admitted, tol), None)
-        if match is None:
-            return "oracle", expm_series(a)
-        return match[0], _exp_member(*match, admitted[1] / 2.0 + tol * max(1.0, admitted[1]))
-    if method == "auto":
-        route, value = next(_routes(a, tol), ("oracle", None))
-        return route, expm_series(a) if value is None else value
+    """(route, exp(A)) by `method`: "auto" takes the first of `classify._walk`,
+    with no generator around it, or the series oracle when none claims A;
+    "oracle" skips every closed form; a route name forces that route: a
+    class tag (ForcedClassMismatch), "covering:<name>" (NotInAlgebra) or
+    "expm2"."""
     if method == "oracle":
         return "oracle", expm_series(a)
-    if method.startswith("covering:"):
-        name = method.split(":", 1)[1]
-        if name not in COVERING_ALGEBRAS:
-            raise ValueError(f"unknown covering algebra {name!r}; choose from "
+    if method == "auto":
+        admitted = _admit(a, tol, len(a))
+        match = None if admitted is None else next(_walk(admitted[0], admitted[2], tol, False),
+                                                   None)
+        if match is None:
+            return "oracle", expm_series(a)
+        (method, member), (_, norm, tol_abs) = match, admitted
+        form = _ROUTES[method][1]
+    else:
+        route = _ROUTES.get(method)
+        if route is None and method.startswith("covering:"):
+            raise ValueError(f"unknown covering algebra {method[9:]!r}; choose from "
                              + ", ".join(sorted(COVERING_ALGEBRAS)))
-        return method, exp_via_covering(COVERING_ALGEBRAS[name], a, tol)
-    if method not in EXTRACTORS:
-        raise ValueError(f"unknown method {method!r}")
-    member, residual, bound = _extract(method, a, tol)
-    if member is None:
-        raise ForcedClassMismatch(method, residual)
-    return method, _exp_member(method, member, bound)
+        if route is None:
+            raise ValueError(f"unknown method {method!r}")
+        member, norm, tol_abs = _forced(a, tol, route[0])
+        form = route[1]
+    return method, form(member, norm, tol_abs)
 
 
 def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
               verify: bool = False) -> ExpResult:
-    """Exponential of a 4x4 matrix with route selection.
+    """Exponential of a 2x2, 3x3 or 4x4 matrix with route selection.
 
-    method="auto" takes the highest-priority structured family, falling back
-    to the series oracle when nothing matches; a class tag forces that route
-    or raises ForcedClassMismatch; "covering:<name>" forces that covering
-    algebra or raises NotInAlgebra; "oracle" skips classification.
+    method="auto" takes the first route that claims A (expm2 for a 2x2, the
+    highest-priority structured family of a 4x4, the first covering algebra
+    of a 3x3), falling back to the series oracle when none does; a class tag
+    forces that route or raises ForcedClassMismatch; "covering:<name>"
+    forces that covering algebra or raises NotInAlgebra; "expm2" forces the
+    2x2 route; "oracle" skips classification.
     """
     a = np.asarray(a_matrix)
-    if a.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
+    if a.shape not in _SHAPES:
+        raise ValueError("expected a 2x2, 3x3 or 4x4 matrix")
     route, value = _dispatch(a, method, tol)
     verified = None
     if verify:

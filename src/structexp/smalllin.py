@@ -6,6 +6,10 @@ eigendecomposition and SVD from LAPACK.
 phi_c(x) = cos(sqrt(x)) and phi_s(x) = sin(sqrt(x))/sqrt(x) are even entire
 functions of sqrt(x), so they are well defined for every real or complex x;
 negative real arguments land on the cosh/sinh branch automatically.
+
+Every route at every size admits its input through one gate, `_admit`,
+which also gives the one bound of every route, and a forced route refuses
+by one rule, `_forced`.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+DEFAULT_TOL = 1e-9
+
 _TAYLOR_CUTOFF = 1e-8
 _EPS = float(np.finfo(float).eps)
 
@@ -25,6 +31,63 @@ def frobenius(x) -> float:
     per-call overhead; bitwise equal to it on real input in C order (numpy
     sums other layouts in memory order)."""
     return math.sqrt(np.vdot(x, x).real)
+
+
+def _real_if_possible(a, norm: float):
+    """A complex A without its imaginary part when every |Im A| is at most
+    1e-14 max(1, norm), for A of Frobenius norm `norm`; A otherwise."""
+    if abs(a.imag).max() <= 1e-14 * max(1.0, norm):
+        return a.real.copy()
+    return a
+
+
+_DOUBLES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
+def _admit(a_matrix, tol: float, n: int = 4):
+    """(A, |A|_F, tol_abs) for an n x n input, or None when A is on no
+    closed-form route: an entry is not finite or |A|_F overflows (above
+    about 1.3e154, where tol_abs would be inf and accept anything).  A is
+    taken as float64 if integer, bool or of another floating kind, as
+    complex128 if of another complex kind, and as real if its imaginary part
+    vanishes (classify.as_real_if_possible).  |A|_F is taken on A as given,
+    so a huge imaginary part is never dropped against an infinite scale.
+    tol_abs = tol max(1, |A|_F) is the one bound every route holds A to."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    a = np.asarray(a_matrix)
+    if a.shape != (n, n):
+        raise ValueError(f"expected a {n}x{n} matrix")
+    if a.dtype not in _DOUBLES and a.dtype.kind in "biufc":
+        # integer squares wrap in the norm, bool ones saturate, and the
+        # coefficients are read as pairs of float64s; an entry past the
+        # float64 range becomes inf, which no route admits
+        with np.errstate(over="ignore"):
+            a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
+    norm = frobenius(a)
+    if not norm < math.inf:
+        return None
+    return ((_real_if_possible(a, norm) if a.dtype.kind == "c" else a), norm,
+            tol * max(1.0, norm))
+
+
+def _forced(a_matrix, tol: float, route):
+    """(member, |A|_F, tol_abs) of A on a forced route (n, real, refuse,
+    step) of n x n matrices (real ones if `real`), of step(A, tol, tol_abs)
+    -> (member or None, residual).  It refuses by raising refuse(residual):
+    inf for an A _admit puts on no route, |Im A| for a complex A on a real
+    route, else the step's residual."""
+    n, real, refuse, step = route
+    admitted = _admit(a_matrix, tol, n)
+    if admitted is None:
+        raise refuse(math.inf)
+    a, norm, tol_abs = admitted
+    if real and a.dtype.kind == "c":
+        raise refuse(frobenius(a.imag))
+    member, residual = step(a, tol, tol_abs)
+    if member is None:
+        raise refuse(residual)
+    return member, norm, tol_abs
 
 
 def _factors(scalar, mus):
@@ -133,7 +196,7 @@ def expm2(a) -> np.ndarray:
 
 
 def _expm2(a, norm: float) -> np.ndarray:
-    """expm2 of an A and its Frobenius norm as `classify._admit` gives them."""
+    """expm2 of an A and its Frobenius norm as `_admit` gives them."""
     # in Python scalars, which neither overflow in the trace nor warn
     (p, q), (r, s) = a.tolist()
     return _overflow_checked(norm, "the 2x2 exponential", _exp2, p / 2.0 + s / 2.0,

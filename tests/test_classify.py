@@ -1,6 +1,9 @@
 """Tests for structured family recognition and coefficient extraction."""
 
+import contextlib
+import functools
 import importlib
+import io
 import math
 import operator
 import warnings
@@ -10,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from structexp import (classify, expm_auto, expm_series, extract_special_normal,
+from structexp import (COVERING_ALGEBRAS, ForcedClassMismatch, NotInAlgebra, classify,
+                       expm_auto, expm_series, extract_special_normal,
                        extract_symmetric_rep, rel_error)
 from structexp.classify import (
     COMPLEX_REGISTRY,
@@ -23,18 +27,18 @@ from structexp.classify import (
     SpecialNormal,
     SymmetricGeneral,
     _admit,
-    _extract,
-    _matches,
+    _member,
+    _walk,
     as_real_if_possible,
     instance,
 )
-from structexp.covering import _lifts
+from structexp.cli import MatrixDocument, format_document_json, run
 from structexp.expm_structured import _exp_member
 from structexp.hxh import (_BASIS_ROWS, _PROJECTION_ROWS, J4, R4, HxHElement, basis_matrix,
                            from_matrix)
 from structexp.smalllin import _SAFE_NORM, frobenius
 
-from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family
+from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, covering_member, sample_family
 
 _PRIORITY = [tag for tag, _ in REAL_REGISTRY]
 # the package attribute structexp.classify is the function
@@ -124,6 +128,18 @@ def _classify_by_loop(a, tol=DEFAULT_TOL):
     return [instance(tag, member) for tag, member in found if member is not None]
 
 
+def _walked(a, tol=DEFAULT_TOL, coverings=True):
+    """The (route, member) pairs of the membership walk on A."""
+    a, _, tol_abs = _admit(a, tol, len(a))
+    return list(_walk(a, tol_abs, tol, coverings))
+
+
+def _forced_step(tag, a, tol=DEFAULT_TOL):
+    """(member or None, residual) of the forced step of family `tag` on A."""
+    a, _, tol_abs = _admit(a, tol)
+    return _member(tag, a, tol, tol_abs)
+
+
 def _residual_per_unit(a, e, tag):
     """The residual of family `tag` at a + s e, divided by s, for a step s
     of one tolerance: the residual is linear in s for a table family and
@@ -155,7 +171,7 @@ def test_stacked_residuals_agree_with_extractor_loop(tag):
 
 @pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_forced_and_auto_accept_the_same_members_at_the_bound(tag):
-    # the forced route (Family.extract) and auto (_matches) sum the squared
+    # the forced route (Family.extract) and auto (_walk) sum the squared
     # residual differently: a member moved to 0.5, 0.999, 1.001 and 2 times
     # the bound must be accepted by both or by neither
     rng = np.random.default_rng(97)
@@ -169,9 +185,64 @@ def test_forced_and_auto_accept_the_same_members_at_the_bound(tag):
             tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
             for factor in (0.5, 0.999, 1.001, 2.0):
                 m = a + (factor * tol_abs / unit) * e
-                forced = _extract(tag, m, DEFAULT_TOL)[0] is not None
-                auto = tag in [t for t, _ in _matches(*_admit(m, DEFAULT_TOL), DEFAULT_TOL)]
+                forced = _forced_step(tag, m)[0] is not None
+                auto = tag in [t for t, _ in _walked(m)]
                 assert forced == auto == (factor < 1.0), (scale, factor)
+
+
+def _boundary_case(route, norm, rng):
+    """(A, E, residual): a member A of `route` of Frobenius norm `norm`, a
+    direction E off the route, and the route's residual of a matrix."""
+    if route.startswith("covering:"):
+        alg = COVERING_ALGEBRAS[route[len("covering:"):]]
+        a = covering_member(alg, rng)
+        # D = M S, S symmetric, has relation residual |D^T M + M D| = 2 |S|
+        e = alg.form @ (lambda s: s + s.T)(rng.standard_normal((alg.dim, alg.dim)))
+        return a * (norm / np.linalg.norm(a)), e, lambda m: np.linalg.norm(
+            m.T @ alg.form + alg.form @ m)
+    a = sample_family(route, rng)
+    e = rng.standard_normal((4, 4))
+    if np.iscomplexobj(a):
+        e = e + 1j * rng.standard_normal((4, 4))
+    return a * (norm / np.linalg.norm(a)), e, lambda m: _forced_step(route, m)[1]
+
+
+def _verify_listing(a):
+    """The routes `structexp verify --all-routes` lists for A."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        run(["verify", format_document_json(MatrixDocument.of_matrix(a)), "--all-routes"])
+    return [line.split()[0] for line in out.getvalue().splitlines()[1:-1]]
+
+
+# the 30 entries of the membership kernels
+_ROUTE_ENTRIES = (REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
+                  + [f"covering:{name}" for name in COVERING_ALGEBRAS])
+
+
+@pytest.mark.parametrize("route", _ROUTE_ENTRIES)
+def test_every_route_holds_a_to_the_one_bound(route):
+    # a member moved to 0.999 and 1.001 times tol max(1, |A|_F) off its
+    # route, at |A| of 1e-3, 1 and 30: the walk (auto's), the forced route,
+    # classify and the verify --all-routes listing all take it, or all
+    # refuse it, on the side of the bound it is on
+    rng = np.random.default_rng(31)
+    for norm in (1e-3, 1.0, 30.0):
+        a, e, residual = _boundary_case(route, norm, rng)
+        for factor in (0.999, 1.001):
+            t = factor * DEFAULT_TOL / residual(e)
+            for _ in range(6):
+                m = a + t * e
+                t *= factor * DEFAULT_TOL * max(1.0, np.linalg.norm(m)) / residual(m)
+            m = a + t * e
+            walked = route in [r for r, _ in _walked(m)]
+            try:
+                forced = expm_auto(m, method=route).route == route
+            except (ForcedClassMismatch, NotInAlgebra):
+                forced = False
+            listed = route in _verify_listing(m)
+            assert walked == forced == listed == (factor < 1.0), (norm, factor)
+            if len(m) == 4 and not route.startswith("covering:"):
+                assert (route in [inst.tag for inst in classify(m)]) == walked, (norm, factor)
 
 
 def test_stacked_residuals_agree_with_extractor_loop_on_dense():
@@ -339,9 +410,9 @@ def test_extract_symmetric_rep_refuses_an_overflowing_norm():
 def _bisymmetric_rs_bound(a):
     """Twice the norm of A's part off the BisymmetricRS slots, as the real
     registry's membership kernel gives it to classification."""
-    offs, kernel, incidence = cls_mod._REAL_KERNEL
+    routes, kernel, incidence = cls_mod._REAL4_FAMILIES
     f = _PRIORITY.index("BisymmetricRS")
-    assert offs[f] is None
+    assert routes[f] == ("BisymmetricRS", None, None)
     y = kernel @ a.reshape(16)
     return 2.0 * np.sqrt(incidence[f] @ (y * y))
 
@@ -421,7 +492,7 @@ def _kernel_inputs(tags, cplx, rng, scales=(1e-3, 1.0, 30.0, 1e150)):
 def test_membership_kernel_is_each_entrys_projector_residual(tag):
     cplx = tag in COMPLEX_FAMILY_TAGS
     registry = COMPLEX_REGISTRY if cplx else REAL_REGISTRY
-    offs, kernel, incidence = cls_mod._COMPLEX_KERNEL if cplx else cls_mod._REAL_KERNEL
+    _, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4_FAMILIES
     f = [t for t, _ in registry].index(tag)
     # W is 0/1, each column repeated for the floats of one coefficient
     pairs = incidence.shape[1] // kernel.shape[0]
@@ -450,7 +521,7 @@ def _matches_by_stacked_map(a, tol=DEFAULT_TOL):
     """(passing entries, [(tag, member)]) by the map [I; P_1; ...; P_F] P
     with one 16-row block per registry entry: the reference the membership
     kernel must decide and extract as."""
-    a, norm = _admit(a, tol)
+    a, norm, _ = _admit(a, tol)
     registry = COMPLEX_REGISTRY if a.dtype.kind == "c" else REAL_REGISTRY
     rows = np.vstack([np.eye(16), *(_projector(t) for t, _ in registry)]) @ _PROJECTION_ROWS
     out = rows.dot(a.reshape(16))
@@ -475,7 +546,7 @@ def test_membership_kernel_decides_and_extracts_as_the_stacked_map(cplx):
     inputs = _kernel_inputs(tags, cplx, rng)
     inputs += [s * sample_family(tag, rng) for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
                for s in (0.1, 10.0)]
-    offs, kernel, incidence = cls_mod._COMPLEX_KERNEL if cplx else cls_mod._REAL_KERNEL
+    _, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4_FAMILIES
     for a in inputs:
         admitted = _admit(a, DEFAULT_TOL)
         if (admitted[0].dtype.kind == "c") != cplx:
@@ -484,7 +555,7 @@ def test_membership_kernel_decides_and_extracts_as_the_stacked_map(cplx):
         y = kernel.dot(admitted[0].reshape(16)).view(np.float64)
         half = 0.5 * DEFAULT_TOL * max(1.0, admitted[1])
         assert (incidence.dot(y * y) <= half * half).nonzero()[0].tolist() == passing
-        got = list(_matches(*admitted, DEFAULT_TOL))
+        got = _walked(a, coverings=False)
         assert [t for t, _ in got] == [t for t, _ in found]
         for (tag, m), (_, want) in zip(got, found):
             assert m.tobytes() == want.tobytes(), tag
@@ -507,7 +578,7 @@ def test_special_normal_fit_takes_normality_from_a_at_any_scale(seed, exponent):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert extract_special_normal(a) is not None
-        member, res, _ = cls_mod._extract("SpecialNormal", bad, DEFAULT_TOL)
+        member, res = _forced_step("SpecialNormal", bad)
     assert member is None
     block = from_matrix(bad).c[1:, 1:]
     u, v = s / np.linalg.norm(s), t / np.linalg.norm(t)
@@ -523,7 +594,7 @@ def _d(block, s, t):
 
 
 def test_special_normal_normality_decides_in_the_band():
-    # near |A| = 1e3 the commutator's bound tol (1 + |A|)^2 is below the
+    # near |A| = 1e3 the commutator's bound tol |A|^2 is below the
     # commutator of a block part that the fit's residual still accepts: the
     # direction off s_hat(x)t_hat that maximises |D| is refused at 0.9
     # tol_abs, on the commutator, and accepted at 0.5 tol_abs
@@ -539,13 +610,13 @@ def test_special_normal_normality_decides_in_the_band():
         band = c.copy()
         band[1:, 1:] = factor * tol_abs / 2.0 * worst
         a = HxHElement(band).to_matrix()
-        member, res, _ = cls_mod._extract("SpecialNormal", a, DEFAULT_TOL)
+        member, res = _forced_step("SpecialNormal", a)
         assert (member is not None) == accepted, factor
         comm = np.linalg.norm(a.T @ a - a @ a.T) / 2.0
         assert 4.0 * np.linalg.norm(_d(band[1:, 1:], s, t)) == pytest.approx(comm, rel=1e-6)
         if not accepted:
             assert res == pytest.approx(comm, rel=1e-6)
-            assert res > DEFAULT_TOL * (1.0 + np.linalg.norm(a)) ** 2
+            assert res > DEFAULT_TOL * max(1.0, np.linalg.norm(a)) ** 2
 
 
 @pytest.mark.parametrize("tag", ["SpecialNormal", "BisymmetricRS"])
@@ -559,24 +630,33 @@ def test_band_members_are_exponentiated_as_members(tag):
             e = rng.standard_normal((4, 4))
             tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
             m = a + (0.9 * tol_abs / _residual_per_unit(a, e, tag)) * e
-            member, res, bound = cls_mod._extract(tag, m, DEFAULT_TOL)
+            admitted = _admit(m, DEFAULT_TOL)
+            member, res = _member(tag, admitted[0], DEFAULT_TOL, admitted[2])
             assert member is not None and res > 0.5 * tol_abs, (scale, res)
             p = (member @ _BASIS_ROWS).reshape(4, 4)
             if tag == "SpecialNormal":
                 assert np.linalg.norm(p.T @ p - p @ p.T) <= 1e-14 * np.linalg.norm(p) ** 2
-            assert rel_error(_exp_member(tag, member, bound), expm_series(p)) <= 1e-13, scale
+            value = _exp_member(tag, member, *admitted[1:])
+            assert rel_error(value, expm_series(p)) <= 1e-13, scale
 
 
 @pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
 def test_overflow_gate_bound_is_at_least_the_member_norm(tag, monkeypatch):
-    # auto (_matches), forced (_extract) and exp_structured_class hand the
-    # closed form a bound for its overflow gate, |A|_F/2 + tol_abs or the
-    # instance's own norm: never below the member's norm, so the closed form
-    # raises OverflowError on exactly the members that its own norm gates
+    # auto (_walk), forced (_member) and exp_structured_class hand the
+    # closed form A's norm and bound, which give its overflow gate
+    # |A|_F/2 + tol_abs, or the instance's own norm: never below the
+    # member's norm, so the closed form raises OverflowError on exactly the
+    # members that its own norm gates
     es = importlib.import_module("structexp.expm_structured")
     real, seen, path = es._exp_member, [], [None]
-    monkeypatch.setattr(es, "_exp_member", lambda t, member, bound: (
-        seen.append((path[0], t, member, bound)), np.eye(4))[1])
+
+    def record(t, member, norm, tol_abs):
+        seen.append((path[0], t, member, norm / 2.0 + tol_abs, norm, tol_abs))
+        return np.eye(4)
+
+    monkeypatch.setattr(es, "_exp_member", record)
+    for t in EXTRACTORS:
+        monkeypatch.setitem(es._ROUTES, t, (es._ROUTES[t][0], functools.partial(record, t)))
     rng = np.random.default_rng(95)
     # across _SAFE_NORM, and at 3000, where exp(A) overflows for most families
     norms = [*np.geomspace(1e-3, 800.0, 10), 0.999 * _SAFE_NORM, _SAFE_NORM,
@@ -597,16 +677,16 @@ def test_overflow_gate_bound_is_at_least_the_member_norm(tag, monkeypatch):
             path[0] = "class"
             for inst in classify(m):
                 es.exp_structured_class(inst)
-    assert {(p, t) for p, t, _, _ in seen} >= {(p, tag) for p in ("auto", "forced", "class")}
-    for p, t, member, bound in seen:
+    assert {(p, t) for p, t, *_ in seen} >= {(p, tag) for p in ("auto", "forced", "class")}
+    for p, t, member, bound, norm, tol_abs in seen:
         assert bound >= frobenius(member), (p, t, bound)
         try:
-            want = real(t, member, frobenius(member))
+            want = real(t, member, 2.0 * frobenius(member), 0.0)
         except OverflowError:
             with pytest.raises(OverflowError):
-                real(t, member, bound)
+                real(t, member, norm, tol_abs)
             continue
-        assert np.array_equal(real(t, member, bound), want), (p, t)
+        assert np.array_equal(real(t, member, norm, tol_abs), want), (p, t)
 
 
 @pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
@@ -634,18 +714,19 @@ def test_admission_drops_an_imaginary_part_once_by_the_public_criterion(monkeypa
     a = 3.0 * sample_family("SkewSymmetric", np.random.default_rng(95)).astype(complex)
     edge = 1e-14 * np.linalg.norm(a)
     calls = []
-    norm = cls_mod.frobenius
+    lin_mod = importlib.import_module("structexp.smalllin")
+    norm = lin_mod.frobenius
 
     def counting(x):
         calls.append(x)
         return norm(x)
 
-    monkeypatch.setattr(cls_mod, "frobenius", counting)
+    monkeypatch.setattr(lin_mod, "frobenius", counting)
     for im, dropped in ((edge, True), (1.01 * edge, False)):
         b = a.copy()
         b[0, 1] += 1j * im
         calls.clear()
-        admitted, _ = cls_mod._admit(b, DEFAULT_TOL)
+        admitted = cls_mod._admit(b, DEFAULT_TOL)[0]
         assert len(calls) == 1
         assert np.iscomplexobj(admitted) != dropped
         assert np.iscomplexobj(as_real_if_possible(b)) != dropped
@@ -657,10 +738,10 @@ def test_a_tolerance_past_the_square_root_of_the_float64_range_raises_nothing():
     want = [m.tag for m in classify(a, 1e100)]
     assert "Lie3" in want
     assert [m.tag for m in classify(a, 1e160)] == want
-    member = _extract("Lie3", a, 1e160)[0]
+    member = _forced_step("Lie3", a, 1e160)[0]
     assert member is not None
-    lifts = [alg.name for alg, _ in _lifts(*_admit(np.eye(3), 1e160, 3), 1e160)]
-    assert lifts == ["so3", "p3r", "so21r"]
+    lifts = [route for route, _ in _walked(np.eye(3), 1e160)]
+    assert lifts == ["covering:so3", "covering:p3r", "covering:so21r"]
 
 
 def _comprehension_x_special_normal(a, c, tol, tol_abs):
@@ -689,7 +770,7 @@ def _comprehension_x_special_normal(a, c, tol, tol_abs):
         b7 * s1 - b1 * s3 + b5 * t1 - b3 * t3, b8 * s1 - b2 * s3 + b3 * t2 - b4 * t1,
         b0 * s2 - b3 * s1 + b7 * t3 - b8 * t2, b1 * s2 - b4 * s1 + b8 * t1 - b6 * t3,
         b2 * s2 - b5 * s1 + b6 * t2 - b7 * t1)
-    if not comm <= tol * (1.0 + norm) * ((1.0 + norm) / k):
+    if not comm <= tol_abs:
         return None, max(res, comm * k)
     s1, s2, s3 = s if fs else (0.0, 0.0, 0.0)
     return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, *fit[:3], s2, *fit[3:6],

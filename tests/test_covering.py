@@ -23,10 +23,10 @@ from structexp import (
     rel_error,
 )
 from structexp import covering
-from structexp.classify import _admit
+from structexp.classify import _admit, _walk
 from structexp.cli import run
 from structexp.covering import (_SU2, P3R, P4R, SIGMA_X, SIGMA_Y, SIGMA_Z, SO3, SO4,
-                                SO21R, SO22R, CoveringAlgebra, _lift, _lifts)
+                                SO21R, SO22R, CoveringAlgebra, _lift)
 from structexp.expm_structured import _routes
 from structexp.smalllin import expm2
 
@@ -315,7 +315,7 @@ def test_psi_matrix_is_psi_of_each_generator():
 
 @pytest.mark.parametrize("scale", [1e155, 1e160, 1e300])
 def test_overflowing_norm_is_not_in_algebra(scale):
-    # the bound tol * (1 + |A|) is inf there, so every residual passed it
+    # the bound tol max(1, |A|) is inf there, so every residual passed it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for alg in COVERING_ALGEBRAS.values():
@@ -384,13 +384,14 @@ def _accepts(alg, a, tol):
 def _moved(alg, member, side, tol, rng):
     """member + t D with the defining-relation residual of D exactly 1:
     every form has M = M^T = M^-1, so D = M S, S symmetric, gives
-    D^T M + M D = 2 S; t is side * tol * (1 + |A|), found by iteration."""
+    D^T M + M D = 2 S; t is side * tol * max(1, |A|), the one bound of
+    every route, found by iteration."""
     s = rng.standard_normal((alg.dim, alg.dim))
     s = s + s.T
     off = alg.form @ s / (2.0 * np.linalg.norm(s))
     t = 0.0
     for _ in range(5):
-        t = side * tol * (1.0 + np.linalg.norm(member + t * off))
+        t = side * tol * max(1.0, np.linalg.norm(member + t * off))
     return member + t * off
 
 
@@ -431,13 +432,20 @@ class _ConstructionFails(NotInAlgebra):
         raise AssertionError(f"NotInAlgebra{args} constructed")
 
 
+def _lifts(a, tol):
+    """(algebra name, x) of each covering route of the walk, with its lift."""
+    a, _, tol_abs = _admit(a, tol, len(a))
+    return [(route[len("covering:"):], x) for route, x in _walk(a, tol_abs, tol, True)
+            if route.startswith("covering:")]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_lifts_outside_every_algebra_construct_no_exception(n, monkeypatch):
     monkeypatch.setattr(covering, "NotInAlgebra", _ConstructionFails)
     rng = np.random.default_rng(91 + n)
     for _ in range(20):
         a = rng.standard_normal((n, n))
-        assert list(_lifts(*_admit(a, DEFAULT_TOL, n), DEFAULT_TOL)) == []
+        assert _lifts(a, DEFAULT_TOL) == []
         assert not any(r.startswith("covering:")
                        for r, _ in _routes(a, DEFAULT_TOL, coverings=True))
 
@@ -448,7 +456,7 @@ def test_lifts_are_the_lifts_of_each_algebra(name):
     rng = np.random.default_rng(92)
     for scale in (1e-3, 1.0, 30.0):
         a = covering_member(alg, rng, scale)
-        lifts = [(b.name, x) for b, x in _lifts(*_admit(a, tol, alg.dim), tol)]
+        lifts = _lifts(a, tol)
         expected = []
         for other in COVERING_ALGEBRAS.values():
             if other.dim == alg.dim:
@@ -464,14 +472,14 @@ def test_lifts_are_the_lifts_of_each_algebra(name):
 @pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
 def test_lifts_accept_what_lift_accepts_on_both_sides_of_the_bound(name):
     # members, and members moved to half and twice the relation bound: the
-    # squared-norm test of _lifts takes the algebras _lift takes
+    # squared-norm test of the walk takes the algebras _lift takes
     alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
     rng = np.random.default_rng(93)
     sized = [b for b in COVERING_ALGEBRAS.values() if b.dim == alg.dim]
     for scale in (1e-3, 1.0, 30.0):
         for side in (0.0, 0.5, 2.0):
             a = _moved(alg, covering_member(alg, rng, scale), side, tol, rng)
-            lifts = [b.name for b, _ in _lifts(*_admit(a, tol, alg.dim), tol)]
+            lifts = [b for b, _ in _lifts(a, tol)]
             assert lifts == [b.name for b in sized if _accepts(b, a, tol)]
             assert (name in lifts) == (side < 1.0)
 

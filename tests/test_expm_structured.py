@@ -5,6 +5,7 @@ import contextlib
 import functools
 import importlib
 import io
+import json
 import math
 import operator
 import warnings
@@ -27,7 +28,7 @@ from structexp import (
 )
 from structexp import cli
 from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
-                                SymToeplitzTridiag, _extract)
+                                SymToeplitzTridiag, _admit, _member)
 from structexp.expm_structured import (
     _FORMS,
     _PLANS,
@@ -51,12 +52,19 @@ from structexp.expm_structured import (
 from structexp.hxh import _BASIS_ROWS, I22, J4, R4
 from structexp.smalllin import _SAFE_NORM, frobenius
 
-from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, sample_family, u17
+from conftest import (COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, covering_member, sample_family,
+                      u17)
 
 COS1 = 0.5403023058681398
 SIN1 = 0.8414709848078965
 COSH2 = 3.7621956910836305
 SINH2 = 3.626860407847018
+
+
+def _forced_member(tag, a, tol=DEFAULT_TOL):
+    """(member or None, |A|_F, tol_abs) of A forced onto family `tag`."""
+    a, norm, tol_abs = _admit(a, tol)
+    return _member(tag, a, tol, tol_abs)[0], norm, tol_abs
 
 
 # ------------------------------------------------------------ individual routes
@@ -285,9 +293,9 @@ def _close_to_series(value, a) -> bool:
 def test_rank_one_closed_forms_match_the_series(tag, scale):
     rng = np.random.default_rng(90)
     for _ in range(20):
-        member, _, bound = _extract(tag, scale * sample_family(tag, rng), DEFAULT_TOL)
+        member, norm, tol_abs = _forced_member(tag, scale * sample_family(tag, rng))
         a = _member_matrix(member)
-        e = _exp_member(tag, member, bound)
+        e = _exp_member(tag, member, norm, tol_abs)
         assert _close_to_series(e, a), (tag, scale)
         # the group invariants: normal, or symmetric and persymmetric
         bound = 1e-14 * np.linalg.norm(e)
@@ -332,7 +340,7 @@ def test_special_normal_closed_form_edge_cases(member):
     assert np.linalg.norm(a @ a.T - a.T @ a) <= 1e-13 * np.linalg.norm(a) ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e = _exp_member("SpecialNormal", member, frobenius(member))
+        e = _exp_member("SpecialNormal", member, 2.0 * frobenius(member), 0.0)
     assert _close_to_series(e, a)
 
 
@@ -352,7 +360,7 @@ def test_bisymmetric_rs_closed_form_edge_cases(member):
     a = _member_matrix(member)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        e = _exp_member("BisymmetricRS", member, frobenius(member))
+        e = _exp_member("BisymmetricRS", member, 2.0 * frobenius(member), 0.0)
     assert _close_to_series(e, a)
     assert np.array_equal(e, e.T)
 
@@ -365,16 +373,16 @@ def test_rank_one_closed_forms_at_and_past_the_safe_norm(tag, norm):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(10):
-            member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
+            member = _forced_member(tag, sample_family(tag, rng))[0]
             member = member * (norm / np.linalg.norm(member))
             a = _member_matrix(member)
             try:
                 ref = expm_series(a)
             except OverflowError:
                 with pytest.raises(OverflowError):
-                    _exp_member(tag, member, frobenius(member))
+                    _exp_member(tag, member, 2.0 * frobenius(member), 0.0)
                 continue
-            e = _exp_member(tag, member, frobenius(member))
+            e = _exp_member(tag, member, 2.0 * frobenius(member), 0.0)
             assert rel_error(e, ref) <= 1e-15 * np.linalg.norm(a)
 
 
@@ -649,8 +657,10 @@ def test_expm_auto_oracle_method_and_validation():
     assert expm_auto(a, method="oracle").route == "oracle"
     with pytest.raises(ValueError):
         expm_auto(a, method="NoSuchClass")
-    with pytest.raises(ValueError):
-        expm_auto(np.eye(3))
+    # 2x2, 3x3 and 4x4 are taken; every other shape is refused
+    for shape in ((5, 5), (2, 3), (4,)):
+        with pytest.raises(ValueError, match="expected a 2x2, 3x3 or 4x4 matrix"):
+            expm_auto(np.zeros(shape))
 
 
 class _HandWrittenExtractorRan(Exception):
@@ -708,6 +718,45 @@ def test_auto_forces_a_covering_algebra():
         expm_auto(np.diag([1.0, 1.0, -1.0, -1.0]), method="covering:so4")
     with pytest.raises(ValueError, match="unknown covering algebra"):
         expm_auto(J4, method="covering:nope")
+
+
+def _cli_expm(a, method):
+    """(route, value) that `structexp expm --method <method> --json` prints."""
+    text = cli.format_document_json(cli.MatrixDocument.of_matrix(a))
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.run(["expm", text, "--method", method, "--json"]) == 0
+    doc = json.loads(out.getvalue())
+    return doc["route"], cli.MatrixDocument(doc["n"], doc["kind"], tuple(doc["entries"])).matrix()
+
+
+def test_auto_takes_2x2_and_3x3_matrices():
+    # a real and a complex 2x2, and members of the three 3x3 algebras, auto
+    # and forced onto their route: the library, `_dispatch` and the CLI's
+    # `expm` give the same route and value bytes
+    rng = np.random.default_rng(86)
+    cases = [(rng.standard_normal((2, 2)), "expm2"),
+             (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)), "expm2")]
+    cases += [(covering_member(COVERING_ALGEBRAS[name], rng), f"covering:{name}")
+              for name in ("so3", "p3r", "so21r")]
+    for a, route in cases:
+        for method in ("auto", route):
+            got = expm_auto(a, method=method)
+            assert got.route == route, method
+            dispatched = es_mod._dispatch(a, method, DEFAULT_TOL)
+            for other in (dispatched, _cli_expm(a, method)):
+                assert (other[0], other[1].tobytes()) == (route, got.value.tobytes()), method
+            assert rel_error(got.value, expm_series(a)) <= 1e-12, route
+    with pytest.raises(NotInAlgebra):
+        expm_auto(np.diag([1.0, 0.0, -1.0]), method="covering:so3")
+
+
+def test_forced_expm2_takes_only_a_2x2():
+    for a in (J4, np.eye(3)):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            expm_auto(a, method="expm2")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.run(["expm", "--method", "expm2", "0 0 1 0  0 0 0 1  -1 0 0 0  0 -1 0 0"]) == 2
+    assert "expected a 2x2 matrix" in err.getvalue()
 
 
 class _DataclassBuilt(Exception):
@@ -774,7 +823,7 @@ def test_no_value_overflows_below_the_safe_norm(tag):
         warnings.simplefilter("error")
         for scale in (0.5, 5.0, 50.0, 0.999 * _SAFE_NORM):
             for _ in range(20):
-                member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
+                member = _forced_member(tag, sample_family(tag, rng))[0]
                 member = member * (scale / np.linalg.norm(member))
                 value = _FORMS[tag](member)
                 assert np.isfinite(value).all()
@@ -831,7 +880,7 @@ def test_folded_growth_agrees_with_the_plain_product(tag):
     rng = np.random.default_rng(84)
     for scale in (1e-3, 0.5, 5.0, 30.0, 50.0, 0.999 * _SAFE_NORM):
         for _ in range(5):
-            member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
+            member = _forced_member(tag, sample_family(tag, rng))[0]
             member = member * (scale / np.linalg.norm(member))
             plain = np.exp(member[0]) * np.eye(4)
             for group in _GROUP_SLOTS[tag]:
@@ -934,7 +983,7 @@ def test_straight_line_closed_forms_are_bitwise_the_comprehension_forms(tag):
     rng = np.random.default_rng(27)
     form, reference = _FORMS[tag], _reference_form(tag)
     for _ in range(12):
-        member = _extract(tag, sample_family(tag, rng), DEFAULT_TOL)[0]
+        member = _forced_member(tag, sample_family(tag, rng))[0]
         members = [member]
         if tag in _PLANS:
             # a complex member of a real family's plan takes the complex rows

@@ -122,7 +122,7 @@ def test_mu_from_coefficients_is_the_group_square(tag, seed, scale):
         off = np.linalg.norm(g @ g - mu * np.eye(4)) / 2.0
         assert off <= 1e-10 * (1.0 + np.linalg.norm(g) ** 2 / 4.0), (tag, mu)
     ref = expm_series((member @ _BASIS_ROWS).reshape(4, 4))
-    value = _exp_member(tag, member, frobenius(member))
+    value = _exp_member(tag, member, 2.0 * frobenius(member), 0.0)
     assert np.linalg.norm(value - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
