@@ -21,21 +21,22 @@ I - B B^+ for a table family and, for a fit, the projector off the slots its
 member can fill, whose residual it bounds from below; all but the two
 Toeplitz families' are diagonal and 0/1, and those keep two and one
 orthonormal tie functionals T.  A covering algebra's is I - psi psi^+ =
-off/2 on vec A.  So at import each size gets one membership kernel Y = [P;
-T P; off/2 of each algebra], P the coefficient projection, and the 0/1
-incidence W of its entries on the squares of y = Y vec A: 19 + 48 rows for
-a real 4x4 (the families, then so4, p4r and so22r), 27 for a 3x3, none for
-a 2x2, its own expm2 member.  BisymmetricRS fills six slots, so a symmetric
-or dense A skips its fit; SpecialNormal fills every slot, so its fit always
-runs.  `_walk` compares W (y o y) with (tol_abs/2)^2 and visits only the
-entries that pass, in route order, yielding (route, member) lazily, so auto,
-which takes the first, never fits a member of an earlier family; classify
-and auto take a 4x4's leading family block alone.  A table family's member
-is c minus its off rows P_f P applied to A, the rows its forced route
-(`Family.extract`) applies, so auto, forced and verify give bitwise-equal
-members; a fit reads c = y[:16]; an algebra's member is its lift psi^+
-vec A.  The dataclasses are the public view of a member: `instance` and
-`coefficients` convert between the two.
+off/2 on vec A.  So at import each registry gets one family kernel Y = [P;
+T P], P the coefficient projection, and each size one covering kernel of
+the off/2 rows, each with the 0/1 incidence W of its entries on the squares
+of y = Y vec A: 19 rows for the real families, 16 complex ones, 48 for the
+4x4 algebras (so4, p4r, so22r), 27 for the 3x3 ones, none for a 2x2, its
+own expm2 member.  BisymmetricRS fills six slots, so a symmetric or dense A
+skips its fit; SpecialNormal fills every slot, so its fit always runs.
+`_walk` compares W (y o y) with (tol_abs/2)^2 and visits only the entries
+that pass, in route order, yielding (route, member) lazily, so auto, which
+takes the first, never fits a member of an earlier family; auto and
+classify walk a 4x4's family kernel alone, verify its covering one too.  A
+table family's member is c minus its off rows P_f P applied to A, the rows
+its forced route (`Family.extract`) applies, so auto, forced and verify give
+bitwise-equal members; a fit reads c = y[:16]; an algebra's member is its
+lift psi^+ vec A.  The dataclasses are the public view of a member:
+`instance` and `coefficients` convert between the two.
 """
 
 from __future__ import annotations
@@ -557,13 +558,12 @@ def _ties(projector) -> np.ndarray:
 
 
 def _stack(registry, algebras=(), pairs: int = 1):
-    """The membership kernel (routes, Y, W) of a registry's entries and then
-    covering algebras (see the module docstring), and its leading block of
-    the registry alone: a route is (name, a table family's off rows P_f P,
-    an algebra's lift map psi^+), W repeats each column for the `pairs`
-    floats of a coefficient, and Y and the off rows are complex for two, as
-    vec A is.  A table family gets [P; P_f P] for its forced route, real and
-    complex128."""
+    """The membership kernel (routes, Y, W) of a registry's entries or of
+    covering algebras (see the module docstring): a route is (name, a table
+    family's off rows P_f P, an algebra's lift map psi^+), W repeats each
+    column for the `pairs` floats of a coefficient, and Y and the off rows
+    are complex for two, as vec A is.  A table family gets [P; P_f P] for
+    its forced route, real and complex128."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
@@ -585,23 +585,18 @@ def _stack(registry, algebras=(), pairs: int = 1):
     blocks = [alg.off / 2.0 for alg in algebras]
     if registry:
         blocks.insert(0, np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS)
-    kernel, incidence = np.vstack(blocks).astype(dtype), np.repeat(w, pairs, axis=1)
-    f, rows = len(projs), ends[len(projs) + 1]
-    head = (tuple(routes[:f]), kernel[:rows], np.ascontiguousarray(incidence[:f, :rows * pairs]))
-    return (tuple(routes), kernel, incidence), head
+    return tuple(routes), np.vstack(blocks).astype(dtype), np.repeat(w, pairs, axis=1)
 
 
-# (size, complex) -> (kernel without a 4x4's covering algebras, with them),
-# built from the registries' order at import; a kernel without rows admits
-# every A as its own member: a 2x2 of expm2, a complex 3x3 of no route
-_REAL4, _REAL4_FAMILIES = _stack(REAL_REGISTRY, [a for a in COVERING_ALGEBRAS.values()
-                                                 if a.dim == 4])
-_COMPLEX4 = _stack(COMPLEX_REGISTRY, pairs=2)[0]
-_REAL3 = _stack((), [a for a in COVERING_ALGEBRAS.values() if a.dim == 3])[0]
+# each registry's family kernel and each size's covering kernel, built at
+# import; (size, complex) -> its kernels, of which auto and classify walk the
+# first; a 2x2's kernel has no rows: every 2x2 is its own expm2 member
+_REAL4, _COMPLEX4 = _stack(REAL_REGISTRY), _stack(COMPLEX_REGISTRY, pairs=2)
+_COVER3, _COVER4 = (_stack((), [alg for alg in COVERING_ALGEBRAS.values() if alg.dim == n])
+                    for n in (3, 4))
 _EXPM2 = ((("expm2", None, None),), None, None)
-_KERNELS = {(2, False): (_EXPM2, _EXPM2), (2, True): (_EXPM2, _EXPM2),
-            (3, False): (_REAL3, _REAL3), (3, True): (((), None, None),) * 2,
-            (4, False): (_REAL4_FAMILIES, _REAL4), (4, True): (_COMPLEX4, _COMPLEX4)}
+_KERNELS = {(2, False): (_EXPM2,), (2, True): (_EXPM2,), (3, False): (_COVER3,),
+            (3, True): (), (4, False): (_REAL4, _COVER4), (4, True): (_COMPLEX4,)}
 _COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
 
 
@@ -613,28 +608,31 @@ def _coefficient_table(a) -> np.ndarray:
 def _walk(a, tol_abs: float, tol: float, coverings: bool):
     """(route, member) of each route that claims the admitted A (see
     `smalllin._admit`), lazily in route order: a 4x4's structured families
-    in dispatch order, then, when `coverings` is set, its covering algebras;
-    a 3x3's covering algebras; expm2 for a 2x2 (see the module docstring)."""
-    routes, kernel, incidence = _KERNELS[len(a), a.dtype.kind == "c"][coverings]
-    if kernel is None:
-        for route, _, _ in routes:
-            yield route, a
-        return
+    in dispatch order, then, when `coverings` is set, its covering algebras
+    by their own kernel; a 3x3's covering algebras; expm2 for a 2x2 (see
+    the module docstring)."""
+    kernels = _KERNELS[len(a), a.dtype.kind == "c"]
     vec = a.reshape(-1)
-    y = kernel.dot(vec)
-    c, pairs = y[:16], y.view(np.float64)  # a complex y is squared as pairs
     half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
-    for f in (incidence.dot(pairs * pairs) <= half * half).nonzero()[0].tolist():
-        route, off, lift = routes[f]
-        if off is not None:
-            yield route, c - off.dot(vec)
-        elif lift is not None:
-            yield route, lift.dot(vec)
-        else:
-            # a hand-written fit, read from the registry at each call
-            member = REAL_REGISTRY[f][1](a, c.reshape(4, 4), tol, tol_abs)[0]
-            if member is not None:
-                yield route, member
+    for routes, kernel, incidence in (kernels if coverings else kernels[:1]):
+        if kernel is None:
+            for route, _, _ in routes:
+                yield route, a
+            continue
+        y = kernel.dot(vec)
+        c, pairs = y[:16], y.view(np.float64)  # a complex y is squared as pairs
+        for f in (incidence.dot(pairs * pairs) <= half * half).nonzero()[0].tolist():
+            route, off, lift = routes[f]
+            if off is not None:
+                yield route, c - off.dot(vec)
+            elif lift is not None:
+                yield route, lift.dot(vec)
+            else:
+                # a hand-written fit, read at each call from its kernel's registry
+                registry = COMPLEX_REGISTRY if a.dtype.kind == "c" else REAL_REGISTRY
+                member = registry[f][1](a, c.reshape(4, 4), tol, tol_abs)[0]
+                if member is not None:
+                    yield route, member
 
 
 def _member(tag: str, a, tol: float, tol_abs: float):

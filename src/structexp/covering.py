@@ -29,7 +29,7 @@ has every table a route reads.
 A is in the algebra when 2 |(I - psi psi^+) vec A|, which is |A^T M + M A|_F
 for every built-in form M (orthogonal and symmetric), is within tol_abs =
 tol max(1, |A|_F) (`smalllin._admit`); the built-in algebras are entries,
-with rows off/2, of the membership kernel of their size (`classify`).  At
+with rows off/2, of the covering kernel of their size (`classify`).  At
 |x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
 and raises OverflowError unless exp(A) is finite.
 """
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -116,6 +116,11 @@ class CoveringAlgebra:
         det_form = -np.einsum("mab,nba->mn", e[1:], e[1:]).real / 2.0
         object.__setattr__(self, "det_form", tuple(map(tuple, det_form.tolist())))
 
+    @cached_property
+    def forced(self) -> tuple:
+        """Its route of `smalllin._forced`, forced by `_lift` and `_ROUTES`."""
+        return self.dim, True, partial(NotInAlgebra, self.name), partial(_lift_step, self)
+
 
 def _coords(alg: CoveringAlgebra, x: np.ndarray) -> np.ndarray:
     return alg.coord_pinv @ _stack8(x)
@@ -154,8 +159,7 @@ def _lift_step(alg: CoveringAlgebra, a, tol: float, tol_abs: float):
 
 def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
     """The lift x of A forced onto the algebra, or NotInAlgebra."""
-    return _forced(a_matrix, tol, (alg.dim, True, partial(NotInAlgebra, alg.name),
-                                   partial(_lift_step, alg)))[0]
+    return _forced(a_matrix, tol, alg.forced)[0]
 
 
 def _det(det_form, x0: float, x1: float, x2: float) -> float:

@@ -64,7 +64,7 @@ from .classify import (_COMPLEX_TAGS, EXTRACTORS, FAMILIES,
                        SymToeplitzS13Zero, SymToeplitzTridiag, _member,
                        _special_normal_frame, _special_normal_parts, _walk,
                        coefficients)
-from .covering import COVERING_ALGEBRAS, NotInAlgebra, _exp_lift, _lift_step
+from .covering import COVERING_ALGEBRAS, _exp_lift
 from .hxh import _BASIS_ROWS, _MUL_IDX, _MUL_SGN
 from .oracle import expm_series, rel_error
 from .smalllin import (_SAFE_NORM, DEFAULT_TOL, _admit, _expm2, _factors, _forced,
@@ -383,15 +383,15 @@ def exp_structured_class(inst) -> np.ndarray:
 
 # every route by name, as its route of `smalllin._forced` (size, real,
 # refuse, step) and its closed form (member, |A|_F, tol_abs) -> exp(A); a
-# 2x2 is its own member, and it and a covering lift gate their own norms
+# 2x2 is its own member, and it and a covering lift gate their own norms; a
+# 2x2 the gate turns away is outside expm2's domain, not its class
 _ROUTES = {
-    "expm2": ((2, False, partial(ForcedClassMismatch, "expm2"), lambda a, tol, tol_abs: (a, 0.0)),
-              lambda a, norm, tol_abs: _expm2(a, norm)),
+    "expm2": ((2, False, lambda res: ValueError("matrix has non-finite entries or an "
+                                                "overflowing norm"),
+               lambda a, tol, tol_abs: (a, 0.0)), lambda a, norm, tol_abs: _expm2(a, norm)),
     **{tag: ((4, tag not in _COMPLEX_TAGS, partial(ForcedClassMismatch, tag),
               partial(_member, tag)), partial(_exp_member, tag)) for tag in EXTRACTORS},
-    **{f"covering:{name}": ((alg.dim, True, partial(NotInAlgebra, name),
-                             partial(_lift_step, alg)),
-                            lambda x, norm, tol_abs, alg=alg: _exp_lift(alg, x))
+    **{f"covering:{name}": (alg.forced, lambda x, norm, tol_abs, alg=alg: _exp_lift(alg, x))
        for name, alg in COVERING_ALGEBRAS.items()},
 }
 _SHAPES = frozenset({(2, 2), (3, 3), (4, 4)})
@@ -412,7 +412,7 @@ def _dispatch(a, method: str, tol: float):
     with no generator around it, or the series oracle when none claims A;
     "oracle" skips every closed form; a route name forces that route: a
     class tag (ForcedClassMismatch), "covering:<name>" (NotInAlgebra) or
-    "expm2"."""
+    "expm2" (ValueError on a 2x2 of non-finite entries or norm)."""
     if method == "oracle":
         return "oracle", expm_series(a)
     if method == "auto":
@@ -422,17 +422,14 @@ def _dispatch(a, method: str, tol: float):
         if match is None:
             return "oracle", expm_series(a)
         (method, member), (_, norm, tol_abs) = match, admitted
-        form = _ROUTES[method][1]
+    elif method in _ROUTES:
+        member, norm, tol_abs = _forced(a, tol, _ROUTES[method][0])
+    elif method.startswith("covering:"):
+        raise ValueError(f"unknown covering algebra {method[9:]!r}; choose from "
+                         + ", ".join(sorted(COVERING_ALGEBRAS)))
     else:
-        route = _ROUTES.get(method)
-        if route is None and method.startswith("covering:"):
-            raise ValueError(f"unknown covering algebra {method[9:]!r}; choose from "
-                             + ", ".join(sorted(COVERING_ALGEBRAS)))
-        if route is None:
-            raise ValueError(f"unknown method {method!r}")
-        member, norm, tol_abs = _forced(a, tol, route[0])
-        form = route[1]
-    return method, form(member, norm, tol_abs)
+        raise ValueError(f"unknown method {method!r}")
+    return method, _ROUTES[method][1](member, norm, tol_abs)
 
 
 def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
@@ -444,7 +441,8 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
     of a 3x3), falling back to the series oracle when none does; a class tag
     forces that route or raises ForcedClassMismatch; "covering:<name>"
     forces that covering algebra or raises NotInAlgebra; "expm2" forces the
-    2x2 route; "oracle" skips classification.
+    2x2 route, ValueError if its entries or norm are not finite; "oracle"
+    skips classification.
     """
     a = np.asarray(a_matrix)
     if a.shape not in _SHAPES:

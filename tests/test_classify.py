@@ -245,6 +245,22 @@ def test_every_route_holds_a_to_the_one_bound(route):
                 assert (route in [inst.tag for inst in classify(m)]) == walked, (norm, factor)
 
 
+def test_verify_walks_the_family_kernel_that_auto_walks():
+    # one family kernel a registry, and the covering algebras a kernel of
+    # their own: the family routes that verify walks are auto's and
+    # classify's, member for member bitwise, on members, on members at the
+    # bound (the Toeplitz tie rows among them) and on dense input
+    rng = np.random.default_rng(32)
+    assert cls_mod._KERNELS[4, False] == (cls_mod._REAL4, cls_mod._COVER4)
+    for cplx, tags in ((False, REAL_FAMILY_TAGS), (True, COMPLEX_FAMILY_TAGS)):
+        for a in _kernel_inputs(tags, cplx, rng):
+            families = _walked(a, coverings=False)
+            walked = [(r, m) for r, m in _walked(a) if not r.startswith("covering:")]
+            assert [r for r, _ in walked] == [r for r, _ in families]
+            for (r, m), (_, want) in zip(walked, families):
+                assert m.tobytes() == want.tobytes(), r
+
+
 def test_stacked_residuals_agree_with_extractor_loop_on_dense():
     rng = np.random.default_rng(57)
     for _ in range(20):
@@ -410,7 +426,7 @@ def test_extract_symmetric_rep_refuses_an_overflowing_norm():
 def _bisymmetric_rs_bound(a):
     """Twice the norm of A's part off the BisymmetricRS slots, as the real
     registry's membership kernel gives it to classification."""
-    routes, kernel, incidence = cls_mod._REAL4_FAMILIES
+    routes, kernel, incidence = cls_mod._REAL4
     f = _PRIORITY.index("BisymmetricRS")
     assert routes[f] == ("BisymmetricRS", None, None)
     y = kernel @ a.reshape(16)
@@ -492,7 +508,7 @@ def _kernel_inputs(tags, cplx, rng, scales=(1e-3, 1.0, 30.0, 1e150)):
 def test_membership_kernel_is_each_entrys_projector_residual(tag):
     cplx = tag in COMPLEX_FAMILY_TAGS
     registry = COMPLEX_REGISTRY if cplx else REAL_REGISTRY
-    _, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4_FAMILIES
+    _, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4
     f = [t for t, _ in registry].index(tag)
     # W is 0/1, each column repeated for the floats of one coefficient
     pairs = incidence.shape[1] // kernel.shape[0]
@@ -546,7 +562,7 @@ def test_membership_kernel_decides_and_extracts_as_the_stacked_map(cplx):
     inputs = _kernel_inputs(tags, cplx, rng)
     inputs += [s * sample_family(tag, rng) for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
                for s in (0.1, 10.0)]
-    _, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4_FAMILIES
+    _, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4
     for a in inputs:
         admitted = _admit(a, DEFAULT_TOL)
         if (admitted[0].dtype.kind == "c") != cplx:

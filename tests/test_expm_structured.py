@@ -759,6 +759,20 @@ def test_forced_expm2_takes_only_a_2x2():
     assert "expected a 2x2 matrix" in err.getvalue()
 
 
+def test_forced_expm2_refuses_an_unadmitted_2x2_as_outside_its_domain():
+    # every 2x2 of finite entries and norm is on the expm2 route, so one with
+    # a non-finite entry or an overflowing norm is outside its domain: a
+    # ValueError, exit 2, as auto's series oracle gives the overflowing
+    # norm, and not a class refusal (exit 3)
+    for a in (np.diag([1e200, 1e200]), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="non-finite entries or an overflowing norm") as info:
+            expm_auto(a, method="expm2")
+        assert not isinstance(info.value, ForcedClassMismatch)
+    for method in ("expm2", "auto"):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.run(["expm", "--method", method, "1e200 0 0 1e200"]) == 2, method
+
+
 class _DataclassBuilt(Exception):
     pass
 
