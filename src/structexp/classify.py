@@ -28,13 +28,19 @@ of y = Y vec A: 19 rows for the real families, 16 complex ones, 48 for the
 4x4 algebras (so4, p4r, so22r), 27 for the 3x3 ones, none for a 2x2, its
 own expm2 member.  BisymmetricRS fills six slots, so a symmetric or dense A
 skips its fit; SpecialNormal fills every slot, so its fit always runs.
-`_walk` compares W (y o y) with (tol_abs/2)^2 and visits only the entries
-that pass, in route order, yielding (route, member) lazily, so auto, which
-takes the first, never fits a member of an earlier family; auto and
-classify walk a 4x4's family kernel alone, verify its covering one too.  A
-table family's member is c minus its off rows P_f P applied to A, the rows
-its forced route (`Family.extract`) applies, so auto, forced and verify give
-bitwise-equal members; a fit reads c = y[:16]; an algebra's member is its
+
+Two helpers walk one kernel: `_residuals` takes y and the squares
+W (y o y), read once as Python floats, and `_claim` compares them with
+(tol_abs/2)^2 in route order from a given entry on and returns the first
+entry that claims A, with its member.  `_walk` yields the claims one by
+one, lazily, to classify and verify; auto (`expm_structured._dispatch`)
+takes the first by the same two helpers in its own frame, so no entry past
+the first claim is fitted.  Auto and classify walk a 4x4's family kernel
+alone, verify its covering one too.  A route is (name, off rows, lift,
+fit): a table family's member is c minus its off rows P_f P applied to A,
+the rows its forced route (`Family.extract`) applies, so auto, forced and
+verify give bitwise-equal members; a hand-written fit's is what the
+extractor its route carries returns from c = y[:16]; an algebra's is its
 lift psi^+ vec A.  The dataclasses are the public view of a member:
 `instance` and `coefficients` convert between the two.
 """
@@ -560,10 +566,11 @@ def _ties(projector) -> np.ndarray:
 def _stack(registry, algebras=(), pairs: int = 1):
     """The membership kernel (routes, Y, W) of a registry's entries or of
     covering algebras (see the module docstring): a route is (name, a table
-    family's off rows P_f P, an algebra's lift map psi^+), W repeats each
-    column for the `pairs` floats of a coefficient, and Y and the off rows
-    are complex for two, as vec A is.  A table family gets [P; P_f P] for
-    its forced route, real and complex128."""
+    family's off rows P_f P, an algebra's lift map psi^+, a hand-written
+    fit's extractor), W repeats each column for the `pairs` floats of a
+    coefficient, and Y and the off rows are complex for two, as vec A is.
+    A table family gets [P; P_f P] for its forced route, real and
+    complex128."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
@@ -572,16 +579,17 @@ def _stack(registry, algebras=(), pairs: int = 1):
     dtype = np.complex128 if pairs == 2 else np.float64
     w = np.zeros((len(projs) + len(algebras), ends[-1]))
     routes = []
-    for f, ((tag, _), proj) in enumerate(zip(registry, projs)):
+    for f, ((tag, extract), proj) in enumerate(zip(registry, projs)):
         w[f, :16], w[f, ends[f + 1]:ends[f + 2]] = proj.diagonal() == 1.0, 1.0
         fam = FAMILIES.get(tag)
         if fam is not None:
             fam.rows = np.vstack([np.eye(16), proj]) @ _PROJECTION_ROWS
             fam.complex_rows = fam.rows.astype(np.complex128)
-        routes.append((tag, None if fam is None else fam.rows[16:].astype(dtype), None))
+        routes.append((tag, None, None, extract) if fam is None
+                      else (tag, fam.rows[16:].astype(dtype), None, None))
     for g, alg in enumerate(algebras, len(projs)):
         w[g, ends[g + 1]:ends[g + 2]] = 1.0
-        routes.append((f"covering:{alg.name}", None, alg.psi_pinv))
+        routes.append((f"covering:{alg.name}", None, alg.psi_pinv, None))
     blocks = [alg.off / 2.0 for alg in algebras]
     if registry:
         blocks.insert(0, np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS)
@@ -590,13 +598,15 @@ def _stack(registry, algebras=(), pairs: int = 1):
 
 # each registry's family kernel and each size's covering kernel, built at
 # import; (size, complex) -> its kernels, of which auto and classify walk the
-# first; a 2x2's kernel has no rows: every 2x2 is its own expm2 member
+# first.  A 2x2's kernel is None, with one entry: every 2x2 is its own expm2
+# member; a complex 3x3's has no rows and no entry
 _REAL4, _COMPLEX4 = _stack(REAL_REGISTRY), _stack(COMPLEX_REGISTRY, pairs=2)
 _COVER3, _COVER4 = (_stack((), [alg for alg in COVERING_ALGEBRAS.values() if alg.dim == n])
                     for n in (3, 4))
-_EXPM2 = ((("expm2", None, None),), None, None)
+_EXPM2 = ((("expm2", None, None, None),), None, None)
 _KERNELS = {(2, False): (_EXPM2,), (2, True): (_EXPM2,), (3, False): (_COVER3,),
-            (3, True): (), (4, False): (_REAL4, _COVER4), (4, True): (_COMPLEX4,)}
+            (3, True): (((), np.zeros((0, 9)), np.zeros((0, 0))),),
+            (4, False): (_REAL4, _COVER4), (4, True): (_COMPLEX4,)}
 _COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
 
 
@@ -605,34 +615,57 @@ def _coefficient_table(a) -> np.ndarray:
     return _PROJECTION_ROWS.dot(a.reshape(16)).reshape(4, 4)
 
 
+def _residuals(kernel, incidence, vec):
+    """(y, squares) of a kernel's Y and W on vec A: y = Y vec A, and the
+    squared residual of each entry, W (y o y), as a list of floats; a 2x2's
+    one entry has no residual."""
+    if kernel is None:
+        return None, [0.0]
+    y = kernel.dot(vec)
+    # a complex y is squared as pairs of floats
+    pairs = y.view(np.float64) if y.dtype is _COMPLEX else y
+    return y, incidence.dot(pairs * pairs).tolist()
+
+
+def _claim(routes, squares, start: int, a, vec, y, tol: float, tol_abs: float):
+    """(f, member) of the first entry f >= start of a kernel that claims
+    the admitted A, from its `squares` and `y` (see _residuals), or None.
+    An entry whose square exceeds (tol_abs/2)^2, or is NaN, is skipped; a
+    table family's member is c - P_f P vec A, an algebra's its lift, a
+    fit's the member its extractor returns, if any, and a 2x2's A."""
+    half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
+    bound = half * half
+    for f in range(start, len(squares)):
+        if squares[f] <= bound:
+            _, off, lift, fit = routes[f]
+            if off is not None:
+                return f, y[:16] - off.dot(vec)
+            if lift is not None:
+                return f, lift.dot(vec)
+            if fit is None:
+                return f, a
+            member = fit(a, y[:16].reshape(4, 4), tol, tol_abs)[0]
+            if member is not None:
+                return f, member
+    return None
+
+
 def _walk(a, tol_abs: float, tol: float, coverings: bool):
     """(route, member) of each route that claims the admitted A (see
     `smalllin._admit`), lazily in route order: a 4x4's structured families
     in dispatch order, then, when `coverings` is set, its covering algebras
     by their own kernel; a 3x3's covering algebras; expm2 for a 2x2 (see
-    the module docstring)."""
+    the module docstring).  Auto takes the first claim by the same
+    _residuals and _claim, in `expm_structured._dispatch`."""
     kernels = _KERNELS[len(a), a.dtype.kind == "c"]
     vec = a.reshape(-1)
-    half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
     for routes, kernel, incidence in (kernels if coverings else kernels[:1]):
-        if kernel is None:
-            for route, _, _ in routes:
-                yield route, a
-            continue
-        y = kernel.dot(vec)
-        c, pairs = y[:16], y.view(np.float64)  # a complex y is squared as pairs
-        for f in (incidence.dot(pairs * pairs) <= half * half).nonzero()[0].tolist():
-            route, off, lift = routes[f]
-            if off is not None:
-                yield route, c - off.dot(vec)
-            elif lift is not None:
-                yield route, lift.dot(vec)
-            else:
-                # a hand-written fit, read at each call from its kernel's registry
-                registry = COMPLEX_REGISTRY if a.dtype.kind == "c" else REAL_REGISTRY
-                member = registry[f][1](a, c.reshape(4, 4), tol, tol_abs)[0]
-                if member is not None:
-                    yield route, member
+        y, squares = _residuals(kernel, incidence, vec)
+        claim = _claim(routes, squares, 0, a, vec, y, tol, tol_abs)
+        while claim is not None:
+            f, member = claim
+            yield routes[f][0], member
+            claim = _claim(routes, squares, f + 1, a, vec, y, tol, tol_abs)
 
 
 def _member(tag: str, a, tol: float, tol_abs: float):

@@ -43,8 +43,9 @@ OverflowError only where exp(A) is beyond the float64 range.
 Route selection at every size is made here once, from one table of each
 route's forced step and closed form by name (_ROUTES): `_routes` gives the
 routes of `classify._walk` their closed forms, and `_dispatch`, which
-`expm_auto` and the CLI's `expm` call, takes the first of `_walk` for auto
-or forces a route through its table entry.
+`expm_auto` and the CLI's `expm` call, takes the walk's first claim for auto
+(by `classify._residuals` and `_claim`, the walk's own body) or forces a
+route through its table entry.
 """
 
 from __future__ import annotations
@@ -57,13 +58,13 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (_COMPLEX_TAGS, EXTRACTORS, FAMILIES,
+from .classify import (_COMPLEX_TAGS, _KERNELS, EXTRACTORS, FAMILIES,
                        BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
-                       SymToeplitzS13Zero, SymToeplitzTridiag, _member,
-                       _special_normal_frame, _special_normal_parts, _walk,
-                       coefficients)
+                       SymToeplitzS13Zero, SymToeplitzTridiag, _claim, _member,
+                       _residuals, _special_normal_frame, _special_normal_parts,
+                       _walk, coefficients)
 from .covering import COVERING_ALGEBRAS, _exp_lift
 from .hxh import _BASIS_ROWS, _MUL_IDX, _MUL_SGN
 from .oracle import expm_series, rel_error
@@ -408,20 +409,26 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
 
 
 def _dispatch(a, method: str, tol: float):
-    """(route, exp(A)) by `method`: "auto" takes the first of `classify._walk`,
-    with no generator around it, or the series oracle when none claims A;
-    "oracle" skips every closed form; a route name forces that route: a
-    class tag (ForcedClassMismatch), "covering:<name>" (NotInAlgebra) or
-    "expm2" (ValueError on a 2x2 of non-finite entries or norm)."""
+    """(route, exp(A)) by `method`: "auto" takes the first route of
+    `classify._walk` (without coverings) by the walk's own helpers, in this
+    frame, or the series oracle when none claims A; "oracle" skips every
+    closed form; a route name forces that route: a class tag
+    (ForcedClassMismatch), "covering:<name>" (NotInAlgebra) or "expm2"
+    (ValueError on a 2x2 of non-finite entries or norm)."""
     if method == "oracle":
         return "oracle", expm_series(a)
     if method == "auto":
         admitted = _admit(a, tol, len(a))
-        match = None if admitted is None else next(_walk(admitted[0], admitted[2], tol, False),
-                                                   None)
-        if match is None:
+        if admitted is None:
             return "oracle", expm_series(a)
-        (method, member), (_, norm, tol_abs) = match, admitted
+        x, norm, tol_abs = admitted
+        routes, kernel, incidence = _KERNELS[len(x), x.dtype.kind == "c"][0]
+        vec = x.reshape(-1)
+        y, squares = _residuals(kernel, incidence, vec)
+        claim = _claim(routes, squares, 0, x, vec, y, tol, tol_abs)
+        if claim is None:
+            return "oracle", expm_series(a)
+        method, member = routes[claim[0]][0], claim[1]
     elif method in _ROUTES:
         member, norm, tol_abs = _forced(a, tol, _ROUTES[method][0])
     elif method.startswith("covering:"):

@@ -56,12 +56,15 @@ _SHAPES = frozenset((n, n) for n in _ALLOWED_SIZES)
 def expm_series(a) -> np.ndarray:
     """exp(A) by squaring exp(A / 2^s), the latter summed as a Horner Taylor
     polynomial. Raises OverflowError if the input or result is not finite,
-    and ValueError if the 1-norm is over 0.5 * 2^_MAX_SQUARINGS (5.5e11).
-    The result is a new writable array.
+    ValueError if the 1-norm is over 0.5 * 2^_MAX_SQUARINGS (5.5e11), and
+    TypeError unless the entries are bool, integer, float or complex (the
+    routes' rule, written here apart). The result is a new writable array.
     """
     a = np.asarray(a)
     if a.shape not in _SHAPES:
         raise ValueError("expected a square matrix of size 2, 3 or 4")
+    if a.dtype.kind not in "biufc":
+        raise TypeError("matrix entries must be bool, integer, float or complex numbers")
     dtype = np.dtype(np.complex128 if a.dtype.kind == "c" else np.float64)
     a = a.astype(dtype, copy=False)
     # ahead of the norm: np.abs warns on a complex inf

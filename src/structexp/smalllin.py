@@ -36,12 +36,17 @@ def frobenius(x) -> float:
 def _real_if_possible(a, norm: float):
     """A complex A without its imaginary part when every |Im A| is at most
     1e-14 max(1, norm), for A of Frobenius norm `norm`; A otherwise."""
-    if abs(a.imag).max() <= 1e-14 * max(1.0, norm):
+    if np.maximum.reduce(np.abs(a.imag), None) <= 1e-14 * max(1.0, norm):
         return a.real.copy()
     return a
 
 
 _DOUBLES = (np.dtype(np.float64), np.dtype(np.complex128))
+# the dtype kinds of a matrix: bool, signed and unsigned integer, floating
+# and complex; every other dtype (object, str, bytes, datetime64,
+# timedelta64, void) raises TypeError with this message
+_NUMERIC_KINDS = "biufc"
+_NOT_NUMERIC = "matrix entries must be bool, integer, float or complex numbers"
 
 
 def _admit(a_matrix, tol: float, n: int = 4):
@@ -50,15 +55,18 @@ def _admit(a_matrix, tol: float, n: int = 4):
     about 1.3e154, where tol_abs would be inf and accept anything).  A is
     taken as float64 if integer, bool or of another floating kind, as
     complex128 if of another complex kind, and as real if its imaginary part
-    vanishes (classify.as_real_if_possible).  |A|_F is taken on A as given,
-    so a huge imaginary part is never dropped against an infinite scale.
+    vanishes (classify.as_real_if_possible); any other dtype raises
+    TypeError.  |A|_F is taken on A as given, so a huge imaginary part is
+    never dropped against an infinite scale.
     tol_abs = tol max(1, |A|_F) is the one bound every route holds A to."""
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     a = np.asarray(a_matrix)
     if a.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix")
-    if a.dtype not in _DOUBLES and a.dtype.kind in "biufc":
+    if a.dtype not in _DOUBLES:
+        if a.dtype.kind not in _NUMERIC_KINDS:
+            raise TypeError(_NOT_NUMERIC)
         # integer squares wrap in the norm, bool ones saturate, and the
         # coefficients are read as pairs of float64s; an entry past the
         # float64 range becomes inf, which no route admits
@@ -181,13 +189,16 @@ def expm2(a) -> np.ndarray:
 
         exp(A) = exp(tr/2) (phi_c(det A0) I + phi_s(det A0) A0),
 
-    by _factors.  A non-finite entry raises ValueError.  At
+    by _factors.  A non-finite entry raises ValueError, a dtype of no
+    numeric kind TypeError (see _admit).  At
     |A|_F >= _SAFE_NORM it runs under np.errstate and raises OverflowError
     unless the result is finite: only where exp(A) is not.
     """
     a = np.asarray(a)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
+    if a.dtype.kind not in _NUMERIC_KINDS:
+        raise TypeError(_NOT_NUMERIC)
     a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     norm = frobenius(a)
     if not norm < _SAFE_NORM and not np.isfinite(a).all():
@@ -225,8 +236,10 @@ class Svd3:
 
 
 def _real_3x3(m) -> np.ndarray:
-    """m as a real 3x3 float array, or ValueError (see svd3)."""
+    """m as a real 3x3 float array, or ValueError or TypeError (see svd3)."""
     m = np.asarray(m)
+    if m.dtype.kind not in _NUMERIC_KINDS:
+        raise TypeError(_NOT_NUMERIC)
     if np.iscomplexobj(m):
         # np.asarray(m, dtype=float) would only warn, and drop m.imag
         if m.imag.any():
@@ -272,7 +285,8 @@ def svd3(m) -> Svd3:
     values at or below 3 * eps * sigma_1 (numpy's matrix_rank cutoff) are
     rounding noise of a rank-deficient input and are reported as exact zeros.
     A complex m whose imaginary part is zero is read as real.  ValueError
-    for a nonzero imaginary part, another shape or a non-finite entry.
+    for a nonzero imaginary part, another shape or a non-finite entry;
+    TypeError for a dtype of no numeric kind (see _admit).
     """
     u, sigma, vh = _svd3(_real_3x3(m))
     return Svd3(u, np.array(sigma), vh.T)

@@ -43,6 +43,7 @@ from conftest import COMPLEX_FAMILY_TAGS, REAL_FAMILY_TAGS, covering_member, sam
 _PRIORITY = [tag for tag, _ in REAL_REGISTRY]
 # the package attribute structexp.classify is the function
 cls_mod = importlib.import_module("structexp.classify")
+es_mod = importlib.import_module("structexp.expm_structured")
 
 
 def test_j4_is_skew_symmetric():
@@ -428,7 +429,7 @@ def _bisymmetric_rs_bound(a):
     registry's membership kernel gives it to classification."""
     routes, kernel, incidence = cls_mod._REAL4
     f = _PRIORITY.index("BisymmetricRS")
-    assert routes[f] == ("BisymmetricRS", None, None)
+    assert routes[f] == ("BisymmetricRS", None, None, cls_mod.EXTRACTORS["BisymmetricRS"])
     y = kernel @ a.reshape(16)
     return 2.0 * np.sqrt(incidence[f] @ (y * y))
 
@@ -463,9 +464,12 @@ def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
         calls.append(args)
         return fit(*args)
 
-    monkeypatch.setattr(cls_mod, "REAL_REGISTRY", [
-        (tag, counting if tag == "BisymmetricRS" else extract)
-        for tag, extract in cls_mod.REAL_REGISTRY])
+    # the walk calls the fit its route carries
+    routes, kernel, incidence = cls_mod._REAL4
+    routes = tuple((tag, off, lift, counting if tag == "BisymmetricRS" else fit)
+                   for tag, off, lift, fit in routes)
+    monkeypatch.setitem(cls_mod._KERNELS, (4, False),
+                        ((routes, kernel, incidence), cls_mod._COVER4))
     rng = np.random.default_rng(60)
     for _ in range(20):
         for a in (sample_family("SymmetricGeneral", rng), rng.standard_normal((4, 4))):
@@ -575,6 +579,143 @@ def test_membership_kernel_decides_and_extracts_as_the_stacked_map(cplx):
         assert [t for t, _ in got] == [t for t, _ in found]
         for (tag, m), (_, want) in zip(got, found):
             assert m.tobytes() == want.tobytes(), tag
+
+
+def _claims(routes, squares, a, vec, y, tol_abs, tol=DEFAULT_TOL):
+    """The entries that claim A, by _claim from each entry past the last."""
+    out, claim = [], cls_mod._claim(routes, squares, 0, a, vec, y, tol, tol_abs)
+    while claim is not None:
+        out.append(claim[0])
+        claim = cls_mod._claim(routes, squares, claim[0] + 1, a, vec, y, tol, tol_abs)
+    return out
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_the_walk_helpers_pass_what_the_bound_passes(cplx):
+    # the squares _residuals reads as floats pass where numpy's comparison
+    # of W (y o y) with (tol_abs/2)^2 does, and _claim claims every passing
+    # table family and each passing fit whose extractor returns a member
+    rng = np.random.default_rng(33)
+    tags = COMPLEX_FAMILY_TAGS if cplx else REAL_FAMILY_TAGS
+    routes, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4
+    for a in _kernel_inputs(tags, cplx, rng):
+        a, _, tol_abs = _admit(a, DEFAULT_TOL)
+        if (a.dtype.kind == "c") != cplx:
+            continue
+        vec = a.reshape(16)
+        pairs = kernel.dot(vec).view(np.float64)
+        passing = (incidence.dot(pairs * pairs) <= (tol_abs / 2) ** 2).nonzero()[0].tolist()
+        y, squares = cls_mod._residuals(kernel, incidence, vec)
+        assert y.tobytes() == kernel.dot(vec).tobytes()
+        assert [f for f, sq in enumerate(squares) if sq <= (tol_abs / 2) ** 2] == passing
+        c = y[:16].reshape(4, 4)
+        want = [f for f in passing if routes[f][3] is None
+                or routes[f][3](a, c, DEFAULT_TOL, tol_abs)[0] is not None]
+        assert _claims(routes, squares, a, vec, y, tol_abs) == want
+
+
+def test_a_nan_square_claims_nothing():
+    routes, kernel, incidence = cls_mod._REAL4
+    a = np.eye(4)
+    vec = a.reshape(16)
+    y, squares = cls_mod._residuals(kernel, incidence, vec)
+    f = _PRIORITY.index("SkewHamiltonian")
+    assert _claims(routes, squares, a, vec, y, DEFAULT_TOL)[0] == f
+    squares[f] = math.nan
+    assert f not in _claims(routes, squares, a, vec, y, DEFAULT_TOL)
+
+
+def test_every_fit_entry_holds_its_own_extractor():
+    # a route is (name, off rows, lift, fit): a table family decides by its
+    # off rows, a covering algebra lifts, a hand-written fit carries its
+    # extractor, and a 2x2 is its own member
+    seen = set()
+    for kernels in cls_mod._KERNELS.values():
+        for routes, _, _ in kernels:
+            for name, off, lift, fit in routes:
+                seen.add(name)
+                if name in FAMILIES:
+                    assert off is not None and lift is None and fit is None, name
+                elif name in EXTRACTORS:
+                    assert off is None and lift is None and fit is EXTRACTORS[name], name
+                elif name.startswith("covering:"):
+                    assert off is None and lift is not None and fit is None, name
+                else:
+                    assert (name, off, lift, fit) == ("expm2", None, None, None)
+    assert seen == set(EXTRACTORS) | {f"covering:{n}" for n in COVERING_ALGEBRAS} | {"expm2"}
+
+
+def test_a_kernel_stacked_in_another_order_calls_each_tags_own_fit(monkeypatch):
+    # _stack sets each table family's forced rows again (to equal values):
+    # put the originals back after the test
+    for fam in FAMILIES.values():
+        monkeypatch.setattr(fam, "rows", fam.rows)
+        monkeypatch.setattr(fam, "complex_rows", fam.complex_rows)
+    routes, kernel, incidence = cls_mod._stack(REAL_REGISTRY[::-1])
+    assert [r[0] for r in routes] == _PRIORITY[::-1]
+    rng = np.random.default_rng(34)
+    for tag in ("SpecialNormal", "BisymmetricRS", "SymmetricGeneral", "SkewSymmetric"):
+        for _ in range(5):
+            a, _, tol_abs = _admit(sample_family(tag, rng), DEFAULT_TOL)
+            vec = a.reshape(16)
+            y, squares = cls_mod._residuals(kernel, incidence, vec)
+            claims = {}
+            for f in _claims(routes, squares, a, vec, y, tol_abs):
+                claims[routes[f][0]] = cls_mod._claim(routes, squares, f, a, vec, y,
+                                                      DEFAULT_TOL, tol_abs)[1].tobytes()
+            want = {r: m.tobytes() for r, m in _walked(a, coverings=False)}
+            assert claims == want, tag
+
+
+def _first_of_walk(a, tol=DEFAULT_TOL):
+    """(route, exp(A)) of the first route of the walk without coverings,
+    by its closed form, or of the oracle when the walk yields none."""
+    admitted = _admit(a, tol, len(a))
+    first = None if admitted is None else next(_walk(admitted[0], admitted[2], tol, False),
+                                               None)
+    if first is None:
+        return "oracle", expm_series(a)
+    return first[0], es_mod._ROUTES[first[0]][1](first[1], admitted[1], admitted[2])
+
+
+def _assert_auto_takes_the_first_claim(a, label):
+    got, (route, value) = expm_auto(a), _first_of_walk(a)
+    assert got.route == route, label
+    assert got.value.dtype == value.dtype and got.value.tobytes() == value.tobytes(), label
+
+
+@pytest.mark.parametrize("route", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
+                         + ["covering:so3", "covering:p3r", "covering:so21r"])
+def test_auto_takes_the_first_claim_of_the_walk_at_the_bound(route):
+    # a member moved to 0.999 and 1.001 times tol max(1, |A|_F) off its
+    # route, at |A| of 1e-3, 1 and 30 (as in
+    # test_every_route_holds_a_to_the_one_bound)
+    rng = np.random.default_rng(35)
+    for norm in (1e-3, 1.0, 30.0):
+        a, e, residual = _boundary_case(route, norm, rng)
+        _assert_auto_takes_the_first_claim(a, (norm, "member"))
+        for factor in (0.999, 1.001):
+            t = factor * DEFAULT_TOL / residual(e)
+            for _ in range(6):
+                m = a + t * e
+                t *= factor * DEFAULT_TOL * max(1.0, np.linalg.norm(m)) / residual(m)
+            _assert_auto_takes_the_first_claim(a + t * e, (norm, factor))
+
+
+def test_auto_takes_the_first_claim_of_the_walk_elsewhere():
+    # complex-typed real members, dense real and complex 4x4s, 2x2s and a
+    # dense 3x3, real and complex
+    rng = np.random.default_rng(36)
+    for tag in REAL_FAMILY_TAGS:
+        a = sample_family(tag, rng).astype(complex)
+        _assert_auto_takes_the_first_claim(a, tag)
+        assert expm_auto(a).route != "oracle", tag
+    for n in (2, 3, 4):
+        for _ in range(10):
+            a = rng.standard_normal((n, n))
+            _assert_auto_takes_the_first_claim(a, n)
+            _assert_auto_takes_the_first_claim(a + 1j * rng.standard_normal((n, n)), n)
+    assert expm_auto(rng.standard_normal((2, 2))).route == "expm2"
 
 
 @settings(max_examples=60, deadline=None)

@@ -448,6 +448,27 @@ def test_verify_inject_fault_fails(capsys):
 
 
 @pytest.mark.parametrize("text", [J4_TEXT, "0 1 -1 0"])
+def test_verify_infinite_fault_gives_an_infinite_residual(text, capsys):
+    # the fault goes on the diagonal alone, so no inf * 0 makes a NaN (or a
+    # RuntimeWarning, an error under this suite's filter)
+    assert run(["verify", text, "--all-routes", "--inject-fault", "inf"]) == 1
+    captured = capsys.readouterr()
+    rows = [line.split() for line in captured.out.splitlines()[1:-1]]
+    assert rows and all(res == "inf" for _, res in rows)
+    assert captured.err == "residual above 1e-10\n"
+
+
+def test_verify_finite_fault_is_added_to_the_diagonal(capsys):
+    assert run(["verify", J4_TEXT, "--all-routes", "--inject-fault", "1e-3"]) == 1
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
+    reference = expm_series(J4)
+    assert [name for name, _ in rows][::len(rows) - 1] == ["SkewSymmetric", "covering:so4"]
+    for name, res in rows:
+        value = expm_auto(J4, method=name).value + 1e-3 * np.eye(4)
+        assert res == f"{rel_error(value, reference):.3e}", name
+
+
+@pytest.mark.parametrize("text", [J4_TEXT, "0 1 -1 0"])
 def test_verify_nan_residual_fails(text, capsys):
     # nan compares false with the tolerance, so it must fail the check
     assert run(["verify", text, "--inject-fault", "nan"]) == 1

@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from structexp import classify, expm_auto, extract_special_normal
+from structexp import (classify, expm_auto, expm_series, extract_special_normal,
+                       extract_symmetric_rep)
 from structexp.classify import COMPLEX_REGISTRY, EXTRACTORS, REAL_REGISTRY
 from structexp.covering import COVERING_ALGEBRAS, exp_via_covering, psi_inverse
 from structexp.cli import (MatrixDocument, ParseError, describe_instance,
                            format_document_json, parse_document, run)
 from structexp.expm_structured import ForcedClassMismatch
 from structexp.hxh import J4, R4
+from structexp.smalllin import expm2, svd3, sym_eig3
 
 from conftest import _refuse, _refuse_everywhere, covering_member, sample_family
 
@@ -226,6 +228,82 @@ def test_bool_input_takes_the_float_norm():
     b = np.array([[0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1]], dtype=bool)
     assert _tags(classify(b, 0.3)) == _tags(classify(b.astype(float), 0.3))
     assert _tags(classify(b, 0.3)) == ["SymmetricGeneral"]
+
+
+# the one dtype rule: bool, integer, float and complex entries are numbers;
+# every other kind raises TypeError with one message at every entry point
+NOT_NUMERIC = "matrix entries must be bool, integer, float or complex numbers"
+
+
+def _of_kind(n, kind):
+    """An n x n matrix of dtype kind `kind`: eye(n) where it can hold it."""
+    eye = np.eye(n)
+    return {"object": eye.astype(object), "str": eye.astype(str),
+            "bytes": eye.astype("S8"), "datetime64": np.zeros((n, n), "datetime64[s]"),
+            "timedelta64": np.zeros((n, n), "timedelta64[s]"),
+            "void": np.zeros((n, n), "V8"), "bool": eye.astype(bool),
+            "int8": eye.astype(np.int8), "uint16": eye.astype(np.uint16),
+            "float16": eye.astype(np.float16), "float32": eye.astype(np.float32),
+            "complex64": eye.astype(np.complex64)}[kind]
+
+
+def _entry_points(n):
+    """Every entry point that takes an n x n matrix, by name."""
+    calls = {"auto": expm_auto, "oracle": lambda a: expm_auto(a, method="oracle"),
+             "expm_series": expm_series}
+    algs = [alg for alg in COVERING_ALGEBRAS.values() if alg.dim == n]
+    for alg in algs[:1]:
+        calls[f"covering:{alg.name}"] = lambda a, alg=alg: expm_auto(a, method=f"covering:{alg.name}")
+        calls["psi_inverse"] = lambda a, alg=alg: psi_inverse(alg, a)
+        calls["exp_via_covering"] = lambda a, alg=alg: exp_via_covering(alg, a)
+    if n == 2:
+        calls.update(expm2=expm2, forced_expm2=lambda a: expm_auto(a, method="expm2"))
+    if n == 3:
+        calls.update(svd3=svd3, sym_eig3=sym_eig3)
+    if n == 4:
+        calls.update(classify=classify, SkewHamiltonian=lambda a: expm_auto(
+            a, method="SkewHamiltonian"), extract_symmetric_rep=extract_symmetric_rep,
+            extract_special_normal=extract_special_normal)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["object", "str", "bytes", "datetime64", "timedelta64",
+                                  "void"])
+def test_a_matrix_of_no_numeric_kind_raises_one_type_error(n, kind):
+    a = _of_kind(n, kind)
+    for name, call in _entry_points(n).items():
+        with pytest.raises(TypeError) as info:
+            call(a)
+        assert str(info.value) == NOT_NUMERIC, (name, kind)
+
+
+def _outcome(call, a):
+    """What call(a) returns, its arrays as (dtype, bytes), or the type and
+    message of what it raises."""
+    try:
+        got = call(a)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    got = getattr(got, "value", got)
+    if isinstance(got, list):
+        return got
+    if hasattr(got, "__dataclass_fields__"):
+        got = tuple(getattr(got, f.name) for f in fields(got))
+    return [None if x is None else (np.asarray(x).dtype, np.asarray(x).tobytes())
+            for x in (got if isinstance(got, tuple) else (got,))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["bool", "int8", "uint16", "float16", "float32",
+                                  "complex64"])
+def test_a_matrix_of_each_numeric_kind_is_its_float64_or_complex128_copy(n, kind):
+    # eye(n) of every numeric kind gives what its float64 (complex128) copy
+    # gives at every entry point, a refusal included
+    a = _of_kind(n, kind)
+    f = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
+    for name, call in _entry_points(n).items():
+        assert _outcome(call, a) == _outcome(call, f), (name, kind)
 
 
 # ------------------------------------------------------------------ tolerance

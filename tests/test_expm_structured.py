@@ -673,9 +673,12 @@ def test_auto_runs_no_hand_written_extractor_before_a_table_match(monkeypatch):
     def refuse(*args):
         raise _HandWrittenExtractorRan
 
-    monkeypatch.setattr(cls_mod, "REAL_REGISTRY", [
-        (tag, refuse if tag in ("SpecialNormal", "BisymmetricRS") else extract)
-        for tag, extract in cls_mod.REAL_REGISTRY])
+    # the walk calls the fit its route carries
+    routes, kernel, incidence = cls_mod._REAL4
+    routes = tuple((tag, off, lift, refuse if fit is not None else None)
+                   for tag, off, lift, fit in routes)
+    monkeypatch.setitem(cls_mod._KERNELS, (4, False),
+                        ((routes, kernel, incidence), cls_mod._COVER4))
     rng = np.random.default_rng(78)
     # every family dispatched before the hand-written fits
     table_first = [tag for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
