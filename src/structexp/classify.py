@@ -20,28 +20,22 @@ Squares decide every route.  P_f, the projector off registry entry f, is
 I - B B^+ for a table family and, for a fit, the projector off the slots its
 member can fill, whose residual it bounds from below; all but the two
 Toeplitz families' are diagonal and 0/1, and those keep two and one
-orthonormal tie functionals T.  A covering algebra's is I - psi psi^+ =
-off/2 on vec A.  So at import each registry gets one family kernel Y = [P;
-T P], P the coefficient projection, and each size one covering kernel of
-the off/2 rows, each with the 0/1 incidence W of its entries on the squares
-of y = Y vec A: 19 rows for the real families, 16 complex ones, 48 for the
-4x4 algebras (so4, p4r, so22r), 27 for the 3x3 ones, none for a 2x2, its
-own expm2 member.  BisymmetricRS fills six slots, so a symmetric or dense A
-skips its fit; SpecialNormal fills every slot, so its fit always runs.
+orthonormal tie functionals T.  So at import each registry gets one family
+kernel Y = [P; T P], P the coefficient projection, with the 0/1 incidence W
+of its entries on the squares of y = Y vec A: 19 rows for the real
+families, 16 for the complex ones.  `covering` builds each size's covering
+kernel alike (48 rows for the 4x4 algebras, 27 for the 3x3 ones), and a 2x2
+has none: it is its own expm2 member.  BisymmetricRS fills six slots, so a
+symmetric or dense A skips its fit; SpecialNormal fills every slot, so its
+fit always runs.
 
-Two helpers walk one kernel: `_residuals` takes y and the squares
-W (y o y), read once as Python floats, and `_claim` compares them with
-(tol_abs/2)^2 in route order from a given entry on and returns the first
-entry that claims A, with its member.  `_walk` yields the claims one by
-one, lazily, to classify and verify; auto (`expm_structured._dispatch`)
-takes the first by the same two helpers in its own frame, so no entry past
-the first claim is fitted.  Auto and classify walk a 4x4's family kernel
-alone, verify its covering one too.  A route is (name, off rows, lift,
-fit): a table family's member is c minus its off rows P_f P applied to A,
-the rows its forced route (`Family.extract`) applies, so auto, forced and
-verify give bitwise-equal members; a hand-written fit's is what the
-extractor its route carries returns from c = y[:16]; an algebra's is its
-lift psi^+ vec A.  The dataclasses are the public view of a member:
+`smalllin._residuals`, `_member` and `_claim` walk one kernel (see
+there).  `_walk` yields the claims lazily to classify and verify, and auto
+(`expm_structured._dispatch`) takes the first; auto and classify walk a
+4x4's family kernel alone, verify its covering one too.  A forced route is
+its own entry of the same kernel (`_FORCED`, `smalllin._forced`), so auto,
+forced, classify and verify decide every route alike and give
+bitwise-equal members.  The dataclasses are the public view of a member:
 `instance` and `coefficients` convert between the two.
 """
 
@@ -49,16 +43,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from itertools import product
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .covering import COVERING_ALGEBRAS
+from .covering import _COVER3, _COVER4, _ENTRIES, NotInAlgebra
 from .hxh import _BASIS_ROWS, _PROJECTION_ROWS
-from .smalllin import DEFAULT_TOL, _admit, _real_if_possible, frobenius
+from .smalllin import (DEFAULT_TOL, _admit, _claim, _forced, _real_if_possible, _residuals,
+                       frobenius)
 
-_COMPLEX = np.dtype(np.complex128)
 Vec3 = tuple[float, float, float]
 CVec3 = tuple[complex, complex, complex]
 
@@ -268,9 +263,6 @@ class Family:
         sq = (self.basis ** 2).sum(axis=0)
         self.pinv = self.basis.T / np.where(sq > 0.0, sq, 1.0)[:, None]
         self.projector = np.eye(16) - self.basis @ self.pinv
-        # [P; P_f P], giving c and the part of c off the family from the
-        # flat matrix, and its complex128 copy for a complex A; set by _stack
-        self.rows = self.complex_rows = None
 
     def instance(self, member):
         """The dataclass of a member, its parameters B^+ c."""
@@ -288,17 +280,6 @@ class Family:
         """The member of an instance, B theta."""
         return self.basis @ np.concatenate([np.ravel(getattr(inst, name))
                                             for name in self.params])
-
-    def extract(self, a, c, tol, tol_abs):
-        """(member or None, residual), with the signature of every entry of
-        REAL_REGISTRY and COMPLEX_REGISTRY; reads A, not its table c, by the
-        complex128 copy of its rows when A is complex128, uncast."""
-        out = (self.complex_rows if a.dtype is _COMPLEX else self.rows).dot(a.reshape(16))
-        off = out[16:]
-        sq = float(np.vdot(off, off).real)
-        half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
-        member = out[:16] - off if sq <= half * half else None
-        return member, 2.0 * math.sqrt(sq)
 
 
 def _one(a: int, b: int) -> tuple[Pattern]:
@@ -520,20 +501,28 @@ def coefficients(inst) -> np.ndarray:
 Extractor = Callable[[np.ndarray, np.ndarray, float, float],
                      tuple[Optional[np.ndarray], float]]
 
-_real = [(fam.tag, fam.extract) for fam in _TABLE if not fam.complex_scalars]
+# a table family's slot is None: its kernel entry decides it (see _stack)
+_real = [(fam.tag, None) for fam in _TABLE if not fam.complex_scalars]
 
 # dispatch priority: cheapest and most specific first, the rank-one fits
 # next, the svd3-backed symmetric catch-all last
-REAL_REGISTRY: list[tuple[str, Extractor]] = (
+REAL_REGISTRY: list[tuple[str, Optional[Extractor]]] = (
     _real[:-1]
     + [("SpecialNormal", _x_special_normal), ("BisymmetricRS", _x_bisymmetric_rs)]
     + _real[-1:]
 )
 
-COMPLEX_REGISTRY: list[tuple[str, Extractor]] = [
-    (fam.tag, fam.extract) for fam in _TABLE if fam.complex_scalars]
+COMPLEX_REGISTRY: list[tuple[str, Optional[Extractor]]] = [
+    (fam.tag, None) for fam in _TABLE if fam.complex_scalars]
 
-EXTRACTORS: dict[str, Extractor] = dict(REAL_REGISTRY + COMPLEX_REGISTRY)
+EXTRACTORS: dict[str, Optional[Extractor]] = dict(REAL_REGISTRY + COMPLEX_REGISTRY)
+
+
+class ForcedClassMismatch(ValueError):
+    def __init__(self, tag: str, residual: float):
+        super().__init__(f"matrix is not in class {tag} (residual {residual:.3e})")
+        self.tag = tag
+        self.residual = residual
 
 
 def as_real_if_possible(a: np.ndarray) -> np.ndarray:
@@ -563,91 +552,60 @@ def _ties(projector) -> np.ndarray:
     return rows[:, vals > 0.5].T
 
 
-def _stack(registry, algebras=(), pairs: int = 1):
-    """The membership kernel (routes, Y, W) of a registry's entries or of
-    covering algebras (see the module docstring): a route is (name, a table
-    family's off rows P_f P, an algebra's lift map psi^+, a hand-written
-    fit's extractor), W repeats each column for the `pairs` floats of a
-    coefficient, and Y and the off rows are complex for two, as vec A is.
-    A table family gets [P; P_f P] for its forced route, real and
-    complex128."""
+def _stack(registry, pairs: int = 1):
+    """The family kernel (routes, Y, W) of a registry (see the module
+    docstring): W repeats each column for the `pairs` floats of a
+    coefficient, and Y and the rows are complex for two, as vec A is.  A
+    route is (name, off rows, member rows, fit): P_f P for a family with tie
+    rows, (I - P_f) P, the floats of c - P_f P vec A in one product, for one
+    with a 0/1 projector, or a fit's extractor."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
-    ends = np.cumsum([0, 16 if registry else 0] + [len(tie) for tie in ties]
-                     + [len(alg.off) for alg in algebras])
+    ends = np.cumsum([0, 16] + [len(tie) for tie in ties])
     dtype = np.complex128 if pairs == 2 else np.float64
-    w = np.zeros((len(projs) + len(algebras), ends[-1]))
+    w = np.zeros((len(projs), ends[-1]))
     routes = []
-    for f, ((tag, extract), proj) in enumerate(zip(registry, projs)):
+    for f, ((tag, extract), proj, tie) in enumerate(zip(registry, projs, ties)):
         w[f, :16], w[f, ends[f + 1]:ends[f + 2]] = proj.diagonal() == 1.0, 1.0
-        fam = FAMILIES.get(tag)
-        if fam is not None:
-            fam.rows = np.vstack([np.eye(16), proj]) @ _PROJECTION_ROWS
-            fam.complex_rows = fam.rows.astype(np.complex128)
-        routes.append((tag, None, None, extract) if fam is None
-                      else (tag, fam.rows[16:].astype(dtype), None, None))
-    for g, alg in enumerate(algebras, len(projs)):
-        w[g, ends[g + 1]:ends[g + 2]] = 1.0
-        routes.append((f"covering:{alg.name}", None, alg.psi_pinv, None))
-    blocks = [alg.off / 2.0 for alg in algebras]
-    if registry:
-        blocks.insert(0, np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS)
-    return tuple(routes), np.vstack(blocks).astype(dtype), np.repeat(w, pairs, axis=1)
+        if tag not in FAMILIES:
+            routes.append((tag, None, None, extract))
+        elif len(tie):
+            routes.append((tag, (proj @ _PROJECTION_ROWS).astype(dtype), None, None))
+        else:
+            keep = (np.eye(16) - proj) @ _PROJECTION_ROWS
+            routes.append((tag, None, keep.astype(dtype), None))
+    kernel = np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS
+    return tuple(routes), kernel.astype(dtype), np.repeat(w, pairs, axis=1)
 
 
-# each registry's family kernel and each size's covering kernel, built at
-# import; (size, complex) -> its kernels, of which auto and classify walk the
-# first.  A 2x2's kernel is None, with one entry: every 2x2 is its own expm2
-# member; a complex 3x3's has no rows and no entry
+# each registry's family kernel, and the covering kernel of each size (built
+# in `covering`); (size, complex) -> its kernels, of which auto and classify
+# walk the first.  A 2x2's kernel is None, with one entry: every 2x2 is its
+# own expm2 member; a complex 3x3's has no rows and no entry
 _REAL4, _COMPLEX4 = _stack(REAL_REGISTRY), _stack(COMPLEX_REGISTRY, pairs=2)
-_COVER3, _COVER4 = (_stack((), [alg for alg in COVERING_ALGEBRAS.values() if alg.dim == n])
-                    for n in (3, 4))
 _EXPM2 = ((("expm2", None, None, None),), None, None)
 _KERNELS = {(2, False): (_EXPM2,), (2, True): (_EXPM2,), (3, False): (_COVER3,),
             (3, True): (((), np.zeros((0, 9)), np.zeros((0, 0))),),
             (4, False): (_REAL4, _COVER4), (4, True): (_COMPLEX4,)}
-_COMPLEX_TAGS = frozenset(tag for tag, _ in COMPLEX_REGISTRY)
+
+# every route's forced route of `smalllin._forced`, (n, refuse, kernels, f)
+# by name; a complex family forced on a real A walks a float64 copy of its
+# registry's kernel, and a 2x2 the gate turns away is outside expm2's domain
+_FORCED = {
+    **{route[0]: (4, partial(ForcedClassMismatch, route[0]), kernels, f)
+       for kernels in ((_REAL4, None), (_stack(COMPLEX_REGISTRY), _COMPLEX4))
+       for f, route in enumerate(kernels[0][0])},
+    **{f"covering:{alg.name}": (alg.dim, partial(NotInAlgebra, alg.name), (kernel, None), f)
+       for alg, (kernel, f) in _ENTRIES.items()},
+    "expm2": (2, lambda res: ValueError("matrix has non-finite entries or an overflowing norm"),
+              (_EXPM2, _EXPM2), 0),
+}
 
 
 def _coefficient_table(a) -> np.ndarray:
     """The 4x4 coefficient table c of an admitted A (see _admit)."""
     return _PROJECTION_ROWS.dot(a.reshape(16)).reshape(4, 4)
-
-
-def _residuals(kernel, incidence, vec):
-    """(y, squares) of a kernel's Y and W on vec A: y = Y vec A, and the
-    squared residual of each entry, W (y o y), as a list of floats; a 2x2's
-    one entry has no residual."""
-    if kernel is None:
-        return None, [0.0]
-    y = kernel.dot(vec)
-    # a complex y is squared as pairs of floats
-    pairs = y.view(np.float64) if y.dtype is _COMPLEX else y
-    return y, incidence.dot(pairs * pairs).tolist()
-
-
-def _claim(routes, squares, start: int, a, vec, y, tol: float, tol_abs: float):
-    """(f, member) of the first entry f >= start of a kernel that claims
-    the admitted A, from its `squares` and `y` (see _residuals), or None.
-    An entry whose square exceeds (tol_abs/2)^2, or is NaN, is skipped; a
-    table family's member is c - P_f P vec A, an algebra's its lift, a
-    fit's the member its extractor returns, if any, and a 2x2's A."""
-    half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
-    bound = half * half
-    for f in range(start, len(squares)):
-        if squares[f] <= bound:
-            _, off, lift, fit = routes[f]
-            if off is not None:
-                return f, y[:16] - off.dot(vec)
-            if lift is not None:
-                return f, lift.dot(vec)
-            if fit is None:
-                return f, a
-            member = fit(a, y[:16].reshape(4, 4), tol, tol_abs)[0]
-            if member is not None:
-                return f, member
-    return None
 
 
 def _walk(a, tol_abs: float, tol: float, coverings: bool):
@@ -658,22 +616,15 @@ def _walk(a, tol_abs: float, tol: float, coverings: bool):
     the module docstring).  Auto takes the first claim by the same
     _residuals and _claim, in `expm_structured._dispatch`."""
     kernels = _KERNELS[len(a), a.dtype.kind == "c"]
-    vec = a.reshape(-1)
+    vec = a.ravel()
     for routes, kernel, incidence in (kernels if coverings else kernels[:1]):
         y, squares = _residuals(kernel, incidence, vec)
+        squares = squares.tolist()
         claim = _claim(routes, squares, 0, a, vec, y, tol, tol_abs)
         while claim is not None:
             f, member = claim
             yield routes[f][0], member
             claim = _claim(routes, squares, f + 1, a, vec, y, tol, tol_abs)
-
-
-def _member(tag: str, a, tol: float, tol_abs: float):
-    """(member or None, residual) of the admitted A in the one family `tag`,
-    by its extractor: the forced step of a family route.  A table family
-    reads A itself; only the hand-written fits take c."""
-    c = None if tag in FAMILIES else _coefficient_table(a)
-    return EXTRACTORS[tag](a, c, tol, tol_abs)
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -707,10 +658,10 @@ def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.n
 
 
 def extract_special_normal(a_matrix, tol: float = DEFAULT_TOL) -> Optional[SpecialNormal]:
-    """The SpecialNormal fit of A, or None (always for a complex A and one in
-    no family)."""
-    admitted = _admit(a_matrix, tol)
-    if admitted is None or admitted[0].dtype.kind == "c":
+    """The SpecialNormal fit of A by its forced route, or None (always for a
+    complex A and one in no family)."""
+    try:
+        member = _forced(a_matrix, tol, _FORCED["SpecialNormal"])[0]
+    except ForcedClassMismatch:
         return None
-    member = _member("SpecialNormal", admitted[0], tol, admitted[2])[0]
-    return None if member is None else instance("SpecialNormal", member)
+    return instance("SpecialNormal", member)

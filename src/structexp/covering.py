@@ -28,8 +28,9 @@ has every table a route reads.
 
 A is in the algebra when 2 |(I - psi psi^+) vec A|, which is |A^T M + M A|_F
 for every built-in form M (orthogonal and symmetric), is within tol_abs =
-tol max(1, |A|_F) (`smalllin._admit`); the built-in algebras are entries,
-with rows off/2, of the covering kernel of their size (`classify`).  At
+tol max(1, |A|_F) (`smalllin._admit`); each built-in algebra is an entry,
+rows off/2, of its size's covering kernel (`_kernel`), which the walk and
+its forced route (`psi_inverse`, `exp_via_covering`) both read.  At
 |x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
 and raises OverflowError unless exp(A) is finite.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -116,11 +117,6 @@ class CoveringAlgebra:
         det_form = -np.einsum("mab,nba->mn", e[1:], e[1:]).real / 2.0
         object.__setattr__(self, "det_form", tuple(map(tuple, det_form.tolist())))
 
-    @cached_property
-    def forced(self) -> tuple:
-        """Its route of `smalllin._forced`, forced by `_lift` and `_ROUTES`."""
-        return self.dim, True, partial(NotInAlgebra, self.name), partial(_lift_step, self)
-
 
 def _coords(alg: CoveringAlgebra, x: np.ndarray) -> np.ndarray:
     return alg.coord_pinv @ _stack8(x)
@@ -149,17 +145,27 @@ COVERING_ALGEBRAS: dict[str, CoveringAlgebra] = {
     a.name: a for a in (SO3, SO4, P4R, SO22R, P3R, SO21R)
 }
 
-def _lift_step(alg: CoveringAlgebra, a, tol: float, tol_abs: float):
-    """The forced step of the algebra (`smalllin._forced`, whose tol it
-    does not need): the lift x of A, or None when |off vec A| > tol_abs."""
-    vec = a.reshape(-1)
-    res = frobenius(alg.off.dot(vec))
-    return (None if res > tol_abs else alg.psi_pinv.dot(vec)), res
+def _kernel(algebras) -> tuple:
+    """The covering kernel (routes, Y, W) of algebras of one size (see
+    `classify`): entry g is algebra g's route ("covering:<name>", None,
+    psi^+, None), its rows off/2 in Y and ones on them in W."""
+    return (tuple((f"covering:{alg.name}", None, alg.psi_pinv, None) for alg in algebras),
+            np.vstack([alg.off / 2.0 for alg in algebras]),
+            np.repeat(np.eye(len(algebras)), algebras[0].dim ** 2, axis=1))
+
+
+# each size's covering kernel, and each built-in algebra's (kernel, entry)
+_SIZED = [[alg for alg in COVERING_ALGEBRAS.values() if alg.dim == n] for n in (3, 4)]
+_COVER3, _COVER4 = (_kernel(algs) for algs in _SIZED)
+_ENTRIES = {alg: (kernel, f) for algs, kernel in zip(_SIZED, (_COVER3, _COVER4))
+            for f, alg in enumerate(algs)}
 
 
 def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
-    """The lift x of A forced onto the algebra, or NotInAlgebra."""
-    return _forced(a_matrix, tol, alg.forced)[0]
+    """The lift x of A forced onto the algebra (`smalllin._forced`) by its
+    entry, one of a kernel of its own outside the registry, or NotInAlgebra."""
+    kernel, f = _ENTRIES.get(alg) or (_kernel([alg]), 0)
+    return _forced(a_matrix, tol, (alg.dim, partial(NotInAlgebra, alg.name), (kernel, None), f))[0]
 
 
 def _det(det_form, x0: float, x1: float, x2: float) -> float:

@@ -41,11 +41,11 @@ folds exp(c00) and every hyperbolic growth into one exponent, so it raises
 OverflowError only where exp(A) is beyond the float64 range.
 
 Route selection at every size is made here once, from one table of each
-route's forced step and closed form by name (_ROUTES): `_routes` gives the
-routes of `classify._walk` their closed forms, and `_dispatch`, which
-`expm_auto` and the CLI's `expm` call, takes the walk's first claim for auto
-(by `classify._residuals` and `_claim`, the walk's own body) or forces a
-route through its table entry.
+route's closed form by name (_ROUTES): `_routes` gives the routes of
+`classify._walk` their closed forms, and `_dispatch`, which `expm_auto` and
+the CLI's `expm` call, takes the walk's first claim for auto (by
+`smalllin._residuals` and `_claim`, the walk's own body) or forces a route
+by its entry of the same kernel (`classify._FORCED`, `smalllin._forced`).
 """
 
 from __future__ import annotations
@@ -58,30 +58,22 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (_COMPLEX_TAGS, _KERNELS, EXTRACTORS, FAMILIES,
-                       BisymmetricRS, ComplexPerskew, ComplexSO4, HamSymPersym,
+from .classify import (_FORCED, _KERNELS, EXTRACTORS, FAMILIES, BisymmetricRS,
+                       ComplexPerskew, ComplexSO4, ForcedClassMismatch, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
-                       SymToeplitzS13Zero, SymToeplitzTridiag, _claim, _member,
-                       _residuals, _special_normal_frame, _special_normal_parts,
-                       _walk, coefficients)
+                       SymToeplitzS13Zero, SymToeplitzTridiag, _special_normal_frame,
+                       _special_normal_parts, _walk, coefficients)
 from .covering import COVERING_ALGEBRAS, _exp_lift
 from .hxh import _BASIS_ROWS, _MUL_IDX, _MUL_SGN
 from .oracle import expm_series, rel_error
-from .smalllin import (_SAFE_NORM, DEFAULT_TOL, _admit, _expm2, _factors, _forced,
-                       _overflow_checked, _svd3, frobenius)
+from .smalllin import (_SAFE_NORM, DEFAULT_TOL, _admit, _claim, _expm2, _factors, _forced,
+                       _overflow_checked, _residuals, _svd3, frobenius)
 
 
 class ClosedFormDefect(RuntimeError):
     """A table family's support does not split into at most two groups that
     each square to a scalar, so the family has no group closed form."""
-
-
-class ForcedClassMismatch(ValueError):
-    def __init__(self, tag: str, residual: float):
-        super().__init__(f"matrix is not in class {tag} (residual {residual:.3e})")
-        self.tag = tag
-        self.residual = residual
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,17 +374,12 @@ def exp_structured_class(inst) -> np.ndarray:
     return _exp_member(tag, member, norm, tol_abs)
 
 
-# every route by name, as its route of `smalllin._forced` (size, real,
-# refuse, step) and its closed form (member, |A|_F, tol_abs) -> exp(A); a
-# 2x2 is its own member, and it and a covering lift gate their own norms; a
-# 2x2 the gate turns away is outside expm2's domain, not its class
+# every route's closed form by name, (member, |A|_F, tol_abs) -> exp(A); a
+# 2x2 is its own member, and it and a covering lift gate their own norms
 _ROUTES = {
-    "expm2": ((2, False, lambda res: ValueError("matrix has non-finite entries or an "
-                                                "overflowing norm"),
-               lambda a, tol, tol_abs: (a, 0.0)), lambda a, norm, tol_abs: _expm2(a, norm)),
-    **{tag: ((4, tag not in _COMPLEX_TAGS, partial(ForcedClassMismatch, tag),
-              partial(_member, tag)), partial(_exp_member, tag)) for tag in EXTRACTORS},
-    **{f"covering:{name}": (alg.forced, lambda x, norm, tol_abs, alg=alg: _exp_lift(alg, x))
+    "expm2": lambda a, norm, tol_abs: _expm2(a, norm),
+    **{tag: partial(_exp_member, tag) for tag in EXTRACTORS},
+    **{f"covering:{name}": lambda x, norm, tol_abs, alg=alg: _exp_lift(alg, x)
        for name, alg in COVERING_ALGEBRAS.items()},
 }
 _SHAPES = frozenset({(2, 2), (3, 3), (4, 4)})
@@ -405,16 +392,16 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
         return
     a, norm, tol_abs = admitted
     for route, member in _walk(a, tol_abs, tol, coverings):
-        yield route, _ROUTES[route][1](member, norm, tol_abs)
+        yield route, _ROUTES[route](member, norm, tol_abs)
 
 
 def _dispatch(a, method: str, tol: float):
     """(route, exp(A)) by `method`: "auto" takes the first route of
     `classify._walk` (without coverings) by the walk's own helpers, in this
     frame, or the series oracle when none claims A; "oracle" skips every
-    closed form; a route name forces that route: a class tag
-    (ForcedClassMismatch), "covering:<name>" (NotInAlgebra) or "expm2"
-    (ValueError on a 2x2 of non-finite entries or norm)."""
+    closed form; a route name forces that route by its entry of the walk: a
+    class tag (ForcedClassMismatch), "covering:<name>" (NotInAlgebra) or
+    "expm2" (ValueError on a 2x2 of non-finite entries or norm)."""
     if method == "oracle":
         return "oracle", expm_series(a)
     if method == "auto":
@@ -423,20 +410,20 @@ def _dispatch(a, method: str, tol: float):
             return "oracle", expm_series(a)
         x, norm, tol_abs = admitted
         routes, kernel, incidence = _KERNELS[len(x), x.dtype.kind == "c"][0]
-        vec = x.reshape(-1)
+        vec = x.ravel()
         y, squares = _residuals(kernel, incidence, vec)
-        claim = _claim(routes, squares, 0, x, vec, y, tol, tol_abs)
+        claim = _claim(routes, squares.tolist(), 0, x, vec, y, tol, tol_abs)
         if claim is None:
             return "oracle", expm_series(a)
         method, member = routes[claim[0]][0], claim[1]
-    elif method in _ROUTES:
-        member, norm, tol_abs = _forced(a, tol, _ROUTES[method][0])
+    elif method in _FORCED:
+        member, norm, tol_abs = _forced(a, tol, _FORCED[method])
     elif method.startswith("covering:"):
         raise ValueError(f"unknown covering algebra {method[9:]!r}; choose from "
                          + ", ".join(sorted(COVERING_ALGEBRAS)))
     else:
         raise ValueError(f"unknown method {method!r}")
-    return method, _ROUTES[method][1](member, norm, tol_abs)
+    return method, _ROUTES[method](member, norm, tol_abs)
 
 
 def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,

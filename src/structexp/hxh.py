@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .smalllin import _NOT_NUMERIC, _NUMERIC_KINDS
+
 BASIS_NAMES = ("1", "i", "j", "k")
 
 # Hamilton structure constants: e_a e_b = _MUL_SGN[a,b] * e_{_MUL_IDX[a,b]}
@@ -85,7 +87,8 @@ class HxHElement:
     """An algebra element held as its 4x4 coefficient table c[a][b].
 
     Real elements use float64 tables, complexified elements complex128; the
-    multiplication rule (hxh_mul) is scalar-agnostic.
+    multiplication rule (hxh_mul) is scalar-agnostic.  A table of no numeric
+    dtype kind raises TypeError, as every route does (`smalllin._admit`).
     """
 
     __slots__ = ("c",)
@@ -94,10 +97,9 @@ class HxHElement:
         c = np.asarray(c)
         if c.shape != (4, 4):
             raise ValueError("coefficient table must be 4x4")
-        if np.iscomplexobj(c):
-            self.c = c.astype(np.complex128)
-        else:
-            self.c = c.astype(np.float64)
+        if c.dtype.kind not in _NUMERIC_KINDS:
+            raise TypeError(_NOT_NUMERIC)
+        self.c = c.astype(np.complex128 if c.dtype.kind == "c" else np.float64)
 
     @classmethod
     def zero(cls, complex_scalars: bool = False) -> "HxHElement":
@@ -131,11 +133,12 @@ class HxHElement:
 
     @classmethod
     def from_matrix(cls, m) -> "HxHElement":
-        """The element of a 4x4 matrix, by Frobenius projection."""
+        """The element of a 4x4 matrix, by projection of its float64 or
+        complex128 copy."""
         m = np.asarray(m)
         if m.shape != (4, 4):
             raise ValueError("expected a 4x4 matrix")
-        return cls((_PROJECTION_ROWS @ m.reshape(16)).reshape(4, 4))
+        return cls((_PROJECTION_ROWS @ cls(m).c.reshape(16)).reshape(4, 4))
 
     def __repr__(self):
         terms = []

@@ -8,8 +8,9 @@ functions of sqrt(x), so they are well defined for every real or complex x;
 negative real arguments land on the cosh/sinh branch automatically.
 
 Every route at every size admits its input through one gate, `_admit`,
-which also gives the one bound of every route, and a forced route refuses
-by one rule, `_forced`.
+which also gives the one bound of every route, and is decided by its entry
+of a membership kernel (see `classify`): by `_claim` in the walk and auto,
+and by `_forced` for a forced route, both on `_residuals` and `_member`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def _real_if_possible(a, norm: float):
     return a
 
 
-_DOUBLES = (np.dtype(np.float64), np.dtype(np.complex128))
+_COMPLEX = np.dtype(np.complex128)
+_DOUBLES = (np.dtype(np.float64), _COMPLEX)
 # the dtype kinds of a matrix: bool, signed and unsigned integer, floating
 # and complex; every other dtype (object, str, bytes, datetime64,
 # timedelta64, void) raises TypeError with this message
@@ -75,26 +77,74 @@ def _admit(a_matrix, tol: float, n: int = 4):
     norm = frobenius(a)
     if not norm < math.inf:
         return None
-    return ((_real_if_possible(a, norm) if a.dtype.kind == "c" else a), norm,
+    return ((_real_if_possible(a, norm) if a.dtype is _COMPLEX else a), norm,
             tol * max(1.0, norm))
 
 
+def _residuals(kernel, incidence, vec):
+    """(y, squares) of a kernel's Y and W on vec A: y = Y vec A and the
+    array W (y o y); a 2x2's one entry has no residual."""
+    if kernel is None:
+        return None, np.zeros(1)
+    y = kernel.dot(vec)
+    # a complex y is squared as pairs of floats
+    pairs = y.view(np.float64) if y.dtype is _COMPLEX else y
+    return y, incidence.dot(pairs * pairs)
+
+
+def _member(route, a, vec, y, tol: float, tol_abs: float):
+    """The member of the admitted A on a kernel entry (name, off rows,
+    member rows, fit) whose square is within the bound, or None: member rows
+    vec A, or c - off rows vec A, c = y[:16], or what a fit's extractor
+    returns from c, or, for a 2x2, A itself."""
+    _, off, rows, fit = route
+    if rows is not None:
+        return rows.dot(vec)
+    if off is not None:
+        return y[:16] - off.dot(vec)
+    if fit is None:
+        return a
+    return fit(a, y[:16].reshape(4, 4), tol, tol_abs)[0]
+
+
+def _claim(routes, squares, start: int, a, vec, y, tol: float, tol_abs: float):
+    """(f, member) of the first entry f >= start of a kernel that claims the
+    admitted A, from its `squares`, read as floats, and `y`, or None: an
+    entry whose square exceeds (tol_abs/2)^2, or is NaN, is skipped."""
+    half = 0.5 * tol_abs  # squared by a product: ** raises past 1.3e154
+    bound = half * half
+    for f in range(start, len(squares)):
+        if squares[f] <= bound:
+            member = _member(routes[f], a, vec, y, tol, tol_abs)
+            if member is not None:
+                return f, member
+    return None
+
+
 def _forced(a_matrix, tol: float, route):
-    """(member, |A|_F, tol_abs) of A on a forced route (n, real, refuse,
-    step) of n x n matrices (real ones if `real`), of step(A, tol, tol_abs)
-    -> (member or None, residual).  It refuses by raising refuse(residual):
-    inf for an A _admit puts on no route, |Im A| for a complex A on a real
-    route, else the step's residual."""
-    n, real, refuse, step = route
+    """(member, |A|_F, tol_abs) of A on a forced route (n, refuse, kernels,
+    f): entry f of a kernel of n x n matrices, kernels[0] for a real A and
+    kernels[1] for a complex one (None on a real route), as _claim takes it.
+    It refuses by raising refuse(residual): inf for an A _admit puts on no
+    route, |Im A| for a complex A on a real route, 2 sqrt(squares[f]) over
+    the bound, or the residual of a fit that returns no member."""
+    n, refuse, kernels, f = route
     admitted = _admit(a_matrix, tol, n)
     if admitted is None:
         raise refuse(math.inf)
     a, norm, tol_abs = admitted
-    if real and a.dtype.kind == "c":
+    kernel = kernels[a.dtype.kind == "c"]
+    if kernel is None:
         raise refuse(frobenius(a.imag))
-    member, residual = step(a, tol, tol_abs)
+    routes, rows, incidence = kernel
+    vec = a.ravel()
+    y, squares = _residuals(rows, incidence, vec)
+    half = 0.5 * tol_abs
+    if not squares[f] <= half * half:
+        raise refuse(2.0 * math.sqrt(squares[f]))
+    member = _member(routes[f], a, vec, y, tol, tol_abs)
     if member is None:
-        raise refuse(residual)
+        raise refuse(routes[f][3](a, y[:16].reshape(4, 4), tol, tol_abs)[1])
     return member, norm, tol_abs
 
 

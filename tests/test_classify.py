@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from structexp import (COVERING_ALGEBRAS, ForcedClassMismatch, NotInAlgebra, classify,
                        expm_auto, expm_series, extract_special_normal,
-                       extract_symmetric_rep, rel_error)
+                       extract_symmetric_rep, psi_inverse, rel_error)
 from structexp.classify import (
     COMPLEX_REGISTRY,
     DEFAULT_TOL,
@@ -26,8 +26,9 @@ from structexp.classify import (
     SkewSymmetric,
     SpecialNormal,
     SymmetricGeneral,
+    _FORCED,
     _admit,
-    _member,
+    _forced,
     _walk,
     as_real_if_possible,
     instance,
@@ -119,13 +120,11 @@ def test_noise_removes_structure():
 
 
 def _classify_by_loop(a, tol=DEFAULT_TOL):
-    """classify as one extractor call per registry entry: the reference the
-    stacked table residuals must agree with."""
+    """classify as one forced route per registry entry: the reference the
+    walk's claims must agree with."""
     a = as_real_if_possible(np.asarray(a))
-    c = from_matrix(a).c
-    tol_abs = tol * max(1.0, float(np.linalg.norm(a)))
     registry = COMPLEX_REGISTRY if np.iscomplexobj(a) else REAL_REGISTRY
-    found = [(tag, EXTRACTORS[tag](a, c, tol, tol_abs)[0]) for tag, _ in registry]
+    found = [(tag, _forced_step(tag, a, tol)[0]) for tag, _ in registry]
     return [instance(tag, member) for tag, member in found if member is not None]
 
 
@@ -135,10 +134,28 @@ def _walked(a, tol=DEFAULT_TOL, coverings=True):
     return list(_walk(a, tol_abs, tol, coverings))
 
 
-def _forced_step(tag, a, tol=DEFAULT_TOL):
-    """(member or None, residual) of the forced step of family `tag` on A."""
-    a, _, tol_abs = _admit(a, tol)
-    return _member(tag, a, tol, tol_abs)
+def _forced_step(route, a, tol=DEFAULT_TOL):
+    """(member, None) of A forced onto `route`, or (None, residual) when the
+    route refuses A."""
+    try:
+        return _forced(a, tol, _FORCED[route])[0], None
+    except (ForcedClassMismatch, NotInAlgebra) as exc:
+        return None, exc.residual
+
+
+def _projector(tag):
+    """P_f of a registry entry: off its family, or off a fit's slots."""
+    return FAMILIES[tag].projector if tag in FAMILIES else cls_mod._off_support(tag)
+
+
+def _reference_residual(tag, m, tol=DEFAULT_TOL):
+    """The residual of family `tag` at M by the stacked-map reference: 2 |P_f c|
+    for a table family, the fit's own residual for a hand-written one."""
+    m = as_real_if_possible(np.asarray(m))
+    c = from_matrix(m).c
+    if tag in FAMILIES:
+        return 2.0 * float(np.linalg.norm(_projector(tag) @ c.reshape(16)))
+    return EXTRACTORS[tag](m, c, tol, tol * max(1.0, float(np.linalg.norm(m))))[1]
 
 
 def _residual_per_unit(a, e, tag):
@@ -146,9 +163,7 @@ def _residual_per_unit(a, e, tag):
     of one tolerance: the residual is linear in s for a table family and
     nearly so for the rank-one fits."""
     step = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
-    m = as_real_if_possible(a + step * e)
-    tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(m)))
-    return EXTRACTORS[tag](m, from_matrix(m).c, DEFAULT_TOL, tol_abs)[1] / step
+    return _reference_residual(tag, a + step * e) / step
 
 
 @pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
@@ -172,9 +187,9 @@ def test_stacked_residuals_agree_with_extractor_loop(tag):
 
 @pytest.mark.parametrize("tag", sorted(FAMILIES))
 def test_forced_and_auto_accept_the_same_members_at_the_bound(tag):
-    # the forced route (Family.extract) and auto (_walk) sum the squared
-    # residual differently: a member moved to 0.5, 0.999, 1.001 and 2 times
-    # the bound must be accepted by both or by neither
+    # the forced route and auto (_walk) read one entry of one kernel: a
+    # member moved to 0.5, 0.999, 1.001 and 2 times the bound must be
+    # accepted by both or by neither
     rng = np.random.default_rng(97)
     for scale in (1.0, 30.0):
         for _ in range(5):
@@ -205,7 +220,7 @@ def _boundary_case(route, norm, rng):
     e = rng.standard_normal((4, 4))
     if np.iscomplexobj(a):
         e = e + 1j * rng.standard_normal((4, 4))
-    return a * (norm / np.linalg.norm(a)), e, lambda m: _forced_step(route, m)[1]
+    return a * (norm / np.linalg.norm(a)), e, lambda m: _reference_residual(route, m)
 
 
 def _verify_listing(a):
@@ -220,30 +235,57 @@ _ROUTE_ENTRIES = (REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
                   + [f"covering:{name}" for name in COVERING_ALGEBRAS])
 
 
+def _deciders(route, m):
+    """Whether each decider takes M onto `route`: the walk (auto's), the
+    forced route, the verify --all-routes listing, and classify for a
+    family or psi_inverse for a covering algebra."""
+    takes = [route in [r for r, _ in _walked(m)], _forced_step(route, m)[0] is not None,
+             route in _verify_listing(m)]
+    try:
+        takes.append(expm_auto(m, method=route).route == route)
+    except (ForcedClassMismatch, NotInAlgebra):
+        takes.append(False)
+    if route.startswith("covering:"):
+        try:
+            takes.append(psi_inverse(COVERING_ALGEBRAS[route[len("covering:"):]], m) is not None)
+        except NotInAlgebra:
+            takes.append(False)
+    else:
+        takes.append(route in [inst.tag for inst in classify(m)])
+    return takes
+
+
 @pytest.mark.parametrize("route", _ROUTE_ENTRIES)
 def test_every_route_holds_a_to_the_one_bound(route):
     # a member moved to 0.999 and 1.001 times tol max(1, |A|_F) off its
-    # route, at |A| of 1e-3, 1 and 30: the walk (auto's), the forced route,
-    # classify and the verify --all-routes listing all take it, or all
-    # refuse it, on the side of the bound it is on
+    # route, at |A| of 1e-3, 1 and 30: the walk, the forced route, classify
+    # and the verify --all-routes listing all take it, or all refuse it, on
+    # the side of the bound it is on; and bisected to the last scale of the
+    # move that the walk takes, where the next float above it is refused,
+    # they all take the one and refuse the other
     rng = np.random.default_rng(31)
     for norm in (1e-3, 1.0, 30.0):
         a, e, residual = _boundary_case(route, norm, rng)
+        ends = []
         for factor in (0.999, 1.001):
             t = factor * DEFAULT_TOL / residual(e)
             for _ in range(6):
                 m = a + t * e
                 t *= factor * DEFAULT_TOL * max(1.0, np.linalg.norm(m)) / residual(m)
-            m = a + t * e
-            walked = route in [r for r, _ in _walked(m)]
-            try:
-                forced = expm_auto(m, method=route).route == route
-            except (ForcedClassMismatch, NotInAlgebra):
-                forced = False
-            listed = route in _verify_listing(m)
-            assert walked == forced == listed == (factor < 1.0), (norm, factor)
-            if len(m) == 4 and not route.startswith("covering:"):
-                assert (route in [inst.tag for inst in classify(m)]) == walked, (norm, factor)
+            assert set(_deciders(route, a + t * e)) == {factor < 1.0}, (norm, factor)
+            ends.append(t)
+        lo, hi = ends
+        while True:
+            mid = lo + (hi - lo) / 2.0
+            if mid in (lo, hi):
+                break
+            if route in [r for r, _ in _walked(a + mid * e)]:
+                lo = mid
+            else:
+                hi = mid
+        assert hi == np.nextafter(lo, np.inf)
+        assert set(_deciders(route, a + lo * e)) == {True}, (norm, lo)
+        assert set(_deciders(route, a + hi * e)) == {False}, (norm, hi)
 
 
 def test_verify_walks_the_family_kernel_that_auto_walks():
@@ -485,11 +527,6 @@ def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
 _ENTRIES = [tag for tag, _ in REAL_REGISTRY + COMPLEX_REGISTRY]
 
 
-def _projector(tag):
-    """P_f of a registry entry: off its family, or off a fit's slots."""
-    return FAMILIES[tag].projector if tag in FAMILIES else cls_mod._off_support(tag)
-
-
 def _kernel_inputs(tags, cplx, rng, scales=(1e-3, 1.0, 30.0, 1e150)):
     """Members of each family in `tags` at each scale, members of each moved
     0.5, 0.999, 1.001 and 2 tolerances off it, and 20 dense draws."""
@@ -592,9 +629,10 @@ def _claims(routes, squares, a, vec, y, tol_abs, tol=DEFAULT_TOL):
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_the_walk_helpers_pass_what_the_bound_passes(cplx):
-    # the squares _residuals reads as floats pass where numpy's comparison
-    # of W (y o y) with (tol_abs/2)^2 does, and _claim claims every passing
-    # table family and each passing fit whose extractor returns a member
+    # the squares of _residuals, read as floats, pass where numpy's
+    # comparison of W (y o y) with (tol_abs/2)^2 does, and _claim claims
+    # every passing table family and each passing fit whose extractor
+    # returns a member
     rng = np.random.default_rng(33)
     tags = COMPLEX_FAMILY_TAGS if cplx else REAL_FAMILY_TAGS
     routes, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4
@@ -607,6 +645,7 @@ def test_the_walk_helpers_pass_what_the_bound_passes(cplx):
         passing = (incidence.dot(pairs * pairs) <= (tol_abs / 2) ** 2).nonzero()[0].tolist()
         y, squares = cls_mod._residuals(kernel, incidence, vec)
         assert y.tobytes() == kernel.dot(vec).tobytes()
+        squares = squares.tolist()
         assert [f for f, sq in enumerate(squares) if sq <= (tol_abs / 2) ** 2] == passing
         c = y[:16].reshape(4, 4)
         want = [f for f in passing if routes[f][3] is None
@@ -619,6 +658,7 @@ def test_a_nan_square_claims_nothing():
     a = np.eye(4)
     vec = a.reshape(16)
     y, squares = cls_mod._residuals(kernel, incidence, vec)
+    squares = squares.tolist()
     f = _PRIORITY.index("SkewHamiltonian")
     assert _claims(routes, squares, a, vec, y, DEFAULT_TOL)[0] == f
     squares[f] = math.nan
@@ -626,31 +666,28 @@ def test_a_nan_square_claims_nothing():
 
 
 def test_every_fit_entry_holds_its_own_extractor():
-    # a route is (name, off rows, lift, fit): a table family decides by its
-    # off rows, a covering algebra lifts, a hand-written fit carries its
-    # extractor, and a 2x2 is its own member
+    # a route is (name, off rows, member rows, fit): a table family with tie
+    # rows takes its member off its off rows, one with a 0/1 projector and
+    # a covering algebra by their member rows (I - P_f) P and psi^+, a
+    # hand-written fit carries its extractor, and a 2x2 is its own member
     seen = set()
     for kernels in cls_mod._KERNELS.values():
         for routes, _, _ in kernels:
-            for name, off, lift, fit in routes:
+            for name, off, rows, fit in routes:
                 seen.add(name)
                 if name in FAMILIES:
-                    assert off is not None and lift is None and fit is None, name
+                    tied = name in ("SymToeplitzTridiag", "SymToeplitzS13Zero")
+                    assert (off is not None, rows is not None, fit) == (tied, not tied, None), name
                 elif name in EXTRACTORS:
-                    assert off is None and lift is None and fit is EXTRACTORS[name], name
+                    assert off is None and rows is None and fit is EXTRACTORS[name], name
                 elif name.startswith("covering:"):
-                    assert off is None and lift is not None and fit is None, name
+                    assert off is None and rows is not None and fit is None, name
                 else:
-                    assert (name, off, lift, fit) == ("expm2", None, None, None)
+                    assert (name, off, rows, fit) == ("expm2", None, None, None)
     assert seen == set(EXTRACTORS) | {f"covering:{n}" for n in COVERING_ALGEBRAS} | {"expm2"}
 
 
-def test_a_kernel_stacked_in_another_order_calls_each_tags_own_fit(monkeypatch):
-    # _stack sets each table family's forced rows again (to equal values):
-    # put the originals back after the test
-    for fam in FAMILIES.values():
-        monkeypatch.setattr(fam, "rows", fam.rows)
-        monkeypatch.setattr(fam, "complex_rows", fam.complex_rows)
+def test_a_kernel_stacked_in_another_order_calls_each_tags_own_fit():
     routes, kernel, incidence = cls_mod._stack(REAL_REGISTRY[::-1])
     assert [r[0] for r in routes] == _PRIORITY[::-1]
     rng = np.random.default_rng(34)
@@ -659,6 +696,7 @@ def test_a_kernel_stacked_in_another_order_calls_each_tags_own_fit(monkeypatch):
             a, _, tol_abs = _admit(sample_family(tag, rng), DEFAULT_TOL)
             vec = a.reshape(16)
             y, squares = cls_mod._residuals(kernel, incidence, vec)
+            squares = squares.tolist()
             claims = {}
             for f in _claims(routes, squares, a, vec, y, tol_abs):
                 claims[routes[f][0]] = cls_mod._claim(routes, squares, f, a, vec, y,
@@ -675,7 +713,7 @@ def _first_of_walk(a, tol=DEFAULT_TOL):
                                                None)
     if first is None:
         return "oracle", expm_series(a)
-    return first[0], es_mod._ROUTES[first[0]][1](first[1], admitted[1], admitted[2])
+    return first[0], es_mod._ROUTES[first[0]](first[1], admitted[1], admitted[2])
 
 
 def _assert_auto_takes_the_first_claim(a, label):
@@ -788,7 +826,7 @@ def test_band_members_are_exponentiated_as_members(tag):
             tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
             m = a + (0.9 * tol_abs / _residual_per_unit(a, e, tag)) * e
             admitted = _admit(m, DEFAULT_TOL)
-            member, res = _member(tag, admitted[0], DEFAULT_TOL, admitted[2])
+            member, res = _forced_step(tag, m)[0], _reference_residual(tag, m)
             assert member is not None and res > 0.5 * tol_abs, (scale, res)
             p = (member @ _BASIS_ROWS).reshape(4, 4)
             if tag == "SpecialNormal":
@@ -799,7 +837,7 @@ def test_band_members_are_exponentiated_as_members(tag):
 
 @pytest.mark.parametrize("tag", REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS)
 def test_overflow_gate_bound_is_at_least_the_member_norm(tag, monkeypatch):
-    # auto (_walk), forced (_member) and exp_structured_class hand the
+    # auto (_walk), forced (_forced) and exp_structured_class hand the
     # closed form A's norm and bound, which give its overflow gate
     # |A|_F/2 + tol_abs, or the instance's own norm: never below the
     # member's norm, so the closed form raises OverflowError on exactly the
@@ -813,7 +851,7 @@ def test_overflow_gate_bound_is_at_least_the_member_norm(tag, monkeypatch):
 
     monkeypatch.setattr(es, "_exp_member", record)
     for t in EXTRACTORS:
-        monkeypatch.setitem(es._ROUTES, t, (es._ROUTES[t][0], functools.partial(record, t)))
+        monkeypatch.setitem(es._ROUTES, t, functools.partial(record, t))
     rng = np.random.default_rng(95)
     # across _SAFE_NORM, and at 3000, where exp(A) overflows for most families
     norms = [*np.geomspace(1e-3, 800.0, 10), 0.999 * _SAFE_NORM, _SAFE_NORM,

@@ -19,7 +19,7 @@ from structexp.covering import COVERING_ALGEBRAS, exp_via_covering, psi_inverse
 from structexp.cli import (MatrixDocument, ParseError, describe_instance,
                            format_document_json, parse_document, run)
 from structexp.expm_structured import ForcedClassMismatch
-from structexp.hxh import J4, R4
+from structexp.hxh import J4, R4, HxHElement, from_matrix
 from structexp.smalllin import expm2, svd3, sym_eig3
 
 from conftest import _refuse, _refuse_everywhere, covering_member, sample_family
@@ -263,7 +263,8 @@ def _entry_points(n):
     if n == 4:
         calls.update(classify=classify, SkewHamiltonian=lambda a: expm_auto(
             a, method="SkewHamiltonian"), extract_symmetric_rep=extract_symmetric_rep,
-            extract_special_normal=extract_special_normal)
+            extract_special_normal=extract_special_normal,
+            HxHElement=lambda a: HxHElement(a).c, from_matrix=lambda a: from_matrix(a).c)
     return calls
 
 

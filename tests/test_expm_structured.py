@@ -27,8 +27,8 @@ from structexp import (
     rel_error,
 )
 from structexp import cli
-from structexp.classify import (DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
-                                SymToeplitzTridiag, _admit, _member)
+from structexp.classify import (_FORCED, DEFAULT_TOL, SpecialNormal, SymmetricGeneral,
+                                SymToeplitzTridiag, _forced)
 from structexp.expm_structured import (
     _FORMS,
     _PLANS,
@@ -62,9 +62,9 @@ SINH2 = 3.626860407847018
 
 
 def _forced_member(tag, a, tol=DEFAULT_TOL):
-    """(member or None, |A|_F, tol_abs) of A forced onto family `tag`."""
-    a, norm, tol_abs = _admit(a, tol)
-    return _member(tag, a, tol, tol_abs)[0], norm, tol_abs
+    """(member, |A|_F, tol_abs) of A forced onto family `tag`, by its entry
+    of the membership kernel; ForcedClassMismatch when it refuses A."""
+    return _forced(a, tol, _FORCED[tag])
 
 
 # ------------------------------------------------------------ individual routes
@@ -475,6 +475,22 @@ def test_complex_routes_specialize_to_real():
     assert np.linalg.norm(cplx - real) < 1e-12
 
 
+@pytest.mark.parametrize("tag, real_tag", [("ComplexSO4", "SkewSymmetric"),
+                                           ("ComplexPerskew", "Perskewsymmetric")])
+def test_a_real_input_forced_onto_a_complex_family_stays_real(tag, real_tag):
+    # the forced route walks a float64 copy of the complex registry's
+    # kernel, so a real member is neither cast nor given an imaginary part:
+    # its value is the real family's, bit for bit
+    rng = np.random.default_rng(73)
+    for scale in (1e-3, 1.0, 30.0):
+        for _ in range(10):
+            a = scale * sample_family(real_tag, rng)
+            got, want = expm_auto(a, method=tag), expm_auto(a, method=real_tag)
+            assert got.route == tag
+            assert got.value.dtype == np.float64
+            assert got.value.tobytes() == want.value.tobytes(), (tag, scale)
+
+
 def test_complex_routes_match_oracle():
     rng = np.random.default_rng(72)
     for tag in COMPLEX_FAMILY_TAGS:
@@ -807,8 +823,8 @@ class _CoefficientTableBuilt(Exception):
 
 def test_table_family_routes_build_no_coefficient_table(monkeypatch):
     # a table family reads the flat matrix through its rows of the one map,
-    # and the fits take c from the same product, so no route projects A
-    # onto the basis a second time
+    # and the fits, auto or forced, take c from the same product, so no
+    # route projects A onto the basis a second time
     def refuse(*args):
         raise _CoefficientTableBuilt
 
@@ -820,9 +836,11 @@ def test_table_family_routes_build_no_coefficient_table(monkeypatch):
             a = sample_family(tag, rng)
             assert expm_auto(a).route in cls_mod.FAMILIES, tag
             assert expm_auto(a, method=tag).route == tag
-    # the stub is live: the forced route of a hand-written fit projects A
+    for tag in ("SpecialNormal", "BisymmetricRS"):
+        assert expm_auto(sample_family(tag, rng), method=tag).route == tag
+    # the stub is live: extract_symmetric_rep projects A
     with pytest.raises(_CoefficientTableBuilt):
-        expm_auto(sample_family("SpecialNormal", rng), method="SpecialNormal")
+        extract_symmetric_rep(np.eye(4))
 
 
 # ------------------------------------------------------------------- overflow

@@ -1,6 +1,6 @@
 """The family table: every entry's parameter patterns are consistent, the
 commuting groups derived from each entry's support fit its closed form, and
-random parameters survive instance -> reconstruct -> extractor.  Extending
+random parameters survive instance -> reconstruct -> forced route.  Extending
 the table is safe exactly when these hold."""
 
 import itertools
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import structexp
-from structexp.classify import EXTRACTORS, FAMILIES, SkewSymmetric, instance
+from structexp.classify import _FORCED, FAMILIES, SkewSymmetric, _forced, instance
 from structexp.expm_structured import (_PLANS, ClosedFormDefect, _exp_grouped,
                                        _exp_member, _group_plan, exp_structured_class)
 from structexp.hxh import _BASIS_ROWS, HxHElement, basis_matrix, from_matrix, hxh_mul
@@ -99,7 +99,8 @@ def test_random_parameters_round_trip(tag):
         inst = fam.instance(fam.basis @ theta)
         a = inst.reconstruct()
         tol_abs = 1e-9 * max(1.0, float(np.linalg.norm(a)))
-        member, res = EXTRACTORS[tag](a, from_matrix(a).c, 1e-9, tol_abs)
+        member = _forced(a, 1e-9, _FORCED[tag])[0]
+        res = 2.0 * np.linalg.norm(fam.projector @ from_matrix(a).c.reshape(16))
         assert member is not None and res <= tol_abs, tag
         back = instance(tag, member)
         assert type(back) is type(inst) and back.tag == tag
@@ -112,8 +113,7 @@ def test_random_parameters_round_trip(tag):
 @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 30.0))
 def test_mu_from_coefficients_is_the_group_square(tag, seed, scale):
     a = scale * sample_family(tag, np.random.default_rng(seed))
-    member, _ = EXTRACTORS[tag](a, from_matrix(a).c, 1e-9,
-                                1e-9 * max(1.0, np.linalg.norm(a)))
+    member = _forced(a, 1e-9, _FORCED[tag])[0]
     assert member is not None
     groups, _ = _PLANS[tag]
     for group in groups:
