@@ -24,19 +24,20 @@ orthonormal tie functionals T.  So at import each registry gets one family
 kernel Y = [P; T P], P the coefficient projection, with the 0/1 incidence W
 of its entries on the squares of y = Y vec A: 19 rows for the real
 families, 16 for the complex ones.  `covering` builds each size's covering
-kernel alike (48 rows for the 4x4 algebras, 27 for the 3x3 ones), and a 2x2
-has none: it is its own expm2 member.  BisymmetricRS fills six slots, so a
-symmetric or dense A skips its fit; SpecialNormal fills every slot, so its
-fit always runs.
+kernel alike (48 rows for the 4x4 algebras, 27 for the 3x3 ones), and a
+2x2's has no rows and one entry, expm2's, whose rule returns A itself.
+BisymmetricRS fills six slots, so a symmetric or dense A skips its fit;
+SpecialNormal fills every slot, so its fit always runs.
 
-`smalllin._residuals`, `_member` and `_claim` walk one kernel (see
-there).  `_walk` yields the claims lazily to classify and verify, and auto
-(`expm_structured._dispatch`) takes the first; auto and classify walk a
-4x4's family kernel alone, verify its covering one too.  A forced route is
-its own entry of the same kernel (`_FORCED`, `smalllin._forced`), so auto,
-forced, classify and verify decide every route alike and give
-bitwise-equal members.  The dataclasses are the public view of a member:
-`instance` and `coefficients` convert between the two.
+An entry is (name, rows, rule) (see `_stack`), and `smalllin._residuals`,
+`_member` and `_claim` walk one kernel.  `_walk` yields the claims lazily
+to classify and verify, and auto (`expm_structured._dispatch`) takes the
+first; auto and classify walk a 4x4's family kernel alone, verify its
+covering one too.  A forced route is its own entry of the same kernels, one
+for each input kind (`_FORCED`, `smalllin._forced`), so auto, forced,
+classify and verify decide every route alike and give bitwise-equal
+members.  The dataclasses are the public view of a member: `instance` and
+`coefficients` convert between the two.
 """
 
 from __future__ import annotations
@@ -497,7 +498,7 @@ def coefficients(inst) -> np.ndarray:
     return fam.coefficients(inst)
 
 
-# (A, its 4x4 coefficient table c, tol, tol_abs) -> (member or None, residual)
+# (A, its 16 coefficients c, tol, tol_abs) -> (member or None, residual)
 Extractor = Callable[[np.ndarray, np.ndarray, float, float],
                      tuple[Optional[np.ndarray], float]]
 
@@ -556,9 +557,9 @@ def _stack(registry, pairs: int = 1):
     """The family kernel (routes, Y, W) of a registry (see the module
     docstring): W repeats each column for the `pairs` floats of a
     coefficient, and Y and the rows are complex for two, as vec A is.  A
-    route is (name, off rows, member rows, fit): P_f P for a family with tie
-    rows, (I - P_f) P, the floats of c - P_f P vec A in one product, for one
-    with a 0/1 projector, or a fit's extractor."""
+    route is (name, rows, rule): member rows (I - P_f) P for a family with
+    a 0/1 projector, the rule c - P_f P vec A for one with tie rows (a
+    member for every A its square passes), or a fit's extractor."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
@@ -569,37 +570,48 @@ def _stack(registry, pairs: int = 1):
     for f, ((tag, extract), proj, tie) in enumerate(zip(registry, projs, ties)):
         w[f, :16], w[f, ends[f + 1]:ends[f + 2]] = proj.diagonal() == 1.0, 1.0
         if tag not in FAMILIES:
-            routes.append((tag, None, None, extract))
+            routes.append((tag, None, extract))
         elif len(tie):
-            routes.append((tag, (proj @ _PROJECTION_ROWS).astype(dtype), None, None))
+            off = (proj @ _PROJECTION_ROWS).astype(dtype)
+            routes.append((tag, None, lambda a, c, tol, tol_abs, off=off:
+                           (c - off.dot(a.ravel()), None)))
         else:
             keep = (np.eye(16) - proj) @ _PROJECTION_ROWS
-            routes.append((tag, None, keep.astype(dtype), None))
+            routes.append((tag, keep.astype(dtype), None))
     kernel = np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS
     return tuple(routes), kernel.astype(dtype), np.repeat(w, pairs, axis=1)
 
 
 # each registry's family kernel, and the covering kernel of each size (built
 # in `covering`); (size, complex) -> its kernels, of which auto and classify
-# walk the first.  A 2x2's kernel is None, with one entry: every 2x2 is its
-# own expm2 member; a complex 3x3's has no rows and no entry
+# walk the first.  A 2x2's kernel has no rows and one entry, expm2's, whose
+# rule returns the 2x2: every 2x2 is its own member; a complex 3x3's has no
+# rows and no entry
 _REAL4, _COMPLEX4 = _stack(REAL_REGISTRY), _stack(COMPLEX_REGISTRY, pairs=2)
-_EXPM2 = ((("expm2", None, None, None),), None, None)
+_EXPM2 = ((("expm2", None, lambda a, c, tol, tol_abs: (a, 0.0)),), np.zeros((0, 4)),
+          np.zeros((1, 0)))
 _KERNELS = {(2, False): (_EXPM2,), (2, True): (_EXPM2,), (3, False): (_COVER3,),
             (3, True): (((), np.zeros((0, 9)), np.zeros((0, 0))),),
             (4, False): (_REAL4, _COVER4), (4, True): (_COMPLEX4,)}
 
-# every route's forced route of `smalllin._forced`, (n, refuse, kernels, f)
-# by name; a complex family forced on a real A walks a float64 copy of its
-# registry's kernel, and a 2x2 the gate turns away is outside expm2's domain
+# every route's forced route of `smalllin._forced`, (n, refuse, (real entry,
+# complex entry)) by name, each entry (kernel, f) or None; a real A forced
+# onto a complex family reads the real family of its projector, and so of
+# its member and group plan (_TWIN: SkewSymmetric for ComplexSO4,
+# Perskewsymmetric for ComplexPerskew), and a 2x2 the gate turns away is
+# outside expm2's domain
+_TWIN = {fam.tag: f for fam in _TABLE if fam.complex_scalars
+         for f, (tag, _, _) in enumerate(_REAL4[0])
+         if tag in FAMILIES and np.array_equal(FAMILIES[tag].projector, fam.projector)}
 _FORCED = {
-    **{route[0]: (4, partial(ForcedClassMismatch, route[0]), kernels, f)
-       for kernels in ((_REAL4, None), (_stack(COMPLEX_REGISTRY), _COMPLEX4))
-       for f, route in enumerate(kernels[0][0])},
-    **{f"covering:{alg.name}": (alg.dim, partial(NotInAlgebra, alg.name), (kernel, None), f)
-       for alg, (kernel, f) in _ENTRIES.items()},
+    **{tag: (4, partial(ForcedClassMismatch, tag), ((_REAL4, f), None))
+       for f, (tag, _, _) in enumerate(_REAL4[0])},
+    **{tag: (4, partial(ForcedClassMismatch, tag), ((_REAL4, _TWIN[tag]), (_COMPLEX4, f)))
+       for f, (tag, _, _) in enumerate(_COMPLEX4[0])},
+    **{f"covering:{alg.name}": (alg.dim, partial(NotInAlgebra, alg.name), (entry, None))
+       for alg, entry in _ENTRIES.items()},
     "expm2": (2, lambda res: ValueError("matrix has non-finite entries or an overflowing norm"),
-              (_EXPM2, _EXPM2), 0),
+              ((_EXPM2, 0), (_EXPM2, 0))),
 }
 
 

@@ -28,10 +28,10 @@ name exists, otherwise parsed as inline text.
 
 Exit codes: 0 success, 1 a verify residual above threshold or not a number,
 2 parse or shape error (non-finite entries included), a --tol that is not
-positive (NaN included) or a matrix outside the series oracle's domain (a
-1-norm over its scaling cap, about 5.5e11), 3 forced route rejected (class
-mismatch / not in algebra), 4 overflow (exp(A) itself is beyond the
-float64 range).
+positive and finite (NaN, inf) or a matrix outside the series oracle's
+domain (a 1-norm over its scaling cap, about 5.5e11), 3 forced route
+rejected (class mismatch / not in algebra), 4 overflow (exp(A) itself is
+beyond the float64 range).
 """
 
 from __future__ import annotations

@@ -26,11 +26,12 @@ T and Q with one einsum each, and psi's matrix, its columns the images of
 the generators, is read off T, so an algebra built outside the registry
 has every table a route reads.
 
-A is in the algebra when 2 |(I - psi psi^+) vec A|, which is |A^T M + M A|_F
-for every built-in form M (orthogonal and symmetric), is within tol_abs =
-tol max(1, |A|_F) (`smalllin._admit`); each built-in algebra is an entry,
-rows off/2, of its size's covering kernel (`_kernel`), which the walk and
-its forced route (`psi_inverse`, `exp_via_covering`) both read.  At
+A is in the algebra when its distance |(I - psi psi^+) vec A| = |A - P|_F,
+|A^T M + M A|_F / 2 for every built-in form M (orthogonal and symmetric),
+is within tol_abs = tol max(1, |A|_F) (`smalllin._admit`), as for a
+family; each built-in algebra is an entry of its size's covering kernel
+(`_kernel`), which the walk and its forced route (`psi_inverse`,
+`exp_via_covering`) both read.  At
 |x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
 and raises OverflowError unless exp(A) is finite.
 """
@@ -76,7 +77,7 @@ class CoveringAlgebra:
     """A covering algebra from its six defining fields.  Construction
     derives the rest, each array read-only: coord_pinv (see _coords), T as
     exp_map and Q as det_form (see the module docstring), psi_matrix with
-    the pseudo-inverse psi_pinv (A -> x), and off = 2 (I - psi psi^+).
+    the pseudo-inverse psi_pinv (A -> x).
     Membership is the image of psi, which preserves `form` and, for every
     built-in algebra, is the whole algebra of that form.  Equality and hash
     are by identity, since arrays have no fieldwise truth value."""
@@ -91,7 +92,6 @@ class CoveringAlgebra:
     det_form: tuple = field(init=False, repr=False)
     psi_matrix: np.ndarray = field(init=False, repr=False)
     psi_pinv: np.ndarray = field(init=False, repr=False)
-    off: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.dim
@@ -108,8 +108,7 @@ class CoveringAlgebra:
                       if self.two_factor else exp_map[:, 1:, 0] - exp_map[:, 0, 1:])
         psi_pinv = np.linalg.pinv(psi_matrix)
         derived = {"coord_pinv": coord_pinv, "exp_map": exp_map,
-                   "psi_matrix": psi_matrix, "psi_pinv": psi_pinv,
-                   "off": 2.0 * (np.eye(n * n) - psi_matrix @ psi_pinv)}
+                   "psi_matrix": psi_matrix, "psi_pinv": psi_pinv}
         for attr, array in derived.items():
             array.setflags(write=False)
             object.__setattr__(self, attr, array)
@@ -147,11 +146,12 @@ COVERING_ALGEBRAS: dict[str, CoveringAlgebra] = {
 
 def _kernel(algebras) -> tuple:
     """The covering kernel (routes, Y, W) of algebras of one size (see
-    `classify`): entry g is algebra g's route ("covering:<name>", None,
-    psi^+, None), its rows off/2 in Y and ones on them in W."""
-    return (tuple((f"covering:{alg.name}", None, alg.psi_pinv, None) for alg in algebras),
-            np.vstack([alg.off / 2.0 for alg in algebras]),
-            np.repeat(np.eye(len(algebras)), algebras[0].dim ** 2, axis=1))
+    `classify`): entry g is algebra g's route ("covering:<name>", psi^+,
+    None), its rows (I - psi psi^+)/2 in Y and ones on them in W."""
+    n2 = algebras[0].dim ** 2
+    return (tuple((f"covering:{alg.name}", alg.psi_pinv, None) for alg in algebras),
+            np.vstack([(np.eye(n2) - alg.psi_matrix @ alg.psi_pinv) / 2.0 for alg in algebras]),
+            np.repeat(np.eye(len(algebras)), n2, axis=1))
 
 
 # each size's covering kernel, and each built-in algebra's (kernel, entry)
@@ -164,8 +164,8 @@ _ENTRIES = {alg: (kernel, f) for algs, kernel in zip(_SIZED, (_COVER3, _COVER4))
 def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
     """The lift x of A forced onto the algebra (`smalllin._forced`) by its
     entry, one of a kernel of its own outside the registry, or NotInAlgebra."""
-    kernel, f = _ENTRIES.get(alg) or (_kernel([alg]), 0)
-    return _forced(a_matrix, tol, (alg.dim, partial(NotInAlgebra, alg.name), (kernel, None), f))[0]
+    entry = _ENTRIES.get(alg) or (_kernel([alg]), 0)
+    return _forced(a_matrix, tol, (alg.dim, partial(NotInAlgebra, alg.name), (entry, None)))[0]
 
 
 def _det(det_form, x0: float, x1: float, x2: float) -> float:
@@ -199,7 +199,7 @@ def psi_inverse(alg: CoveringAlgebra, a_matrix, tol: float = DEFAULT_TOL):
     """Traceless upstairs factor(s) mapping to A; (g, None) for the adjoint
     algebras.  A is admitted through `smalllin._admit`; raises NotInAlgebra
     when the gate admits no A (residual inf), when A keeps an imaginary part
-    (residual its norm) or when its projector residual is over tol_abs."""
+    (residual its norm) or when its distance |A - P|_F is over tol_abs."""
     x = _lift(alg, a_matrix, tol)
     g = sum(x[m] * alg.params[m] for m in range(3))
     h = sum(x[3 + m] * alg.params[m] for m in range(3)) if alg.two_factor else None

@@ -34,9 +34,9 @@ involutions, and the exponential sums their four joint sign patterns
 exp(2 sigma_3).
 
 The dataclasses are the public edge only: `exp_structured_class` and the
-`exp_*` adapters turn an instance into its member, fitting that of a
-SpecialNormal or BisymmetricRS instance again.  Every closed form but
-SymmetricGeneral takes its scalars from one `smalllin._factors` call, which
+`exp_*` adapters turn an instance into its member, forcing the matrix of a
+SpecialNormal or BisymmetricRS instance onto its route.  Every closed form
+but SymmetricGeneral takes its scalars from one `smalllin._factors` call, which
 folds exp(c00) and every hyperbolic growth into one exponent, so it raises
 OverflowError only where exp(A) is beyond the float64 range.
 
@@ -45,7 +45,7 @@ route's closed form by name (_ROUTES): `_routes` gives the routes of
 `classify._walk` their closed forms, and `_dispatch`, which `expm_auto` and
 the CLI's `expm` call, takes the walk's first claim for auto (by
 `smalllin._residuals` and `_claim`, the walk's own body) or forces a route
-by its entry of the same kernel (`classify._FORCED`, `smalllin._forced`).
+by its entry of the same kernels (`classify._FORCED`, `smalllin._forced`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .classify import (_FORCED, _KERNELS, EXTRACTORS, FAMILIES, BisymmetricRS,
+from .classify import (_FORCED, _KERNELS, FAMILIES, BisymmetricRS,
                        ComplexPerskew, ComplexSO4, ForcedClassMismatch, HamSymPersym,
                        Jordan, Lie, Perskewsymmetric, SkewHamiltonian,
                        SkewSymmetric, SpecialNormal, SymmetricGeneral,
@@ -359,26 +359,20 @@ def minimal_poly_skewT(s, t) -> MinimalPolySkew:
 def exp_structured_class(inst) -> np.ndarray:
     """The closed form of a classified instance.  A table family's instance
     is a member by construction; one of a hand-written fit can hold data off
-    its family, so its member is fitted again by the family's extractor, at
-    DEFAULT_TOL as `_walk` does, and ForcedClassMismatch is raised when the
-    fit rejects it."""
+    its family, so its matrix is forced onto the family's route at
+    DEFAULT_TOL, which raises ForcedClassMismatch when the fit rejects it."""
     tag, member = getattr(inst, "tag", None), coefficients(inst)
-    # the instance's matrix has twice the coefficient norm
-    norm, tol_abs = 2.0 * frobenius(member), 0.0
-    if tag not in FAMILIES:
-        tol_abs = DEFAULT_TOL * max(1.0, norm)
-        member, residual = EXTRACTORS[tag](None, member.reshape(4, 4), DEFAULT_TOL,
-                                           tol_abs)
-        if member is None:
-            raise ForcedClassMismatch(tag, residual)
-    return _exp_member(tag, member, norm, tol_abs)
+    if tag in FAMILIES:
+        # the instance's matrix has twice the coefficient norm
+        return _exp_member(tag, member, 2.0 * frobenius(member), 0.0)
+    return _exp_member(tag, *_forced(inst.reconstruct(), DEFAULT_TOL, _FORCED[tag]))
 
 
 # every route's closed form by name, (member, |A|_F, tol_abs) -> exp(A); a
 # 2x2 is its own member, and it and a covering lift gate their own norms
 _ROUTES = {
     "expm2": lambda a, norm, tol_abs: _expm2(a, norm),
-    **{tag: partial(_exp_member, tag) for tag in EXTRACTORS},
+    **{tag: partial(_exp_member, tag) for tag in _FORMS},
     **{f"covering:{name}": lambda x, norm, tol_abs, alg=alg: _exp_lift(alg, x)
        for name, alg in COVERING_ALGEBRAS.items()},
 }

@@ -60,9 +60,9 @@ def _admit(a_matrix, tol: float, n: int = 4):
     vanishes (classify.as_real_if_possible); any other dtype raises
     TypeError.  |A|_F is taken on A as given, so a huge imaginary part is
     never dropped against an infinite scale.
-    tol_abs = tol max(1, |A|_F) is the one bound every route holds A to."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol_abs = tol max(1, |A|_F), 0 < tol < inf, is every route's one bound."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     a = np.asarray(a_matrix)
     if a.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix")
@@ -83,9 +83,7 @@ def _admit(a_matrix, tol: float, n: int = 4):
 
 def _residuals(kernel, incidence, vec):
     """(y, squares) of a kernel's Y and W on vec A: y = Y vec A and the
-    array W (y o y); a 2x2's one entry has no residual."""
-    if kernel is None:
-        return None, np.zeros(1)
+    array W (y o y)."""
     y = kernel.dot(vec)
     # a complex y is squared as pairs of floats
     pairs = y.view(np.float64) if y.dtype is _COMPLEX else y
@@ -93,18 +91,13 @@ def _residuals(kernel, incidence, vec):
 
 
 def _member(route, a, vec, y, tol: float, tol_abs: float):
-    """The member of the admitted A on a kernel entry (name, off rows,
-    member rows, fit) whose square is within the bound, or None: member rows
-    vec A, or c - off rows vec A, c = y[:16], or what a fit's extractor
-    returns from c, or, for a 2x2, A itself."""
-    _, off, rows, fit = route
+    """The member of the admitted A on a kernel entry (name, rows, rule)
+    whose square is within the bound, or None: rows vec A, or the member
+    that rule(A, c, tol, tol_abs), c = y[:16], returns with a residual."""
+    _, rows, rule = route
     if rows is not None:
         return rows.dot(vec)
-    if off is not None:
-        return y[:16] - off.dot(vec)
-    if fit is None:
-        return a
-    return fit(a, y[:16].reshape(4, 4), tol, tol_abs)[0]
+    return rule(a, y[:16], tol, tol_abs)[0]
 
 
 def _claim(routes, squares, start: int, a, vec, y, tol: float, tol_abs: float):
@@ -122,29 +115,29 @@ def _claim(routes, squares, start: int, a, vec, y, tol: float, tol_abs: float):
 
 
 def _forced(a_matrix, tol: float, route):
-    """(member, |A|_F, tol_abs) of A on a forced route (n, refuse, kernels,
-    f): entry f of a kernel of n x n matrices, kernels[0] for a real A and
-    kernels[1] for a complex one (None on a real route), as _claim takes it.
+    """(member, |A|_F, tol_abs) of A on a forced route (n, refuse, entries):
+    entries[0] for a real A and entries[1] for a complex one, each (kernel,
+    f), entry f of a kernel of n x n matrices as _claim takes it, or None.
     It refuses by raising refuse(residual): inf for an A _admit puts on no
-    route, |Im A| for a complex A on a real route, 2 sqrt(squares[f]) over
-    the bound, or the residual of a fit that returns no member."""
-    n, refuse, kernels, f = route
+    route, |Im A| for a complex A with no entry, 2 sqrt(squares[f]) over
+    the bound, or the residual of a rule that returns no member."""
+    n, refuse, entries = route
     admitted = _admit(a_matrix, tol, n)
     if admitted is None:
         raise refuse(math.inf)
     a, norm, tol_abs = admitted
-    kernel = kernels[a.dtype.kind == "c"]
-    if kernel is None:
+    entry = entries[a.dtype.kind == "c"]
+    if entry is None:
         raise refuse(frobenius(a.imag))
-    routes, rows, incidence = kernel
+    (routes, kernel, incidence), f = entry
     vec = a.ravel()
-    y, squares = _residuals(rows, incidence, vec)
+    y, squares = _residuals(kernel, incidence, vec)
     half = 0.5 * tol_abs
     if not squares[f] <= half * half:
         raise refuse(2.0 * math.sqrt(squares[f]))
     member = _member(routes[f], a, vec, y, tol, tol_abs)
     if member is None:
-        raise refuse(routes[f][3](a, y[:16].reshape(4, 4), tol, tol_abs)[1])
+        raise refuse(routes[f][2](a, y[:16], tol, tol_abs)[1])
     return member, norm, tol_abs
 
 

@@ -212,10 +212,11 @@ def _boundary_case(route, norm, rng):
     if route.startswith("covering:"):
         alg = COVERING_ALGEBRAS[route[len("covering:"):]]
         a = covering_member(alg, rng)
-        # D = M S, S symmetric, has relation residual |D^T M + M D| = 2 |S|
+        # D = M S, S symmetric, is |S| from the algebra: half its relation
+        # residual |D^T M + M D| = 2 |S|
         e = alg.form @ (lambda s: s + s.T)(rng.standard_normal((alg.dim, alg.dim)))
         return a * (norm / np.linalg.norm(a)), e, lambda m: np.linalg.norm(
-            m.T @ alg.form + alg.form @ m)
+            m.T @ alg.form + alg.form @ m) / 2.0
     a = sample_family(route, rng)
     e = rng.standard_normal((4, 4))
     if np.iscomplexobj(a):
@@ -255,6 +256,32 @@ def _deciders(route, m):
     return takes
 
 
+def _to_the_bound(a, e, residual, factor):
+    """The scale t that moves A along E to `factor` times the bound of A + t
+    E, tol max(1, |A + t E|_F), by the route's `residual`, found by
+    iteration."""
+    t = factor * DEFAULT_TOL / residual(e)
+    for _ in range(6):
+        m = a + t * e
+        t *= factor * DEFAULT_TOL * max(1.0, np.linalg.norm(m)) / residual(m)
+    return t
+
+
+def _bisected(route, a, e, lo, hi):
+    """(lo, hi), adjacent floats: the last scale of the move from lo to hi
+    that the walk takes onto `route`, and the next one, which it refuses."""
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            break
+        if route in [r for r, _ in _walked(a + mid * e)]:
+            lo = mid
+        else:
+            hi = mid
+    assert hi == np.nextafter(lo, np.inf)
+    return lo, hi
+
+
 @pytest.mark.parametrize("route", _ROUTE_ENTRIES)
 def test_every_route_holds_a_to_the_one_bound(route):
     # a member moved to 0.999 and 1.001 times tol max(1, |A|_F) off its
@@ -268,24 +295,54 @@ def test_every_route_holds_a_to_the_one_bound(route):
         a, e, residual = _boundary_case(route, norm, rng)
         ends = []
         for factor in (0.999, 1.001):
-            t = factor * DEFAULT_TOL / residual(e)
-            for _ in range(6):
-                m = a + t * e
-                t *= factor * DEFAULT_TOL * max(1.0, np.linalg.norm(m)) / residual(m)
+            t = _to_the_bound(a, e, residual, factor)
             assert set(_deciders(route, a + t * e)) == {factor < 1.0}, (norm, factor)
             ends.append(t)
-        lo, hi = ends
-        while True:
-            mid = lo + (hi - lo) / 2.0
-            if mid in (lo, hi):
-                break
-            if route in [r for r, _ in _walked(a + mid * e)]:
-                lo = mid
-            else:
-                hi = mid
-        assert hi == np.nextafter(lo, np.inf)
+        lo, hi = _bisected(route, a, e, *ends)
         assert set(_deciders(route, a + lo * e)) == {True}, (norm, lo)
         assert set(_deciders(route, a + hi * e)) == {False}, (norm, hi)
+
+
+# pairs of routes on one set of real matrices: a covering algebra and the
+# family of its form, and a complex family on real input and the real
+# family of its projector
+_SAME_SET = [("SkewSymmetric", "covering:so4"), ("Perskewsymmetric", "covering:p4r"),
+             ("Lie1", "covering:so22r"), ("SkewSymmetric", "ComplexSO4"),
+             ("Perskewsymmetric", "ComplexPerskew")]
+
+
+@pytest.mark.parametrize("family, other", _SAME_SET)
+def test_routes_on_the_same_set_decide_alike(family, other):
+    # a member of the family moved 0.999 and 1.001 times the bound off it,
+    # at |A| of 1e-3, 1 and 30, is as far from the other route's set: both
+    # routes take it or both refuse it, through the walk (a covering
+    # algebra's own kernel; a complex family walks no real input) and
+    # through the forced route; at the family's bisected bound a complex
+    # family forced on the real input decides as its real family does, with
+    # the same member, value and refusal residual
+    rng = np.random.default_rng(35)
+    for norm in (1e-3, 1.0, 30.0):
+        a, e, residual = _boundary_case(family, norm, rng)
+        ends = []
+        for factor in (0.999, 1.001):
+            t = _to_the_bound(a, e, residual, factor)
+            m = a + t * e
+            walked = [r for r, _ in _walked(m)]
+            takes = [family in walked, _forced_step(family, m)[0] is not None,
+                     _forced_step(other, m)[0] is not None]
+            if other.startswith("covering:"):
+                takes.append(other in walked)
+            assert set(takes) == {factor < 1.0}, (norm, factor)
+            ends.append(t)
+        if other.startswith("covering:"):
+            continue
+        lo, hi = _bisected(family, a, e, *ends)
+        took = _forced_step(other, a + lo * e)[0]
+        assert took.tobytes() == _forced_step(family, a + lo * e)[0].tobytes(), (norm, lo)
+        assert (expm_auto(a + lo * e, method=other).value.tobytes()
+                == expm_auto(a + lo * e, method=family).value.tobytes()), (norm, lo)
+        refused = _forced_step(other, a + hi * e)
+        assert refused[0] is None and refused == _forced_step(family, a + hi * e), (norm, hi)
 
 
 def test_verify_walks_the_family_kernel_that_auto_walks():
@@ -471,7 +528,7 @@ def _bisymmetric_rs_bound(a):
     registry's membership kernel gives it to classification."""
     routes, kernel, incidence = cls_mod._REAL4
     f = _PRIORITY.index("BisymmetricRS")
-    assert routes[f] == ("BisymmetricRS", None, None, cls_mod.EXTRACTORS["BisymmetricRS"])
+    assert routes[f] == ("BisymmetricRS", None, cls_mod.EXTRACTORS["BisymmetricRS"])
     y = kernel @ a.reshape(16)
     return 2.0 * np.sqrt(incidence[f] @ (y * y))
 
@@ -508,8 +565,8 @@ def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
 
     # the walk calls the fit its route carries
     routes, kernel, incidence = cls_mod._REAL4
-    routes = tuple((tag, off, lift, counting if tag == "BisymmetricRS" else fit)
-                   for tag, off, lift, fit in routes)
+    routes = tuple((tag, rows, counting if tag == "BisymmetricRS" else rule)
+                   for tag, rows, rule in routes)
     monkeypatch.setitem(cls_mod._KERNELS, (4, False),
                         ((routes, kernel, incidence), cls_mod._COVER4))
     rng = np.random.default_rng(60)
@@ -647,9 +704,9 @@ def test_the_walk_helpers_pass_what_the_bound_passes(cplx):
         assert y.tobytes() == kernel.dot(vec).tobytes()
         squares = squares.tolist()
         assert [f for f, sq in enumerate(squares) if sq <= (tol_abs / 2) ** 2] == passing
-        c = y[:16].reshape(4, 4)
-        want = [f for f in passing if routes[f][3] is None
-                or routes[f][3](a, c, DEFAULT_TOL, tol_abs)[0] is not None]
+        c = y[:16]
+        want = [f for f in passing if routes[f][2] is None
+                or routes[f][2](a, c, DEFAULT_TOL, tol_abs)[0] is not None]
         assert _claims(routes, squares, a, vec, y, tol_abs) == want
 
 
@@ -666,24 +723,28 @@ def test_a_nan_square_claims_nothing():
 
 
 def test_every_fit_entry_holds_its_own_extractor():
-    # a route is (name, off rows, member rows, fit): a table family with tie
-    # rows takes its member off its off rows, one with a 0/1 projector and
-    # a covering algebra by their member rows (I - P_f) P and psi^+, a
-    # hand-written fit carries its extractor, and a 2x2 is its own member
+    # a route is (name, rows, rule), exactly one of rows and rule set: a
+    # table family with a 0/1 projector and a covering algebra take their
+    # member by their rows (I - P_f) P and psi^+, a table family with tie
+    # rows by the rule c - P_f P vec A, a hand-written fit carries its
+    # extractor, and a 2x2's rule returns A itself
     seen = set()
     for kernels in cls_mod._KERNELS.values():
         for routes, _, _ in kernels:
-            for name, off, rows, fit in routes:
+            for name, rows, rule in routes:
                 seen.add(name)
+                assert (rows is None) != (rule is None), name
                 if name in FAMILIES:
                     tied = name in ("SymToeplitzTridiag", "SymToeplitzS13Zero")
-                    assert (off is not None, rows is not None, fit) == (tied, not tied, None), name
+                    assert (rows is None, rule is not None) == (tied, tied), name
                 elif name in EXTRACTORS:
-                    assert off is None and rows is None and fit is EXTRACTORS[name], name
+                    assert rows is None and rule is EXTRACTORS[name], name
                 elif name.startswith("covering:"):
-                    assert off is None and rows is not None and fit is None, name
+                    assert rows is not None and rule is None, name
                 else:
-                    assert (name, off, rows, fit) == ("expm2", None, None, None)
+                    assert (name, rows) == ("expm2", None)
+                    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+                    assert rule(a, a.ravel()[:0], DEFAULT_TOL, DEFAULT_TOL)[0] is a
     assert seen == set(EXTRACTORS) | {f"covering:{n}" for n in COVERING_ALGEBRAS} | {"expm2"}
 
 

@@ -309,7 +309,7 @@ def test_a_matrix_of_each_numeric_kind_is_its_float64_or_complex128_copy(n, kind
 
 # ------------------------------------------------------------------ tolerance
 
-BAD_TOLS = [np.nan, 0.0, -1.0]
+BAD_TOLS = [np.nan, 0.0, -1.0, np.inf]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLS)
@@ -325,7 +325,7 @@ def test_bad_tol_is_refused_on_every_route(tol):
             call()
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
 def test_bad_tol_exits_2(tol):
     j4 = " ".join(repr(float(v)) for v in J4.ravel())
     so3 = "0 -1 0  1 0 0  0 0 0"

@@ -382,13 +382,13 @@ def _accepts(alg, a, tol):
 
 
 def _moved(alg, member, side, tol, rng):
-    """member + t D with the defining-relation residual of D exactly 1:
-    every form has M = M^T = M^-1, so D = M S, S symmetric, gives
-    D^T M + M D = 2 S; t is side * tol * max(1, |A|), the one bound of
-    every route, found by iteration."""
+    """member + t D with D exactly 1 from the algebra: every form has
+    M = M^T = M^-1, so D = M S, S symmetric, is |S| from the algebra, half
+    its defining-relation residual D^T M + M D = 2 S; t is side * tol *
+    max(1, |A|), the one bound of every route, found by iteration."""
     s = rng.standard_normal((alg.dim, alg.dim))
     s = s + s.T
-    off = alg.form @ s / (2.0 * np.linalg.norm(s))
+    off = alg.form @ s / np.linalg.norm(s)
     t = 0.0
     for _ in range(5):
         t = side * tol * max(1.0, np.linalg.norm(member + t * off))
@@ -411,8 +411,9 @@ def test_routes_list_the_algebras_psi_inverse_accepts(name, side):
 @pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
 def test_refusal_residual_is_the_defining_relation_residual(name):
     # every built-in form is orthogonal and symmetric, so the residual of
-    # the image of psi is |A^T M + M A|_F: on dense matrices and on members
-    # moved to twice the bound
+    # the image of psi, the distance |A - P|_F to the algebra, is
+    # |A^T M + M A|_F / 2: on dense matrices and on members moved to twice
+    # the bound
     alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
     rng = np.random.default_rng(94)
     inputs = [scale * rng.standard_normal((alg.dim, alg.dim))
@@ -420,7 +421,7 @@ def test_refusal_residual_is_the_defining_relation_residual(name):
     inputs += [_moved(alg, covering_member(alg, rng, scale), 2.0, tol, rng)
                for scale in (1e-3, 1.0, 30.0, 1e3)]
     for a in inputs:
-        relation = np.linalg.norm(a.T @ alg.form + alg.form @ a)
+        relation = np.linalg.norm(a.T @ alg.form + alg.form @ a) / 2.0
         for route in (exp_via_covering, psi_inverse):
             with pytest.raises(NotInAlgebra) as exc:
                 route(alg, a)
@@ -471,7 +472,7 @@ def test_lifts_are_the_lifts_of_each_algebra(name):
 
 @pytest.mark.parametrize("name", sorted(COVERING_ALGEBRAS))
 def test_lifts_accept_what_lift_accepts_on_both_sides_of_the_bound(name):
-    # members, and members moved to half and twice the relation bound: the
+    # members, and members moved to half and twice the bound: the
     # squared-norm test of the walk takes the algebras _lift takes
     alg, tol = COVERING_ALGEBRAS[name], DEFAULT_TOL
     rng = np.random.default_rng(93)

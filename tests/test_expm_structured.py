@@ -691,8 +691,8 @@ def test_auto_runs_no_hand_written_extractor_before_a_table_match(monkeypatch):
 
     # the walk calls the fit its route carries
     routes, kernel, incidence = cls_mod._REAL4
-    routes = tuple((tag, off, lift, refuse if fit is not None else None)
-                   for tag, off, lift, fit in routes)
+    routes = tuple((tag, rows, refuse if cls_mod.EXTRACTORS[tag] is not None else rule)
+                   for tag, rows, rule in routes)
     monkeypatch.setitem(cls_mod._KERNELS, (4, False),
                         ((routes, kernel, incidence), cls_mod._COVER4))
     rng = np.random.default_rng(78)
