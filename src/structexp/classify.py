@@ -3,7 +3,7 @@ every route at every size.
 
 A family member is its flat coefficient vector c in the tensor basis, and
 that vector is what classification hands to the closed forms.  A table
-family is one `Family` entry: each parameter of its dataclass is a slot ->
+family is one `Family` entry: each parameter of its record is a slot ->
 weight pattern in the coefficient table (ties among slots are weights, as in
 the Toeplitz cases); `expm_structured` reads its commuting groups off the
 support of its patterns.  With B the patterns as columns, the member is c
@@ -36,8 +36,9 @@ first; auto and classify walk a 4x4's family kernel alone, verify its
 covering one too.  A forced route is its own entry of the same kernels, one
 for each input kind (`_FORCED`, `smalllin._forced`), so auto, forced,
 classify and verify decide every route alike and give bitwise-equal
-members.  The dataclasses are the public view of a member: `instance` and
-`coefficients` convert between the two.
+members.  The structure classes, frozen records on `smalllin.Record`, are
+the public view of a member: `instance` and `coefficients` convert between
+the two.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ import numpy as np
 
 from .covering import _COVER3, _COVER4, _ENTRIES, NotInAlgebra
 from .hxh import _BASIS_ROWS, _PROJECTION_ROWS
-from .smalllin import (DEFAULT_TOL, _admit, _claim, _forced, _real_if_possible, _residuals,
-                       frobenius)
+from .smalllin import (DEFAULT_TOL, Record, _admit, _claim, _forced, _real_if_possible,
+                       _residuals, frobenius)
 
 Vec3 = tuple[float, float, float]
 CVec3 = tuple[complex, complex, complex]
@@ -71,14 +72,14 @@ JORDAN_FORMS = {1: ("right", _K), 2: ("right", _I), 3: ("left", _I),
                 4: ("left", _J), 5: ("left", _K)}
 
 
-class _Instance:
+class _Instance(Record):
     """reconstruct() for every structure class."""
 
     def reconstruct(self) -> np.ndarray:
         return (coefficients(self) @ _BASIS_ROWS).reshape(4, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SkewSymmetric(_Instance):
     """Coefficient support p(x)1 + 1(x)q with p, q pure."""
     tag: ClassVar[str] = "SkewSymmetric"
@@ -86,7 +87,7 @@ class SkewSymmetric(_Instance):
     q: Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Perskewsymmetric(_Instance):
     """p(x)i + alpha(j(x)1) + j(x)q + beta(1(x)i), p _|_ j, q _|_ i."""
     tag: ClassVar[str] = "Perskewsymmetric"
@@ -96,7 +97,7 @@ class Perskewsymmetric(_Instance):
     beta: float
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SkewHamiltonian(_Instance):
     """b(1(x)1) + p(x)j + 1(x)(c i + d k)."""
     tag: ClassVar[str] = "SkewHamiltonian"
@@ -106,7 +107,7 @@ class SkewHamiltonian(_Instance):
     d: float
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Jordan(_Instance):
     """One of five classes self-adjoint for a skew form.
 
@@ -126,7 +127,7 @@ class Jordan(_Instance):
         return f"Jordan{self.k}"
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class Lie(_Instance):
     """One of eight classes skew for a symmetric form e_x(x)e_y.
 
@@ -145,7 +146,7 @@ class Lie(_Instance):
         return f"Lie{self.k}"
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class HamSymPersym(_Instance):
     """beta(j(x)i) + gamma(i(x)k) + delta(k(x)k): simultaneously Hamiltonian,
     symmetric and persymmetric."""
@@ -155,7 +156,7 @@ class HamSymPersym(_Instance):
     delta: float
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SymToeplitzTridiag(_Instance):
     """Symmetric tridiagonal Toeplitz: a on the diagonal, b beside it."""
     tag: ClassVar[str] = "SymToeplitzTridiag"
@@ -163,7 +164,7 @@ class SymToeplitzTridiag(_Instance):
     b: float
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SymToeplitzS13Zero(_Instance):
     """a(1(x)1) + b(j(x)i) + c(i(x)j) + b(k(x)j): the variant whose second
     super- and subdiagonal vanish."""
@@ -173,7 +174,7 @@ class SymToeplitzS13Zero(_Instance):
     c: float
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SpecialNormal(_Instance):
     """Normal matrix whose skew part splits as s(x)1 + 1(x)t with unequal
     norms; the symmetric part is then forced to a(1(x)1) + s_hat(x)t_hat.
@@ -189,7 +190,7 @@ class SpecialNormal(_Instance):
     s_hat: Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class BisymmetricRS(_Instance):
     """A = R4 S with S = a(1(x)1) + eps(j(x)i) + (alpha i + beta k)(x)
     (gamma j + delta k); symmetric, persymmetric, not Toeplitz.  Since R4 is
@@ -203,7 +204,7 @@ class BisymmetricRS(_Instance):
     delta: float
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class SymmetricGeneral(_Instance):
     """Any symmetric matrix: a(1(x)1) + p(x)i + q(x)j + r(x)k."""
     tag: ClassVar[str] = "SymmetricGeneral"
@@ -213,7 +214,7 @@ class SymmetricGeneral(_Instance):
     r: Vec3
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ComplexSO4(_Instance):
     """Complex skew-symmetric: left(x)1 + 1(x)right with complex triples."""
     tag: ClassVar[str] = "ComplexSO4"
@@ -221,7 +222,7 @@ class ComplexSO4(_Instance):
     right: CVec3
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, repr=False, eq=False)
 class ComplexPerskew(_Instance):
     """Complex-coefficient analogue of Perskewsymmetric."""
     tag: ClassVar[str] = "ComplexPerskew"
@@ -266,7 +267,7 @@ class Family:
         self.projector = np.eye(16) - self.basis @ self.pinv
 
     def instance(self, member):
-        """The dataclass of a member, its parameters B^+ c."""
+        """The record of a member, its parameters B^+ c."""
         vals = np.asarray(self.pinv @ member,
                           complex if self.complex_scalars else float).tolist()
         args = [] if self.k is None else [self.k]
@@ -464,7 +465,7 @@ def _x_bisymmetric_rs(a, c, tol, tol_abs):
 
 
 def instance(tag: str, member) -> StructureClass:
-    """The dataclass of the member of family `tag`."""
+    """The record of the member of family `tag`."""
     if tag == "SpecialNormal":
         a, s, t, b = _special_normal_parts(member.tolist())
         ns, nt = math.hypot(*s), math.hypot(*t)

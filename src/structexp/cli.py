@@ -53,7 +53,7 @@ from .covering import NotInAlgebra
 from .expm_structured import ForcedClassMismatch, _dispatch, _routes
 from .hxh import BASIS_NAMES, from_matrix
 from .oracle import expm_series, rel_error
-from .smalllin import frobenius
+from .smalllin import Record, frobenius
 
 VERIFY_TOL = 1e-10
 
@@ -62,8 +62,8 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
+@dataclass(init=False, repr=False, eq=False)
+class MatrixDocument(Record):
     """One matrix as it crosses the CLI boundary.  entries is row-major;
     complex matrices store re,im interleaved, so the count is 2n^2."""
     n: int

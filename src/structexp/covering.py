@@ -44,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .smalllin import DEFAULT_TOL, _factors, _forced, _overflow_checked, frobenius
+from .smalllin import DEFAULT_TOL, Record, _factors, _forced, _overflow_checked, frobenius
 
 I2 = np.eye(2)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -72,8 +72,8 @@ def _stack8(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x.real.ravel(), x.imag.ravel()])
 
 
-@dataclass(frozen=True, eq=False)
-class CoveringAlgebra:
+@dataclass(init=False, repr=False, eq=False)
+class CoveringAlgebra(Record):
     """A covering algebra from its six defining fields.  Construction
     derives the rest, each array read-only: coord_pinv (see _coords), T as
     exp_map and Q as det_form (see the module docstring), psi_matrix with
@@ -92,6 +92,9 @@ class CoveringAlgebra:
     det_form: tuple = field(init=False, repr=False)
     psi_matrix: np.ndarray = field(init=False, repr=False)
     psi_pinv: np.ndarray = field(init=False, repr=False)
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         n = self.dim

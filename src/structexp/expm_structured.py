@@ -33,12 +33,13 @@ involutions, and the exponential sums their four joint sign patterns
 (`_exp_symmetric_general`).  Their product would amplify roundoff by up to
 exp(2 sigma_3).
 
-The dataclasses are the public edge only: `exp_structured_class` and the
-`exp_*` adapters turn an instance into its member, forcing the matrix of a
-SpecialNormal or BisymmetricRS instance onto its route.  Every closed form
-but SymmetricGeneral takes its scalars from one `smalllin._factors` call, which
-folds exp(c00) and every hyperbolic growth into one exponent, so it raises
-OverflowError only where exp(A) is beyond the float64 range.
+The structure classes, records on `smalllin.Record`, are the public edge
+only: `exp_structured_class` and the `exp_*` adapters turn an instance into
+its member, forcing the matrix of a SpecialNormal or BisymmetricRS instance
+onto its route.  Every closed form but SymmetricGeneral takes its scalars
+from one `smalllin._factors` call, which folds exp(c00) and every hyperbolic
+growth into one exponent, so it raises OverflowError only where exp(A) is
+beyond the float64 range.
 
 Route selection at every size is made here once, from one table of each
 route's closed form by name (_ROUTES): `_routes` gives the routes of
@@ -67,8 +68,8 @@ from .classify import (_FORCED, _KERNELS, FAMILIES, BisymmetricRS,
 from .covering import COVERING_ALGEBRAS, _exp_lift
 from .hxh import _BASIS_ROWS, _MUL_IDX, _MUL_SGN
 from .oracle import expm_series, rel_error
-from .smalllin import (_SAFE_NORM, DEFAULT_TOL, _admit, _claim, _expm2, _factors, _forced,
-                       _overflow_checked, _residuals, _svd3, frobenius)
+from .smalllin import (_SAFE_NORM, DEFAULT_TOL, Record, _admit, _claim, _expm2, _factors,
+                       _forced, _overflow_checked, _residuals, _setattr, _svd3, frobenius)
 
 
 class ClosedFormDefect(RuntimeError):
@@ -76,11 +77,19 @@ class ClosedFormDefect(RuntimeError):
     each square to a scalar, so the family has no group closed form."""
 
 
-@dataclass(frozen=True, slots=True)
-class ExpResult:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class ExpResult(Record):
+    """exp(A), the route that gave it and, when verified, its relative
+    error from the series oracle."""
     value: np.ndarray
     route: str
     verified: Optional[float] = None
+
+    # every expm_auto call builds one: three assignments, no argument binding
+    def __init__(self, value, route, verified=None):
+        _setattr(self, "value", value)
+        _setattr(self, "route", route)
+        _setattr(self, "verified", verified)
 
 
 def _anticommute(s, t) -> bool:
@@ -320,8 +329,10 @@ def exp_p4_complex(p, alpha, q, beta) -> np.ndarray:
     return exp_structured_class(ComplexPerskew(p, alpha, q, beta))
 
 
-@dataclass(frozen=True)
-class MinimalPolySkew:
+@dataclass(init=False, repr=False, eq=False)
+class MinimalPolySkew(Record):
+    """The coefficients of the annihilating quartic of T, highest first,
+    and the degree of its minimal polynomial (see minimal_poly_skewT)."""
     coefficients: tuple[float, float, float, float, float]
     degree: int
 
@@ -395,8 +406,12 @@ def _dispatch(a, method: str, tol: float):
     frame, or the series oracle when none claims A; "oracle" skips every
     closed form; a route name forces that route by its entry of the walk: a
     class tag (ForcedClassMismatch), "covering:<name>" (NotInAlgebra) or
-    "expm2" (ValueError on a 2x2 of non-finite entries or norm)."""
+    "expm2" (ValueError on a 2x2 of non-finite entries or norm).  A tol
+    that is not positive and finite is a ValueError on the oracle too, as
+    `smalllin._admit` raises it on every other route."""
     if method == "oracle":
+        if not 0.0 < tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         return "oracle", expm_series(a)
     if method == "auto":
         admitted = _admit(a, tol, len(a))

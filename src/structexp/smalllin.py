@@ -9,15 +9,20 @@ negative real arguments land on the cosh/sinh branch automatically.
 
 Every route at every size admits its input through one gate, `_admit`,
 which also gives the one bound of every route, and is decided by its entry
-of a membership kernel (see `classify`): by `_claim` in the walk and auto,
-and by `_forced` for a forced route, both on `_residuals` and `_member`.
+of a membership kernel (see `classify`) on `_residuals`: by `_claim`, with
+`_member`, in the walk and auto, and by `_forced` for a forced route, which
+calls a fit once for its member and its residual.
+
+`Record` is the base of every record class of the package: it holds the
+methods that `@dataclass(frozen=True)` would generate for each, written once.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 
 import numpy as np
 
@@ -120,7 +125,8 @@ def _forced(a_matrix, tol: float, route):
     f), entry f of a kernel of n x n matrices as _claim takes it, or None.
     It refuses by raising refuse(residual): inf for an A _admit puts on no
     route, |Im A| for a complex A with no entry, 2 sqrt(squares[f]) over
-    the bound, or the residual of a rule that returns no member."""
+    the bound, or the residual of a rule that returns no member, from the
+    one call of that rule."""
     n, refuse, entries = route
     admitted = _admit(a_matrix, tol, n)
     if admitted is None:
@@ -135,9 +141,12 @@ def _forced(a_matrix, tol: float, route):
     half = 0.5 * tol_abs
     if not squares[f] <= half * half:
         raise refuse(2.0 * math.sqrt(squares[f]))
-    member = _member(routes[f], a, vec, y, tol, tol_abs)
+    _, rows, rule = routes[f]
+    if rows is not None:
+        return rows.dot(vec), norm, tol_abs
+    member, residual = rule(a, y[:16], tol, tol_abs)
     if member is None:
-        raise refuse(routes[f][2](a, y[:16], tol, tol_abs)[1])
+        raise refuse(residual)
     return member, norm, tol_abs
 
 
@@ -264,15 +273,102 @@ def _exp2(half, d, q, r) -> np.ndarray:
     return np.array([[c + s * d, s * q], [s * r, c - s * d]]) * h
 
 
-@dataclass(frozen=True)
-class SymEig3:
+_setattr = object.__setattr__
+
+
+@functools.cache
+def _names(cls, flag: str) -> tuple[str, ...]:
+    """The fields of a record class whose `flag` (repr or compare) is set."""
+    return tuple(f.name for f in fields(cls) if getattr(f, flag))
+
+
+def _compared(record) -> tuple:
+    """The values of the compared fields of a record, in order."""
+    return tuple(getattr(record, name) for name in _names(type(record), "compare"))
+
+
+def _arguments(cls, names, args, kwargs) -> list:
+    """The values of the init fields `names` of a record class, in order,
+    from the positional and keyword arguments of a call and the fields'
+    defaults (a default_factory counts as none); TypeError for a missing,
+    extra, repeated or unknown argument."""
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} positional "
+                        f"arguments but {len(args)} were given")
+    values = dict(zip(names, args))
+    for name in kwargs:
+        if name not in names or name in values:
+            raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
+                            f"argument {name!r}")
+    values.update(kwargs)
+    for name in names[len(args):]:
+        if name not in values:
+            values[name] = cls.__dataclass_fields__[name].default
+            if values[name] is MISSING:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+    return [values[name] for name in names]
+
+
+class Record:
+    """A frozen record.  A class on this base, declared with
+    @dataclass(init=False, repr=False, eq=False), has its fields registered
+    by dataclass, so that `dataclasses.fields`, `astuple`, `replace` and
+    `is_dataclass` read it, and takes from here what @dataclass(frozen=True)
+    would compile for it: __init__ (positional and keyword arguments,
+    defaults, then __post_init__), __repr__, __eq__ and __hash__ over its
+    fields, FrozenInstanceError on assignment and deletion, and pickle and
+    copy state, restored past the frozen __setattr__."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__match_args__
+        if kwargs or len(args) != len(names):
+            args = _arguments(cls, names, args, kwargs)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """What a record class derives once its init fields are set."""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in _names(type(self), "repr")) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _compared(self) == _compared(other)
+
+    def __hash__(self) -> int:
+        return hash(_compared(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict):
+        for name, value in state.items():
+            _setattr(self, name, value)
+
+
+@dataclass(init=False, repr=False, eq=False)
+class SymEig3(Record):
     """Eigenvalues in descending order and an orthogonal eigenvector matrix."""
     eigenvalues: np.ndarray
     q: np.ndarray
 
 
-@dataclass(frozen=True)
-class Svd3:
+@dataclass(init=False, repr=False, eq=False)
+class Svd3(Record):
+    """m = u @ diag(sigma) @ v.T (see svd3)."""
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray

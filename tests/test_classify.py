@@ -206,6 +206,28 @@ def test_forced_and_auto_accept_the_same_members_at_the_bound(tag):
                 assert forced == auto == (factor < 1.0), (scale, factor)
 
 
+def test_forced_refusal_calls_its_fit_once():
+    # a fit that returns no member gives its residual with the refusal, so
+    # the forced route refuses on that one call and reports that residual
+    a = np.random.default_rng(0).standard_normal((4, 4))
+    n, refuse, ((kernel, f), complex_entry) = _FORCED["SpecialNormal"]
+    routes, rows, incidence = kernel
+    tag, _, fit = routes[f]
+    calls = []
+
+    def counted(*args):
+        calls.append(fit(*args))
+        return calls[-1]
+
+    routes = routes[:f] + ((tag, None, counted),) + routes[f + 1:]
+    with pytest.raises(ForcedClassMismatch) as counted_refusal:
+        _forced(a, DEFAULT_TOL, (n, refuse, (((routes, rows, incidence), f), complex_entry)))
+    assert len(calls) == 1 and calls[0][0] is None
+    with pytest.raises(ForcedClassMismatch) as refusal:
+        _forced(a, DEFAULT_TOL, _FORCED["SpecialNormal"])
+    assert counted_refusal.value.residual == refusal.value.residual == calls[0][1]
+
+
 def _boundary_case(route, norm, rng):
     """(A, E, residual): a member A of `route` of Frobenius norm `norm`, a
     direction E off the route, and the route's residual of a matrix."""

@@ -316,6 +316,7 @@ BAD_TOLS = [np.nan, 0.0, -1.0, np.inf]
 def test_bad_tol_is_refused_on_every_route(tol):
     a = sample_family("SkewSymmetric", np.random.default_rng(13))
     calls = [lambda: classify(a, tol), lambda: expm_auto(a, tol=tol),
+             lambda: expm_auto(a, method="oracle", tol=tol),
              lambda: extract_special_normal(a, tol)]
     calls += [lambda tag=tag: expm_auto(a, method=tag, tol=tol)
               for tag in REAL_DISPATCH_ORDER]
@@ -330,6 +331,7 @@ def test_bad_tol_exits_2(tol):
     j4 = " ".join(repr(float(v)) for v in J4.ravel())
     so3 = "0 -1 0  1 0 0  0 0 0"
     for command in (["classify", j4], ["expm", j4], ["expm", j4, "--method", "Lie3"],
+                    ["expm", j4, "--method", "oracle"],
                     ["expm", so3], ["expm", so3, "--method", "covering:so3"]):
         code, out, err = _cli(command + ["--tol", tol])
         assert code == 2, command
