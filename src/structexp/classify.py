@@ -547,7 +547,10 @@ def _ties(projector) -> np.ndarray:
     """Orthonormal rows over the 16 slots spanning what `projector` keeps of
     the slots it neither keeps nor drops whole: two for SymToeplitzTridiag,
     one for SymToeplitzS13Zero, none for a diagonal projector."""
-    tied = ~np.isin(projector.diagonal(), (0.0, 1.0))
+    keep = projector.diagonal()
+    tied = (keep != 0.0) & (keep != 1.0)
+    if not tied.any():
+        return np.zeros((0, 16))
     vals, vecs = np.linalg.eigh(projector[np.ix_(tied, tied)])
     rows = np.zeros((16, len(vals)))
     rows[tied] = vecs

@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -110,6 +109,10 @@ def _json_int(digits: str):
 
 
 def _parse_json(text: str) -> MatrixDocument:
+    # imported here and in format_document_json, so that a process that
+    # reads and writes plain text never loads json
+    import json
+
     try:
         doc = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
@@ -175,6 +178,8 @@ def load_document(arg: str) -> MatrixDocument:
 
 
 def format_document_json(doc: MatrixDocument, **extra) -> str:
+    import json
+
     payload: dict = {"n": doc.n, "kind": doc.kind, "entries": list(doc.entries)}
     if doc.label is not None:
         payload["label"] = doc.label

@@ -145,6 +145,16 @@ def test_series_equals_the_plain_horner_loop_bit_for_bit(n, kind):
             assert np.array_equal(got, expected), (exponent, skew)
             squarings.add(s)
     assert min(squarings) == 0 and max(squarings) >= 12
+    # inputs that grow as fast as their 1-norm c allows, e^c in one entry or
+    # spread over all: below the bound under which the squarings run with no
+    # overflow guard, and above it where e^c is still finite
+    dtype = complex if kind == "complex" else float
+    for c in (699.0, 699.99, np.nextafter(oracle._SAFE_NORM, 0.0), 700.0, 709.0):
+        one = np.zeros((n, n), dtype)
+        one[0, 0] = c
+        for a in (one, np.full((n, n), c / n, dtype)):
+            expected, _ = _plain_series(a)
+            assert np.array_equal(expm_series(a), expected), (c, a[0, 1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -209,6 +219,10 @@ def test_series_errors_are_unchanged():
         expm_series(np.array([[0.0, np.nan], [0.0, 0.0]]))
     with pytest.raises(OverflowError, match="^overflow while squaring$"):
         expm_series(np.diag([1000.0, 1000.0, 1000.0, 1000.0]))
+    # just past e^c overflowing, over the bound of the unguarded squarings
+    for dtype in (float, complex):
+        with pytest.raises(OverflowError, match="^overflow while squaring$"):
+            expm_series(np.diag(np.array([710.0, 0.0], dtype)))
     # overflows at squaring 11 of 21, and its zeros turn to NaN after
     with pytest.raises(OverflowError, match="^overflow while squaring$"):
         expm_series(np.diag([1e6, 0.0, 0.0, 0.0]))

@@ -174,7 +174,8 @@ def test_keyword_and_default_arguments_fill_the_fields_in_order():
 def test_import_compiles_no_generated_code():
     # dataclasses hands each method it generates to exec as source text,
     # while importlib runs each module as a code object: with every record
-    # on the base, importing the package and its CLI compiles no source
+    # on the base, importing the package and its CLI compiles no source; and
+    # json is imported only by the functions that read or write JSON
     probe = textwrap.dedent("""
         import builtins
         import numpy
@@ -187,12 +188,14 @@ def test_import_compiles_no_generated_code():
         builtins.exec = counting_exec
         import structexp, structexp.cli
         builtins.exec = real_exec
+        import sys
         print(structexp.__file__)
         print(len(compiled))
+        print('json' not in sys.modules)
     """)
     src = os.path.dirname(os.path.dirname(structexp.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=env, check=True).stdout.split()
-    assert out == [structexp.__file__, "0"]
+    assert out == [structexp.__file__, "0", "True"]
