@@ -20,25 +20,26 @@ Squares decide every route.  P_f, the projector off registry entry f, is
 I - B B^+ for a table family and, for a fit, the projector off the slots its
 member can fill, whose residual it bounds from below; all but the two
 Toeplitz families' are diagonal and 0/1, and those keep two and one
-orthonormal tie functionals T.  So at import each registry gets one family
-kernel Y = [P; T P], P the coefficient projection, with the 0/1 incidence W
-of its entries on the squares of y = Y vec A: 19 rows for the real
-families, 16 for the complex ones.  `covering` builds each size's covering
-kernel alike (48 rows for the 4x4 algebras, 27 for the 3x3 ones), and a
-2x2's has no rows and one entry, expm2's, whose rule returns A itself.
-BisymmetricRS fills six slots, so a symmetric or dense A skips its fit;
-SpecialNormal fills every slot, so its fit always runs.
+orthonormal tie functionals T.  So at import each input kind gets one
+kernel Y, with the 0/1 incidence W of its entries on the squares of
+y = Y vec A: for a real 4x4, Y = [P; T P] (19 rows, P the coefficient
+projection) with the 22 real families, then the 4x4 covering algebras, each
+reading its twin family's square (`_TWINS`); for a complex 4x4, that Y over
+C, its two families reading their twins' rows; the 3x3 algebras' (27 rows,
+in `covering`); and a 2x2's, no rows and one entry, expm2's, whose rule
+returns A.  BisymmetricRS fills six slots, so a symmetric or dense A skips
+its fit; SpecialNormal fills every slot, so its fit always runs.
 
 An entry is (name, rows, rule) (see `_stack`), and `smalllin._residuals`,
 `_member` and `_claim` walk one kernel.  `_walk` yields the claims lazily
 to classify and verify, and auto (`expm_structured._dispatch`) takes the
-first; auto and classify walk a 4x4's family kernel alone, verify its
-covering one too.  A forced route is its own entry of the same kernels, one
-for each input kind (`_FORCED`, `smalllin._forced`), so auto, forced,
-classify and verify decide every route alike and give bitwise-equal
-members.  The structure classes, frozen records on `smalllin.Record`, are
-the public view of a member: `instance` and `coefficients` convert between
-the two.
+first, for a 4x4 always a family's; classify walks a 4x4's family entries
+alone, verify its covering ones too, each from one _residuals call.  A
+forced route is its own entry of the same kernels, one for each input kind
+(`_FORCED`, `smalllin._forced`), so auto, forced, classify and verify
+decide every route alike and give bitwise-equal members.  The structure
+classes, frozen records on `smalllin.Record`, are the public view of a
+member: `instance` and `coefficients` convert between the two.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .covering import _COVER3, _COVER4, _ENTRIES, NotInAlgebra
+from .covering import _COVER3, _ENTRIES, COVERING_ALGEBRAS, NotInAlgebra
 from .hxh import _BASIS_ROWS, _PROJECTION_ROWS
 from .smalllin import (DEFAULT_TOL, Record, _admit, _claim, _forced, _real_if_possible,
                        _residuals, frobenius)
@@ -503,16 +504,12 @@ def coefficients(inst) -> np.ndarray:
 Extractor = Callable[[np.ndarray, np.ndarray, float, float],
                      tuple[Optional[np.ndarray], float]]
 
-# a table family's slot is None: its kernel entry decides it (see _stack)
-_real = [(fam.tag, None) for fam in _TABLE if not fam.complex_scalars]
-
 # dispatch priority: cheapest and most specific first, the rank-one fits
-# next, the svd3-backed symmetric catch-all last
-REAL_REGISTRY: list[tuple[str, Optional[Extractor]]] = (
-    _real[:-1]
-    + [("SpecialNormal", _x_special_normal), ("BisymmetricRS", _x_bisymmetric_rs)]
-    + _real[-1:]
-)
+# next, the svd3-backed symmetric catch-all last; a table family's slot is
+# None, since its kernel entry decides it (see _stack)
+_real = [(fam.tag, None) for fam in _TABLE if not fam.complex_scalars]
+REAL_REGISTRY: list[tuple[str, Optional[Extractor]]] = _real[:-1] + [
+    ("SpecialNormal", _x_special_normal), ("BisymmetricRS", _x_bisymmetric_rs)] + _real[-1:]
 
 COMPLEX_REGISTRY: list[tuple[str, Optional[Extractor]]] = [
     (fam.tag, None) for fam in _TABLE if fam.complex_scalars]
@@ -557,18 +554,15 @@ def _ties(projector) -> np.ndarray:
     return rows[:, vals > 0.5].T
 
 
-def _stack(registry, pairs: int = 1):
-    """The family kernel (routes, Y, W) of a registry (see the module
-    docstring): W repeats each column for the `pairs` floats of a
-    coefficient, and Y and the rows are complex for two, as vec A is.  A
-    route is (name, rows, rule): member rows (I - P_f) P for a family with
-    a 0/1 projector, the rule c - P_f P vec A for one with tie rows (a
-    member for every A its square passes), or a fit's extractor."""
+def _stack(registry):
+    """The family kernel (routes, Y, W) of a real registry (see the module
+    docstring).  A route is (name, rows, rule): member rows (I - P_f) P for
+    a family with a 0/1 projector, the rule c - P_f P vec A for one with tie
+    rows (a member for every A its square passes), or a fit's extractor."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
     ends = np.cumsum([0, 16] + [len(tie) for tie in ties])
-    dtype = np.complex128 if pairs == 2 else np.float64
     w = np.zeros((len(projs), ends[-1]))
     routes = []
     for f, ((tag, extract), proj, tie) in enumerate(zip(registry, projs, ties)):
@@ -576,42 +570,48 @@ def _stack(registry, pairs: int = 1):
         if tag not in FAMILIES:
             routes.append((tag, None, extract))
         elif len(tie):
-            off = (proj @ _PROJECTION_ROWS).astype(dtype)
+            off = proj @ _PROJECTION_ROWS
             routes.append((tag, None, lambda a, c, tol, tol_abs, off=off:
                            (c - off.dot(a.ravel()), None)))
         else:
-            keep = (np.eye(16) - proj) @ _PROJECTION_ROWS
-            routes.append((tag, keep.astype(dtype), None))
-    kernel = np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS
-    return tuple(routes), kernel.astype(dtype), np.repeat(w, pairs, axis=1)
+            routes.append((tag, (np.eye(16) - proj) @ _PROJECTION_ROWS, None))
+    return tuple(routes), np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS, w
 
 
-# each registry's family kernel, and the covering kernel of each size (built
-# in `covering`); (size, complex) -> its kernels, of which auto and classify
-# walk the first.  A 2x2's kernel has no rows and one entry, expm2's, whose
-# rule returns the 2x2: every 2x2 is its own member; a complex 3x3's has no
-# rows and no entry
-_REAL4, _COMPLEX4 = _stack(REAL_REGISTRY), _stack(COMPLEX_REGISTRY, pairs=2)
+# the twin of each 4x4 covering algebra and complex family by its entry:
+# the real family whose set it is on, and whose square it reads
+_TWINS = {name: [tag for tag, _ in REAL_REGISTRY].index(twin) for name, twin in (
+    ("so4", "SkewSymmetric"), ("p4r", "Perskewsymmetric"), ("so22r", "Lie1"),
+    ("ComplexSO4", "SkewSymmetric"), ("ComplexPerskew", "Perskewsymmetric"))}
+# a 4x4 algebra's entry holds its lift rows psi^+; `covering._lift` reads it
+_families, _Y, _W = _stack(REAL_REGISTRY)
+_ALGEBRAS4 = [alg for alg in COVERING_ALGEBRAS.values() if alg.dim == 4]
+_REAL4 = (_families + tuple((f"covering:{alg.name}", alg.psi_pinv, None) for alg in _ALGEBRAS4),
+          _Y, np.vstack([_W, _W[[_TWINS[alg.name] for alg in _ALGEBRAS4]]]))
+_COMPLEX4 = (tuple((tag, _families[_TWINS[tag]][1].astype(complex), None)
+                   for tag, _ in COMPLEX_REGISTRY), _Y.astype(complex),
+             np.repeat(_W[[_TWINS[tag] for tag, _ in COMPLEX_REGISTRY]], 2, axis=1))
+_ENTRIES.update({alg: (_REAL4, len(_families) + g) for g, alg in enumerate(_ALGEBRAS4)})
+
+# (size, complex) -> (kernel, the number of its entries, from the first,
+# that classify walks; verify walks all).  Every 2x2 is its own member, by
+# expm2's rule; a complex 3x3's kernel has no rows and no entry
 _EXPM2 = ((("expm2", None, lambda a, c, tol, tol_abs: (a, 0.0)),), np.zeros((0, 4)),
           np.zeros((1, 0)))
-_KERNELS = {(2, False): (_EXPM2,), (2, True): (_EXPM2,), (3, False): (_COVER3,),
-            (3, True): (((), np.zeros((0, 9)), np.zeros((0, 0))),),
-            (4, False): (_REAL4, _COVER4), (4, True): (_COMPLEX4,)}
+_KERNELS = {(2, False): (_EXPM2, 1), (2, True): (_EXPM2, 1),
+            (3, False): (_COVER3, len(_COVER3[0])),
+            (3, True): (((), np.zeros((0, 9)), np.zeros((0, 0))), 0),
+            (4, False): (_REAL4, len(_families)), (4, True): (_COMPLEX4, len(_COMPLEX4[0]))}
 
 # every route's forced route of `smalllin._forced`, (n, refuse, (real entry,
 # complex entry)) by name, each entry (kernel, f) or None; a real A forced
-# onto a complex family reads the real family of its projector, and so of
-# its member and group plan (_TWIN: SkewSymmetric for ComplexSO4,
-# Perskewsymmetric for ComplexPerskew), and a 2x2 the gate turns away is
-# outside expm2's domain
-_TWIN = {fam.tag: f for fam in _TABLE if fam.complex_scalars
-         for f, (tag, _, _) in enumerate(_REAL4[0])
-         if tag in FAMILIES and np.array_equal(FAMILIES[tag].projector, fam.projector)}
+# onto a complex family reads its twin's entry, and so its member and group
+# plan; a 2x2 the gate turns away is outside expm2's domain
 _FORCED = {
     **{tag: (4, partial(ForcedClassMismatch, tag), ((_REAL4, f), None))
-       for f, (tag, _, _) in enumerate(_REAL4[0])},
-    **{tag: (4, partial(ForcedClassMismatch, tag), ((_REAL4, _TWIN[tag]), (_COMPLEX4, f)))
-       for f, (tag, _, _) in enumerate(_COMPLEX4[0])},
+       for f, (tag, _, _) in enumerate(_families)},
+    **{tag: (4, partial(ForcedClassMismatch, tag), ((_REAL4, _TWINS[tag]), (_COMPLEX4, f)))
+       for f, (tag, _) in enumerate(COMPLEX_REGISTRY)},
     **{f"covering:{alg.name}": (alg.dim, partial(NotInAlgebra, alg.name), (entry, None))
        for alg, entry in _ENTRIES.items()},
     "expm2": (2, lambda res: ValueError("matrix has non-finite entries or an overflowing norm"),
@@ -627,20 +627,18 @@ def _coefficient_table(a) -> np.ndarray:
 def _walk(a, tol_abs: float, tol: float, coverings: bool):
     """(route, member) of each route that claims the admitted A (see
     `smalllin._admit`), lazily in route order: a 4x4's structured families
-    in dispatch order, then, when `coverings` is set, its covering algebras
-    by their own kernel; a 3x3's covering algebras; expm2 for a 2x2 (see
-    the module docstring).  Auto takes the first claim by the same
-    _residuals and _claim, in `expm_structured._dispatch`."""
-    kernels = _KERNELS[len(a), a.dtype.kind == "c"]
+    in dispatch order, then, when `coverings` is set, its covering algebras;
+    a 3x3's covering algebras; expm2 for a 2x2.  Auto takes the first claim
+    by the same _residuals and _claim, in `expm_structured._dispatch`."""
+    (routes, kernel, incidence), walked = _KERNELS[len(a), a.dtype.kind == "c"]
     vec = a.ravel()
-    for routes, kernel, incidence in (kernels if coverings else kernels[:1]):
-        y, squares = _residuals(kernel, incidence, vec)
-        squares = squares.tolist()
-        claim = _claim(routes, squares, 0, a, vec, y, tol, tol_abs)
-        while claim is not None:
-            f, member = claim
-            yield routes[f][0], member
-            claim = _claim(routes, squares, f + 1, a, vec, y, tol, tol_abs)
+    y, squares = _residuals(kernel, incidence, vec)
+    squares = squares.tolist()[:None if coverings else walked]
+    claim = _claim(routes, squares, 0, a, vec, y, tol, tol_abs)
+    while claim is not None:
+        f, member = claim
+        yield routes[f][0], member
+        claim = _claim(routes, squares, f + 1, a, vec, y, tol, tol_abs)
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:

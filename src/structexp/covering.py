@@ -29,11 +29,11 @@ has every table a route reads.
 A is in the algebra when its distance |(I - psi psi^+) vec A| = |A - P|_F,
 |A^T M + M A|_F / 2 for every built-in form M (orthogonal and symmetric),
 is within tol_abs = tol max(1, |A|_F) (`smalllin._admit`), as for a
-family; each built-in algebra is an entry of its size's covering kernel
-(`_kernel`), which the walk and its forced route (`psi_inverse`,
-`exp_via_covering`) both read.  At
-|x| of 150 (`smalllin._SAFE_NORM`) or more the map runs under np.errstate
-and raises OverflowError unless exp(A) is finite.
+family; each built-in algebra is an entry of its kind's kernel
+(`_ENTRIES`), which the walk and its forced route (`psi_inverse`,
+`exp_via_covering`) both read.  At |x| of 150 (`smalllin._SAFE_NORM`) or
+more the map runs under np.errstate and raises OverflowError unless exp(A)
+is finite.
 """
 
 from __future__ import annotations
@@ -157,11 +157,11 @@ def _kernel(algebras) -> tuple:
             np.repeat(np.eye(len(algebras)), n2, axis=1))
 
 
-# each size's covering kernel, and each built-in algebra's (kernel, entry)
-_SIZED = [[alg for alg in COVERING_ALGEBRAS.values() if alg.dim == n] for n in (3, 4)]
-_COVER3, _COVER4 = (_kernel(algs) for algs in _SIZED)
-_ENTRIES = {alg: (kernel, f) for algs, kernel in zip(_SIZED, (_COVER3, _COVER4))
-            for f, alg in enumerate(algs)}
+# the 3x3 covering kernel, and each built-in algebra's (kernel, entry): a
+# 4x4 algebra's is of the real 4x4 kernel, which `classify` adds on import
+_ALGEBRAS3 = [alg for alg in COVERING_ALGEBRAS.values() if alg.dim == 3]
+_COVER3 = _kernel(_ALGEBRAS3)
+_ENTRIES = {alg: (_COVER3, f) for f, alg in enumerate(_ALGEBRAS3)}
 
 
 def _lift(alg: CoveringAlgebra, a_matrix, tol: float):

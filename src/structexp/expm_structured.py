@@ -418,6 +418,7 @@ def _dispatch(a, method: str, tol: float):
         if admitted is None:
             return "oracle", expm_series(a)
         x, norm, tol_abs = admitted
+        # a 4x4 algebra never claims first: its twin family ahead of it does
         routes, kernel, incidence = _KERNELS[len(x), x.dtype.kind == "c"][0]
         vec = x.ravel()
         y, squares = _residuals(kernel, incidence, vec)

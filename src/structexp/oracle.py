@@ -112,7 +112,8 @@ def expm_series(a) -> np.ndarray:
     norm = 4.0 * quarter
     s = 0
     if norm > _SCALING_THRESHOLD:
-        s = math.ceil(math.log2(norm / _SCALING_THRESHOLD)) if norm < math.inf else norm
+        ratio = norm / _SCALING_THRESHOLD  # inf from a 1-norm of 9e307: over the cap
+        s = math.ceil(math.log2(ratio)) if ratio < math.inf else ratio
         if s > _MAX_SQUARINGS:
             raise ValueError(f"1-norm {norm:.3e} needs {s} squarings, over the "
                              f"cap of {_MAX_SQUARINGS}")

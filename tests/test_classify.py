@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structexp import (COVERING_ALGEBRAS, ForcedClassMismatch, NotInAlgebra, classify,
-                       expm_auto, expm_series, extract_special_normal,
+                       exp_via_covering, expm_auto, expm_series, extract_special_normal,
                        extract_symmetric_rep, psi_inverse, rel_error)
 from structexp.classify import (
     COMPLEX_REGISTRY,
@@ -326,22 +326,37 @@ def test_every_route_holds_a_to_the_one_bound(route):
 
 
 # pairs of routes on one set of real matrices: a covering algebra and the
-# family of its form, and a complex family on real input and the real
-# family of its projector
+# family of its form, and a complex family on real input and its real twin
 _SAME_SET = [("SkewSymmetric", "covering:so4"), ("Perskewsymmetric", "covering:p4r"),
              ("Lie1", "covering:so22r"), ("SkewSymmetric", "ComplexSO4"),
              ("Perskewsymmetric", "ComplexPerskew")]
+
+
+def _covering_refusals(alg, m):
+    """The residual with which psi_inverse and exp_via_covering each refuse
+    M, or None where it takes M."""
+    out = []
+    for fn in (psi_inverse, exp_via_covering):
+        try:
+            fn(alg, m)
+            out.append(None)
+        except NotInAlgebra as exc:
+            out.append(exc.residual)
+    return out
 
 
 @pytest.mark.parametrize("family, other", _SAME_SET)
 def test_routes_on_the_same_set_decide_alike(family, other):
     # a member of the family moved 0.999 and 1.001 times the bound off it,
     # at |A| of 1e-3, 1 and 30, is as far from the other route's set: both
-    # routes take it or both refuse it, through the walk (a covering
-    # algebra's own kernel; a complex family walks no real input) and
-    # through the forced route; at the family's bisected bound a complex
-    # family forced on the real input decides as its real family does, with
-    # the same member, value and refusal residual
+    # routes take it or both refuse it, through the walk (a complex family
+    # walks no real input) and through the forced route.  At the family's
+    # bisected bound the two read one square: a covering algebra takes the
+    # last scale and refuses the next through the walk, the verify listing,
+    # its forced route, psi_inverse and exp_via_covering, and refuses with
+    # the family's residual; a complex family forced on the real input
+    # decides as its real twin does, with the same member, value and
+    # refusal residual
     rng = np.random.default_rng(35)
     for norm in (1e-3, 1.0, 30.0):
         a, e, residual = _boundary_case(family, norm, rng)
@@ -356,9 +371,17 @@ def test_routes_on_the_same_set_decide_alike(family, other):
                 takes.append(other in walked)
             assert set(takes) == {factor < 1.0}, (norm, factor)
             ends.append(t)
-        if other.startswith("covering:"):
-            continue
         lo, hi = _bisected(family, a, e, *ends)
+        if other.startswith("covering:"):
+            alg = COVERING_ALGEBRAS[other[len("covering:"):]]
+            for t, took in ((lo, True), (hi, False)):
+                m = a + t * e
+                walked = [r for r, _ in _walked(m)]
+                refusal = _forced_step(family, m)[1]
+                assert (other in walked) == (other in _verify_listing(m)) == took, (norm, t)
+                assert _forced_step(other, m)[1] == refusal, (norm, t)
+                assert _covering_refusals(alg, m) == [refusal, refusal], (norm, t)
+            continue
         took = _forced_step(other, a + lo * e)[0]
         assert took.tobytes() == _forced_step(family, a + lo * e)[0].tobytes(), (norm, lo)
         assert (expm_auto(a + lo * e, method=other).value.tobytes()
@@ -367,13 +390,37 @@ def test_routes_on_the_same_set_decide_alike(family, other):
         assert refused[0] is None and refused == _forced_step(family, a + hi * e), (norm, hi)
 
 
+@pytest.mark.parametrize("twin, route", _SAME_SET)
+def test_each_twin_has_its_routes_own_squared_distance(twin, route):
+    # a route that reads its twin family's square is decided by the twin's
+    # form: the twin's squared distance |A - P|_F^2 / 4 = vec A^T Q vec A,
+    # Q from its entry of the real kernel, is the route's own to roundoff,
+    # by (I - psi psi^+)/2 for a covering algebra and by the projector off
+    # its family for a complex one
+    name = route.removeprefix("covering:")
+    assert len(cls_mod._TWINS) == len(_SAME_SET)
+    f = cls_mod._TWINS[name]
+    assert _PRIORITY[f] == twin
+    _, kernel, incidence = cls_mod._REAL4
+    twin_form = kernel.T @ np.diag(incidence[f]) @ kernel
+    if name in COVERING_ALGEBRAS:
+        alg = COVERING_ALGEBRAS[name]
+        off = (np.eye(16) - alg.psi_matrix @ alg.psi_pinv) / 2.0
+    else:
+        off = FAMILIES[name].projector @ _PROJECTION_ROWS
+    np.testing.assert_allclose(off.T @ off, twin_form, rtol=0.0, atol=1e-15)
+
+
 def test_verify_walks_the_family_kernel_that_auto_walks():
-    # one family kernel a registry, and the covering algebras a kernel of
-    # their own: the family routes that verify walks are auto's and
-    # classify's, member for member bitwise, on members, on members at the
-    # bound (the Toeplitz tie rows among them) and on dense input
+    # one kernel for each input kind, the 4x4 covering algebras its entries
+    # after the families', which classify does not walk: the family
+    # routes that verify walks are auto's and classify's, member for member
+    # bitwise, on members, on members at the bound (the Toeplitz tie rows
+    # among them) and on dense input
     rng = np.random.default_rng(32)
-    assert cls_mod._KERNELS[4, False] == (cls_mod._REAL4, cls_mod._COVER4)
+    assert cls_mod._KERNELS[4, False] == (cls_mod._REAL4, len(REAL_REGISTRY))
+    assert [r for r, _, _ in cls_mod._REAL4[0][len(REAL_REGISTRY):]] == [
+        f"covering:{alg.name}" for alg in COVERING_ALGEBRAS.values() if alg.dim == 4]
     for cplx, tags in ((False, REAL_FAMILY_TAGS), (True, COMPLEX_FAMILY_TAGS)):
         for a in _kernel_inputs(tags, cplx, rng):
             families = _walked(a, coverings=False)
@@ -590,7 +637,7 @@ def test_bisymmetric_rs_fit_runs_only_where_its_bound_allows(monkeypatch):
     routes = tuple((tag, rows, counting if tag == "BisymmetricRS" else rule)
                    for tag, rows, rule in routes)
     monkeypatch.setitem(cls_mod._KERNELS, (4, False),
-                        ((routes, kernel, incidence), cls_mod._COVER4))
+                        ((routes, kernel, incidence), cls_mod._KERNELS[4, False][1]))
     rng = np.random.default_rng(60)
     for _ in range(20):
         for a in (sample_family("SymmetricGeneral", rng), rng.standard_normal((4, 4))):
@@ -683,6 +730,8 @@ def test_membership_kernel_decides_and_extracts_as_the_stacked_map(cplx):
     inputs += [s * sample_family(tag, rng) for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS
                for s in (0.1, 10.0)]
     _, kernel, incidence = cls_mod._COMPLEX4 if cplx else cls_mod._REAL4
+    # the family entries, ahead of the 4x4 covering algebras'
+    incidence = incidence[:len(COMPLEX_REGISTRY if cplx else REAL_REGISTRY)]
     for a in inputs:
         admitted = _admit(a, DEFAULT_TOL)
         if (admitted[0].dtype.kind == "c") != cplx:
@@ -751,22 +800,21 @@ def test_every_fit_entry_holds_its_own_extractor():
     # rows by the rule c - P_f P vec A, a hand-written fit carries its
     # extractor, and a 2x2's rule returns A itself
     seen = set()
-    for kernels in cls_mod._KERNELS.values():
-        for routes, _, _ in kernels:
-            for name, rows, rule in routes:
-                seen.add(name)
-                assert (rows is None) != (rule is None), name
-                if name in FAMILIES:
-                    tied = name in ("SymToeplitzTridiag", "SymToeplitzS13Zero")
-                    assert (rows is None, rule is not None) == (tied, tied), name
-                elif name in EXTRACTORS:
-                    assert rows is None and rule is EXTRACTORS[name], name
-                elif name.startswith("covering:"):
-                    assert rows is not None and rule is None, name
-                else:
-                    assert (name, rows) == ("expm2", None)
-                    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-                    assert rule(a, a.ravel()[:0], DEFAULT_TOL, DEFAULT_TOL)[0] is a
+    for (routes, _, _), _ in cls_mod._KERNELS.values():
+        for name, rows, rule in routes:
+            seen.add(name)
+            assert (rows is None) != (rule is None), name
+            if name in FAMILIES:
+                tied = name in ("SymToeplitzTridiag", "SymToeplitzS13Zero")
+                assert (rows is None, rule is not None) == (tied, tied), name
+            elif name in EXTRACTORS:
+                assert rows is None and rule is EXTRACTORS[name], name
+            elif name.startswith("covering:"):
+                assert rows is not None and rule is None, name
+            else:
+                assert (name, rows) == ("expm2", None)
+                a = np.array([[1.0, 2.0], [3.0, 4.0]])
+                assert rule(a, a.ravel()[:0], DEFAULT_TOL, DEFAULT_TOL)[0] is a
     assert seen == set(EXTRACTORS) | {f"covering:{n}" for n in COVERING_ALGEBRAS} | {"expm2"}
 
 

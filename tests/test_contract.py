@@ -149,12 +149,14 @@ def test_overflow_exits_4(n):
 
 
 def test_oracle_scaling_cap_exits_2():
-    # a rotation generator of norm 1e13: over the oracle's scaling cap
-    text = " ".join(repr(float(v)) for v in (1e13 * J4).ravel())
-    for command in (["verify"], ["expm", "--method", "oracle"]):
-        code, _, err = _cli(command + [text])
-        assert code == 2, command
-        assert "cap" in err
+    # a rotation generator of norm 1e13, and a 1-norm of 1e308 whose ratio
+    # to the scaling threshold overflows: over the oracle's scaling cap
+    rotation = " ".join(repr(float(v)) for v in (1e13 * J4).ravel())
+    for text in (rotation, "5e307 5e307 5e307 5e307"):
+        for command in (["verify"], ["expm", "--method", "oracle"]):
+            code, _, err = _cli(command + [text])
+            assert code == 2, (text, command)
+            assert "cap" in err
 
 
 def _text(a):

@@ -691,10 +691,10 @@ def test_auto_runs_no_hand_written_extractor_before_a_table_match(monkeypatch):
 
     # the walk calls the fit its route carries
     routes, kernel, incidence = cls_mod._REAL4
-    routes = tuple((tag, rows, refuse if cls_mod.EXTRACTORS[tag] is not None else rule)
+    routes = tuple((tag, rows, refuse if cls_mod.EXTRACTORS.get(tag) is not None else rule)
                    for tag, rows, rule in routes)
     monkeypatch.setitem(cls_mod._KERNELS, (4, False),
-                        ((routes, kernel, incidence), cls_mod._COVER4))
+                        ((routes, kernel, incidence), cls_mod._KERNELS[4, False][1]))
     rng = np.random.default_rng(78)
     # every family dispatched before the hand-written fits
     table_first = [tag for tag in REAL_FAMILY_TAGS + COMPLEX_FAMILY_TAGS

@@ -105,6 +105,15 @@ def test_scaling_cap_raises_instead_of_clamping():
     assert np.isfinite(expm_series(5e11 * basis_matrix(1, 0))).all()
 
 
+@pytest.mark.parametrize("entry", [5e307, 1.7e308])
+def test_a_finite_norm_whose_ratio_overflows_is_over_the_cap(entry):
+    # finite entries: the 1-norm 1e308 is finite but its ratio to the
+    # scaling threshold is not, and the 1-norm 3.4e308 is itself past the
+    # float64 range; both are over the cap, not an OverflowError of ceil
+    with pytest.raises(ValueError, match="cap of 40"):
+        expm_series(np.full((2, 2), entry))
+
+
 def _plain_series(a):
     """expm_series as a plain Horner loop of new arrays, to pin it bit for bit."""
     a = np.asarray(a)
