@@ -30,15 +30,18 @@ in `covering`); and a 2x2's, no rows and one entry, expm2's, whose rule
 returns A.  BisymmetricRS fills six slots, so a symmetric or dense A skips
 its fit; SpecialNormal fills every slot, so its fit always runs.
 
-An entry is (name, rows, rule) (see `_stack`), and `smalllin._residuals`,
-`_member` and `_claim` walk one kernel.  `_walk` yields the claims lazily
-to classify and verify, and auto (`expm_structured._dispatch`) takes the
-first, for a 4x4 always a family's; classify walks a 4x4's family entries
-alone, verify its covering ones too, each from one _residuals call.  A
-forced route is its own entry of the same kernels, one for each input kind
-(`_FORCED`, `smalllin._forced`), so auto, forced, classify and verify
-decide every route alike and give bitwise-equal members.  The structure
-classes, frozen records on `smalllin.Record`, are the public view of a
+An entry is (name, rows, None), member rows: (I - P_f) P for every table
+family, psi^+ for a covering algebra; or (name, None, rule), a fit or expm2,
+whose rule(A, c, tol_abs) gives a member or None and a residual (`_stack`).
+`smalllin._residuals`, `_member` and `_claim` walk one kernel at the bound
+tol_abs that `smalllin._admit` makes of tol.  `_walk` yields the claims to
+classify and verify, and auto (`expm_structured._dispatch`) takes the first,
+for a 4x4 always a family's; classify walks a 4x4's family entries alone,
+verify its covering ones too, each from one _residuals call.  A forced
+route is its own entry of the same kernels, one for each input kind
+(`_FORCED`, `smalllin._forced`), so auto, forced, classify and verify decide
+every route alike and give bitwise-equal members.  The structure classes,
+frozen records on `smalllin.Record`, are the public view of a
 member: `instance` and `coefficients` convert between the two.
 """
 
@@ -252,9 +255,8 @@ class Family:
     family's support, the slots a member can fill.
     """
 
-    def __init__(self, cls, params: dict[str, tuple[Pattern, ...]],
-                 k: Optional[int] = None, complex_scalars: bool = False):
-        self.cls, self.k, self.complex_scalars = cls, k, complex_scalars
+    def __init__(self, cls, params: dict[str, tuple[Pattern, ...]], k: Optional[int] = None):
+        self.cls, self.k = cls, k
         self.tag = cls.tag if k is None else f"{cls.tag_base}{k}"
         self.params = {f.name: params[f.name] for f in fields(cls) if f.name != "k"}
         flat = [pat for pats in self.params.values() for pat in pats]
@@ -268,9 +270,8 @@ class Family:
         self.projector = np.eye(16) - self.basis @ self.pinv
 
     def instance(self, member):
-        """The record of a member, its parameters B^+ c."""
-        vals = np.asarray(self.pinv @ member,
-                          complex if self.complex_scalars else float).tolist()
+        """The record of a member, its parameters B^+ c, complex if it is."""
+        vals = (self.pinv @ member).tolist()
         args = [] if self.k is None else [self.k]
         i = 0
         for pats in self.params.values():
@@ -302,17 +303,16 @@ def _row(x: int, skip: int = 0) -> tuple[Pattern, ...]:
     return tuple({} if m == skip else {(x, m): 1.0} for m in (_I, _J, _K))
 
 
-def _skew(cls, left: str, right: str, complex_scalars: bool = False) -> Family:
+def _skew(cls, left: str, right: str) -> Family:
     """left (x) 1 + 1 (x) right."""
-    return Family(cls, {left: _col(0), right: _row(0)}, complex_scalars=complex_scalars)
+    return Family(cls, {left: _col(0), right: _row(0)})
 
 
-def _lie(cls, x: int, y: int, k: Optional[int] = None, a: str = "a", b: str = "b",
-         complex_scalars: bool = False) -> Family:
+def _lie(cls, x: int, y: int, k: Optional[int] = None, a: str = "a", b: str = "b") -> Family:
     """a(1(x)e_y) + p(x)e_y + b(e_x(x)1) + e_x(x)q with p _|_ e_x, q _|_ e_y:
     the element skew for the symmetric form e_x (x) e_y."""
     return Family(cls, {a: _one(0, y), b: _one(x, 0), "p": _col(y, skip=x),
-                        "q": _row(x, skip=y)}, k, complex_scalars)
+                        "q": _row(x, skip=y)}, k)
 
 
 def _jordan(k: int) -> Family:
@@ -327,7 +327,7 @@ def _jordan(k: int) -> Family:
     return Family(Jordan, {"a": _one(0, 0), "b": b, "c": c, "vec": vec}, k)
 
 
-# every family but SpecialNormal and BisymmetricRS, real ones in dispatch order
+# every real family but SpecialNormal and BisymmetricRS, in dispatch order
 _TABLE = [
     _skew(SkewSymmetric, "p", "q"),
     Family(SkewHamiltonian,
@@ -344,11 +344,12 @@ _TABLE = [
            {"a": _one(0, 0), "b": ({(_J, _I): 1.0, (_K, _J): 1.0},), "c": _one(_I, _J)}),
     Family(SymmetricGeneral,
            {"a": _one(0, 0), "p": _col(_I), "q": _col(_J), "r": _col(_K)}),
-    _skew(ComplexSO4, "left", "right", complex_scalars=True),
-    _lie(ComplexPerskew, _J, _I, a="beta", b="alpha", complex_scalars=True),
 ]
+# the complex families, each on its real twin's set (see _TWINS)
+_COMPLEX_TABLE = [_skew(ComplexSO4, "left", "right"),
+                  _lie(ComplexPerskew, _J, _I, a="beta", b="alpha")]
 
-FAMILIES: dict[str, Family] = {fam.tag: fam for fam in _TABLE}
+FAMILIES: dict[str, Family] = {fam.tag: fam for fam in _TABLE + _COMPLEX_TABLE}
 
 # the slots, besides the scalar slot, that a member of each hand-written fit
 # can fill: SpecialNormal's every one, BisymmetricRS's j(x)i and its block
@@ -388,17 +389,19 @@ def _special_normal_frame(s, t, b, ns: float, nt: float):
     return u, ((y[0] / mu, y[1] / mu, y[2] / mu) if mu else y), mu
 
 
-def _x_special_normal(a, c, tol, tol_abs):
+def _x_special_normal(a, c, tol_abs):
     """The fit a(1(x)1) + s(x)1 + 1(x)t + mu s_hat(x)t_hat on the
-    coefficients as plain floats (see _special_normal_frame).  The smaller
-    skew norm counts as 0 at 1e-12 max(1, |c|) or below: the member drops
-    that part, and its block takes the free factor from B."""
+    coefficients as plain floats (see _special_normal_frame), refused unless
+    |ns - nt| k > tol_abs (ns + nt), k = max(1, |A|_F).  The smaller skew
+    norm counts as 0 at 1e-12 max(1, |c|) or below: the member drops that
+    part, and its block takes the free factor from B."""
     c00, s, t, b = _special_normal_parts(c.reshape(16).tolist())
     # hypot scales, so norms below 1e-154 do not both underflow to 0
     ns, nt = math.hypot(*s), math.hypot(*t)
-    if abs(ns - nt) <= tol * (ns + nt):
-        return None, np.inf
     norm = 2.0 * math.hypot(c00, ns, nt, *b)
+    k = max(1.0, norm)
+    if not abs(ns - nt) * k > tol_abs * (ns + nt):
+        return None, np.inf
     small = 1e-12 * max(1.0, norm / 2.0)
     fs = ns if ns > small or ns > nt else 0.0
     ft = nt if nt > small or nt > ns else 0.0
@@ -417,7 +420,6 @@ def _x_special_normal(a, c, tol, tol_abs):
     # of D is B[:, j] x s and row i adds B[i, :] x t; here in units of
     # k = max(1, |A|), so that no product overflows, and held to tol k^2:
     # tol_abs in those units
-    k = max(1.0, norm)
     s1, s2, s3, t1, t2, t3 = s[0] / k, s[1] / k, s[2] / k, t[0] / k, t[1] / k, t[2] / k
     comm = 4.0 * math.hypot(
         b3 * s3 - b6 * s2 + b1 * t3 - b2 * t2, b4 * s3 - b7 * s2 + b2 * t1 - b0 * t3,
@@ -450,7 +452,7 @@ def _bisymmetric_rs_member(eps, a, x1, x2, y1, y2) -> np.ndarray:
                      0.0, a, 0.0, 0.0, 0.0, 0.0, x2 * y1, x2 * y2])
 
 
-def _x_bisymmetric_rs(a, c, tol, tol_abs):
+def _x_bisymmetric_rs(a, c, tol_abs):
     """The fit eps(1(x)1) + a(j(x)i) + x(x)y with x in span(i, k), y in
     span(j, k), on the coefficients as plain floats: x y^T is the rank-one
     fit of the block [[p, q], [r, t]] (rows i, k, columns j, k)."""
@@ -500,19 +502,18 @@ def coefficients(inst) -> np.ndarray:
     return fam.coefficients(inst)
 
 
-# (A, its 16 coefficients c, tol, tol_abs) -> (member or None, residual)
-Extractor = Callable[[np.ndarray, np.ndarray, float, float],
-                     tuple[Optional[np.ndarray], float]]
+# (A, its 16 coefficients c, tol_abs) -> (member or None, residual)
+Extractor = Callable[[np.ndarray, np.ndarray, float], tuple[Optional[np.ndarray], float]]
 
 # dispatch priority: cheapest and most specific first, the rank-one fits
 # next, the svd3-backed symmetric catch-all last; a table family's slot is
 # None, since its kernel entry decides it (see _stack)
-_real = [(fam.tag, None) for fam in _TABLE if not fam.complex_scalars]
+_real = [(fam.tag, None) for fam in _TABLE]
 REAL_REGISTRY: list[tuple[str, Optional[Extractor]]] = _real[:-1] + [
     ("SpecialNormal", _x_special_normal), ("BisymmetricRS", _x_bisymmetric_rs)] + _real[-1:]
 
 COMPLEX_REGISTRY: list[tuple[str, Optional[Extractor]]] = [
-    (fam.tag, None) for fam in _TABLE if fam.complex_scalars]
+    (fam.tag, None) for fam in _COMPLEX_TABLE]
 
 EXTRACTORS: dict[str, Optional[Extractor]] = dict(REAL_REGISTRY + COMPLEX_REGISTRY)
 
@@ -556,25 +557,18 @@ def _ties(projector) -> np.ndarray:
 
 def _stack(registry):
     """The family kernel (routes, Y, W) of a real registry (see the module
-    docstring).  A route is (name, rows, rule): member rows (I - P_f) P for
-    a family with a 0/1 projector, the rule c - P_f P vec A for one with tie
-    rows (a member for every A its square passes), or a fit's extractor."""
+    docstring).  A route is (name, rows, rule): a table family's member rows
+    (I - P_f) P, or a fit's extractor as its rule."""
     projs = [FAMILIES[tag].projector if tag in FAMILIES else _off_support(tag)
              for tag, _ in registry]
     ties = [_ties(proj) for proj in projs]
     ends = np.cumsum([0, 16] + [len(tie) for tie in ties])
     w = np.zeros((len(projs), ends[-1]))
     routes = []
-    for f, ((tag, extract), proj, tie) in enumerate(zip(registry, projs, ties)):
+    for f, ((tag, extract), proj) in enumerate(zip(registry, projs)):
         w[f, :16], w[f, ends[f + 1]:ends[f + 2]] = proj.diagonal() == 1.0, 1.0
-        if tag not in FAMILIES:
-            routes.append((tag, None, extract))
-        elif len(tie):
-            off = proj @ _PROJECTION_ROWS
-            routes.append((tag, None, lambda a, c, tol, tol_abs, off=off:
-                           (c - off.dot(a.ravel()), None)))
-        else:
-            routes.append((tag, (np.eye(16) - proj) @ _PROJECTION_ROWS, None))
+        routes.append((tag, (np.eye(16) - proj) @ _PROJECTION_ROWS, None) if tag in FAMILIES
+                      else (tag, None, extract))
     return tuple(routes), np.vstack([np.eye(16), *ties]) @ _PROJECTION_ROWS, w
 
 
@@ -596,7 +590,7 @@ _ENTRIES.update({alg: (_REAL4, len(_families) + g) for g, alg in enumerate(_ALGE
 # (size, complex) -> (kernel, the number of its entries, from the first,
 # that classify walks; verify walks all).  Every 2x2 is its own member, by
 # expm2's rule; a complex 3x3's kernel has no rows and no entry
-_EXPM2 = ((("expm2", None, lambda a, c, tol, tol_abs: (a, 0.0)),), np.zeros((0, 4)),
+_EXPM2 = ((("expm2", None, lambda a, c, tol_abs: (a, 0.0)),), np.zeros((0, 4)),
           np.zeros((1, 0)))
 _KERNELS = {(2, False): (_EXPM2, 1), (2, True): (_EXPM2, 1),
             (3, False): (_COVER3, len(_COVER3[0])),
@@ -624,7 +618,7 @@ def _coefficient_table(a) -> np.ndarray:
     return _PROJECTION_ROWS.dot(a.reshape(16)).reshape(4, 4)
 
 
-def _walk(a, tol_abs: float, tol: float, coverings: bool):
+def _walk(a, tol_abs: float, coverings: bool):
     """(route, member) of each route that claims the admitted A (see
     `smalllin._admit`), lazily in route order: a 4x4's structured families
     in dispatch order, then, when `coverings` is set, its covering algebras;
@@ -634,11 +628,11 @@ def _walk(a, tol_abs: float, tol: float, coverings: bool):
     vec = a.ravel()
     y, squares = _residuals(kernel, incidence, vec)
     squares = squares.tolist()[:None if coverings else walked]
-    claim = _claim(routes, squares, 0, a, vec, y, tol, tol_abs)
+    claim = _claim(routes, squares, 0, a, vec, y, tol_abs)
     while claim is not None:
         f, member = claim
         yield routes[f][0], member
-        claim = _claim(routes, squares, f + 1, a, vec, y, tol, tol_abs)
+        claim = _claim(routes, squares, f + 1, a, vec, y, tol_abs)
 
 
 def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
@@ -651,7 +645,7 @@ def classify(a_matrix, tol: float = DEFAULT_TOL) -> list[StructureClass]:
     if admitted is None:
         return []
     a, _, tol_abs = admitted
-    return [instance(tag, member) for tag, member in _walk(a, tol_abs, tol, False)]
+    return [instance(tag, member) for tag, member in _walk(a, tol_abs, False)]
 
 
 def extract_symmetric_rep(a_matrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:

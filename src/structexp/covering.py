@@ -39,6 +39,7 @@ is finite.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -162,13 +163,17 @@ def _kernel(algebras) -> tuple:
 _ALGEBRAS3 = [alg for alg in COVERING_ALGEBRAS.values() if alg.dim == 3]
 _COVER3 = _kernel(_ALGEBRAS3)
 _ENTRIES = {alg: (_COVER3, f) for f, alg in enumerate(_ALGEBRAS3)}
+_LIFTS = weakref.WeakKeyDictionary()  # each algebra's forced route, from its first lift
 
 
 def _lift(alg: CoveringAlgebra, a_matrix, tol: float):
     """The lift x of A forced onto the algebra (`smalllin._forced`) by its
     entry, one of a kernel of its own outside the registry, or NotInAlgebra."""
-    entry = _ENTRIES.get(alg) or (_kernel([alg]), 0)
-    return _forced(a_matrix, tol, (alg.dim, partial(NotInAlgebra, alg.name), (entry, None)))[0]
+    route = _LIFTS.get(alg)
+    if route is None:
+        entry = _ENTRIES.get(alg) or (_kernel([alg]), 0)
+        route = _LIFTS[alg] = (alg.dim, partial(NotInAlgebra, alg.name), (entry, None))
+    return _forced(a_matrix, tol, route)[0]
 
 
 def _det(det_form, x0: float, x1: float, x2: float) -> float:

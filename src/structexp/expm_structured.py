@@ -396,7 +396,7 @@ def _routes(a_matrix, tol: float, coverings: bool = False):
     if admitted is None:
         return
     a, norm, tol_abs = admitted
-    for route, member in _walk(a, tol_abs, tol, coverings):
+    for route, member in _walk(a, tol_abs, coverings):
         yield route, _ROUTES[route](member, norm, tol_abs)
 
 
@@ -422,13 +422,13 @@ def _dispatch(a, method: str, tol: float):
         routes, kernel, incidence = _KERNELS[len(x), x.dtype.kind == "c"][0]
         vec = x.ravel()
         y, squares = _residuals(kernel, incidence, vec)
-        claim = _claim(routes, squares.tolist(), 0, x, vec, y, tol, tol_abs)
+        claim = _claim(routes, squares.tolist(), 0, x, vec, y, tol_abs)
         if claim is None:
             return "oracle", expm_series(a)
         method, member = routes[claim[0]][0], claim[1]
-    elif method in _FORCED:
+    elif isinstance(method, str) and method in _FORCED:
         member, norm, tol_abs = _forced(a, tol, _FORCED[method])
-    elif method.startswith("covering:"):
+    elif isinstance(method, str) and method.startswith("covering:"):
         raise ValueError(f"unknown covering algebra {method[9:]!r}; choose from "
                          + ", ".join(sorted(COVERING_ALGEBRAS)))
     else:
@@ -446,7 +446,7 @@ def expm_auto(a_matrix, method: str = "auto", tol: float = DEFAULT_TOL,
     forces that route or raises ForcedClassMismatch; "covering:<name>"
     forces that covering algebra or raises NotInAlgebra; "expm2" forces the
     2x2 route, ValueError if its entries or norm are not finite; "oracle"
-    skips classification.
+    skips classification; any other method, a str or not, is a ValueError.
     """
     a = np.asarray(a_matrix)
     if a.shape not in _SHAPES:

@@ -8,10 +8,11 @@ functions of sqrt(x), so they are well defined for every real or complex x;
 negative real arguments land on the cosh/sinh branch automatically.
 
 Every route at every size admits its input through one gate, `_admit`,
-which also gives the one bound of every route, and is decided by its entry
-of a membership kernel (see `classify`) on `_residuals`: by `_claim`, with
-`_member`, in the walk and auto, and by `_forced` for a forced route, which
-calls a fit once for its member and its residual.
+the one reader of tol, which gives the bound tol_abs of every route and
+rule, and is decided by its entry of a membership kernel (see `classify`)
+on `_residuals`: by `_claim`, with `_member`, in the walk and auto, and by
+`_forced` for a forced route, which calls a fit once for its member and
+its residual.
 
 `Record` is the base of every record class of the package: it holds the
 methods that `@dataclass(frozen=True)` would generate for each, written once.
@@ -95,17 +96,17 @@ def _residuals(kernel, incidence, vec):
     return y, incidence.dot(pairs * pairs)
 
 
-def _member(route, a, vec, y, tol: float, tol_abs: float):
+def _member(route, a, vec, y, tol_abs: float):
     """The member of the admitted A on a kernel entry (name, rows, rule)
     whose square is within the bound, or None: rows vec A, or the member
-    that rule(A, c, tol, tol_abs), c = y[:16], returns with a residual."""
+    that rule(A, c, tol_abs), c = y[:16], returns with a residual."""
     _, rows, rule = route
     if rows is not None:
         return rows.dot(vec)
-    return rule(a, y[:16], tol, tol_abs)[0]
+    return rule(a, y[:16], tol_abs)[0]
 
 
-def _claim(routes, squares, start: int, a, vec, y, tol: float, tol_abs: float):
+def _claim(routes, squares, start: int, a, vec, y, tol_abs: float):
     """(f, member) of the first entry f >= start of a kernel that claims the
     admitted A, from its `squares`, read as floats, and `y`, or None: an
     entry whose square exceeds (tol_abs/2)^2, or is NaN, is skipped."""
@@ -113,7 +114,7 @@ def _claim(routes, squares, start: int, a, vec, y, tol: float, tol_abs: float):
     bound = half * half
     for f in range(start, len(squares)):
         if squares[f] <= bound:
-            member = _member(routes[f], a, vec, y, tol, tol_abs)
+            member = _member(routes[f], a, vec, y, tol_abs)
             if member is not None:
                 return f, member
     return None
@@ -144,7 +145,7 @@ def _forced(a_matrix, tol: float, route):
     _, rows, rule = routes[f]
     if rows is not None:
         return rows.dot(vec), norm, tol_abs
-    member, residual = rule(a, y[:16], tol, tol_abs)
+    member, residual = rule(a, y[:16], tol_abs)
     if member is None:
         raise refuse(residual)
     return member, norm, tol_abs

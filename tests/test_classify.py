@@ -131,7 +131,7 @@ def _classify_by_loop(a, tol=DEFAULT_TOL):
 def _walked(a, tol=DEFAULT_TOL, coverings=True):
     """The (route, member) pairs of the membership walk on A."""
     a, _, tol_abs = _admit(a, tol, len(a))
-    return list(_walk(a, tol_abs, tol, coverings))
+    return list(_walk(a, tol_abs, coverings))
 
 
 def _forced_step(route, a, tol=DEFAULT_TOL):
@@ -155,7 +155,7 @@ def _reference_residual(tag, m, tol=DEFAULT_TOL):
     c = from_matrix(m).c
     if tag in FAMILIES:
         return 2.0 * float(np.linalg.norm(_projector(tag) @ c.reshape(16)))
-    return EXTRACTORS[tag](m, c, tol, tol * max(1.0, float(np.linalg.norm(m))))[1]
+    return EXTRACTORS[tag](m, c, tol * max(1.0, float(np.linalg.norm(m))))[1]
 
 
 def _residual_per_unit(a, e, tag):
@@ -619,7 +619,7 @@ def test_bisymmetric_rs_bound_never_exceeds_its_fit_residual(seed, scale, kind):
         a = a + 10.0 ** rng.uniform(-13.0, -5.0) * np.linalg.norm(a) * e / np.linalg.norm(e)
     a = scale * a
     tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
-    _member, res = cls_mod._x_bisymmetric_rs(a, from_matrix(a).c, DEFAULT_TOL, tol_abs)
+    _member, res = cls_mod._x_bisymmetric_rs(a, from_matrix(a).c, tol_abs)
     # the bound sums a subset of the residual's squares: equal up to rounding
     assert _bisymmetric_rs_bound(a) <= res * (1.0 + 1e-12)
 
@@ -702,21 +702,25 @@ def test_membership_kernel_is_each_entrys_projector_residual(tag):
 
 def _matches_by_stacked_map(a, tol=DEFAULT_TOL):
     """(passing entries, [(tag, member)]) by the map [I; P_1; ...; P_F] P
-    with one 16-row block per registry entry: the reference the membership
-    kernel must decide and extract as."""
+    with one 16-row block per registry entry, which gives the squares, and
+    a table family's member as its block of [P; (I - P_1) P; ...; (I - P_F)
+    P]: the reference the membership kernel must decide and extract as."""
     a, norm, _ = _admit(a, tol)
     registry = COMPLEX_REGISTRY if a.dtype.kind == "c" else REAL_REGISTRY
-    rows = np.vstack([np.eye(16), *(_projector(t) for t, _ in registry)]) @ _PROJECTION_ROWS
-    out = rows.dot(a.reshape(16))
+    projs = [_projector(t) for t, _ in registry]
+    vec = a.reshape(16)
+    out = (np.vstack([np.eye(16), *projs]) @ _PROJECTION_ROWS).dot(vec)
     c, off = out[:16], out[16:].reshape(-1, 16)
+    members = (np.vstack([np.eye(16), *(np.eye(16) - p for p in projs)])
+               @ _PROJECTION_ROWS).dot(vec)[16:].reshape(-1, 16)
     pairs = off.view(np.float64)
     tol_abs = tol * max(1.0, norm)
     passing = (np.add.reduce(pairs * pairs, axis=-1) <= (tol_abs / 2) ** 2).nonzero()[0].tolist()
     found = []
     for f in passing:
         tag, extract = registry[f]
-        member = (c - off[f] if tag in FAMILIES
-                  else extract(a, c.reshape(4, 4), tol, tol_abs)[0])
+        member = (members[f] if tag in FAMILIES
+                  else extract(a, c.reshape(4, 4), tol_abs)[0])
         if member is not None:
             found.append((tag, member))
     return passing, found
@@ -746,12 +750,12 @@ def test_membership_kernel_decides_and_extracts_as_the_stacked_map(cplx):
             assert m.tobytes() == want.tobytes(), tag
 
 
-def _claims(routes, squares, a, vec, y, tol_abs, tol=DEFAULT_TOL):
+def _claims(routes, squares, a, vec, y, tol_abs):
     """The entries that claim A, by _claim from each entry past the last."""
-    out, claim = [], cls_mod._claim(routes, squares, 0, a, vec, y, tol, tol_abs)
+    out, claim = [], cls_mod._claim(routes, squares, 0, a, vec, y, tol_abs)
     while claim is not None:
         out.append(claim[0])
-        claim = cls_mod._claim(routes, squares, claim[0] + 1, a, vec, y, tol, tol_abs)
+        claim = cls_mod._claim(routes, squares, claim[0] + 1, a, vec, y, tol_abs)
     return out
 
 
@@ -777,7 +781,7 @@ def test_the_walk_helpers_pass_what_the_bound_passes(cplx):
         assert [f for f, sq in enumerate(squares) if sq <= (tol_abs / 2) ** 2] == passing
         c = y[:16]
         want = [f for f in passing if routes[f][2] is None
-                or routes[f][2](a, c, DEFAULT_TOL, tol_abs)[0] is not None]
+                or routes[f][2](a, c, tol_abs)[0] is not None]
         assert _claims(routes, squares, a, vec, y, tol_abs) == want
 
 
@@ -794,19 +798,22 @@ def test_a_nan_square_claims_nothing():
 
 
 def test_every_fit_entry_holds_its_own_extractor():
-    # a route is (name, rows, rule), exactly one of rows and rule set: a
-    # table family with a 0/1 projector and a covering algebra take their
-    # member by their rows (I - P_f) P and psi^+, a table family with tie
-    # rows by the rule c - P_f P vec A, a hand-written fit carries its
-    # extractor, and a 2x2's rule returns A itself
-    seen = set()
+    # a route is (name, rows, rule), exactly one of rows and rule set: every
+    # table family, the two Toeplitz families too, and every covering
+    # algebra take their member by their rows (I - P_f) P and psi^+, a
+    # hand-written fit carries its extractor, and a 2x2's rule returns A
+    # itself; no other entry has a rule
+    seen, ruled = set(), set()
     for (routes, _, _), _ in cls_mod._KERNELS.values():
         for name, rows, rule in routes:
             seen.add(name)
             assert (rows is None) != (rule is None), name
+            if rule is not None:
+                ruled.add(name)
             if name in FAMILIES:
-                tied = name in ("SymToeplitzTridiag", "SymToeplitzS13Zero")
-                assert (rows is None, rule is not None) == (tied, tied), name
+                assert rows is not None and rule is None, name
+                want = (np.eye(16) - FAMILIES[name].projector) @ _PROJECTION_ROWS
+                assert rows.tobytes() == want.astype(rows.dtype).tobytes(), name
             elif name in EXTRACTORS:
                 assert rows is None and rule is EXTRACTORS[name], name
             elif name.startswith("covering:"):
@@ -814,8 +821,23 @@ def test_every_fit_entry_holds_its_own_extractor():
             else:
                 assert (name, rows) == ("expm2", None)
                 a = np.array([[1.0, 2.0], [3.0, 4.0]])
-                assert rule(a, a.ravel()[:0], DEFAULT_TOL, DEFAULT_TOL)[0] is a
+                assert rule(a, a.ravel()[:0], DEFAULT_TOL)[0] is a
     assert seen == set(EXTRACTORS) | {f"covering:{n}" for n in COVERING_ALGEBRAS} | {"expm2"}
+    assert ruled == {"SpecialNormal", "BisymmetricRS", "expm2"}
+
+
+@pytest.mark.parametrize("tag", ["SymToeplitzTridiag", "SymToeplitzS13Zero"])
+def test_a_toeplitz_member_is_its_member_rows_on_vec_a(tag):
+    # the walk (whose _claim auto runs) and the forced route both take the
+    # member (I - P_f) P vec A, bitwise, with no rule of their own
+    rows = (np.eye(16) - FAMILIES[tag].projector) @ _PROJECTION_ROWS
+    rng = np.random.default_rng(36)
+    for scale in (0.1, 1.0, 30.0):
+        for _ in range(20):
+            a = scale * sample_family(tag, rng)
+            want = rows.dot(a.reshape(16)).tobytes()
+            assert dict(_walked(a, coverings=False))[tag].tobytes() == want, scale
+            assert _forced_step(tag, a)[0].tobytes() == want, scale
 
 
 def test_a_kernel_stacked_in_another_order_calls_each_tags_own_fit():
@@ -831,7 +853,7 @@ def test_a_kernel_stacked_in_another_order_calls_each_tags_own_fit():
             claims = {}
             for f in _claims(routes, squares, a, vec, y, tol_abs):
                 claims[routes[f][0]] = cls_mod._claim(routes, squares, f, a, vec, y,
-                                                      DEFAULT_TOL, tol_abs)[1].tobytes()
+                                                      tol_abs)[1].tobytes()
             want = {r: m.tobytes() for r, m in _walked(a, coverings=False)}
             assert claims == want, tag
 
@@ -840,8 +862,7 @@ def _first_of_walk(a, tol=DEFAULT_TOL):
     """(route, exp(A)) of the first route of the walk without coverings,
     by its closed form, or of the oracle when the walk yields none."""
     admitted = _admit(a, tol, len(a))
-    first = None if admitted is None else next(_walk(admitted[0], admitted[2], tol, False),
-                                               None)
+    first = None if admitted is None else next(_walk(admitted[0], admitted[2], False), None)
     if first is None:
         return "oracle", expm_series(a)
     return first[0], es_mod._ROUTES[first[0]](first[1], admitted[1], admitted[2])
@@ -1070,15 +1091,16 @@ def test_a_tolerance_past_the_square_root_of_the_float64_range_raises_nothing():
     assert lifts == ["covering:so3", "covering:p3r", "covering:so21r"]
 
 
-def _comprehension_x_special_normal(a, c, tol, tol_abs):
+def _comprehension_x_special_normal(a, c, tol_abs):
     """The SpecialNormal fit as it was written with comprehensions, the
     reference of its straight-line form: the same float operations in the
     same order."""
     c00, s, t, b = cls_mod._special_normal_parts(c.reshape(16).tolist())
     ns, nt = math.hypot(*s), math.hypot(*t)
-    if abs(ns - nt) <= tol * (ns + nt):
-        return None, np.inf
     norm = 2.0 * math.hypot(c00, ns, nt, *b)
+    k = max(1.0, norm)
+    if not abs(ns - nt) * k > tol_abs * (ns + nt):
+        return None, np.inf
     small = 1e-12 * max(1.0, norm / 2.0)
     fs = ns if ns > small or ns > nt else 0.0
     ft = nt if nt > small or nt > ns else 0.0
@@ -1087,7 +1109,6 @@ def _comprehension_x_special_normal(a, c, tol, tol_abs):
     res = 2.0 * math.hypot(*map(operator.sub, b, fit), ns - fs, nt - ft)
     if not res <= tol_abs:
         return None, res
-    k = max(1.0, norm)
     s1, s2, s3, t1, t2, t3 = [x / k for x in s + t]
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     comm = 4.0 * math.hypot(
@@ -1123,8 +1144,8 @@ def test_straight_line_special_normal_fit_is_bitwise_the_comprehension_form():
     for a in cases:
         c = from_matrix(a).c
         tol_abs = DEFAULT_TOL * max(1.0, frobenius(a))
-        member, res = cls_mod._x_special_normal(a, c, DEFAULT_TOL, tol_abs)
-        ref_member, ref_res = _comprehension_x_special_normal(a, c, DEFAULT_TOL, tol_abs)
+        member, res = cls_mod._x_special_normal(a, c, tol_abs)
+        ref_member, ref_res = _comprehension_x_special_normal(a, c, tol_abs)
         assert res == ref_res
         assert (member is None) == (ref_member is None)
         if member is not None:

@@ -328,6 +328,14 @@ def test_bad_tol_is_refused_on_every_route(tol):
             call()
 
 
+@pytest.mark.parametrize("method", [None, 3, b"auto", ["auto"], ("SkewSymmetric",), "nope"])
+def test_a_method_that_names_no_route_is_a_value_error(method):
+    # a method of any type but str names no route, as an unknown str does
+    for a in (sample_family("SkewSymmetric", np.random.default_rng(13)), np.eye(3), np.eye(2)):
+        with pytest.raises(ValueError, match="unknown method"):
+            expm_auto(a, method=method)
+
+
 @pytest.mark.parametrize("tol", ["nan", "0", "-1", "inf"])
 def test_bad_tol_exits_2(tol):
     j4 = " ".join(repr(float(v)) for v in J4.ravel())

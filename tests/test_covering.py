@@ -142,6 +142,35 @@ def test_derived_arrays_are_read_only():
             alg.psi_matrix = None
 
 
+def test_an_algebra_built_outside_the_registry_builds_its_route_once(monkeypatch):
+    calls = []
+    kernel = covering._kernel
+
+    def counting(algebras):
+        calls.append(algebras)
+        return kernel(algebras)
+
+    monkeypatch.setattr(covering, "_kernel", counting)
+    rng = np.random.default_rng(83)
+    for alg in (SO4, SO3):
+        own = dataclasses.replace(alg)
+        members = [covering_member(alg, rng) for _ in range(100)]
+        calls.clear()
+        for a in members:
+            got = psi_inverse(own, a)
+        assert len(calls) <= 1, alg.name
+        a = members[-1]
+        for x, y in zip(got, psi_inverse(alg, a)):
+            assert (x is None and y is None) or x.tobytes() == y.tobytes(), alg.name
+        assert exp_via_covering(own, a).tobytes() == exp_via_covering(alg, a).tobytes()
+        assert len(calls) <= 1, alg.name
+    # the cache holds its algebras weakly: a dropped copy is dropped from it
+    n = len(covering._LIFTS)
+    calls.clear()
+    del own
+    assert len(covering._LIFTS) == n - 1
+
+
 def test_algebras_compare_and_hash_by_identity():
     # array fields have no truth value, so fieldwise == would raise
     copy = dataclasses.replace(SO3)
@@ -436,7 +465,7 @@ class _ConstructionFails(NotInAlgebra):
 def _lifts(a, tol):
     """(algebra name, x) of each covering route of the walk, with its lift."""
     a, _, tol_abs = _admit(a, tol, len(a))
-    return [(route[len("covering:"):], x) for route, x in _walk(a, tol_abs, tol, True)
+    return [(route[len("covering:"):], x) for route, x in _walk(a, tol_abs, True)
             if route.startswith("covering:")]
 
 

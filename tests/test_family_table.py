@@ -24,7 +24,7 @@ from structexp.oracle import expm_series, rel_error
 from structexp.quat import Quaternion, quat_exp
 from structexp.smalllin import frobenius
 
-from conftest import sample_family
+from conftest import COMPLEX_FAMILY_TAGS, sample_family
 
 # the one entry without a group plan: its closed form sums the joint sign
 # patterns of the involutions svd3 rotates out of each matrix
@@ -93,10 +93,12 @@ def test_random_parameters_round_trip(tag):
     held = ~fam.basis.any(axis=0)       # vector components held at zero
     for _ in range(25):
         theta = rng.uniform(-1.7, 1.7, n)
-        if fam.complex_scalars:
+        if tag in COMPLEX_FAMILY_TAGS:
             theta = theta + 1j * rng.uniform(-1.2, 1.2, n)
         theta[held] = 0.0
         inst = fam.instance(fam.basis @ theta)
+        # the record's scalars are of the member's kind
+        assert np.iscomplexobj(np.hstack(astuple(inst))) == (tag in COMPLEX_FAMILY_TAGS), tag
         a = inst.reconstruct()
         tol_abs = 1e-9 * max(1.0, float(np.linalg.norm(a)))
         member = _forced(a, 1e-9, _FORCED[tag])[0]
