@@ -28,7 +28,9 @@ reading its twin family's square (`_TWINS`); for a complex 4x4, that Y over
 C, its two families reading their twins' rows; the 3x3 algebras' (27 rows,
 in `covering`); and a 2x2's, no rows and one entry, expm2's, whose rule
 returns A.  BisymmetricRS fills six slots, so a symmetric or dense A skips
-its fit; SpecialNormal fills every slot, so its fit always runs.
+its fit; SpecialNormal fills every slot, so its fit always runs, but it
+refuses tied skew norms (those of every symmetric A) before it builds any
+frame.
 
 An entry is (name, rows, None), member rows: (I - P_f) P for every table
 family, psi^+ for a covering algebra; or (name, None, rule), a fit or expm2,
@@ -392,22 +394,25 @@ def _special_normal_frame(s, t, b, ns: float, nt: float):
 def _x_special_normal(a, c, tol_abs):
     """The fit a(1(x)1) + s(x)1 + 1(x)t + mu s_hat(x)t_hat on the
     coefficients as plain floats (see _special_normal_frame), refused unless
-    |ns - nt| k > tol_abs (ns + nt), k = max(1, |A|_F).  The smaller skew
-    norm counts as 0 at 1e-12 max(1, |c|) or below: the member drops that
-    part, and its block takes the free factor from B."""
-    c00, s, t, b = _special_normal_parts(c.reshape(16).tolist())
+    |ns - nt| k > tol_abs (ns + nt), k = max(1, |A|_F): at once for tied
+    norms ns = nt, those of every symmetric A.  The smaller skew norm counts
+    as 0 at 1e-12 max(1, |c|) or below: the member drops that part, and its
+    block takes the free factor from B."""
+    c00, tx, ty, tz, sx, b0, b1, b2, sy, b3, b4, b5, sz, b6, b7, b8 = c.reshape(16).tolist()
     # hypot scales, so norms below 1e-154 do not both underflow to 0
-    ns, nt = math.hypot(*s), math.hypot(*t)
-    norm = 2.0 * math.hypot(c00, ns, nt, *b)
+    ns, nt = math.hypot(sx, sy, sz), math.hypot(tx, ty, tz)
+    if ns == nt:
+        return None, np.inf
+    norm = 2.0 * math.hypot(c00, ns, nt, b0, b1, b2, b3, b4, b5, b6, b7, b8)
     k = max(1.0, norm)
     if not abs(ns - nt) * k > tol_abs * (ns + nt):
         return None, np.inf
     small = 1e-12 * max(1.0, norm / 2.0)
     fs = ns if ns > small or ns > nt else 0.0
     ft = nt if nt > small or nt > ns else 0.0
-    u, v, mu = _special_normal_frame(s, t, b, fs, ft)
+    (u0, u1, u2), (v0, v1, v2), mu = _special_normal_frame(
+        (sx, sy, sz), (tx, ty, tz), (b0, b1, b2, b3, b4, b5, b6, b7, b8), fs, ft)
     # written out: a comprehension is a frame of its own on CPython <= 3.11
-    (u0, u1, u2), (v0, v1, v2), b0, b1, b2, b3, b4, b5, b6, b7, b8 = u, v, *b
     f0, f1, f2, f3, f4, f5, f6, f7, f8 = (mu * u0 * v0, mu * u0 * v1, mu * u0 * v2,
                                           mu * u1 * v0, mu * u1 * v1, mu * u1 * v2,
                                           mu * u2 * v0, mu * u2 * v1, mu * u2 * v2)
@@ -420,7 +425,7 @@ def _x_special_normal(a, c, tol_abs):
     # of D is B[:, j] x s and row i adds B[i, :] x t; here in units of
     # k = max(1, |A|), so that no product overflows, and held to tol k^2:
     # tol_abs in those units
-    s1, s2, s3, t1, t2, t3 = s[0] / k, s[1] / k, s[2] / k, t[0] / k, t[1] / k, t[2] / k
+    s1, s2, s3, t1, t2, t3 = sx / k, sy / k, sz / k, tx / k, ty / k, tz / k
     comm = 4.0 * math.hypot(
         b3 * s3 - b6 * s2 + b1 * t3 - b2 * t2, b4 * s3 - b7 * s2 + b2 * t1 - b0 * t3,
         b5 * s3 - b8 * s2 + b0 * t2 - b1 * t1, b6 * s1 - b0 * s3 + b4 * t3 - b5 * t2,
@@ -429,9 +434,11 @@ def _x_special_normal(a, c, tol_abs):
         b2 * s2 - b5 * s1 + b6 * t2 - b7 * t1)
     if not comm <= tol_abs:
         return None, max(res, comm * k)
-    s1, s2, s3 = s if fs else (0.0, 0.0, 0.0)
-    return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, f0, f1, f2, s2, f3, f4, f5,
-                     s3, f6, f7, f8]), res
+    if not fs:
+        sx = sy = sz = 0.0
+    if not ft:
+        tx = ty = tz = 0.0
+    return np.array([c00, tx, ty, tz, sx, f0, f1, f2, sy, f3, f4, f5, sz, f6, f7, f8]), res
 
 
 def _rank_one2(p, q, r, t, scale):

@@ -52,7 +52,7 @@ from .covering import NotInAlgebra
 from .expm_structured import ForcedClassMismatch, _dispatch, _routes
 from .hxh import BASIS_NAMES, from_matrix
 from .oracle import expm_series, rel_error
-from .smalllin import Record, frobenius
+from .smalllin import Record, _setattr, frobenius
 
 VERIFY_TOL = 1e-10
 
@@ -69,6 +69,13 @@ class MatrixDocument(Record):
     kind: str                     # "real" or "complex"
     entries: tuple[float, ...]
     label: Optional[str] = None
+
+    # every CLI call builds one: four assignments, no argument binding
+    def __init__(self, n, kind, entries, label=None):
+        _setattr(self, "n", n)
+        _setattr(self, "kind", kind)
+        _setattr(self, "entries", entries)
+        _setattr(self, "label", label)
 
     def matrix(self) -> np.ndarray:
         vals = np.asarray(self.entries, dtype=float)
@@ -255,10 +262,12 @@ def _cmd_verify(args) -> int:
         width = max(width, len(name))
         # a NaN residual is not <= the tolerance either
         passed = passed and res <= VERIFY_TOL
-    print(f"{'route'.ljust(width)}  residual")
+    # one write for the whole report, where print makes two a line
+    report = [f"{'route'.ljust(width)}  residual\n"]
     for name, res in rows:
-        print(f"{name.ljust(width)}  {res:.3e}")
-    print(f"{'oracle'.ljust(width)}  reference")
+        report.append(f"{name.ljust(width)}  {res:.3e}\n")
+    report.append(f"{'oracle'.ljust(width)}  reference\n")
+    sys.stdout.write("".join(report))
     if not passed:
         print(f"residual above {VERIFY_TOL:g}", file=sys.stderr)
         return 1

@@ -87,9 +87,15 @@ def _admit(a_matrix, tol: float, n: int = 4):
             tol * max(1.0, norm))
 
 
+_NO_ROWS = np.zeros(0)
+
+
 def _residuals(kernel, incidence, vec):
     """(y, squares) of a kernel's Y and W on vec A: y = Y vec A and the
-    array W (y o y)."""
+    array W (y o y).  A kernel with no rows (a 2x2's, a complex 3x3's)
+    takes no product: its y is empty and each of its entries' squares 0."""
+    if not len(kernel):
+        return _NO_ROWS, np.zeros(len(incidence))
     y = kernel.dot(vec)
     # a complex y is squared as pairs of floats
     pairs = y.view(np.float64) if y.dtype is _COMPLEX else y

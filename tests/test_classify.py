@@ -45,6 +45,7 @@ _PRIORITY = [tag for tag, _ in REAL_REGISTRY]
 # the package attribute structexp.classify is the function
 cls_mod = importlib.import_module("structexp.classify")
 es_mod = importlib.import_module("structexp.expm_structured")
+smalllin = importlib.import_module("structexp.smalllin")
 
 
 def test_j4_is_skew_symmetric():
@@ -1152,3 +1153,126 @@ def test_straight_line_special_normal_fit_is_bitwise_the_comprehension_form():
             accepted += 1
             assert member.tobytes() == ref_member.tobytes()
     assert 0 < accepted < len(cases)
+
+
+def _locals_free_x_special_normal(a, c, tol_abs):
+    """The SpecialNormal fit as it was written before it read the
+    coefficients into locals and refused tied skew norms ahead of its norm:
+    the reference of its bits, kept verbatim."""
+    c00, s, t, b = cls_mod._special_normal_parts(c.reshape(16).tolist())
+    # hypot scales, so norms below 1e-154 do not both underflow to 0
+    ns, nt = math.hypot(*s), math.hypot(*t)
+    norm = 2.0 * math.hypot(c00, ns, nt, *b)
+    k = max(1.0, norm)
+    if not abs(ns - nt) * k > tol_abs * (ns + nt):
+        return None, np.inf
+    small = 1e-12 * max(1.0, norm / 2.0)
+    fs = ns if ns > small or ns > nt else 0.0
+    ft = nt if nt > small or nt > ns else 0.0
+    u, v, mu = cls_mod._special_normal_frame(s, t, b, fs, ft)
+    # written out: a comprehension is a frame of its own on CPython <= 3.11
+    (u0, u1, u2), (v0, v1, v2), b0, b1, b2, b3, b4, b5, b6, b7, b8 = u, v, *b
+    f0, f1, f2, f3, f4, f5, f6, f7, f8 = (mu * u0 * v0, mu * u0 * v1, mu * u0 * v2,
+                                          mu * u1 * v0, mu * u1 * v1, mu * u1 * v2,
+                                          mu * u2 * v0, mu * u2 * v1, mu * u2 * v2)
+    res = 2.0 * math.hypot(b0 - f0, b1 - f1, b2 - f2, b3 - f3, b4 - f4, b5 - f5,
+                           b6 - f6, b7 - f7, b8 - f8, ns - fs, nt - ft)
+    if not res <= tol_abs:
+        return None, res
+    # A must be normal: its symmetric and skew parts commute.  With K its
+    # skew part, |A^T A - A A^T|_F / 2 = |[B, K]|_F = 4 |D|_F, where column j
+    # of D is B[:, j] x s and row i adds B[i, :] x t; here in units of
+    # k = max(1, |A|), so that no product overflows, and held to tol k^2:
+    # tol_abs in those units
+    s1, s2, s3, t1, t2, t3 = s[0] / k, s[1] / k, s[2] / k, t[0] / k, t[1] / k, t[2] / k
+    comm = 4.0 * math.hypot(
+        b3 * s3 - b6 * s2 + b1 * t3 - b2 * t2, b4 * s3 - b7 * s2 + b2 * t1 - b0 * t3,
+        b5 * s3 - b8 * s2 + b0 * t2 - b1 * t1, b6 * s1 - b0 * s3 + b4 * t3 - b5 * t2,
+        b7 * s1 - b1 * s3 + b5 * t1 - b3 * t3, b8 * s1 - b2 * s3 + b3 * t2 - b4 * t1,
+        b0 * s2 - b3 * s1 + b7 * t3 - b8 * t2, b1 * s2 - b4 * s1 + b8 * t1 - b6 * t3,
+        b2 * s2 - b5 * s1 + b6 * t2 - b7 * t1)
+    if not comm <= tol_abs:
+        return None, max(res, comm * k)
+    s1, s2, s3 = s if fs else (0.0, 0.0, 0.0)
+    return np.array([c00, *(t if ft else (0.0, 0.0, 0.0)), s1, f0, f1, f2, s2, f3, f4, f5,
+                     s3, f6, f7, f8]), res
+
+
+def _skew_part(c, s, t):
+    """The matrix of the coefficient table c with its skew part set to
+    s(x)1 + 1(x)t."""
+    c = c.copy()
+    c[1:, 0], c[0, 1:] = s, t
+    return HxHElement(c).to_matrix()
+
+
+def test_special_normal_fit_is_bitwise_its_locals_free_form():
+    # members and members moved 0.9 and 1.1 tol_abs off the family; tied
+    # skew norms, symmetric or skew; s = 0 and t = 0; and dense input
+    rng = np.random.default_rng(36)
+    cases = []
+    for scale in (1e-3, 0.1, 1.0, 30.0):
+        for _ in range(8):
+            a = scale * sample_family("SpecialNormal", rng)
+            e = rng.standard_normal((4, 4))
+            tol_abs = DEFAULT_TOL * max(1.0, float(np.linalg.norm(a)))
+            unit = _residual_per_unit(a, e, "SpecialNormal")
+            cases += [a] + [a + (f * tol_abs / unit) * e for f in (0.9, 1.1)]
+            c = from_matrix(a).c
+            s, t = c[1:, 0].copy(), c[0, 1:].copy()
+            cases += [_skew_part(c, 0.0, t), _skew_part(c, s, 0.0), _skew_part(c, 0.0, 0.0),
+                      _skew_part(np.zeros((4, 4)), s, s),
+                      _skew_part(np.zeros((4, 4)), s, s[::-1]),
+                      scale * sample_family("SymmetricGeneral", rng),
+                      scale * rng.standard_normal((4, 4))]
+    accepted, tied = 0, 0
+    for a in cases:
+        c = from_matrix(a).c
+        tol_abs = DEFAULT_TOL * max(1.0, frobenius(a))
+        member, res = cls_mod._x_special_normal(a, c, tol_abs)
+        ref_member, ref_res = _locals_free_x_special_normal(a, c, tol_abs)
+        assert res == ref_res
+        assert (member is None) == (ref_member is None)
+        if member is not None:
+            accepted += 1
+            assert member.tobytes() == ref_member.tobytes()
+        tied += res == np.inf
+    assert 0 < accepted < len(cases) and 0 < tied < len(cases) - accepted
+
+
+class _NoProduct(np.ndarray):
+    """A kernel Y whose product raises when it has no rows."""
+
+    def dot(self, *args):
+        if not len(self):
+            raise AssertionError("a kernel with no rows took a product")
+        return np.asarray(self).dot(*args)
+
+
+def test_kernels_with_no_rows_take_no_product(monkeypatch):
+    # every module that binds the kernel-product helper calls its own
+    # binding: _forced, the walk and auto's _dispatch
+    rowless = []
+    modules = [module for module in (smalllin, cls_mod, es_mod)
+               if module._residuals is smalllin._residuals]
+    assert len(modules) == 3
+    for module in modules:
+        def guarded(kernel, incidence, vec, real=module._residuals):
+            rowless.append(not len(kernel))
+            return real(kernel.view(_NoProduct), incidence, vec)
+        monkeypatch.setattr(module, "_residuals", guarded)
+    real2 = np.array([[1.0, 2.0], [3.0, -4.0]])
+    complex2 = np.array([[0.0, 1.0 + 0.5j], [-1.0, 0.5j]])
+    complex3 = np.array([[0.0, 1.0j, 0.0], [-1.0j, 0.0, 2.0], [0.0, -2.0, 0.5j]])
+    for a, route in ((real2, "expm2"), (complex2, "expm2"), (complex3, "oracle")):
+        assert expm_auto(a).route == route
+        assert [r for r, _ in _walked(a)] == ([route] if route == "expm2" else [])
+        if route == "expm2":
+            assert expm_auto(a, method="expm2").route == route
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["verify", format_document_json(MatrixDocument.of_matrix(a)),
+                        "--all-routes"]) == 0
+        listed = [line.split()[0] for line in out.getvalue().splitlines()[1:]]
+        assert listed == ([route] if route == "expm2" else []) + ["oracle"]
+    assert rowless and all(rowless)
